@@ -8,26 +8,34 @@ bits of field width) along the XY dimension-order route: all column
 steps first, then all row steps.  Every directed link carries at most
 one flit per cycle; a flit needs `hop_cycles` to cross a link, and flits
 of one message stay in order.  Link-cycle conflicts are resolved by
-booking the earliest free cycle, in simulation order.
+booking the earliest free cycle, in the order transfers are booked.
 
-Scheduling is greedy list scheduling: when a core of the right role is
-idle, the ready task with the longest remaining cost-weighted path to a
-sink is dispatched to the idle core closest (sum of Manhattan distances)
-to its operand producers.  Operand messages launch at dispatch time; the
-task starts once all operands have arrived and runs without preemption.
+Scheduling is one earliest-finish-time pass in the style of HEFT
+(Topcuoglu, Hariri & Wu, IEEE TPDS 13(3), 2002).  Arithmetic tasks are
+visited once, longest remaining cost-weighted path to a sink (upward
+rank) first, ties by id.  Every core of the task's role, busy or idle,
+gets the estimate max(core free, operands ready on its tile) + cost,
+where an operand is ready when its copy on that tile arrived, or else
+at its producer's end plus the contention-free latency
+hops * hop_cycles + flits - 1.  The task goes to the lowest (estimate,
+hops of new transfers, core index); only then are the missing operands
+booked on the links, each launched when its producer ends.  The task
+starts once its core is free and every operand has arrived, and runs
+without preemption.  A value shipped to a tile stays resident there, so
+it never crosses to the same tile twice.
 
 Input (XFER) values are preloaded into every core's local store before
-cycle 0, so only computed values cross the network.  Dispatch and other
-control traffic is not charged.  The run ends when both coordinates of
-the result pair have reached the IO core; that arrival cycle is the
-makespan.  Total flit-hops (one flit crossing one link) serve as the
-traffic/energy proxy.
+cycle 0, so only computed values cross the network.  Control traffic
+(assigning tasks to cores) is not charged.  Each computed coordinate of
+the result pair launches towards the IO core when its task ends; the run
+ends when both have arrived, and that arrival cycle is the makespan.
+Total flit-hops (one flit crossing one link) serve as the traffic/energy
+proxy.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 import re
 from bisect import bisect_left
@@ -350,107 +358,74 @@ class _Simulation:
 
     def run(self) -> SimReport:
         G, cm = self.G, self.cm
+        hop, flits = self.mesh.hop_cycles, self.flits
         arith = [t for t in G.tasks if t.kind is not OpKind.XFER]
-        succ: dict[int, list[int]] = {t.id: [] for t in G.tasks}
-        remaining: dict[int, int] = {}
+        succ: list[list[int]] = [[] for _ in G.tasks]
         for t in arith:
-            n = 0
-            for o in sorted(set(t.operands)):
+            for o in set(t.operands):
                 succ[o].append(t.id)
-                if G.tasks[o].kind is not OpKind.XFER:
-                    n += 1
-            remaining[t.id] = n
-        # priority: longest remaining cost-weighted path to any sink
+        # upward rank: longest remaining cost-weighted path to any sink;
+        # every cost is >= 1, so decreasing rank is a topological order
         prio: dict[int, int] = {}
         for t in reversed(arith):
             down = max((prio[s] for s in succ[t.id]), default=0)
             prio[t.id] = cm.cost(t.kind) + down
 
-        cores_by_role: dict[CoreRole, list] = {role: [] for role in CoreRole}
-        busy_cycles: dict[str, int] = {}
-        for role in CoreRole:
-            for idx, (name, tile) in enumerate(self.placement.cores_of_role(role)):
-                cores_by_role[role].append((idx, name, tile))
-                busy_cycles[name] = 0
-        idle: dict[CoreRole, list] = {
-            role: list(cores) for role, cores in cores_by_role.items()}
+        cores = {role: list(enumerate(self.placement.cores_of_role(role)))
+                 for role in CoreRole}
+        free = {name: 0 for name in self.placement.entries}
+        busy_cycles = dict(free)
+        # end cycle and tile of each computed value, by task id
+        end = [0] * len(G.tasks)
+        loc: list[Optional[Tile]] = [None] * len(G.tasks)
+        # arrival cycle of each value copied to a tile other than its own
+        copies: dict[tuple[int, Tile], int] = {}
 
-        ready: dict[CoreRole, list] = {role: [] for role in CoreRole}
-        for t in arith:
-            if remaining[t.id] == 0:
-                heapq.heappush(ready[role_for_kind(t.kind)],
-                               (-prio[t.id], t.id))
+        # highest rank first; the stable sort keeps equal ranks in id order
+        for tid in sorted(sorted(prio), key=prio.__getitem__, reverse=True):
+            task = G.tasks[tid]
+            cost = cm.cost(task.kind)
+            ops = [o for o in sorted(set(task.operands))
+                   if G.tasks[o].kind is not OpKind.XFER]
 
-        loc: dict[int, Optional[Tile]] = {
-            t.id: None for t in G.tasks if t.kind is OpKind.XFER}
-        result_set = set(G.result)
-        arrivals: dict[int, int] = {}
-        for r in result_set:
-            if G.tasks[r].kind is OpKind.XFER:
-                arrivals[r] = 0  # inputs are preloaded everywhere, IO included
+            def estimate(core):
+                idx, (name, tile) = core
+                ready, new_hops = free[name], 0
+                for o in ops:
+                    arr = end[o] if loc[o] == tile else copies.get((o, tile))
+                    if arr is None:
+                        hops = manhattan(loc[o], tile)
+                        arr = end[o] + hops * hop + flits - 1
+                        new_hops += hops
+                    ready = max(ready, arr)
+                return ready + cost, new_hops, idx
 
-        events: list = []   # (time, seq, task_id, role, core)
-        seq = 0
+            _, (name, tile) = min(cores[role_for_kind(task.kind)],
+                                  key=estimate)
+            start = free[name]
+            for o in ops:
+                arr = end[o] if loc[o] == tile else copies.get((o, tile))
+                if arr is None:
+                    arr = self._send(loc[o], tile, end[o])
+                    self.messages.append(MessageRecord(
+                        producer=o, consumer=tid, src=loc[o], dst=tile,
+                        launch=end[o], arrival=arr))
+                    copies[(o, tile)] = arr
+                start = max(start, arr)
+            end[tid] = free[name] = start + cost
+            busy_cycles[name] += cost
+            loc[tid] = tile
+            self.schedule.append(ScheduleEntry(
+                task=tid, kind=task.kind.value, core=name,
+                start=start, end=end[tid]))
 
-        def dispatch(now: int) -> None:
-            nonlocal seq
-            for role in CoreRole:
-                queue = ready[role]
-                free = idle[role]
-                while queue and free:
-                    _, tid = heapq.heappop(queue)
-                    task = G.tasks[tid]
-                    sources = [loc[o] for o in sorted(set(task.operands))]
-                    best = min(free, key=lambda c: (
-                        sum(manhattan(s, c[2]) for s in sources
-                            if s is not None), c[0]))
-                    free.remove(best)
-                    start = now
-                    for o in sorted(set(task.operands)):
-                        src = loc[o]
-                        if src is None or src == best[2]:
-                            continue
-                        arr = self._send(src, best[2], now)
-                        self.messages.append(MessageRecord(
-                            producer=o, consumer=tid, src=src, dst=best[2],
-                            launch=now, arrival=arr))
-                        start = max(start, arr)
-                    end = start + cm.cost(task.kind)
-                    busy_cycles[best[1]] += cm.cost(task.kind)
-                    self.schedule.append(ScheduleEntry(
-                        task=tid, kind=task.kind.value, core=best[1],
-                        start=start, end=end))
-                    heapq.heappush(events, (end, seq, tid, role, best))
-                    seq += 1
-
-        dispatch(0)
-        while events:
-            now = events[0][0]
-            batch = []
-            while events and events[0][0] == now:
-                batch.append(heapq.heappop(events))
-            for _, _, tid, role, core in batch:
-                loc[tid] = core[2]
-                idle[role].append(core)
-                idle[role].sort()
-                for s in succ[tid]:
-                    remaining[s] -= 1
-                    if remaining[s] == 0:
-                        skind = G.tasks[s].kind
-                        heapq.heappush(ready[role_for_kind(skind)],
-                                       (-prio[s], s))
-                if tid in result_set:
-                    if core[2] == self.io_tile:
-                        arrivals[tid] = now
-                    else:
-                        arr = self._send(core[2], self.io_tile, now)
-                        self.messages.append(MessageRecord(
-                            producer=tid, consumer=-1, src=core[2],
-                            dst=self.io_tile, launch=now, arrival=arr))
-                        arrivals[tid] = arr
-            dispatch(now)
-
-        makespan = max(arrivals.values()) if arrivals else 0
+        makespan = 0  # inputs are preloaded everywhere, IO included
+        for r in sorted({r for r in G.result if loc[r] is not None}):
+            arr = self._send(loc[r], self.io_tile, end[r])
+            self.messages.append(MessageRecord(
+                producer=r, consumer=-1, src=loc[r], dst=self.io_tile,
+                launch=end[r], arrival=arr))
+            makespan = max(makespan, arr)
         baseline = sequential_baseline(G, cm)
         speedup = baseline / makespan if makespan > 0 else 1.0
         return SimReport(

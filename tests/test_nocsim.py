@@ -193,10 +193,11 @@ def _graph_two_muls_one_add():
     ], (4, 4), 32)
 
 
-def test_serialized_muls_with_link_contention():
-    # one MUL core: 2 then 3 back to back; both values then cross the
-    # same link, serializing at cycles 6 and 7; ADD runs [8,9); result
-    # reaches IO at 10
+def test_serialized_muls_on_one_core():
+    # one MUL core: 2 then 3 back to back; each value launches when its
+    # producer ends and crosses link (2,0)->(1,0) alone, 2 at cycle 3
+    # (arrives 4) and 3 at cycle 6 (arrives 7); ADD runs [7,8); result
+    # reaches IO at 9
     mesh = MeshConfig(cols=3, rows=1)  # flits: ceil(32/32) = 1
     pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)})
     cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
@@ -204,8 +205,10 @@ def test_serialized_muls_with_link_contention():
     by_task = {e.task: e for e in rep.schedule}
     assert (by_task[2].start, by_task[2].end) == (0, 3)
     assert (by_task[3].start, by_task[3].end) == (3, 6)
-    assert (by_task[4].start, by_task[4].end) == (8, 9)
-    assert rep.makespan_cycles == 10
+    assert (by_task[4].start, by_task[4].end) == (7, 8)
+    assert [(m.producer, m.launch, m.arrival) for m in rep.messages] == [
+        (2, 3, 4), (3, 6, 7), (4, 8, 9)]
+    assert rep.makespan_cycles == 9
     assert rep.total_flit_hops == 3
     assert rep.flits_per_value == 1
 
@@ -226,6 +229,59 @@ def test_parallel_muls_on_two_cores():
     assert (by_task[4].start, by_task[4].end) == (5, 6)
     assert rep.makespan_cycles == 7
     assert rep.total_flit_hops == 4
+
+
+def test_two_flit_values_contend_for_a_link():
+    # as above with 2-flit values: mul0 and mul1 both run [0,3); mul0's
+    # flits take link (2,0)->(1,0) at cycles 3 and 4 (value arrives 5);
+    # mul1's flits cross (3,0)->(2,0) at 3 and 4, but (2,0)->(1,0) is
+    # taken at 4, so they cross it at 5 and 6 and the value arrives at
+    # 7, one cycle after its contention-free 6; ADD [7,8); the result's
+    # flits cross (1,0)->(0,0) at 8 and 9 and reach IO at 10
+    mesh = MeshConfig(cols=4, rows=1, flits_per_value=2)
+    pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0),
+                    "mul1": (3, 0)})
+    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
+    rep = simulate(_graph_two_muls_one_add(), cm, mesh, pl)
+    by_task = {e.task: e for e in rep.schedule}
+    assert (by_task[2].core, by_task[2].start, by_task[2].end) == \
+        ("mul0", 0, 3)
+    assert (by_task[3].core, by_task[3].start, by_task[3].end) == \
+        ("mul1", 0, 3)
+    assert (by_task[4].start, by_task[4].end) == (7, 8)
+    assert [(m.producer, m.launch, m.arrival) for m in rep.messages] == [
+        (2, 3, 5), (3, 3, 7), (4, 8, 10)]
+    assert rep.makespan_cycles == 10
+    assert rep.total_flit_hops == 8
+    assert rep.per_link_flits == {"2,0->1,0": 4, "3,0->2,0": 2,
+                                  "1,0->0,0": 2}
+
+
+def test_shipped_value_stays_resident():
+    # MUL 2 feeds ADDs 3 and 4, both on the only ADD core: one message
+    # carries 2 to (1,0) (launch 3, arrival 4); ADD 3 runs [4,5) and
+    # ADD 4 runs [5,6) on the resident copy, with no second transfer;
+    # the results reach IO at 6 and 7
+    G = TaskGraph([
+        Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
+        Task(1, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
+        Task(2, OpKind.MUL, (0, 1), Phase.ITERATE, 0),
+        Task(3, OpKind.ADD, (2, 0), Phase.ITERATE, 1),
+        Task(4, OpKind.ADD, (2, 1), Phase.ITERATE, 1),
+    ], (3, 4), 32)
+    mesh = MeshConfig(cols=3, rows=1)
+    pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)})
+    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    by_task = {e.task: e for e in rep.schedule}
+    assert (by_task[3].start, by_task[3].end) == (4, 5)
+    assert (by_task[4].start, by_task[4].end) == (5, 6)
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [
+        (2, 3, 3, 4), (3, -1, 5, 6), (4, -1, 6, 7)]
+    assert rep.makespan_cycles == 7
+    assert rep.total_flit_hops == 3
+    _invariant_check(G, cm, mesh, rep)
 
 
 def test_missing_role_detected():
@@ -295,6 +351,45 @@ def _invariant_check(G, cm, mesh, rep):
     for m in rep.messages:
         assert m.arrival >= m.launch + manhattan(m.src, m.dst) * \
             mesh.hop_cycles
+    # transfers: launched after the producer ends, from its tile, each
+    # value shipped at most once to a tile, and every operand made on
+    # another tile delivered there by its consumer's start
+    tile = {e.task: rep.placement.entries[e.core] for e in rep.schedule}
+    starts = {e.task: e.start for e in rep.schedule}
+    shipped = {}
+    delivered = {}
+    for m in rep.messages:
+        assert m.launch >= ends[m.producer]
+        assert m.src == tile[m.producer]
+        if m.consumer >= 0:
+            assert m.dst == tile[m.consumer]
+            assert m.arrival <= starts[m.consumer]
+            assert (m.producer, m.dst) not in shipped
+            shipped[(m.producer, m.dst)] = m.arrival
+        else:
+            assert m.producer not in delivered
+            delivered[m.producer] = m.arrival
+    for e in rep.schedule:
+        for o in G.tasks[e.task].operands:
+            if o in tile and tile[o] != tile[e.task]:
+                assert shipped[(o, tile[e.task])] <= e.start
+    # the run ends when the last computed result reaches IO
+    assert set(delivered) == {r for r in G.result if r in tile}
+    assert rep.makespan_cycles == max(delivered.values(), default=0)
+    # communication-aware critical path: cores of different roles never
+    # share a tile, so a cross-role edge and the delivery of a computed
+    # result to IO each take at least hop_cycles + flits - 1 cycles
+    comm = mesh.hop_cycles + rep.flits_per_value - 1
+    role = {t.id: role_for_kind(t.kind) for t in G.tasks
+            if t.kind is not OpKind.XFER}
+    dist = {}
+    for t in G.tasks:
+        if t.id in anc and t.id in role:
+            dist[t.id] = cm.cost(t.kind) + max(
+                (dist[o] + (comm if role[o] is not role[t.id] else 0)
+                 for o in t.operands if o in role), default=0)
+    assert rep.makespan_cycles >= max(
+        (dist[r] + comm for r in G.result if r in role), default=0)
 
 
 @pytest.mark.parametrize("preset_name,seed",
