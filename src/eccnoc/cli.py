@@ -33,6 +33,8 @@ from .scalarmul import (OpTrace, count_report, scalar_mul,
                         scalar_mul_reference)
 
 _VERIFY_FIELD_BITS = 20
+# the oracle adds P to itself k times for each k, kmax*(kmax+1)/2 in all
+_VERIFY_WORK_LIMIT = 1 << 20
 
 
 def _dump_json(doc: dict) -> str:
@@ -91,6 +93,10 @@ def cmd_mul(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
 
 
 def cmd_verify(cfg: RunConfig, kmax: int) -> int:
+    if kmax < 0 or kmax * (kmax + 1) // 2 > _VERIFY_WORK_LIMIT:
+        raise OracleBoundExceeded(
+            f"verify needs 0 <= kmax and kmax*(kmax+1)/2 <= "
+            f"{_VERIFY_WORK_LIMIT} repeated additions; got kmax={kmax}")
     if cfg.curve.field.bits > _VERIFY_FIELD_BITS:
         raise OracleBoundExceeded(
             f"verify brute-forces every scalar and is capped at "

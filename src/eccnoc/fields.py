@@ -5,12 +5,20 @@ the least nonnegative residue; for GF(2^m) bit i of the int is the
 coefficient of z^i in the polynomial-basis representation, fully reduced
 by the field's irreducible polynomial.  Every operation returns a
 canonical value, so equality is plain int equality.
+
+GF(2^m) products use the comb method of Lopez and Dahab with a 4-bit
+window: a 16-entry table of multiples of one operand, indexed by the
+other operand four bits at a time.  Reduction then clears eight bits
+above z^m per step through a 256-entry table of (j * z^m) mod f that each
+field builds once, so its cost depends on m but not on the polynomial's
+shape.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Iterator, Optional
 
 from .errors import DivisionByZero, FieldMismatch, OracleBoundExceeded
@@ -19,9 +27,16 @@ _ENUMERATION_BOUND = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# the least composite that passes Miller-Rabin to every base in _MR_BASES
+# (Sorenson & Webster, Math. Comp. 86, 2017); from here on a strong Lucas
+# test is added
+_MR_EXACT_BOUND = 318665857834031151167461
+
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Miller-Rabin to the bases 2..37, exact below 3.18e23; from there
+    on a strong Lucas test joins it, which makes it the Baillie-PSW test
+    (no composite is known to pass it)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -41,7 +56,62 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BOUND or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 2, with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # left-to-right over the bits of d: (U_k, V_k, Q^k) -> index 2k (+1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -72,17 +142,41 @@ def _pmod(x: int, f: int) -> int:
     return x
 
 
-def _pmulmod(a: int, b: int, f: int) -> int:
-    top = 1 << _pdeg(f)
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product in GF(2)[z]: a 4-bit window comb over the
+    shorter operand against a table of the 16 multiples of the other."""
+    if a < b:
+        a, b = b, a
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3 = a2 ^ a
+    w = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a4 ^ a2,
+         a8 ^ a4 ^ a3)
     r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= f
+    for byte in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
+        r = (r << 8) ^ (w[byte >> 4] << 4) ^ w[byte & 15]
     return r
+
+
+def _reduction_table(f: int) -> tuple[int, ...]:
+    """R[j] = (j * z^m) mod f for every j below 256 (m = deg f)."""
+    m = _pdeg(f)
+    table = [0]
+    for i in range(8):
+        r = _pmod(1 << (m + i), f)
+        table += [t ^ r for t in table]
+    return tuple(table)
+
+
+def _reduce(x: int, m: int, table: tuple[int, ...]) -> int:
+    """x mod f for the degree-m polynomial f that `table` was built from.
+
+    Works down from the top, replacing the eight coefficients of
+    z^(m+s) .. z^(m+s+7) by their residue, which lies below z^(m+s)."""
+    for s in range((x.bit_length() - 1 - m) & -8, -1, -8):
+        j = x >> (m + s) & 0xFF
+        x ^= (j << (m + s)) ^ (table[j] << s)
+    return x
 
 
 def _pgcd(a: int, b: int) -> int:
@@ -100,16 +194,17 @@ def is_irreducible(f: int) -> bool:
         return True
     if not f & 1:
         return False  # divisible by z
+    table = _reduction_table(f)
     z = 0b10
     t = z
     for _ in range(m):
-        t = _pmulmod(t, t, f)
+        t = _reduce(_clmul(t, t), m, table)
     if t != z:
         return False
     for q in _prime_factors(m):
         t = z
         for _ in range(m // q):
-            t = _pmulmod(t, t, f)
+            t = _reduce(_clmul(t, t), m, table)
         if _pgcd(f, t ^ z) != 1:
             return False
     return True
@@ -144,6 +239,8 @@ class FieldSpec:
     modulus: int = 0          # p (prime fields only)
     degree: int = 0           # m (binary fields only)
     reduction_poly: int = 0   # monic irreducible of degree m (binary only)
+    # _reduction_table(reduction_poly); derived, so equality ignores it
+    rtable: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
@@ -164,7 +261,8 @@ class FieldSpec:
             raise ValueError("reduction polynomial has zero constant term")
         if not is_irreducible(poly):
             raise ValueError(f"reduction polynomial {poly:#x} is reducible")
-        return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly)
+        return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly,
+                   rtable=_reduction_table(poly))
 
     # -- descriptive helpers ------------------------------------------------
 
@@ -194,7 +292,7 @@ class FieldSpec:
             return FieldElement(self, value % self.modulus)
         if value < 0:
             raise ValueError("binary field elements are nonnegative bit vectors")
-        return FieldElement(self, _pmod(value, self.reduction_poly))
+        return FieldElement(self, _reduce(value, self.degree, self.rtable))
 
     @property
     def zero(self) -> "FieldElement":
@@ -236,28 +334,15 @@ class FieldSpec:
     def _mul(self, a: int, b: int) -> int:
         if self.kind is FieldKind.PRIME:
             return a * b % self.modulus
-        top = 1 << self.degree
-        f = self.reduction_poly
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= f
-        return r
+        return _reduce(_clmul(a, b), self.degree, self.rtable)
 
     def _sqr(self, a: int) -> int:
         if self.kind is FieldKind.PRIME:
             return a * a % self.modulus
         r = 0
-        shift = 0
-        while a:
-            r |= _SPREAD[a & 0xFF] << shift
-            a >>= 8
-            shift += 16
-        return _pmod(r, self.reduction_poly)
+        for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+            r = (r << 16) | _SPREAD[byte]
+        return _reduce(r, self.degree, self.rtable)
 
     def _inv(self, a: int) -> int:
         if a == 0:
@@ -274,7 +359,7 @@ class FieldSpec:
                 j = -j
             u ^= v << j
             g1 ^= g2 << j
-        return _pmod(g1, self.reduction_poly)
+        return _reduce(g1, self.degree, self.rtable)
 
 
 @dataclass(frozen=True)

@@ -86,13 +86,6 @@ class TaskGraph:
     def task(self, tid: int) -> Task:
         return self.tasks[tid]
 
-    def successors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {t.id: [] for t in self.tasks}
-        for t in self.tasks:
-            for o in set(t.operands):
-                out[o].append(t.id)
-        return out
-
     def counts_by_phase(self) -> dict[Phase, dict[OpKind, int]]:
         """Arithmetic task counts per phase (XFER inputs excluded)."""
         out = {phase: {} for phase in Phase}

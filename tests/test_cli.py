@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from eccnoc.cli import main
+from eccnoc.cli import _VERIFY_WORK_LIMIT, main
 from eccnoc.config import load_placement, load_run_config, parse_hex
 from eccnoc.errors import ConfigError
 from eccnoc.nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, \
@@ -53,6 +53,16 @@ def test_verify_passes_and_bounds(capsys):
     assert code == 0 and "PASS" in out
     code, _, err = run_cli(capsys, "verify", "--curve", "prime64")
     assert code == 1 and "error:" in err
+    # refused before any scalar is checked: a negative kmax, and the
+    # least kmax whose kmax*(kmax+1)/2 additions exceed the limit
+    kmax = 0
+    while (kmax + 1) * (kmax + 2) // 2 <= _VERIFY_WORK_LIMIT:
+        kmax += 1
+    for bad in (-5, kmax + 1):
+        code, out, err = run_cli(capsys, "verify", "--curve", "b4",
+                                 "--kmax", str(bad))
+        assert code == 1 and not out
+        assert "error: verify needs" in err and str(_VERIFY_WORK_LIMIT) in err
 
 
 def test_graph_dump_replays(capsys, tmp_path, b4):
@@ -161,6 +171,22 @@ order = 19
     assert cfg.curve.field.modulus == 17
     assert cfg.curve.order == 19
     assert cfg.base == p17.base
+
+
+def test_inline_curve_rejects_strong_pseudoprime(tmp_path):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin to bases 2..41
+    cfg_file = tmp_path / "psp.ini"
+    cfg_file.write_text(f"""
+[curve]
+kind = prime
+p = {3317044064679887385961981:x}
+a = 2
+b = 3
+gx = 5
+gy = 1
+""")
+    with pytest.raises(ConfigError, match="not prime"):
+        load_run_config(cfg_file)
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -1,10 +1,13 @@
 """Field arithmetic against hand-computed tables and independent oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eccnoc.errors import DivisionByZero, FieldMismatch, OracleBoundExceeded
-from eccnoc.fields import (FieldKind, FieldSpec, ff_add, ff_inv, ff_mul,
-                           ff_neg, ff_sqr, ff_sub, is_irreducible)
+from eccnoc.fields import (FieldKind, FieldSpec, _is_strong_lucas_prp, ff_add,
+                           ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub,
+                           is_irreducible)
+from eccnoc.presets import PRESETS
 
 from conftest import seeded
 
@@ -197,3 +200,107 @@ def test_descriptors():
     assert GF17.kind is FieldKind.PRIME
     assert GF16.kind is FieldKind.BINARY
     assert ff_sub(GF17.element(3), GF17.element(3)).value == 0
+
+
+# ---------------------------------------------------------------------------
+# GF(2^m) arithmetic against a bit-serial oracle
+
+def _ref_mulmod(a, b, f):
+    # shift-and-add, one bit of b at a time, then long division
+    r = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            r ^= a << i
+    return _naive_pmod(r, f)
+
+
+def _check_against_oracle(spec, a, b, x):
+    f = spec.reduction_poly
+    A, B = spec.element(a), spec.element(b)
+    assert ff_mul(A, B).value == _ref_mulmod(a, b, f)
+    assert ff_sqr(A).value == _ref_mulmod(a, a, f)
+    assert spec.element(x).value == _naive_pmod(x, f)
+
+
+_BINARY_PRESETS = sorted(name for name, p in PRESETS.items()
+                         if p.curve.field.kind is FieldKind.BINARY)
+_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                     database=None)
+
+
+@pytest.mark.parametrize("name", _BINARY_PRESETS)
+@_PROPERTY
+@given(data=st.data())
+def test_binary_presets_match_bit_serial_oracle(name, data):
+    spec = PRESETS[name].curve.field
+    m = spec.degree
+    a, b = (data.draw(st.integers(0, (1 << m) - 1)) for _ in range(2))
+    x = data.draw(st.integers(0, (1 << 3 * m) - 1))
+    _check_against_oracle(spec, a, b, x)
+
+
+@st.composite
+def _irreducible_polys(draw):
+    m = draw(st.integers(2, 80))
+    low = draw(st.integers(0, (1 << m) - 1))
+    if draw(st.booleans()):
+        # dense, with the z^(m-1) term that slows a reduction folding by
+        # the low terms
+        low = ~low & ((1 << m) - 1) | 1 << m - 1
+    f = (1 << m) | low | 1
+    i = 0
+    while not is_irreducible(f ^ 2 * i):
+        i += 1
+    return f ^ 2 * i
+
+
+@_PROPERTY
+@given(f=_irreducible_polys(), data=st.data())
+def test_random_fields_match_bit_serial_oracle(f, data):
+    m = f.bit_length() - 1
+    a, b = (data.draw(st.integers(0, (1 << m) - 1)) for _ in range(2))
+    x = data.draw(st.integers(0, (1 << 3 * m) - 1))
+    _check_against_oracle(FieldSpec.binary(m, f), a, b, x)
+
+
+def test_dense_degree_63_field_matches_bit_serial_oracle():
+    f = 0xcff07a8df17fd375   # irreducible, 41 terms, z^62 among them
+    spec = FieldSpec.binary(63, f)
+    rng = seeded(63)
+    for _ in range(50):
+        _check_against_oracle(spec, rng.getrandbits(63), rng.getrandbits(63),
+                              rng.getrandbits(189))
+    top = (1 << 63) - 1
+    _check_against_oracle(spec, top, top, (1 << 189) - 1)
+
+
+# ---------------------------------------------------------------------------
+# primality beyond the reach of Miller-Rabin to fixed bases
+
+_P256 = 2**256 - 2**224 + 2**192 + 2**96 - 1
+_SECP256K1 = 2**256 - 2**32 - 977
+
+
+def test_strong_pseudoprimes_rejected_crypto_primes_accepted():
+    # the least composites passing Miller-Rabin to every prime base up to
+    # 37 and up to 41: 399165290221 * 798330580441 and
+    # 1287836182261 * 2575672364521
+    for n in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec.prime(n)
+    for p in (_P256, _SECP256K1):
+        assert FieldSpec.prime(p).modulus == p
+
+
+def test_strong_lucas_against_sieve():
+    # the odd composites below 20000 that pass are exactly the strong
+    # Lucas pseudoprimes listed in OEIS A217255
+    limit = 20000
+    composite = bytearray(limit)
+    for d in range(2, int(limit ** 0.5) + 1):
+        composite[d * d::d] = b"\x01" * len(range(d * d, limit, d))
+    passed = {n for n in range(5, limit, 2)
+              if _is_strong_lucas_prp(n) and composite[n]}
+    assert passed == {5459, 5777, 10877, 16109, 18971}
+    assert all(_is_strong_lucas_prp(n) for n in range(5, limit, 2)
+               if not composite[n])
