@@ -6,8 +6,8 @@ from .curves import (AffinePoint, CoordSystem, CurveParams, INFINITY,
                      point_add_projective, point_double_affine,
                      point_double_projective, point_neg, projective_eq,
                      to_affine, to_projective)
-from .fields import (FieldElement, FieldKind, FieldOps, FieldSpec, OpKind,
-                     ff_add, ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub)
+from .fields import (FieldElement, FieldKind, FieldSpec, OpKind, ff_add,
+                     ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub)
 from .nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
                      SimReport, centrality, compare_placements,
                      corner_first_placement, default_placement, role_usage,

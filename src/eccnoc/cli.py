@@ -11,7 +11,7 @@ Commands:
   compare   rank two or more placements on the same compiled run
 
 Scalars and coordinates are lowercase unprefixed hex.  Every command is
-deterministic for a fixed config and seed.
+deterministic.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def cmd_mul(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
     doc = {
         "curve": cfg.curve_name,
         "k": format_hex(cfg.k),
-        "seed": cfg.seed,
         "result": _point_doc(R),
         "trace": trace.to_dict(),
         "audit": audit.to_dict() if audit is not None else None,
@@ -149,7 +148,6 @@ def cmd_simulate(cfg: RunConfig, placement_file: Optional[str], fmt: str,
     doc = {
         "curve": cfg.curve_name,
         "k": format_hex(cfg.k),
-        "seed": cfg.seed,
         "placement_name": pl_name,
         "n_tasks": len(G.tasks),
         "n_arith_tasks": G.n_arith_tasks(),
@@ -199,7 +197,6 @@ def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
     doc = {
         "curve": cfg.curve_name,
         "k": format_hex(cfg.k),
-        "seed": cfg.seed,
         "ranking": [
             {"name": name,
              "makespan_cycles": rep.makespan_cycles,
@@ -231,8 +228,6 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool) -> None:
     if with_k:
         p.add_argument("--k", metavar="HEX",
                        help="scalar, lowercase unprefixed hex")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="seed recorded in reports for reproducibility")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +278,6 @@ def _resolve(args: argparse.Namespace, need_k: bool) -> RunConfig:
         cfg.use_preset(args.curve)
     if getattr(args, "k", None) is not None:
         cfg.k = parse_hex(args.k)
-    if args.seed is not None:
-        cfg.seed = args.seed
     if cfg.curve is None:
         raise ValueError("no curve selected; pass --curve or a config "
                          "with a [curve] section")

@@ -33,7 +33,7 @@ _DEC = re.compile(r"^[0-9]+$")
 _KNOWN_KEYS = {
     "curve": {"preset", "kind", "p", "m", "poly", "a", "b", "gx", "gy",
               "order"},
-    "run": {"k", "seed"},
+    "run": {"k"},
     "costs": {"add", "sub", "mul", "sqr", "inv"},
     "mesh": {"cols", "rows", "hop_cycles", "flits_per_value"},
     "roles": {role.value for role in CoreRole},
@@ -66,7 +66,6 @@ class RunConfig:
     base: Optional[AffinePoint] = None
     curve_name: str = ""
     k: Optional[int] = None
-    seed: int = 0
     costs: Optional[CostModel] = None  # None: per-field-kind default
     mesh: MeshConfig = dc_field(default_factory=MeshConfig)
     role_counts: dict[CoreRole, int] = dc_field(
@@ -118,7 +117,10 @@ def _curve_from_section(sec) -> tuple[CurveParams, AffinePoint, str]:
         if extra:
             raise ConfigError(
                 f"[curve] mixes preset with inline keys: {sorted(extra)}")
-        preset = get_preset(sec["preset"])
+        try:
+            preset = get_preset(sec["preset"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return preset.curve, preset.base, preset.name
     try:
         kind = FieldKind(sec["kind"])
@@ -163,8 +165,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         sec = parser["run"]
         if "k" in sec:
             cfg.k = parse_hex(sec["k"])
-        if "seed" in sec:
-            cfg.seed = _parse_dec(sec["seed"], "seed")
     if parser.has_section("costs"):
         sec = parser["costs"]
         base = (cfg.costs or (CostModel.default(cfg.curve.field.kind)

@@ -9,12 +9,15 @@ Projective work uses Jacobian coordinates over GF(p) (x = X/Z^2,
 y = Y/Z^3) and Lopez-Dahab coordinates over GF(2^m) (x = X/Z, y = Y/Z^2).
 Z = 0 encodes the point at infinity; its canonical triple is (1, 1, 0).
 
-The projective kernels are written against the `FieldOps` facade so the
-same formulas serve plain evaluation, per-phase op metering, and task
-graph construction.  Doubling is branch-free: the formulas send Z to 0
-exactly when the true result is infinity.  Mixed addition branches on
-concrete zero tests (infinity input, equal or inverse points); only the
-general path is the measured steady state.
+The projective kernels are written against the op recorder of
+`scalarmul` (the tape): their values are tape indices, and each add,
+sub, mul, sqr and inv is computed and recorded there, so one run of the
+formulas yields the point, its op counts and its task graph alike.  The
+public projective functions below run a kernel on a fresh tape.
+Doubling is branch-free: the formulas send Z to 0 exactly when the true
+result is infinity.  Mixed addition branches on concrete zero tests
+(infinity input, equal or inverse points); only the general path is the
+measured steady state.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Optional
 
 from .errors import (FieldMismatch, NotOnCurve, OracleBoundExceeded,
                      SystemMismatch)
-from .fields import (FieldElement, FieldKind, FieldOps, FieldSpec, ff_add,
-                     ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub)
+from .fields import (FieldElement, FieldKind, FieldSpec, ff_add, ff_inv,
+                     ff_mul, ff_neg, ff_sqr, ff_sub)
 
 _POINT_SCAN_BOUND = 1 << 16
 
@@ -203,7 +206,7 @@ def point_double_affine(curve: CurveParams, P: AffinePoint) -> AffinePoint:
 
 
 # ---------------------------------------------------------------------------
-# projective kernels, generic over the ops facade
+# projective kernels, run on a tape (`ops`)
 
 def _inf_triple(ops, curve: CurveParams):
     one = ops.const(curve.field.one, "one")
@@ -353,42 +356,42 @@ def to_projective(curve: CurveParams, P: AffinePoint) -> ProjectivePoint:
     return ProjectivePoint(curve.system, P.x, P.y, f.one)
 
 
-def to_affine(curve: CurveParams, P: ProjectivePoint,
-              ops: Optional[FieldOps] = None) -> AffinePoint:
+def _on_tape(curve: CurveParams, P: ProjectivePoint):
+    """A fresh tape holding P's coordinates, and their indices."""
+    from .scalarmul import _Tape  # scalarmul imports this module
+    tape = _Tape(curve.field)
+    return tape, (tape.const(P.X, "X"), tape.const(P.Y, "Y"),
+                  tape.const(P.Z, "Z"))
+
+
+def to_affine(curve: CurveParams, P: ProjectivePoint) -> AffinePoint:
     """Convert back to affine with exactly one field inversion."""
     _check_system(curve, P)
-    if ops is None:
-        ops = FieldOps(curve.field)
-    kernel = kernels_for(curve)[2]
-    out = kernel(ops, curve, P.X, P.Y, P.Z)
+    tape, (X, Y, Z) = _on_tape(curve, P)
+    out = kernels_for(curve)[2](tape, curve, X, Y, Z)
     if out is None:
         return INFINITY
-    return AffinePoint(out[0], out[1])
+    return AffinePoint(tape.element(out[0]), tape.element(out[1]))
 
 
-def point_double_projective(curve: CurveParams, P: ProjectivePoint,
-                            ops: Optional[FieldOps] = None) -> ProjectivePoint:
+def point_double_projective(curve: CurveParams,
+                            P: ProjectivePoint) -> ProjectivePoint:
     _check_system(curve, P)
-    if ops is None:
-        ops = FieldOps(curve.field)
-    double, _, _ = kernels_for(curve)
-    x3, y3, z3 = double(ops, curve, P.X, P.Y, P.Z)
-    return ProjectivePoint(curve.system, x3, y3, z3)
+    tape, (X, Y, Z) = _on_tape(curve, P)
+    out = kernels_for(curve)[0](tape, curve, X, Y, Z)
+    return ProjectivePoint(curve.system, *map(tape.element, out))
 
 
 def point_add_projective(curve: CurveParams, P: ProjectivePoint,
-                         q: AffinePoint,
-                         ops: Optional[FieldOps] = None) -> ProjectivePoint:
+                         q: AffinePoint) -> ProjectivePoint:
     """Mixed addition: projective accumulator plus affine point."""
     _check_system(curve, P)
     _require_on_curve(curve, q)
     if q.is_infinity:
         raise NotOnCurve("mixed addition needs a finite affine addend")
-    if ops is None:
-        ops = FieldOps(curve.field)
-    _, madd, _ = kernels_for(curve)
-    x3, y3, z3 = madd(ops, curve, P.X, P.Y, P.Z, q.x, q.y)
-    return ProjectivePoint(curve.system, x3, y3, z3)
+    tape, (X, Y, Z) = _on_tape(curve, P)
+    out = kernels_for(curve)[1](tape, curve, X, Y, Z, q.x, q.y)
+    return ProjectivePoint(curve.system, *map(tape.element, out))
 
 
 def projective_eq(curve: CurveParams, P: ProjectivePoint,

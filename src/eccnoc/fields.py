@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from .errors import DivisionByZero, FieldMismatch, OracleBoundExceeded
 
@@ -434,47 +434,3 @@ class OpKind(enum.Enum):
 
 ARITH_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV)
 
-
-class FieldOps:
-    """Arithmetic facade the curve kernels are written against.
-
-    Each call performs the plain field operation and, when a sink is
-    attached, reports its OpKind so callers can meter work.  `const`
-    introduces an input value (base-point coordinate, curve constant);
-    the label only matters to backends that build graphs.
-    """
-
-    def __init__(self, spec: FieldSpec,
-                 sink: Optional[Callable[[OpKind], None]] = None):
-        self.spec = spec
-        self.sink = sink
-
-    def _note(self, kind: OpKind) -> None:
-        if self.sink is not None:
-            self.sink(kind)
-
-    def add(self, a, b):
-        self._note(OpKind.ADD)
-        return ff_add(a, b)
-
-    def sub(self, a, b):
-        self._note(OpKind.SUB)
-        return ff_sub(a, b)
-
-    def mul(self, a, b):
-        self._note(OpKind.MUL)
-        return ff_mul(a, b)
-
-    def sqr(self, a):
-        self._note(OpKind.SQR)
-        return ff_sqr(a)
-
-    def inv(self, a):
-        self._note(OpKind.INV)
-        return ff_inv(a)
-
-    def const(self, elem: FieldElement, label: str):
-        return elem
-
-    def is_zero(self, v) -> bool:
-        return v.value == 0

@@ -77,7 +77,6 @@ class MeshConfig:
 
 
 class CoreRole(enum.Enum):
-    CTRL = "ctrl"
     ADD_UNIT = "add"
     MUL_UNIT = "mul"
     SQR_UNIT = "sqr"
@@ -86,7 +85,6 @@ class CoreRole(enum.Enum):
 
 
 DEFAULT_ROLE_COUNTS = {
-    CoreRole.CTRL: 1,
     CoreRole.ADD_UNIT: 3,
     CoreRole.MUL_UNIT: 4,
     CoreRole.SQR_UNIT: 2,
@@ -102,7 +100,7 @@ _KIND_ROLE = {
     OpKind.INV: CoreRole.INV_UNIT,
 }
 
-_CORE_NAME = re.compile(r"^(ctrl|add|mul|sqr|inv|io)(\d+)$")
+_CORE_NAME = re.compile(r"^(add|mul|sqr|inv|io)(\d+)$")
 
 
 def role_for_kind(kind: OpKind) -> CoreRole:
@@ -288,7 +286,6 @@ class SimReport:
 def sequential_baseline(G: TaskGraph, cm: CostModel) -> int:
     """Total cycles of a single core running every task back to back
     with no transfers: the serial reference for speedup."""
-    G.validate()
     return sum(cm.cost(t.kind) for t in G.tasks)
 
 
@@ -300,7 +297,6 @@ def _link_name(link: tuple[Tile, Tile]) -> str:
 class _Simulation:
     def __init__(self, G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                  placement: Placement):
-        G.validate()
         placement.validate(mesh)
         self.G, self.cm, self.mesh, self.placement = G, cm, mesh, placement
         self.flits = (mesh.flits_per_value if mesh.flits_per_value is not None

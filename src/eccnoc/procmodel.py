@@ -1,15 +1,17 @@
 """Task-graph compilation of one scalar multiplication.
 
-`compile_scalar_mul` executes the binary method concretely and records
-every field operation as a task, so data-dependent branches are decided
-by the real run and the graph is exactly the executed op sequence.
-Input values (base-point coordinates, curve constants) become XFER
-source tasks, memoized per distinct (label, value); no other common
-subexpression is merged.
+`compile_scalar_mul` turns the tape of one binary-method run
+(`scalarmul.run_binary_method`) into tasks, one per recorded field
+operation, so data-dependent branches are decided by the real run and
+the graph is exactly the executed op sequence: the same tape
+`scalar_mul` counts.  Input values (base-point coordinates, curve
+constants) are XFER source tasks, one per distinct (label, value); no
+other common subexpression is merged.
 
 Tasks are numbered in emission order, so task ids are a topological
 order of the DAG.  The graph remembers the field width so downstream
-consumers can size value transfers.
+consumers can size value transfers.  A `TaskGraph` is validated once,
+when it is built, and cannot be changed afterwards.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import AffinePoint, CurveParams, _require_on_curve
+from .curves import AffinePoint, CurveParams
 from .errors import FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import (FieldElement, FieldKind, OpKind, ff_add, ff_inv, ff_mul,
                      ff_sqr, ff_sub)
-from .scalarmul import Phase, Segment, run_binary_method
+from .scalarmul import Phase, run_binary_method
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
@@ -42,17 +44,23 @@ class Task:
     value: Optional[int] = None  # XFER only: the raw field value
 
 
+@dataclass(frozen=True)
 class TaskGraph:
-    """A validated field-op dependency DAG with a designated result pair."""
+    """A field-op dependency DAG with a designated result pair; checked
+    when built, immutable after."""
 
-    def __init__(self, tasks: list[Task], result: tuple[int, int],
-                 field_bits: int):
-        self.tasks = list(tasks)
-        self.result = (int(result[0]), int(result[1]))
-        self.field_bits = int(field_bits)
-        self.validate()
+    tasks: tuple[Task, ...]
+    result: tuple[int, int]
+    field_bits: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "result",
+                           (int(self.result[0]), int(self.result[1])))
+        object.__setattr__(self, "field_bits", int(self.field_bits))
+        self._validate()
+
+    def _validate(self) -> None:
         if not self.tasks:
             raise MalformedGraph("graph has no tasks")
         if self.field_bits < 1:
@@ -82,9 +90,6 @@ class TaskGraph:
         for r in self.result:
             if not 0 <= r < n:
                 raise MalformedGraph(f"result id {r} does not exist")
-
-    def task(self, tid: int) -> Task:
-        return self.tasks[tid]
 
     def counts_by_phase(self) -> dict[Phase, dict[OpKind, int]]:
         """Arithmetic task counts per phase (XFER inputs excluded)."""
@@ -198,101 +203,25 @@ class CostModel:
 
 
 # ---------------------------------------------------------------------------
-# graph-building execution backend
-
-@dataclass(frozen=True)
-class _Val:
-    elem: FieldElement
-    tid: int
-
-
-class _GraphOps:
-    """Ops facade that emits one task per call while tracking concrete
-    values, so zero tests resolve the same way as a plain run."""
-
-    def __init__(self, builder: "_GraphBuilder", phase: Phase, pidx: int):
-        self.builder = builder
-        self.phase = phase
-        self.pidx = pidx
-
-    def _emit(self, kind: OpKind, elem: FieldElement, *vals: _Val) -> _Val:
-        tid = self.builder.new_task(kind, tuple(v.tid for v in vals),
-                                    self.phase, self.pidx)
-        return _Val(elem, tid)
-
-    def add(self, a: _Val, b: _Val) -> _Val:
-        return self._emit(OpKind.ADD, ff_add(a.elem, b.elem), a, b)
-
-    def sub(self, a: _Val, b: _Val) -> _Val:
-        return self._emit(OpKind.SUB, ff_sub(a.elem, b.elem), a, b)
-
-    def mul(self, a: _Val, b: _Val) -> _Val:
-        return self._emit(OpKind.MUL, ff_mul(a.elem, b.elem), a, b)
-
-    def sqr(self, a: _Val) -> _Val:
-        return self._emit(OpKind.SQR, ff_sqr(a.elem), a)
-
-    def inv(self, a: _Val) -> _Val:
-        return self._emit(OpKind.INV, ff_inv(a.elem), a)
-
-    def const(self, elem: FieldElement, label: str) -> _Val:
-        return self.builder.const(elem, label)
-
-    def is_zero(self, v: _Val) -> bool:
-        return v.elem.value == 0
-
-
-class _GraphBuilder:
-    """Execution backend that accumulates tasks across segments."""
-
-    def __init__(self):
-        self.tasks: list[Task] = []
-        self._const_memo: dict[tuple[str, int], _Val] = {}
-
-    def segment(self, seg: Segment, point_op_index: int) -> _GraphOps:
-        return _GraphOps(self, seg.phase, point_op_index)
-
-    def new_task(self, kind: OpKind, operands: tuple[int, ...], phase: Phase,
-                 pidx: int, label: str = "",
-                 value: Optional[int] = None) -> int:
-        tid = len(self.tasks)
-        self.tasks.append(Task(id=tid, kind=kind, operands=operands,
-                               phase=phase, point_op_index=pidx, label=label,
-                               value=value))
-        return tid
-
-    def const(self, elem: FieldElement, label: str) -> _Val:
-        key = (label, elem.value)
-        hit = self._const_memo.get(key)
-        if hit is not None:
-            return hit
-        tid = self.new_task(OpKind.XFER, (), Phase.INIT, -1, label=label,
-                            value=elem.value)
-        val = _Val(elem, tid)
-        self._const_memo[key] = val
-        return val
-
+# compilation and the independent interpreter
 
 def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     """Compile one binary-method run of k*P into a task graph."""
-    _require_on_curve(curve, P)
-    if k < 0:
-        raise ValueError("scalar must be nonnegative")
-    if k == 0 or P.is_infinity:
+    tape = run_binary_method(curve, k, P)
+    if tape is None or tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
-    builder = _GraphBuilder()
-    out = run_binary_method(curve, k, P, builder)
-    if out is None:
-        raise ResultAtInfinity(
-            "k*P is the point at infinity, which has no coordinate tasks")
-    return TaskGraph(builder.tasks, (out[0].tid, out[1].tid),
-                     curve.field.bits)
+    values = tape.values
+    tasks = [Task(id=i, kind=kind, operands=operands, phase=phase,
+                  point_op_index=pidx, label=label,
+                  value=values[i] if kind is OpKind.XFER else None)
+             for i, (kind, operands, phase, pidx, label)
+             in enumerate(tape.ops)]
+    return TaskGraph(tasks, tape.result, curve.field.bits)
 
 
 def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
     """Re-execute a graph task by task and return the result point."""
-    G.validate()
     if G.field_bits != curve.field.bits:
         raise FieldMismatch(
             f"graph was compiled for a {G.field_bits}-bit field, curve "
@@ -320,7 +249,6 @@ def critical_path(G: TaskGraph, cm: CostModel) -> int:
     Only tasks the result depends on contribute; a chain through them is
     a lower bound on any schedule's completion time for the result.
     """
-    G.validate()
     anc = G.ancestors_of_result()
     dist: dict[int, int] = {}
     for t in G.tasks:

@@ -1,15 +1,20 @@
-"""Binary-method scalar multiplication with per-phase op metering.
+"""Binary-method scalar multiplication, recorded op by op.
 
 The left-to-right double-and-add loop runs over the shared projective
 kernels.  A scalar k with bit length l costs l-1 point doublings and
 HW(k)-1 mixed additions, and the single field inversion of the whole run
 happens in the final conversion back to affine coordinates.
 
-Work is metered into three phases:
+Every run is recorded on a tape (`run_binary_method`): each field
+operation computes its value on raw ints and appends its kind, its
+operands and where in the run it happened.  The tape is the one program
+both consumers read.  `scalar_mul` counts it into an `OpTrace` by phase:
 
   Init     embedding the base point (no arithmetic)
   Iterate  every doubling and mixed addition in the loop
   Convert  the one projective-to-affine conversion
+
+and `procmodel.compile_scalar_mul` turns the same entries into tasks.
 
 `count_report` compares the measured per-point-op averages against a
 fixed baseline cost table and reports the deviations; the baseline is an
@@ -26,7 +31,7 @@ from typing import Optional
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
                      _embed_kernel, _require_on_curve, kernels_for)
 from .errors import EmptyTrace, OracleBoundExceeded
-from .fields import ARITH_KINDS, FieldOps, FieldSpec, OpKind
+from .fields import ARITH_KINDS, FieldElement, FieldSpec, OpKind
 
 ORACLE_BOUND = 1 << 16
 
@@ -37,57 +42,118 @@ class Phase(enum.Enum):
     CONVERT = "convert"
 
 
-class Segment(enum.Enum):
-    """Finer-grained than Phase: the loop phase splits into doublings
-    and additions so the two can be averaged separately."""
+class _Tape:
+    """The recorder the curve kernels run on.
 
-    INIT = "init"
-    DOUBLE = "double"
-    ADD = "add"
-    CONVERT = "convert"
+    A kernel value is an index into the tape.  Each arithmetic op
+    computes its raw int with the field's own arithmetic and appends
+    (kind, operands, phase, point_op_index, label) to `ops`.  `const`
+    appends an input value (XFER, in the init phase) once per (label,
+    value).  `is_zero` reads the computed value, so the kernels branch
+    exactly as the real run does.  `steps` holds one entry per loop
+    step, True for a mixed addition and False for a doubling.
+    """
 
-    @property
-    def phase(self) -> Phase:
-        if self in (Segment.DOUBLE, Segment.ADD):
-            return Phase.ITERATE
-        return Phase.INIT if self is Segment.INIT else Phase.CONVERT
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.values: list[int] = []
+        self.ops: list[tuple] = []
+        self.steps: list[bool] = []
+        self.phase = Phase.INIT
+        self.pidx = -1
+        self.result: Optional[tuple[int, int]] = None
+        self._consts: dict[tuple[str, int], int] = {}
+
+    def _record(self, kind: OpKind, value: int, operands: tuple) -> int:
+        self.values.append(value)
+        self.ops.append((kind, operands, self.phase, self.pidx, ""))
+        return len(self.values) - 1
+
+    def add(self, a: int, b: int) -> int:
+        v = self.values
+        return self._record(OpKind.ADD, self.spec._add(v[a], v[b]), (a, b))
+
+    def sub(self, a: int, b: int) -> int:
+        v = self.values
+        return self._record(OpKind.SUB, self.spec._sub(v[a], v[b]), (a, b))
+
+    def mul(self, a: int, b: int) -> int:
+        v = self.values
+        return self._record(OpKind.MUL, self.spec._mul(v[a], v[b]), (a, b))
+
+    def sqr(self, a: int) -> int:
+        return self._record(OpKind.SQR, self.spec._sqr(self.values[a]), (a,))
+
+    def inv(self, a: int) -> int:
+        return self._record(OpKind.INV, self.spec._inv(self.values[a]), (a,))
+
+    def const(self, elem: FieldElement, label: str) -> int:
+        key = (label, elem.value)
+        idx = self._consts.get(key)
+        if idx is None:
+            idx = self._consts[key] = len(self.values)
+            self.values.append(elem.value)
+            self.ops.append((OpKind.XFER, (), Phase.INIT, -1, label))
+        return idx
+
+    def is_zero(self, a: int) -> bool:
+        return self.values[a] == 0
+
+    def element(self, a: int) -> FieldElement:
+        return FieldElement(self.spec, self.values[a])
+
+    def begin_step(self, is_add: bool) -> None:
+        """Open the next loop step; its ops carry its point_op_index."""
+        self.phase = Phase.ITERATE
+        self.pidx = len(self.steps)
+        self.steps.append(is_add)
+
+
+# the audit's point-operation columns plus the init phase (named as their
+# phases); a loop op falls into a doubling or an addition column by the
+# step that ran it
+_COLUMN_PHASE = {"init": Phase.INIT, "point_double": Phase.ITERATE,
+                 "point_add": Phase.ITERATE, "convert": Phase.CONVERT}
 
 
 class OpTrace:
-    """Monotone field-op counters for one run, kept per segment.
+    """Monotone field-op counters of the runs recorded into it, kept
+    per column (init, point_double, point_add, convert).
 
-    Totals are derived sums over segments, so the totals always equal
-    the sum of the per-phase counts.
+    Phase counts and totals are derived sums over the columns, so the
+    totals always equal the sum of the per-phase counts.
     """
 
     def __init__(self):
-        self._segments = {
-            seg: {kind: 0 for kind in ARITH_KINDS} for seg in Segment}
+        self._columns = {
+            col: {kind: 0 for kind in ARITH_KINDS} for col in _COLUMN_PHASE}
         self.n_point_doubles = 0
         self.n_point_adds = 0
 
-    def sink_for(self, seg: Segment):
-        counters = self._segments[seg]
+    def _count(self, tape: _Tape) -> None:
+        n_adds = sum(tape.steps)
+        self.n_point_adds += n_adds
+        self.n_point_doubles += len(tape.steps) - n_adds
+        for kind, _, phase, pidx, _ in tape.ops:
+            if kind is not OpKind.XFER:
+                col = phase.value if pidx < 0 else (
+                    "point_add" if tape.steps[pidx] else "point_double")
+                self._columns[col][kind] += 1
 
-        def sink(kind: OpKind) -> None:
-            counters[kind] += 1
-
-        return sink
-
-    def segment_counts(self, seg: Segment) -> dict[OpKind, int]:
-        return dict(self._segments[seg])
+    def column_counts(self, column: str) -> dict[OpKind, int]:
+        return dict(self._columns[column])
 
     def phase_counts(self, phase: Phase) -> dict[OpKind, int]:
         out = {kind: 0 for kind in ARITH_KINDS}
-        for seg in Segment:
-            if seg.phase is phase:
-                for kind, n in self._segments[seg].items():
+        for col, col_phase in _COLUMN_PHASE.items():
+            if col_phase is phase:
+                for kind, n in self._columns[col].items():
                     out[kind] += n
         return out
 
     def totals(self) -> dict[OpKind, int]:
         out = {kind: 0 for kind in ARITH_KINDS}
-        for counters in self._segments.values():
+        for counters in self._columns.values():
             for kind, n in counters.items():
                 out[kind] += n
         return out
@@ -104,58 +170,46 @@ class OpTrace:
         }
 
 
-class _TraceBackend:
-    """Execution backend that meters ops into an OpTrace."""
+def run_binary_method(curve: CurveParams, k: int,
+                      P: AffinePoint) -> Optional[_Tape]:
+    """Record one double-and-add run of k*P on a fresh tape.
 
-    def __init__(self, spec: FieldSpec, trace: OpTrace):
-        self.trace = trace
-        self._ops = {seg: FieldOps(spec, trace.sink_for(seg)) for seg in Segment}
-
-    def segment(self, seg: Segment, point_op_index: int) -> FieldOps:
-        if seg is Segment.DOUBLE:
-            self.trace.n_point_doubles += 1
-        elif seg is Segment.ADD:
-            self.trace.n_point_adds += 1
-        return self._ops[seg]
-
-
-def run_binary_method(curve: CurveParams, k: int, P: AffinePoint, backend):
-    """Drive the double-and-add loop through a backend's ops objects.
-
-    Preconditions: k >= 1 and P is finite and on the curve.  Returns the
-    conversion kernel's output: an (x, y) pair of backend values, or
-    None when k*P is the point at infinity.
+    Raises NotOnCurve for a foreign P and ValueError for a negative k.
+    Returns None when k*P is infinity without any work (k = 0 or P at
+    infinity).  Otherwise the tape's `result` holds the indices of the
+    affine coordinates, or None when k*P is the point at infinity.
     """
-    double, madd, to_aff = kernels_for(curve)
-    ops = backend.segment(Segment.INIT, -1)
-    X, Y, Z = _embed_kernel(ops, curve, P.x, P.y)
-    idx = 0
-    for i in range(k.bit_length() - 2, -1, -1):
-        ops = backend.segment(Segment.DOUBLE, idx)
-        idx += 1
-        X, Y, Z = double(ops, curve, X, Y, Z)
-        if (k >> i) & 1:
-            ops = backend.segment(Segment.ADD, idx)
-            idx += 1
-            X, Y, Z = madd(ops, curve, X, Y, Z, P.x, P.y)
-    ops = backend.segment(Segment.CONVERT, -1)
-    return to_aff(ops, curve, X, Y, Z)
-
-
-def scalar_mul(curve: CurveParams, k: int, P: AffinePoint,
-               trace: Optional[OpTrace] = None) -> AffinePoint:
-    """Compute k*P by the binary method, metering ops into `trace`."""
     _require_on_curve(curve, P)
     if k < 0:
         raise ValueError("scalar must be nonnegative")
     if k == 0 or P.is_infinity:
+        return None
+    double, madd, to_aff = kernels_for(curve)
+    tape = _Tape(curve.field)
+    X, Y, Z = _embed_kernel(tape, curve, P.x, P.y)
+    for i in range(k.bit_length() - 2, -1, -1):
+        tape.begin_step(is_add=False)
+        X, Y, Z = double(tape, curve, X, Y, Z)
+        if (k >> i) & 1:
+            tape.begin_step(is_add=True)
+            X, Y, Z = madd(tape, curve, X, Y, Z, P.x, P.y)
+    tape.phase, tape.pidx = Phase.CONVERT, -1
+    tape.result = to_aff(tape, curve, X, Y, Z)
+    return tape
+
+
+def scalar_mul(curve: CurveParams, k: int, P: AffinePoint,
+               trace: Optional[OpTrace] = None) -> AffinePoint:
+    """Compute k*P by the binary method, counting its ops into `trace`."""
+    tape = run_binary_method(curve, k, P)
+    if tape is None:
         return INFINITY
-    if trace is None:
-        trace = OpTrace()
-    out = run_binary_method(curve, k, P, _TraceBackend(curve.field, trace))
-    if out is None:
+    if trace is not None:
+        trace._count(tape)
+    if tape.result is None:
         return INFINITY
-    return AffinePoint(out[0], out[1])
+    x, y = tape.result
+    return AffinePoint(tape.element(x), tape.element(y))
 
 
 def scalar_mul_reference(curve: CurveParams, k: int,
@@ -236,18 +290,16 @@ def count_report(trace: OpTrace, n_doubles: int, n_adds: int) -> CountReport:
     """Audit a trace against the baseline cost table.
 
     Measured cells are per-point-op averages (doubling and addition
-    segments divided by their op counts; conversion happens once).
+    columns divided by their op counts; conversion happens once).
     Raises EmptyTrace when the run performed no point operations at all.
     """
     if n_doubles == 0 and n_adds == 0:
         raise EmptyTrace("the run performed no point operations to audit")
-    seg_of = {"point_double": (Segment.DOUBLE, n_doubles),
-              "point_add": (Segment.ADD, n_adds),
-              "convert": (Segment.CONVERT, 1)}
+    n_of = {"point_double": n_doubles, "point_add": n_adds, "convert": 1}
     cells = {}
     for col in _COL_ORDER:
-        seg, n = seg_of[col]
-        counts = trace.segment_counts(seg)
+        n = n_of[col]
+        counts = trace.column_counts(col)
         cells[col] = {}
         for row in _ROW_ORDER:
             base = AUDIT_BASELINE[col][row]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ from eccnoc.nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, \
     default_placement, role_usage
 from eccnoc.procmodel import TaskGraph, compile_scalar_mul, replay
 from eccnoc.scalarmul import scalar_mul
+
+ROOT = Path(__file__).parent.parent
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -128,7 +132,6 @@ preset = p17
 
 [run]
 k = d
-seed = 9
 
 [costs]
 mul = 5
@@ -141,7 +144,7 @@ rows = 4
 mul = 5
 """)
     cfg = load_run_config(cfg_file)
-    assert cfg.curve_name == "p17" and cfg.k == 0xd and cfg.seed == 9
+    assert cfg.curve_name == "p17" and cfg.k == 0xd
     assert cfg.cost_model().mul == 5
     assert cfg.cost_model().sqr == 2  # prime-field default fills the rest
     assert cfg.mesh.cols == 5 and cfg.mesh.rows == 4
@@ -200,6 +203,40 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad.write_text("[curve]\npreset = p17\nkind = prime\n")
     with pytest.raises(ConfigError):
         load_run_config(bad)
+    bad.write_text("[curve]\npreset = p17\n\n[run]\nseed = 9\n")
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        load_run_config(bad)
+    bad.write_text("[curve]\npreset = p17\n\n[roles]\nctrl = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'ctrl'"):
+        load_run_config(bad)
+    bad.write_text("[curve]\npreset = nope\n")
+    with pytest.raises(ConfigError, match="unknown curve preset 'nope'"):
+        load_run_config(bad)
+
+
+def test_readme_config_example_runs(capsys, tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_file = tmp_path / "readme.ini"
+    cfg_file.write_text(block)
+    code, out, err = run_cli(capsys, "mul", "--config", str(cfg_file))
+    assert code == 0 and not err
+    assert out.startswith("curve: prime32 ") and "k: b7a3" in out
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("graph", "--curve", "prime32", "--k", "b7a3"),
+     "graph_prime32_b7a3.txt"),
+    (("graph", "--curve", "binary33", "--k", "1b2d3c4e5"),
+     "graph_binary33_1b2d3c4e5.txt"),
+    (("simulate", "--curve", "prime32", "--k", "b7a3", "--format", "json"),
+     "simulate_prime32_b7a3.json"),
+])
+def test_outputs_match_goldens(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    assert out == (GOLDEN_DIR / golden).read_text()
 
 
 def test_hex_is_strict():

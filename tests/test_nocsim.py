@@ -67,7 +67,7 @@ def test_centrality_frozen_4x3():
 
 _USAGE = {CoreRole.MUL_UNIT: 100, CoreRole.ADD_UNIT: 50,
           CoreRole.SQR_UNIT: 30, CoreRole.INV_UNIT: 5,
-          CoreRole.IO: 2, CoreRole.CTRL: 0}
+          CoreRole.IO: 2}
 
 
 def test_default_placement_frozen():
@@ -76,7 +76,7 @@ def test_default_placement_frozen():
         "mul0": (1, 1), "mul1": (2, 1), "mul2": (1, 0), "mul3": (1, 2),
         "add0": (2, 0), "add1": (2, 2), "add2": (0, 1),
         "sqr0": (3, 1), "sqr1": (0, 0),
-        "inv0": (0, 2), "io0": (3, 0), "ctrl0": (3, 2),
+        "inv0": (0, 2), "io0": (3, 0),
     }
 
 
@@ -96,7 +96,7 @@ def test_corner_first_placement_frozen():
 def test_placement_validation():
     with pytest.raises(TooManyCores):
         counts = dict(DEFAULT_ROLE_COUNTS)
-        counts[CoreRole.MUL_UNIT] = 5  # 13 cores on 12 tiles
+        counts[CoreRole.MUL_UNIT] = 6  # 13 cores on 12 tiles
         default_placement(MESH, counts, _USAGE)
     with pytest.raises(OutOfMesh):
         Placement({"mul0": (9, 9), "io0": (0, 0)}).validate(MESH)
@@ -114,7 +114,7 @@ def test_role_mapping():
     assert role_for_kind(OpKind.MUL) is CoreRole.MUL_UNIT
     assert role_for_kind(OpKind.SQR) is CoreRole.SQR_UNIT
     assert role_for_kind(OpKind.INV) is CoreRole.INV_UNIT
-    assert sum(DEFAULT_ROLE_COUNTS.values()) == 12
+    assert sum(DEFAULT_ROLE_COUNTS.values()) == 11
 
 
 def test_role_usage_matches_trace(p17):
@@ -128,7 +128,6 @@ def test_role_usage_matches_trace(p17):
     assert usage[CoreRole.SQR_UNIT] == totals[OpKind.SQR]
     assert usage[CoreRole.INV_UNIT] == totals[OpKind.INV]
     assert usage[CoreRole.IO] == 2
-    assert usage[CoreRole.CTRL] == 0
 
 
 def test_mesh_validation():

@@ -1,5 +1,7 @@
 """Task-graph compilation, validation, text round trip, critical path."""
 
+import dataclasses
+
 import pytest
 
 from eccnoc.curves import INFINITY
@@ -154,6 +156,27 @@ def test_malformed_graphs_rejected():
         TaskGraph.from_text(g.to_text().replace("MUL", "MULL"))
 
 
+def test_built_graph_cannot_be_mutated(p17):
+    G = _compile(p17, 13)
+    text = G.to_text()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.result = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.tasks = ()
+    with pytest.raises(TypeError):
+        G.tasks[0] = G.tasks[1]
+    with pytest.raises(AttributeError):
+        G.tasks.append(G.tasks[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.tasks[0].operands = (1,)
+    # a graph built from a list does not share it with the caller
+    tasks = list(_tiny_graph().tasks)
+    g = TaskGraph(tasks, (4, 4), 5)
+    tasks.append(Task(5, OpKind.SQR, (4,), Phase.ITERATE, 1))
+    assert len(g.tasks) == 5
+    assert G.to_text() == text
+
+
 def test_replay_checks_field_width(p17, b4):
     G = _compile(p17, 13)
     with pytest.raises(FieldMismatch):
@@ -173,7 +196,7 @@ def test_critical_path_hand_graphs():
     assert critical_path(fanin, cm) == 4
     # a dead expensive task does not stretch the result's path
     orphan = TaskGraph(
-        fanin.tasks + [Task(5, OpKind.INV, (2,), Phase.CONVERT, -1)],
+        [*fanin.tasks, Task(5, OpKind.INV, (2,), Phase.CONVERT, -1)],
         (4, 4), 5)
     assert critical_path(orphan, cm) == 4
 

@@ -5,10 +5,9 @@ import pytest
 from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
 from eccnoc.errors import EmptyTrace, NotOnCurve, OracleBoundExceeded
 from eccnoc.fields import OpKind
-from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, Segment,
-                              count_report, expected_op_totals,
-                              expected_op_totals_average, scalar_mul,
-                              scalar_mul_reference)
+from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
+                              expected_op_totals, expected_op_totals_average,
+                              scalar_mul, scalar_mul_reference)
 
 from conftest import seeded
 
@@ -135,13 +134,13 @@ def test_count_report_arithmetic(p17):
     scalar_mul(p17.curve, 13, p17.base, t)
     rep = count_report(t, t.n_point_doubles, t.n_point_adds)
     assert rep.n_point_doubles == 3 and rep.n_point_adds == 2
-    dbl = t.segment_counts(Segment.DOUBLE)
+    dbl = t.column_counts("point_double")
     cell = rep.cells["point_double"]["MUL"]
     assert cell["baseline"] == 2
     assert cell["measured"] == dbl[OpKind.MUL] / 3
     assert cell["deviation"] == cell["measured"] - 2
     add_row = rep.cells["point_add"]["ADD"]
-    seg = t.segment_counts(Segment.ADD)
+    seg = t.column_counts("point_add")
     assert add_row["measured"] == (seg[OpKind.ADD] + seg[OpKind.SUB]) / 2
     conv = rep.cells["convert"]
     assert conv["INV"]["measured"] == 1.0
