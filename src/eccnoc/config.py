@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -66,17 +66,16 @@ class RunConfig:
     base: Optional[AffinePoint] = None
     curve_name: str = ""
     k: Optional[int] = None
-    costs: Optional[CostModel] = None  # None: per-field-kind default
+    # cost overrides, applied over the default of the curve's field kind
+    costs: dict[str, int] = dc_field(default_factory=dict)
     mesh: MeshConfig = dc_field(default_factory=MeshConfig)
     role_counts: dict[CoreRole, int] = dc_field(
         default_factory=lambda: dict(DEFAULT_ROLE_COUNTS))
 
     def cost_model(self) -> CostModel:
-        if self.costs is not None:
-            return self.costs
-        if self.curve is None:
-            return CostModel()
-        return CostModel.default(self.curve.field.kind)
+        base = (CostModel() if self.curve is None
+                else CostModel.default(self.curve.field.kind))
+        return replace(base, **self.costs)
 
     def use_preset(self, name: str) -> None:
         preset = get_preset(name)
@@ -167,30 +166,17 @@ def load_run_config(path: str | Path) -> RunConfig:
             cfg.k = parse_hex(sec["k"])
     if parser.has_section("costs"):
         sec = parser["costs"]
-        base = (cfg.costs or (CostModel.default(cfg.curve.field.kind)
-                              if cfg.curve else CostModel()))
-        values = {name: _parse_dec(sec[name], f"costs.{name}")
-                  for name in sec}
+        cfg.costs = {name: _parse_dec(sec[name], f"costs.{name}")
+                     for name in sec}
         try:
-            cfg.costs = CostModel(
-                add=values.get("add", base.add),
-                sub=values.get("sub", base.sub),
-                mul=values.get("mul", base.mul),
-                sqr=values.get("sqr", base.sqr),
-                inv=values.get("inv", base.inv))
+            CostModel(**cfg.costs)  # rejects a cost below 1 at load
         except ValueError as exc:
             raise ConfigError(f"bad cost model: {exc}") from exc
     if parser.has_section("mesh"):
         sec = parser["mesh"]
         try:
-            cfg.mesh = MeshConfig(
-                cols=_parse_dec(sec.get("cols", "4"), "mesh.cols"),
-                rows=_parse_dec(sec.get("rows", "3"), "mesh.rows"),
-                hop_cycles=_parse_dec(sec.get("hop_cycles", "1"),
-                                      "mesh.hop_cycles"),
-                flits_per_value=(
-                    _parse_dec(sec["flits_per_value"], "mesh.flits_per_value")
-                    if "flits_per_value" in sec else None))
+            cfg.mesh = MeshConfig(**{key: _parse_dec(sec[key], f"mesh.{key}")
+                                     for key in sec})
         except ValueError as exc:
             raise ConfigError(f"bad mesh: {exc}") from exc
     if parser.has_section("roles"):

@@ -29,8 +29,11 @@ cycle 0, so only computed values cross the network.  Control traffic
 (assigning tasks to cores) is not charged.  Each computed coordinate of
 the result pair launches towards the IO core when its task ends; the run
 ends when both have arrived, and that arrival cycle is the makespan.
-Total flit-hops (one flit crossing one link) serve as the traffic/energy
-proxy.
+
+Each directed link's set of booked cycles is the one record of traffic:
+the report reads a link's flit count as the size of its set, and total
+flit-hops (one flit crossing one link, the traffic/energy proxy) as the
+sum of those counts.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -172,9 +174,6 @@ class Placement:
     def cores_of_role(self, role: CoreRole) -> list[tuple[str, Tile]]:
         return [(name, tile) for _, name, tile in self._by_role[role]]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Placement) and self.entries == other.entries
-
 
 def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
     """Task count per role; IO is charged one unit per result value."""
@@ -186,42 +185,30 @@ def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
     return usage
 
 
-_ROLE_ORDER = list(CoreRole)
-
-
 def _build_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
-                     usage: dict[CoreRole, int],
-                     tiles: list[Tile]) -> Placement:
-    total = sum(role_counts.values())
-    if total > mesh.n_tiles:
-        raise TooManyCores(f"{total} cores will not fit on "
+                     usage: dict[CoreRole, int], sign: int) -> Placement:
+    """Busiest roles first onto tiles ordered by sign * centrality."""
+    roles = sorted(CoreRole, key=lambda r: -usage.get(r, 0))
+    names = [f"{role.value}{i}" for role in roles
+             for i in range(role_counts.get(role, 0))]
+    if len(names) > mesh.n_tiles:
+        raise TooManyCores(f"{len(names)} cores will not fit on "
                            f"{mesh.n_tiles} tiles")
-    roles = sorted(
-        (r for r in role_counts if role_counts[r] > 0),
-        key=lambda r: (-usage.get(r, 0), _ROLE_ORDER.index(r)))
-    entries: dict[str, Tile] = {}
-    pos = 0
-    for role in roles:
-        for i in range(role_counts[role]):
-            entries[f"{role.value}{i}"] = tiles[pos]
-            pos += 1
-    return Placement(entries)
+    cent = centrality(mesh)
+    tiles = sorted(mesh.tiles(), key=lambda t: (sign * cent[t], t))
+    return Placement(dict(zip(names, tiles)))
 
 
 def default_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
                       usage: dict[CoreRole, int]) -> Placement:
     """Busiest roles on the most central tiles."""
-    cent = centrality(mesh)
-    tiles = sorted(mesh.tiles(), key=lambda t: (cent[t], t))
-    return _build_placement(mesh, role_counts, usage, tiles)
+    return _build_placement(mesh, role_counts, usage, 1)
 
 
 def corner_first_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
                            usage: dict[CoreRole, int]) -> Placement:
     """Adversarial control: busiest roles pushed to the rim."""
-    cent = centrality(mesh)
-    tiles = sorted(mesh.tiles(), key=lambda t: (-cent[t], t))
-    return _build_placement(mesh, role_counts, usage, tiles)
+    return _build_placement(mesh, role_counts, usage, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,160 +276,122 @@ def sequential_baseline(G: TaskGraph, cm: CostModel) -> int:
     return sum(cm.cost(t.kind) for t in G.tasks)
 
 
-def _link_name(link: tuple[Tile, Tile]) -> str:
-    (c1, r1), (c2, r2) = link
-    return f"{c1},{r1}->{c2},{r2}"
-
-
-class _Simulation:
-    def __init__(self, G: TaskGraph, cm: CostModel, mesh: MeshConfig,
-                 placement: Placement):
-        placement.validate(mesh)
-        self.G, self.cm, self.mesh, self.placement = G, cm, mesh, placement
-        self.flits = (mesh.flits_per_value if mesh.flits_per_value is not None
-                      else max(1, math.ceil(G.field_bits / 32)))
-        needed = {role_for_kind(t.kind) for t in G.tasks
-                  if t.kind is not OpKind.XFER}
-        needed.add(CoreRole.IO)
-        for role in sorted(needed, key=_ROLE_ORDER.index):
-            if not placement.cores_of_role(role):
-                raise MissingCoreRole(
-                    f"graph needs a {role.name} core but the placement "
-                    f"has none")
-        self.io_tile = placement.cores_of_role(CoreRole.IO)[0][1]
-        # link booking: sorted lists of occupied cycles per directed link
-        self._booked: dict[tuple[Tile, Tile], list[int]] = {}
-        self.per_link_flits: dict[str, int] = {}
-        self.total_flit_hops = 0
-        self.messages: list[MessageRecord] = []
-        self.schedule: list[ScheduleEntry] = []
-
-    # -- link booking -------------------------------------------------------
-
-    def _book_cycle(self, link: tuple[Tile, Tile], lo: int) -> int:
-        lst = self._booked.setdefault(link, [])
-        idx = bisect_left(lst, lo)
-        cycle = lo
-        while idx < len(lst) and lst[idx] == cycle:
-            idx += 1
-            cycle += 1
-        lst.insert(idx, cycle)
-        name = _link_name(link)
-        self.per_link_flits[name] = self.per_link_flits.get(name, 0) + 1
-        self.total_flit_hops += 1
-        return cycle
-
-    def _send(self, src: Tile, dst: Tile, t0: int) -> int:
-        """Book one value transfer; returns the arrival cycle."""
-        route = xy_route(self.mesh, src, dst)
-        if not route:
-            return t0
-        hop = self.mesh.hop_cycles
-        arrival = t0
-        last_entry: dict[tuple[Tile, Tile], int] = {}
-        for _ in range(self.flits):
-            t = t0
-            for link in route:
-                lo = max(t, last_entry.get(link, -1) + 1)
-                entry = self._book_cycle(link, lo)
-                last_entry[link] = entry
-                t = entry + hop
-            arrival = t
-        return arrival
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self) -> SimReport:
-        G, cm = self.G, self.cm
-        hop, flits = self.mesh.hop_cycles, self.flits
-        arith = [t for t in G.tasks if t.kind is not OpKind.XFER]
-        succ: list[list[int]] = [[] for _ in G.tasks]
-        for t in arith:
-            for o in set(t.operands):
-                succ[o].append(t.id)
-        # upward rank: longest remaining cost-weighted path to any sink;
-        # every cost is >= 1, so decreasing rank is a topological order
-        prio: dict[int, int] = {}
-        for t in reversed(arith):
-            down = max((prio[s] for s in succ[t.id]), default=0)
-            prio[t.id] = cm.cost(t.kind) + down
-
-        cores = {role: list(enumerate(self.placement.cores_of_role(role)))
-                 for role in CoreRole}
-        free = {name: 0 for name in self.placement.entries}
-        busy_cycles = dict(free)
-        # end cycle and tile of each computed value, by task id
-        end = [0] * len(G.tasks)
-        loc: list[Optional[Tile]] = [None] * len(G.tasks)
-        # arrival cycle of each value copied to a tile other than its own
-        copies: dict[tuple[int, Tile], int] = {}
-
-        # highest rank first; the stable sort keeps equal ranks in id order
-        for tid in sorted(sorted(prio), key=prio.__getitem__, reverse=True):
-            task = G.tasks[tid]
-            cost = cm.cost(task.kind)
-            ops = [o for o in sorted(set(task.operands))
-                   if G.tasks[o].kind is not OpKind.XFER]
-
-            def estimate(core):
-                idx, (name, tile) = core
-                ready, new_hops = free[name], 0
-                for o in ops:
-                    arr = end[o] if loc[o] == tile else copies.get((o, tile))
-                    if arr is None:
-                        hops = manhattan(loc[o], tile)
-                        arr = end[o] + hops * hop + flits - 1
-                        new_hops += hops
-                    ready = max(ready, arr)
-                return ready + cost, new_hops, idx
-
-            _, (name, tile) = min(cores[role_for_kind(task.kind)],
-                                  key=estimate)
-            start = free[name]
-            for o in ops:
-                arr = end[o] if loc[o] == tile else copies.get((o, tile))
-                if arr is None:
-                    arr = self._send(loc[o], tile, end[o])
-                    self.messages.append(MessageRecord(
-                        producer=o, consumer=tid, src=loc[o], dst=tile,
-                        launch=end[o], arrival=arr))
-                    copies[(o, tile)] = arr
-                start = max(start, arr)
-            end[tid] = free[name] = start + cost
-            busy_cycles[name] += cost
-            loc[tid] = tile
-            self.schedule.append(ScheduleEntry(
-                task=tid, kind=task.kind.value, core=name,
-                start=start, end=end[tid]))
-
-        makespan = 0  # inputs are preloaded everywhere, IO included
-        for r in sorted({r for r in G.result if loc[r] is not None}):
-            arr = self._send(loc[r], self.io_tile, end[r])
-            self.messages.append(MessageRecord(
-                producer=r, consumer=-1, src=loc[r], dst=self.io_tile,
-                launch=end[r], arrival=arr))
-            makespan = max(makespan, arr)
-        baseline = sequential_baseline(G, cm)
-        speedup = baseline / makespan if makespan > 0 else 1.0
-        return SimReport(
-            makespan_cycles=makespan,
-            sequential_baseline_cycles=baseline,
-            speedup=speedup,
-            total_flit_hops=self.total_flit_hops,
-            flits_per_value=self.flits,
-            per_core_busy_cycles=busy_cycles,
-            per_link_flits=self.per_link_flits,
-            schedule=self.schedule,
-            messages=self.messages,
-            mesh=self.mesh,
-            placement=self.placement,
-        )
-
-
 def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
              placement: Placement) -> SimReport:
     """Run the deterministic schedule simulation; see the module doc."""
-    return _Simulation(G, cm, mesh, placement).run()
+    placement.validate(mesh)
+    usage = role_usage(G)
+    cores = {role: placement.cores_of_role(role) for role in CoreRole}
+    for role in CoreRole:
+        if usage[role] and not cores[role]:
+            raise MissingCoreRole(
+                f"graph needs a {role.name} core but the placement has none")
+    io_tile = cores[CoreRole.IO][0][1]
+    hop = mesh.hop_cycles
+    flits = mesh.flits_per_value or max(1, math.ceil(G.field_bits / 32))
+    arith = [t for t in G.tasks if t.kind is not OpKind.XFER]
+    succ: list[list[int]] = [[] for _ in G.tasks]
+    for t in arith:
+        for o in set(t.operands):
+            succ[o].append(t.id)
+    # upward rank: longest remaining cost-weighted path to any sink;
+    # every cost is >= 1, so decreasing rank is a topological order
+    prio: dict[int, int] = {}
+    for t in reversed(arith):
+        down = max((prio[s] for s in succ[t.id]), default=0)
+        prio[t.id] = cm.cost(t.kind) + down
+
+    free = {name: 0 for name in placement.entries}
+    busy_cycles = dict(free)
+    # end cycle and tile of each computed value, by task id
+    end = [0] * len(G.tasks)
+    loc: list[Optional[Tile]] = [None] * len(G.tasks)
+    # arrival cycle of each value copied to a tile other than its own
+    copies: dict[tuple[int, Tile], int] = {}
+
+    # the occupied cycles of each directed link: the only traffic record
+    booked: dict[tuple[Tile, Tile], set[int]] = {}
+    messages: list[MessageRecord] = []
+
+    def ship(producer: int, consumer: int, dst: Tile) -> int:
+        """Book one value's flits from its producer's tile to dst,
+        launched when the producer ends; returns the arrival cycle."""
+        src, launch = loc[producer], end[producer]
+        route = xy_route(mesh, src, dst)
+        last: dict[tuple[Tile, Tile], int] = {}  # flits stay in order
+        arrival = launch
+        for _ in range(flits):
+            t = launch
+            for link in route:
+                cycle = max(t, last.get(link, -1) + 1)
+                taken = booked.setdefault(link, set())
+                while cycle in taken:
+                    cycle += 1
+                taken.add(cycle)
+                last[link] = cycle
+                t = cycle + hop
+            arrival = t
+        messages.append(MessageRecord(producer, consumer, src, dst,
+                                      launch, arrival))
+        return arrival
+
+    def present(o: int, tile: Tile) -> Optional[int]:
+        """Cycle value o is on tile, or None if it was never sent there."""
+        return end[o] if loc[o] == tile else copies.get((o, tile))
+
+    schedule: list[ScheduleEntry] = []
+    # highest rank first; the stable sort keeps equal ranks in id order
+    for tid in sorted(sorted(prio), key=prio.__getitem__, reverse=True):
+        task = G.tasks[tid]
+        cost = cm.cost(task.kind)
+        ops = [o for o in sorted(set(task.operands))
+               if G.tasks[o].kind is not OpKind.XFER]
+
+        def estimate(core):
+            name, tile = core
+            ready, new_hops = free[name], 0
+            for o in ops:
+                arr = present(o, tile)
+                if arr is None:
+                    hops = manhattan(loc[o], tile)
+                    arr = end[o] + hops * hop + flits - 1
+                    new_hops += hops
+                ready = max(ready, arr)
+            return ready + cost, new_hops
+
+        # min keeps the first of equal estimates, i.e. the lowest index
+        name, tile = min(cores[role_for_kind(task.kind)], key=estimate)
+        start = free[name]
+        for o in ops:
+            arr = present(o, tile)
+            if arr is None:
+                arr = copies[(o, tile)] = ship(o, tid, tile)
+            start = max(start, arr)
+        end[tid] = free[name] = start + cost
+        busy_cycles[name] += cost
+        loc[tid] = tile
+        schedule.append(ScheduleEntry(tid, task.kind.value, name, start,
+                                      end[tid]))
+
+    makespan = 0  # inputs are preloaded everywhere, IO included
+    for r in sorted({r for r in G.result if loc[r] is not None}):
+        makespan = max(makespan, ship(r, -1, io_tile))
+    per_link_flits = {f"{c1},{r1}->{c2},{r2}": len(taken)
+                      for ((c1, r1), (c2, r2)), taken in booked.items()}
+    baseline = sequential_baseline(G, cm)
+    return SimReport(
+        makespan_cycles=makespan,
+        sequential_baseline_cycles=baseline,
+        speedup=baseline / makespan if makespan > 0 else 1.0,
+        total_flit_hops=sum(per_link_flits.values()),
+        flits_per_value=flits,
+        per_core_busy_cycles=busy_cycles,
+        per_link_flits=per_link_flits,
+        schedule=schedule,
+        messages=messages,
+        mesh=mesh,
+        placement=placement,
+    )
 
 
 def compare_placements(G: TaskGraph, cm: CostModel, mesh: MeshConfig,

@@ -157,6 +157,23 @@ mul = 5
     assert code == 0 and "result: x=6 y=3" in out
 
 
+def test_cost_overrides_follow_the_cli_curve(capsys, tmp_path):
+    # a [costs] override applies over the default of the curve actually
+    # run, so --curve binary33 keeps the binary sqr=1
+    cfg_file = tmp_path / "costs.ini"
+    cfg_file.write_text("[costs]\nmul = 4\n")
+    argv = ("simulate", "--curve", "binary33", "--k", "b7a3")
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "makespan: 500 cycles   sequential: 934 " in want
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
+    assert code == 0 and not err
+    assert out == want
+    cfg_file.write_text("[costs]\nsqr = 0\n")
+    with pytest.raises(ConfigError, match="sqr cost must be at least 1"):
+        load_run_config(cfg_file)
+
+
 def test_inline_curve_config(tmp_path, p17):
     cfg_file = tmp_path / "inline.ini"
     cfg_file.write_text("""
@@ -232,11 +249,49 @@ def test_readme_config_example_runs(capsys, tmp_path):
      "graph_binary33_1b2d3c4e5.txt"),
     (("simulate", "--curve", "prime32", "--k", "b7a3", "--format", "json"),
      "simulate_prime32_b7a3.json"),
+    # 33-bit values travel as 2 flits, so these pin flit order and
+    # link contention
+    (("simulate", "--curve", "binary33", "--k", "1b2d3c4e5", "--format",
+      "json"), "simulate_binary33_1b2d3c4e5.json"),
+    (("compare", "--curve", "binary33", "--k", "1b2d3c4e5", "--format",
+      "json"), "compare_binary33_1b2d3c4e5.json"),
 ])
 def test_outputs_match_goldens(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and not err
     assert out == (GOLDEN_DIR / golden).read_text()
+
+
+def test_schedule_csv_matches_golden(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--curve", "binary33", "--k",
+                           "1b2d3c4e5", "--out", str(tmp_path))
+    assert code == 0 and not err
+    assert (tmp_path / "schedule.csv").read_text() == \
+        (GOLDEN_DIR / "schedule_binary33_1b2d3c4e5.csv").read_text()
+
+
+def _readme_cli_examples():
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    return [block.split("\n")[1:-1] for block in blocks
+            if block.startswith("\n$ eccnoc ")]
+
+
+@pytest.mark.parametrize("lines", _readme_cli_examples(),
+                         ids=lambda lines: lines[0][2:])
+def test_readme_cli_examples(capsys, lines):
+    argv = lines[0].split()[2:]
+    want = lines[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    got = out.splitlines()
+    if "..." not in want:
+        assert got == want
+        return
+    # a block cut with ... shows a prefix and a suffix of the output
+    cut = want.index("...")
+    head, tail = want[:cut], want[cut + 1:]
+    assert got[:len(head)] == head
+    assert got[len(got) - len(tail):] == tail
 
 
 def test_hex_is_strict():

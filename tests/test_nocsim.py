@@ -332,6 +332,20 @@ def _invariant_check(G, cm, mesh, rep):
                 assert ends[o] <= e.start
     # accounting
     assert sum(rep.per_link_flits.values()) == rep.total_flit_hops
+    # per-link flits from each message's column-first route, walked here
+    # rather than through xy_route
+    walked = {}
+    for m in rep.messages:
+        (c, r), (dc, dr) = m.src, m.dst
+        while (c, r) != (dc, dr):
+            if c != dc:
+                nc, nr = c + (1 if dc > c else -1), r
+            else:
+                nc, nr = c, r + (1 if dr > r else -1)
+            link = f"{c},{r}->{nc},{nr}"
+            walked[link] = walked.get(link, 0) + rep.flits_per_value
+            c, r = nc, nr
+    assert walked == rep.per_link_flits
     assert sum(rep.per_core_busy_cycles.values()) == \
         rep.sequential_baseline_cycles
     # tasks the result depends on are done by the makespan; dead side
