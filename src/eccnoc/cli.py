@@ -25,7 +25,7 @@ from typing import Optional
 
 from .config import (RunConfig, format_hex, load_placement, load_run_config,
                      parse_hex, preset_names)
-from .errors import EccNocError, EmptyTrace, OracleBoundExceeded
+from .errors import BadValue, EccNocError, EmptyTrace, OracleBoundExceeded
 from .nocsim import (corner_first_placement, default_placement, role_usage,
                      simulate)
 from .procmodel import compile_scalar_mul, critical_path
@@ -185,7 +185,7 @@ def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
     G, cm, mesh, usage = _graph_and_machine(cfg)
     if placement_files:
         if len(placement_files) < 2:
-            raise ValueError("compare needs at least two --placement files")
+            raise BadValue("compare needs at least two --placement files")
         entries = [(Path(p).stem, load_placement(p)) for p in placement_files]
     else:
         entries = [
@@ -279,10 +279,10 @@ def _resolve(args: argparse.Namespace, need_k: bool) -> RunConfig:
     if getattr(args, "k", None) is not None:
         cfg.k = parse_hex(args.k)
     if cfg.curve is None:
-        raise ValueError("no curve selected; pass --curve or a config "
-                         "with a [curve] section")
+        raise BadValue("no curve selected; pass --curve or a config "
+                       "with a [curve] section")
     if need_k and cfg.k is None:
-        raise ValueError("no scalar given; pass --k or a config with k")
+        raise BadValue("no scalar given; pass --k or a config with k")
     return cfg
 
 
@@ -303,7 +303,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_simulate(cfg, args.placement, args.format, args.out)
         cfg = _resolve(args, need_k=True)
         return cmd_compare(cfg, args.placement, args.format, args.out)
-    except (EccNocError, ValueError) as exc:
+    except EccNocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,11 @@ def format_hex(value: int) -> str:
 def _parse_dec(text: str, what: str) -> int:
     if not _DEC.match(text):
         raise ConfigError(f"{what} must be a decimal integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int digit limit
+        raise ConfigError(f"{what} has too many digits ({len(text)})") \
+            from None
 
 
 @dataclass

@@ -13,7 +13,9 @@ The projective kernels are written against the op recorder of
 `scalarmul` (the tape): their values are tape indices, and each add,
 sub, mul, sqr and inv is computed and recorded there, so one run of the
 formulas yields the point, its op counts and its task graph alike.  The
-public projective functions below run a kernel on a fresh tape.
+public projective functions below run a kernel on a fresh tape.  A
+`ProjectivePoint` is a bare (X, Y, Z): its coordinate system is the
+curve's, which the field kind fixes, so only the field is checked.
 Doubling is branch-free: the formulas send Z to 0 exactly when the true
 result is infinity.  Mixed addition branches on concrete zero tests
 (infinity input, equal or inverse points); only the general path is the
@@ -26,8 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (FieldMismatch, NotOnCurve, OracleBoundExceeded,
-                     SystemMismatch)
+from .errors import BadValue, FieldMismatch, NotOnCurve, OracleBoundExceeded
 from .fields import (FieldElement, FieldKind, FieldSpec, ff_add, ff_inv,
                      ff_mul, ff_neg, ff_sqr, ff_sub)
 
@@ -56,10 +57,10 @@ class CurveParams:
             a3 = ff_mul(ff_sqr(self.a), self.a)
             disc = ff_add(self._small(4) * a3, self._small(27) * ff_sqr(self.b))
             if disc.is_zero():
-                raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
+                raise BadValue("singular curve: 4a^3 + 27b^2 = 0")
         else:
             if self.b.is_zero():
-                raise ValueError("singular curve: b = 0")
+                raise BadValue("singular curve: b = 0")
 
     def _small(self, n: int) -> FieldElement:
         return self.field.element(n)
@@ -97,7 +98,9 @@ INFINITY = AffinePoint.infinity()
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    system: CoordSystem
+    """A point as (X, Y, Z) in its curve's coordinate system
+    (`CurveParams.system`, fixed by the field kind); Z = 0 is infinity."""
+
     X: FieldElement
     Y: FieldElement
     Z: FieldElement
@@ -340,77 +343,45 @@ def kernels_for(curve: CurveParams):
 # ---------------------------------------------------------------------------
 # public projective interface (plain elements)
 
-def _check_system(curve: CurveParams, P: ProjectivePoint) -> None:
-    if P.system is not curve.system:
-        raise SystemMismatch(
-            f"point uses {P.system.value} but the curve needs {curve.system.value}")
-    if P.X.spec != curve.field:
-        raise FieldMismatch("point coordinates live outside the curve field")
-
-
 def to_projective(curve: CurveParams, P: AffinePoint) -> ProjectivePoint:
     _require_on_curve(curve, P)
     f = curve.field
     if P.is_infinity:
-        return ProjectivePoint(curve.system, f.one, f.one, f.zero)
-    return ProjectivePoint(curve.system, P.x, P.y, f.one)
+        return ProjectivePoint(f.one, f.one, f.zero)
+    return ProjectivePoint(P.x, P.y, f.one)
 
 
-def _on_tape(curve: CurveParams, P: ProjectivePoint):
-    """A fresh tape holding P's coordinates, and their indices."""
+def _run_kernel(curve: CurveParams, P: ProjectivePoint, which: int, *args):
+    """Run kernel `which` of `kernels_for(curve)` on P's coordinates,
+    loaded onto a fresh tape; return its outputs as elements, or None
+    when the kernel reports infinity."""
+    if P.X.spec != curve.field:
+        raise FieldMismatch("point coordinates live outside the curve field")
     from .scalarmul import _Tape  # scalarmul imports this module
     tape = _Tape(curve.field)
-    return tape, (tape.const(P.X, "X"), tape.const(P.Y, "Y"),
-                  tape.const(P.Z, "Z"))
+    xyz = [tape.const(c, label) for c, label in zip((P.X, P.Y, P.Z), "XYZ")]
+    out = kernels_for(curve)[which](tape, curve, *xyz, *args)
+    return None if out is None else [tape.element(i) for i in out]
 
 
 def to_affine(curve: CurveParams, P: ProjectivePoint) -> AffinePoint:
     """Convert back to affine with exactly one field inversion."""
-    _check_system(curve, P)
-    tape, (X, Y, Z) = _on_tape(curve, P)
-    out = kernels_for(curve)[2](tape, curve, X, Y, Z)
-    if out is None:
-        return INFINITY
-    return AffinePoint(tape.element(out[0]), tape.element(out[1]))
+    out = _run_kernel(curve, P, 2)
+    return INFINITY if out is None else AffinePoint(*out)
 
 
 def point_double_projective(curve: CurveParams,
                             P: ProjectivePoint) -> ProjectivePoint:
-    _check_system(curve, P)
-    tape, (X, Y, Z) = _on_tape(curve, P)
-    out = kernels_for(curve)[0](tape, curve, X, Y, Z)
-    return ProjectivePoint(curve.system, *map(tape.element, out))
+    return ProjectivePoint(*_run_kernel(curve, P, 0))
 
 
 def point_add_projective(curve: CurveParams, P: ProjectivePoint,
                          q: AffinePoint) -> ProjectivePoint:
     """Mixed addition: projective accumulator plus affine point."""
-    _check_system(curve, P)
     _require_on_curve(curve, q)
     if q.is_infinity:
         raise NotOnCurve("mixed addition needs a finite affine addend")
-    tape, (X, Y, Z) = _on_tape(curve, P)
-    out = kernels_for(curve)[1](tape, curve, X, Y, Z, q.x, q.y)
-    return ProjectivePoint(curve.system, *map(tape.element, out))
-
-
-def projective_eq(curve: CurveParams, P: ProjectivePoint,
-                  Q: ProjectivePoint) -> bool:
-    """Equality of the represented points via cross-multiplication."""
-    _check_system(curve, P)
-    _check_system(curve, Q)
-    if P.is_infinity or Q.is_infinity:
-        return P.is_infinity and Q.is_infinity
-    if curve.system is CoordSystem.JACOBIAN:
-        z1z1, z2z2 = ff_sqr(P.Z), ff_sqr(Q.Z)
-        if ff_mul(P.X, z2z2) != ff_mul(Q.X, z1z1):
-            return False
-        z1c = ff_mul(z1z1, P.Z)
-        z2c = ff_mul(z2z2, Q.Z)
-        return ff_mul(P.Y, z2c) == ff_mul(Q.Y, z1c)
-    if ff_mul(P.X, Q.Z) != ff_mul(Q.X, P.Z):
-        return False
-    return ff_mul(P.Y, ff_sqr(Q.Z)) == ff_mul(Q.Y, ff_sqr(P.Z))
+    return ProjectivePoint(*_run_kernel(curve, P, 1, q.x, q.y))
 
 
 # ---------------------------------------------------------------------------

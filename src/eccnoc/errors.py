@@ -5,6 +5,12 @@ class EccNocError(Exception):
     """Base class for all package-specific errors."""
 
 
+class BadValue(EccNocError, ValueError):
+    """A value passed in is invalid: out of range (a mesh size, a cost,
+    a negative scalar), unknown (a preset or core name) or degenerate
+    (a composite modulus, a singular curve)."""
+
+
 class FieldMismatch(EccNocError):
     """Two operands (or a point and a curve) belong to different fields."""
 
@@ -15,10 +21,6 @@ class DivisionByZero(EccNocError):
 
 class NotOnCurve(EccNocError):
     """A point failed the curve-equation membership check."""
-
-
-class SystemMismatch(EccNocError):
-    """A projective point uses a coordinate system foreign to the curve."""
 
 
 class MalformedGraph(EccNocError):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator
 
-from .errors import DivisionByZero, FieldMismatch, OracleBoundExceeded
+from .errors import (BadValue, DivisionByZero, FieldMismatch,
+                     OracleBoundExceeded)
 
 _ENUMERATION_BOUND = 1 << 16
 
@@ -245,22 +246,22 @@ class FieldSpec:
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         if p <= 3:
-            raise ValueError(f"prime field modulus must exceed 3, got {p}")
+            raise BadValue(f"prime field modulus must exceed 3, got {p}")
         if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise BadValue(f"modulus {p} is not prime")
         return cls(kind=FieldKind.PRIME, modulus=p)
 
     @classmethod
     def binary(cls, m: int, poly: int) -> "FieldSpec":
         if m < 2:
-            raise ValueError(f"binary field degree must be at least 2, got {m}")
+            raise BadValue(f"binary field degree must be at least 2, got {m}")
         if _pdeg(poly) != m:
-            raise ValueError(
+            raise BadValue(
                 f"reduction polynomial degree {_pdeg(poly)} does not match m={m}")
         if not poly & 1:
-            raise ValueError("reduction polynomial has zero constant term")
+            raise BadValue("reduction polynomial has zero constant term")
         if not is_irreducible(poly):
-            raise ValueError(f"reduction polynomial {poly:#x} is reducible")
+            raise BadValue(f"reduction polynomial {poly:#x} is reducible")
         return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly,
                    rtable=_reduction_table(poly))
 
@@ -291,7 +292,7 @@ class FieldSpec:
         if self.kind is FieldKind.PRIME:
             return FieldElement(self, value % self.modulus)
         if value < 0:
-            raise ValueError("binary field elements are nonnegative bit vectors")
+            raise BadValue("binary field elements are nonnegative bit vectors")
         return FieldElement(self, _reduce(value, self.degree, self.rtable))
 
     @property

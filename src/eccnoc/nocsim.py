@@ -44,7 +44,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MissingCoreRole, OutOfMesh, TooManyCores
+from .errors import BadValue, MissingCoreRole, OutOfMesh, TooManyCores
 from .fields import OpKind
 from .procmodel import CostModel, TaskGraph
 
@@ -60,11 +60,11 @@ class MeshConfig:
 
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
-            raise ValueError("mesh needs at least one column and one row")
+            raise BadValue("mesh needs at least one column and one row")
         if self.hop_cycles < 1:
-            raise ValueError("hop_cycles must be at least 1")
+            raise BadValue("hop_cycles must be at least 1")
         if self.flits_per_value is not None and self.flits_per_value < 1:
-            raise ValueError("flits_per_value must be at least 1")
+            raise BadValue("flits_per_value must be at least 1")
 
     @property
     def n_tiles(self) -> int:
@@ -150,7 +150,7 @@ class Placement:
         for name, tile in self.entries.items():
             m = _CORE_NAME.match(name)
             if m is None:
-                raise ValueError(f"core name {name!r} is not <role><index>")
+                raise BadValue(f"core name {name!r} is not <role><index>")
             role = CoreRole(m.group(1))
             self._by_role[role].append((int(m.group(2)), name, tile))
         for role in CoreRole:
@@ -167,7 +167,7 @@ class Placement:
                 raise OutOfMesh(f"core {name} sits at {tile}, outside the "
                                 f"{mesh.cols}x{mesh.rows} mesh")
             if tile in seen:
-                raise ValueError(
+                raise BadValue(
                     f"cores {seen[tile]} and {name} share tile {tile}")
             seen[tile] = name
 
@@ -400,10 +400,10 @@ def compare_placements(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     """Simulate every named placement and rank by makespan, then
     traffic, then name."""
     if len(placements) < 2:
-        raise ValueError("placement comparison needs at least two entries")
+        raise BadValue("placement comparison needs at least two entries")
     names = [name for name, _ in placements]
     if len(set(names)) != len(names):
-        raise ValueError("placement names must be unique")
+        raise BadValue("placement names must be unique")
     results = [(name, simulate(G, cm, mesh, pl)) for name, pl in placements]
     results.sort(key=lambda item: (item[1].makespan_cycles,
                                    item[1].total_flit_hops, item[0]))

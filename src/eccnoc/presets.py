@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import AffinePoint, CurveParams
+from .errors import BadValue
 from .fields import FieldSpec
 
 
@@ -65,5 +66,5 @@ def get_preset(name: str) -> CurvePreset:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
-        raise ValueError(f"unknown curve preset {name!r}; known: {known}") \
+        raise BadValue(f"unknown curve preset {name!r}; known: {known}") \
             from None

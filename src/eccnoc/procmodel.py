@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import AffinePoint, CurveParams
-from .errors import FieldMismatch, MalformedGraph, ResultAtInfinity
+from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import (FieldElement, FieldKind, OpKind, ff_add, ff_inv, ff_mul,
                      ff_sqr, ff_sub)
 from .scalarmul import Phase, run_binary_method
@@ -90,16 +90,6 @@ class TaskGraph:
         for r in self.result:
             if not 0 <= r < n:
                 raise MalformedGraph(f"result id {r} does not exist")
-
-    def counts_by_phase(self) -> dict[Phase, dict[OpKind, int]]:
-        """Arithmetic task counts per phase (XFER inputs excluded)."""
-        out = {phase: {} for phase in Phase}
-        for t in self.tasks:
-            if t.kind is OpKind.XFER:
-                continue
-            bucket = out[t.phase]
-            bucket[t.kind] = bucket.get(t.kind, 0) + 1
-        return out
 
     def n_arith_tasks(self) -> int:
         return sum(1 for t in self.tasks if t.kind is not OpKind.XFER)
@@ -189,7 +179,7 @@ class CostModel:
     def __post_init__(self):
         for name in ("add", "sub", "mul", "sqr", "inv"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} cost must be at least 1 cycle")
+                raise BadValue(f"{name} cost must be at least 1 cycle")
 
     @classmethod
     def default(cls, kind: FieldKind) -> "CostModel":

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
                      _embed_kernel, _require_on_curve, kernels_for)
-from .errors import EmptyTrace, OracleBoundExceeded
+from .errors import BadValue, EmptyTrace, OracleBoundExceeded
 from .fields import ARITH_KINDS, FieldElement, FieldSpec, OpKind
 
 ORACLE_BOUND = 1 << 16
@@ -174,14 +174,15 @@ def run_binary_method(curve: CurveParams, k: int,
                       P: AffinePoint) -> Optional[_Tape]:
     """Record one double-and-add run of k*P on a fresh tape.
 
-    Raises NotOnCurve for a foreign P and ValueError for a negative k.
+    Raises NotOnCurve for a foreign P and BadValue for a
+    negative k.
     Returns None when k*P is infinity without any work (k = 0 or P at
     infinity).  Otherwise the tape's `result` holds the indices of the
     affine coordinates, or None when k*P is the point at infinity.
     """
     _require_on_curve(curve, P)
     if k < 0:
-        raise ValueError("scalar must be nonnegative")
+        raise BadValue("scalar must be nonnegative")
     if k == 0 or P.is_infinity:
         return None
     double, madd, to_aff = kernels_for(curve)
@@ -216,7 +217,7 @@ def scalar_mul_reference(curve: CurveParams, k: int,
                          P: AffinePoint) -> AffinePoint:
     """Independent oracle: literal k-fold repeated affine addition."""
     if k < 0:
-        raise ValueError("scalar must be nonnegative")
+        raise BadValue("scalar must be nonnegative")
     if k > ORACLE_BOUND:
         raise OracleBoundExceeded(
             f"reference scalar {k} exceeds the oracle bound {ORACLE_BOUND}")
@@ -315,32 +316,3 @@ def count_report(trace: OpTrace, n_doubles: int, n_adds: int) -> CountReport:
                 }
     return CountReport(n_point_doubles=n_doubles, n_point_adds=n_adds,
                        cells=cells)
-
-
-def expected_op_totals(l: int, hamming: int) -> dict[str, int]:
-    """Baseline whole-run totals for a scalar of bit length l and
-    Hamming weight `hamming`: l-1 doublings, hamming-1 additions, one
-    conversion."""
-    if l < 1:
-        raise ValueError("bit length must be at least 1")
-    if not 1 <= hamming <= l:
-        raise ValueError("Hamming weight must lie in [1, l]")
-    n_d, n_a = l - 1, hamming - 1
-    return {
-        row: (n_d * AUDIT_BASELINE["point_double"][row]
-              + n_a * AUDIT_BASELINE["point_add"][row]
-              + AUDIT_BASELINE["convert"][row])
-        for row in _ROW_ORDER}
-
-
-def expected_op_totals_average(l: int) -> dict[str, float]:
-    """As `expected_op_totals` but for the average scalar of bit length
-    l, whose expected Hamming weight is l/2."""
-    if l < 2:
-        raise ValueError("bit length must be at least 2")
-    n_d, n_a = l - 1, l / 2 - 1
-    return {
-        row: (n_d * AUDIT_BASELINE["point_double"][row]
-              + n_a * AUDIT_BASELINE["point_add"][row]
-              + AUDIT_BASELINE["convert"][row])
-        for row in _ROW_ORDER}

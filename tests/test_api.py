@@ -1,0 +1,59 @@
+"""The public surface that code outside the package relies on: typed
+errors for bad values, and every name the benchmark imports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from eccnoc.errors import EccNocError
+from eccnoc.nocsim import MeshConfig, Placement
+from eccnoc.presets import get_preset
+from eccnoc.scalarmul import scalar_mul
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_bad_values_raise_typed_errors(p17):
+    calls = (lambda: scalar_mul(p17.curve, -1, p17.base),
+             lambda: MeshConfig(cols=0),
+             lambda: get_preset("nope"),
+             lambda: Placement({"foo0": (0, 0)}))
+    for call in calls:
+        with pytest.raises(EccNocError) as info:
+            call()
+        # still a ValueError, so `except ValueError` callers keep working
+        assert isinstance(info.value, ValueError)
+
+
+def _bench_imports():
+    """(file, module, name) for every `from eccnoc... import name` in
+    bench/*.py."""
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "eccnoc":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def _resolves(module: str, name: str) -> bool:
+    # the same lookup `from module import name` does: an attribute,
+    # else a submodule
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_imports_resolve():
+    found = list(_bench_imports())
+    assert found, "bench/ should import from eccnoc"
+    missing = [f"{fname}: from {module} import {name}"
+               for fname, module, name in found
+               if not _resolves(module, name)]
+    assert not missing

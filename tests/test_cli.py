@@ -229,6 +229,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad.write_text("[curve]\npreset = nope\n")
     with pytest.raises(ConfigError, match="unknown curve preset 'nope'"):
         load_run_config(bad)
+    bad.write_text("[costs]\nmul = " + "9" * 5000 + "\n")
+    with pytest.raises(ConfigError, match="too many digits"):
+        load_run_config(bad)
 
 
 def test_readme_config_example_runs(capsys, tmp_path):
@@ -240,6 +243,17 @@ def test_readme_config_example_runs(capsys, tmp_path):
     code, out, err = run_cli(capsys, "mul", "--config", str(cfg_file))
     assert code == 0 and not err
     assert out.startswith("curve: prime32 ") and "k: b7a3" in out
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    makespan, speedup = capsys.readouterr().out.split()
+    want = json.loads((GOLDEN_DIR / "simulate_prime32_b7a3.json").read_text())
+    assert int(makespan) == want["makespan_cycles"]
+    assert float(speedup) == want["speedup"]
 
 
 @pytest.mark.parametrize("argv,golden", [

@@ -6,7 +6,6 @@ from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
 from eccnoc.errors import EmptyTrace, NotOnCurve, OracleBoundExceeded
 from eccnoc.fields import OpKind
 from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
-                              expected_op_totals, expected_op_totals_average,
                               scalar_mul, scalar_mul_reference)
 
 from conftest import seeded
@@ -166,29 +165,3 @@ def test_count_report_empty_trace(p17):
     scalar_mul(p17.curve, 1, p17.base, t)
     with pytest.raises(EmptyTrace):
         count_report(t, t.n_point_doubles, t.n_point_adds)
-
-
-def test_expected_totals_hand_computed():
-    # l=5, HW=3: 4 doublings, 2 additions, 1 conversion
-    assert expected_op_totals(5, 3) == {
-        "ADD": 4 * 1 + 2 * 2 + 6,
-        "MUL": 4 * 2 + 2 * 4 + 10,
-        "INV": 1,
-        "SQR": 4 * 4 + 2 * 1 + 1,
-    }
-    assert expected_op_totals(1, 1) == {"ADD": 6, "MUL": 10, "INV": 1,
-                                        "SQR": 1}
-    with pytest.raises(ValueError):
-        expected_op_totals(4, 5)
-    with pytest.raises(ValueError):
-        expected_op_totals(4, 0)
-
-
-def test_expected_totals_average_uses_half_weight():
-    # l=6: 5 doublings, on average 2 additions
-    got = expected_op_totals_average(6)
-    assert got == {"ADD": 5 + 2 * 2 + 6, "MUL": 10 + 2 * 4 + 10,
-                   "INV": 1.0, "SQR": 20 + 2 + 1}
-    # non-integral average weight
-    got = expected_op_totals_average(5)
-    assert got["MUL"] == pytest.approx(4 * 2 + 1.5 * 4 + 10)
