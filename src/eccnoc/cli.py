@@ -122,7 +122,7 @@ def cmd_graph(cfg: RunConfig, out: Optional[str]) -> int:
     text = G.to_text()
     if out:
         Path(out).write_text(text)
-        print(f"wrote {len(G.tasks)} tasks ({G.n_arith_tasks()} arithmetic) "
+        print(f"wrote {len(G.kinds)} tasks ({G.n_arith_tasks()} arithmetic) "
               f"to {out}")
     else:
         sys.stdout.write(text)
@@ -149,7 +149,7 @@ def cmd_simulate(cfg: RunConfig, placement_file: Optional[str], fmt: str,
         "curve": cfg.curve_name,
         "k": format_hex(cfg.k),
         "placement_name": pl_name,
-        "n_tasks": len(G.tasks),
+        "n_tasks": len(G.kinds),
         "n_arith_tasks": G.n_arith_tasks(),
         "critical_path_cycles": cp,
     }
@@ -158,7 +158,7 @@ def cmd_simulate(cfg: RunConfig, placement_file: Optional[str], fmt: str,
         print(_dump_json(doc))
     else:
         print(f"curve: {cfg.curve_name}   k: {format_hex(cfg.k)}   "
-              f"tasks: {len(G.tasks)} ({G.n_arith_tasks()} arithmetic)")
+              f"tasks: {len(G.kinds)} ({G.n_arith_tasks()} arithmetic)")
         print(f"mesh: {mesh.cols}x{mesh.rows}   flits/value: "
               f"{rep.flits_per_value}   placement: {pl_name}")
         print(f"makespan: {rep.makespan_cycles} cycles   "
@@ -208,7 +208,7 @@ def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
         print(_dump_json(doc))
     else:
         print(f"curve: {cfg.curve_name}   k: {format_hex(cfg.k)}   "
-              f"tasks: {len(G.tasks)}")
+              f"tasks: {len(G.kinds)}")
         print(f"{'placement':<16}{'makespan':>10}{'flit-hops':>11}"
               f"{'speedup':>9}")
         for name, rep in ranked:
@@ -305,6 +305,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_compare(cfg, args.placement, args.format, args.out)
     except EccNocError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reads raise ConfigError, so this is an --out
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 1
 
 

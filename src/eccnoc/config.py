@@ -95,7 +95,9 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys as written
     try:
-        parser.read_string(p.read_text(), source=str(p))
+        parser.read_string(p.read_text(encoding="utf-8"), source=str(p))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {p}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {p}: {exc}") from exc
     return parser

@@ -28,11 +28,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadValue, FieldMismatch, NotOnCurve, OracleBoundExceeded
+from .errors import BadValue, FieldMismatch, NotOnCurve
 from .fields import (FieldElement, FieldKind, FieldSpec, ff_add, ff_inv,
                      ff_mul, ff_neg, ff_sqr, ff_sub)
-
-_POINT_SCAN_BOUND = 1 << 16
 
 
 class CoordSystem(enum.Enum):
@@ -383,32 +381,3 @@ def point_add_projective(curve: CurveParams, P: ProjectivePoint,
         raise NotOnCurve("mixed addition needs a finite affine addend")
     return ProjectivePoint(*_run_kernel(curve, P, 1, q.x, q.y))
 
-
-# ---------------------------------------------------------------------------
-# desk-scale enumeration helpers (test oracles, toy curves)
-
-def enumerate_points(curve: CurveParams) -> list[AffinePoint]:
-    """All points including infinity, by scanning every (x, y) pair."""
-    pts = [INFINITY]
-    for x in curve.field.elements():
-        for y in curve.field.elements():
-            P = AffinePoint(x, y)
-            if is_on_curve(curve, P):
-                pts.append(P)
-    return pts
-
-
-def point_order(curve: CurveParams, P: AffinePoint) -> int:
-    """Additive order of P by repeated addition (bounded)."""
-    _require_on_curve(curve, P)
-    if P.is_infinity:
-        return 1
-    acc = P
-    n = 1
-    while not acc.is_infinity:
-        acc = _add_affine_raw(curve, acc, P)
-        n += 1
-        if n > _POINT_SCAN_BOUND:
-            raise OracleBoundExceeded(
-                f"point order exceeds the scan bound {_POINT_SCAN_BOUND}")
-    return n

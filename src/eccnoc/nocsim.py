@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,7 +103,8 @@ _KIND_ROLE = {
     OpKind.INV: CoreRole.INV_UNIT,
 }
 
-_CORE_NAME = re.compile(r"^(add|mul|sqr|inv|io)(\d+)$")
+# at most 9 index digits, so the index always converts to an int
+_CORE_NAME = re.compile(r"^(add|mul|sqr|inv|io)(\d{1,9})$")
 
 
 def role_for_kind(kind: OpKind) -> CoreRole:
@@ -178,9 +180,9 @@ class Placement:
 def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
     """Task count per role; IO is charged one unit per result value."""
     usage = {role: 0 for role in CoreRole}
-    for t in G.tasks:
-        if t.kind is not OpKind.XFER:
-            usage[role_for_kind(t.kind)] += 1
+    for kind, n in Counter(G.kinds).items():
+        if kind is not OpKind.XFER:
+            usage[role_for_kind(kind)] += n
     usage[CoreRole.IO] = len(set(G.result))
     return usage
 
@@ -273,7 +275,7 @@ class SimReport:
 def sequential_baseline(G: TaskGraph, cm: CostModel) -> int:
     """Total cycles of a single core running every task back to back
     with no transfers: the serial reference for speedup."""
-    return sum(cm.cost(t.kind) for t in G.tasks)
+    return sum(G.costs(cm))
 
 
 def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
@@ -289,23 +291,27 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     io_tile = cores[CoreRole.IO][0][1]
     hop = mesh.hop_cycles
     flits = mesh.flits_per_value or max(1, math.ceil(G.field_bits / 32))
-    arith = [t for t in G.tasks if t.kind is not OpKind.XFER]
-    succ: list[list[int]] = [[] for _ in G.tasks]
-    for t in arith:
-        for o in set(t.operands):
-            succ[o].append(t.id)
+    kinds, costs = G.kinds, G.costs(cm)
+    arith = [tid for tid, kind in enumerate(kinds) if kind is not OpKind.XFER]
+    # each task's distinct computed operands; inputs are preloaded
+    needs = [sorted({o for o in ops if kinds[o] is not OpKind.XFER})
+             for ops in G.operands]
+    succ: list[list[int]] = [[] for _ in kinds]
+    for tid in arith:
+        for o in needs[tid]:
+            succ[o].append(tid)
     # upward rank: longest remaining cost-weighted path to any sink;
     # every cost is >= 1, so decreasing rank is a topological order
     prio: dict[int, int] = {}
-    for t in reversed(arith):
-        down = max((prio[s] for s in succ[t.id]), default=0)
-        prio[t.id] = cm.cost(t.kind) + down
+    for tid in reversed(arith):
+        prio[tid] = costs[tid] + max(map(prio.__getitem__, succ[tid]),
+                                     default=0)
 
     free = {name: 0 for name in placement.entries}
     busy_cycles = dict(free)
     # end cycle and tile of each computed value, by task id
-    end = [0] * len(G.tasks)
-    loc: list[Optional[Tile]] = [None] * len(G.tasks)
+    end = [0] * len(kinds)
+    loc: list[Optional[Tile]] = [None] * len(kinds)
     # arrival cycle of each value copied to a tile other than its own
     copies: dict[tuple[int, Tile], int] = {}
 
@@ -342,10 +348,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     schedule: list[ScheduleEntry] = []
     # highest rank first; the stable sort keeps equal ranks in id order
     for tid in sorted(sorted(prio), key=prio.__getitem__, reverse=True):
-        task = G.tasks[tid]
-        cost = cm.cost(task.kind)
-        ops = [o for o in sorted(set(task.operands))
-               if G.tasks[o].kind is not OpKind.XFER]
+        kind, cost, ops = kinds[tid], costs[tid], needs[tid]
 
         def estimate(core):
             name, tile = core
@@ -360,7 +363,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
             return ready + cost, new_hops
 
         # min keeps the first of equal estimates, i.e. the lowest index
-        name, tile = min(cores[role_for_kind(task.kind)], key=estimate)
+        name, tile = min(cores[role_for_kind(kind)], key=estimate)
         start = free[name]
         for o in ops:
             arr = present(o, tile)
@@ -370,8 +373,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         end[tid] = free[name] = start + cost
         busy_cycles[name] += cost
         loc[tid] = tile
-        schedule.append(ScheduleEntry(tid, task.kind.value, name, start,
-                                      end[tid]))
+        schedule.append(ScheduleEntry(tid, kind.value, name, start, end[tid]))
 
     makespan = 0  # inputs are preloaded everywhere, IO included
     for r in sorted({r for r in G.result if loc[r] is not None}):

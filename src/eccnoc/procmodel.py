@@ -8,16 +8,22 @@ the graph is exactly the executed op sequence: the same tape
 constants) are XFER source tasks, one per distinct (label, value); no
 other common subexpression is merged.
 
-Tasks are numbered in emission order, so task ids are a topological
-order of the DAG.  The graph remembers the field width so downstream
-consumers can size value transfers.  A `TaskGraph` is validated once,
-when it is built, and cannot be changed afterwards.
+A `TaskGraph` holds one tuple per task attribute, indexed by task id:
+`kinds`, `operands`, `phases`, `point_op_index`, `labels` and `values`
+(an XFER's raw value, None for the others).  Compiling transposes the
+tape into these columns and `from_text` parses straight into them.  Ids
+are emission order, so they are a topological order of the DAG; the
+field width sizes value transfers.  `tasks` is a row view of `Task`
+objects, built only on request, and `TaskGraph(tasks, result,
+field_bits)` builds a graph from such rows.  Every graph passes one
+validator when it is made and cannot be changed afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
@@ -29,6 +35,14 @@ _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
 
 _FORMAT_HEADER = "taskgraph 1"
+# task lines name kinds and phases by value and write operands by arity
+_KIND_OF = {kind.value: kind for kind in OpKind}
+_PHASE_OF = {phase.value: phase for phase in Phase}
+_OPERANDS_TEXT = ("-", "%d", "%d,%d")
+
+# the per-task columns of a `TaskGraph`, in the order of `Task`'s fields
+_COLUMNS = ("kinds", "operands", "phases", "point_op_index", "labels",
+            "values")
 
 
 @dataclass(frozen=True)
@@ -44,55 +58,88 @@ class Task:
     value: Optional[int] = None  # XFER only: the raw field value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaskGraph:
-    """A field-op dependency DAG with a designated result pair; checked
-    when built, immutable after."""
+    """A field-op dependency DAG with a designated result pair, held as
+    columns indexed by task id; checked when built, immutable after."""
 
-    tasks: tuple[Task, ...]
+    kinds: tuple[OpKind, ...]
+    operands: tuple[tuple[int, ...], ...]
+    phases: tuple[Phase, ...]
+    point_op_index: tuple[int, ...]
+    labels: tuple[str, ...]
+    values: tuple[Optional[int], ...]
     result: tuple[int, int]
     field_bits: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "result",
-                           (int(self.result[0]), int(self.result[1])))
-        object.__setattr__(self, "field_bits", int(self.field_bits))
-        self._validate()
-
-    def _validate(self) -> None:
-        if not self.tasks:
-            raise MalformedGraph("graph has no tasks")
-        if self.field_bits < 1:
-            raise MalformedGraph("field width must be positive")
-        for pos, t in enumerate(self.tasks):
+    def __init__(self, tasks: Iterable[Task], result: tuple[int, int],
+                 field_bits: int):
+        """Build a graph from `Task` rows whose ids count up from 0."""
+        rows = []
+        for pos, t in enumerate(tasks):
             if t.id != pos:
                 raise MalformedGraph(
                     f"task ids must be consecutive from 0; saw {t.id} at {pos}")
-            if len(t.operands) != _ARITY[t.kind]:
+            rows.append((t.kind, tuple(t.operands), t.phase, t.point_op_index,
+                         t.label, t.value))
+        # the fields of the same graph built, and checked, from columns
+        vars(self).update(vars(self._of_columns(
+            list(zip(*rows)) or [()] * len(_COLUMNS), result, field_bits)))
+
+    @classmethod
+    def _of_columns(cls, columns, result, field_bits) -> TaskGraph:
+        G = cls.__new__(cls)
+        # frozen, so the fields go straight into the instance dict
+        vars(G).update(zip(_COLUMNS, map(tuple, columns)),
+                       result=(int(result[0]), int(result[1])),
+                       field_bits=int(field_bits))
+        G._validate()
+        return G
+
+    def _validate(self) -> None:
+        if not self.kinds:
+            raise MalformedGraph("graph has no tasks")
+        if self.field_bits < 1:
+            raise MalformedGraph("field width must be positive")
+        for tid, (kind, ops, label, value) in enumerate(zip(
+                self.kinds, self.operands, self.labels, self.values)):
+            if len(ops) != _ARITY[kind]:
                 raise MalformedGraph(
-                    f"task {t.id}: {t.kind.value} takes {_ARITY[t.kind]} "
-                    f"operands, got {len(t.operands)}")
-            for o in t.operands:
-                if not 0 <= o < t.id:
+                    f"task {tid}: {kind.value} takes {_ARITY[kind]} "
+                    f"operands, got {len(ops)}")
+            for o in ops:
+                if not 0 <= o < tid:
                     raise MalformedGraph(
-                        f"task {t.id} references {o}, which is not an "
+                        f"task {tid} references {o}, which is not an "
                         f"earlier task")
-            if t.kind is OpKind.XFER:
-                if t.value is None or t.value < 0:
-                    raise MalformedGraph(f"XFER task {t.id} has no value")
-                if not t.label:
-                    raise MalformedGraph(f"XFER task {t.id} has no label")
-            elif t.value is not None:
+            if kind is OpKind.XFER:
+                if value is None or value < 0:
+                    raise MalformedGraph(f"XFER task {tid} has no value")
+                if not label:
+                    raise MalformedGraph(f"XFER task {tid} has no label")
+            elif value is not None:
                 raise MalformedGraph(
-                    f"task {t.id} carries a value but is not an XFER")
-        n = len(self.tasks)
+                    f"task {tid} carries a value but is not an XFER")
         for r in self.result:
-            if not 0 <= r < n:
+            if not 0 <= r < len(self.kinds):
                 raise MalformedGraph(f"result id {r} does not exist")
 
+    def _rows(self):
+        """(kind, operands, phase, point_op_index, label, value) by id."""
+        return zip(*(getattr(self, name) for name in _COLUMNS))
+
+    @cached_property
+    def tasks(self) -> tuple[Task, ...]:
+        """The graph as `Task` rows, built on first use."""
+        return tuple(Task(tid, *row) for tid, row in enumerate(self._rows()))
+
     def n_arith_tasks(self) -> int:
-        return sum(1 for t in self.tasks if t.kind is not OpKind.XFER)
+        return len(self.kinds) - self.kinds.count(OpKind.XFER)
+
+    def costs(self, cm: CostModel) -> list[int]:
+        """Cycle cost of each task under `cm`, by task id."""
+        table = {kind: cm.cost(kind) for kind in OpKind}
+        return [table[kind] for kind in self.kinds]
 
     def ancestors_of_result(self) -> set[int]:
         """Ids of the tasks the result pair depends on (inclusive)."""
@@ -103,24 +150,24 @@ class TaskGraph:
             if tid in seen:
                 continue
             seen.add(tid)
-            stack.extend(self.tasks[tid].operands)
+            stack.extend(self.operands[tid])
         return seen
 
     # -- text round trip ----------------------------------------------------
 
     def to_text(self) -> str:
         lines = [f"{_FORMAT_HEADER} fieldbits {self.field_bits}"]
-        for t in self.tasks:
-            ops = ",".join(str(o) for o in t.operands) if t.operands else "-"
-            label = t.label if t.label else "-"
-            value = f"{t.value:x}" if t.value is not None else "-"
-            lines.append(f"{t.id} {t.kind.value} {t.phase.value} "
-                         f"{t.point_op_index} {ops} {label} {value}")
+        for tid, (kind, ops, phase, pidx, label, value) in enumerate(
+                self._rows()):
+            lines.append(
+                f"{tid} {kind.value} {phase.value} {pidx} "
+                f"{_OPERANDS_TEXT[len(ops)] % ops} {label or '-'} "
+                f"{'-' if value is None else format(value, 'x')}")
         lines.append(f"result {self.result[0]} {self.result[1]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "TaskGraph":
+    def from_text(cls, text: str) -> TaskGraph:
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if len(lines) < 3:
             raise MalformedGraph("graph text needs a header, tasks, and a result")
@@ -136,31 +183,32 @@ class TaskGraph:
         if len(tail) != 3 or tail[0] != "result":
             raise MalformedGraph(f"last line must name the result pair: "
                                  f"{lines[-1]!r}")
-        tasks = []
-        for ln in lines[1:-1]:
+        kinds, operands, phases, pidxs, labels, values = \
+            columns = [], [], [], [], [], []
+        for pos, ln in enumerate(lines[1:-1]):
             parts = ln.split()
             if len(parts) != 7:
                 raise MalformedGraph(f"task line needs 7 fields: {ln!r}")
             sid, skind, sphase, spidx, sops, slabel, svalue = parts
             try:
-                kind = OpKind(skind)
-                phase = Phase(sphase)
+                kinds.append(_KIND_OF[skind])
+                phases.append(_PHASE_OF[sphase])
                 tid = int(sid)
-                pidx = int(spidx)
-                operands = tuple() if sops == "-" else tuple(
-                    int(o) for o in sops.split(","))
-                value = None if svalue == "-" else int(svalue, 16)
-            except ValueError as exc:
+                pidxs.append(int(spidx))
+                operands.append(() if sops == "-" else tuple(
+                    map(int, sops.split(","))))
+                values.append(None if svalue == "-" else int(svalue, 16))
+            except (KeyError, ValueError) as exc:
                 raise MalformedGraph(f"unparseable task line: {ln!r}") from exc
-            label = "" if slabel == "-" else slabel
-            tasks.append(Task(id=tid, kind=kind, operands=operands,
-                              phase=phase, point_op_index=pidx, label=label,
-                              value=value))
+            if tid != pos:
+                raise MalformedGraph(
+                    f"task ids must be consecutive from 0; saw {tid} at {pos}")
+            labels.append("" if slabel == "-" else slabel)
         try:
             result = (int(tail[1]), int(tail[2]))
         except ValueError as exc:
             raise MalformedGraph(f"bad result ids: {lines[-1]!r}") from exc
-        return cls(tasks, result, field_bits)
+        return cls._of_columns(columns, result, field_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +249,11 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     if tape is None or tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
-    values = tape.values
-    tasks = [Task(id=i, kind=kind, operands=operands, phase=phase,
-                  point_op_index=pidx, label=label,
-                  value=values[i] if kind is OpKind.XFER else None)
-             for i, (kind, operands, phase, pidx, label)
-             in enumerate(tape.ops)]
-    return TaskGraph(tasks, tape.result, curve.field.bits)
+    kinds, operands, phases, pidxs, labels = zip(*tape.ops)
+    values = [value if kind is OpKind.XFER else None
+              for kind, value in zip(kinds, tape.values)]
+    return TaskGraph._of_columns((kinds, operands, phases, pidxs, labels,
+                                  values), tape.result, curve.field.bits)
 
 
 def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
@@ -217,33 +263,30 @@ def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
             f"graph was compiled for a {G.field_bits}-bit field, curve "
             f"field has {curve.field.bits} bits")
     values: list[FieldElement] = []
-    for t in G.tasks:
-        if t.kind is OpKind.XFER:
-            values.append(curve.field.element(t.value))
-        elif t.kind is OpKind.ADD:
-            values.append(ff_add(values[t.operands[0]], values[t.operands[1]]))
-        elif t.kind is OpKind.SUB:
-            values.append(ff_sub(values[t.operands[0]], values[t.operands[1]]))
-        elif t.kind is OpKind.MUL:
-            values.append(ff_mul(values[t.operands[0]], values[t.operands[1]]))
-        elif t.kind is OpKind.SQR:
-            values.append(ff_sqr(values[t.operands[0]]))
+    for kind, ops, value in zip(G.kinds, G.operands, G.values):
+        if kind is OpKind.XFER:
+            values.append(curve.field.element(value))
+        elif kind is OpKind.ADD:
+            values.append(ff_add(values[ops[0]], values[ops[1]]))
+        elif kind is OpKind.SUB:
+            values.append(ff_sub(values[ops[0]], values[ops[1]]))
+        elif kind is OpKind.MUL:
+            values.append(ff_mul(values[ops[0]], values[ops[1]]))
+        elif kind is OpKind.SQR:
+            values.append(ff_sqr(values[ops[0]]))
         else:
-            values.append(ff_inv(values[t.operands[0]]))
+            values.append(ff_inv(values[ops[0]]))
     return AffinePoint(values[G.result[0]], values[G.result[1]])
 
 
 def critical_path(G: TaskGraph, cm: CostModel) -> int:
     """Longest cost-weighted dependency chain ending at the result pair.
 
-    Only tasks the result depends on contribute; a chain through them is
-    a lower bound on any schedule's completion time for the result.
+    A task's chain runs only through its own ancestors, so tasks the
+    result does not depend on never stretch it; the chain is a lower
+    bound on any schedule's completion time for the result.
     """
-    anc = G.ancestors_of_result()
-    dist: dict[int, int] = {}
-    for t in G.tasks:
-        if t.id not in anc:
-            continue
-        best = max((dist[o] for o in t.operands), default=0)
-        dist[t.id] = best + cm.cost(t.kind)
+    dist: list[int] = []
+    for cost, ops in zip(G.costs(cm), G.operands):
+        dist.append(cost + max(map(dist.__getitem__, ops), default=0))
     return max(dist[r] for r in G.result)

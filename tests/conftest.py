@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from eccnoc.curves import INFINITY, AffinePoint, _add_affine_raw, is_on_curve
+from eccnoc.errors import OracleBoundExceeded
 from eccnoc.presets import PRESETS
+
+_POINT_SCAN_BOUND = 1 << 16
 
 
 @pytest.fixture
@@ -17,3 +21,31 @@ def b4():
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+# desk-scale enumeration oracles for the toy curves
+
+def enumerate_points(curve):
+    """All points including infinity, by scanning every (x, y) pair."""
+    pts = [INFINITY]
+    for x in curve.field.elements():
+        for y in curve.field.elements():
+            P = AffinePoint(x, y)
+            if is_on_curve(curve, P):
+                pts.append(P)
+    return pts
+
+
+def point_order(curve, P):
+    """Additive order of P by repeated addition (bounded)."""
+    if P.is_infinity:
+        return 1
+    acc = P
+    n = 1
+    while not acc.is_infinity:
+        acc = _add_affine_raw(curve, acc, P)
+        n += 1
+        if n > _POINT_SCAN_BOUND:
+            raise OracleBoundExceeded(
+                f"point order exceeds the scan bound {_POINT_SCAN_BOUND}")
+    return n

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from eccnoc.curves import (INFINITY, _add_affine_raw, enumerate_points,
-                           is_on_curve, point_add_affine, point_double_affine,
+from eccnoc.curves import (INFINITY, _add_affine_raw, is_on_curve,
+                           point_add_affine, point_double_affine,
                            point_add_projective, point_double_projective,
                            point_neg, to_affine, to_projective)
 from eccnoc.fields import FieldSpec, OpKind, ff_inv, ff_neg, ff_sqr
@@ -25,7 +25,7 @@ from eccnoc.procmodel import (CostModel, Task, TaskGraph, compile_scalar_mul,
 from eccnoc.scalarmul import (OpTrace, Phase, count_report, scalar_mul,
                               scalar_mul_reference)
 
-from conftest import seeded
+from conftest import enumerate_points, seeded
 from test_nocsim import _invariant_check
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

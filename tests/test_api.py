@@ -19,7 +19,9 @@ def test_bad_values_raise_typed_errors(p17):
     calls = (lambda: scalar_mul(p17.curve, -1, p17.base),
              lambda: MeshConfig(cols=0),
              lambda: get_preset("nope"),
-             lambda: Placement({"foo0": (0, 0)}))
+             lambda: Placement({"foo0": (0, 0)}),
+             # an index past the interpreter's int digit limit
+             lambda: Placement({"mul" + "1" * 5000: (0, 0)}))
     for call in calls:
         with pytest.raises(EccNocError) as info:
             call()

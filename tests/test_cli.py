@@ -358,3 +358,22 @@ def test_bad_usage_errors(capsys):
     assert code == 1 and "no curve" in err
     code, _, err = run_cli(capsys, "mul", "--curve", "p17")
     assert code == 1 and "no scalar" in err
+
+
+@pytest.mark.parametrize("command,option,path,why", [
+    ("graph", "--out", "missing/graph.txt", "cannot write"),
+    ("mul", "--out", "missing/mul.json", "cannot write"),
+    ("simulate", "--out", "taken", "cannot write"),
+    ("compare", "--out", "taken", "cannot write"),
+    ("mul", "--config", "latin1.ini", "cannot read"),
+    ("simulate", "--placement", "latin1.ini", "cannot read"),
+])
+def test_file_errors_end_in_one_error_line(capsys, tmp_path, command, option,
+                                           path, why):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    (tmp_path / "latin1.ini").write_bytes(
+        "[placement]\nmul0 = 0,0 ; caf\u00e9\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, command, "--curve", "p17", "--k", "d",
+                           option, str(tmp_path / path))
+    assert code == 1
+    assert err.startswith(f"error: {why} ") and err.count("\n") == 1

@@ -3,14 +3,14 @@
 import pytest
 
 from eccnoc.curves import (AffinePoint, CoordSystem, CurveParams, INFINITY,
-                           ProjectivePoint, enumerate_points, is_on_curve,
-                           point_add_affine, point_add_projective,
-                           point_double_affine, point_double_projective,
-                           point_neg, point_order, to_affine, to_projective)
+                           ProjectivePoint, is_on_curve, point_add_affine,
+                           point_add_projective, point_double_affine,
+                           point_double_projective, point_neg, to_affine,
+                           to_projective)
 from eccnoc.errors import FieldMismatch, NotOnCurve
 from eccnoc.fields import FieldSpec, ff_mul, ff_sqr
 
-from conftest import seeded
+from conftest import enumerate_points, point_order, seeded
 
 
 def _points(preset):

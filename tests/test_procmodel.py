@@ -4,7 +4,9 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eccnoc.cli import main
 from eccnoc.curves import INFINITY
 from eccnoc.errors import (FieldMismatch, MalformedGraph, ResultAtInfinity)
 from eccnoc.fields import OpKind
@@ -13,6 +15,10 @@ from eccnoc.procmodel import (CostModel, Task, TaskGraph, compile_scalar_mul,
 from eccnoc.scalarmul import (OpTrace, Phase, scalar_mul,
                               scalar_mul_reference)
 from eccnoc.fields import FieldKind
+from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig,
+                           default_placement, role_usage,
+                           sequential_baseline, simulate)
+from eccnoc.presets import PRESETS
 
 from conftest import seeded
 
@@ -171,12 +177,105 @@ def test_built_graph_cannot_be_mutated(p17):
         G.tasks.append(G.tasks[0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         G.tasks[0].operands = (1,)
+    # every column is a tuple of its own, never one of the tape's lists,
+    # and none can be replaced
+    for field in dataclasses.fields(G):
+        column = getattr(G, field.name)
+        assert isinstance(column, (tuple, int)), field.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(G, field.name, column)
+    assert all(type(ops) is tuple for ops in G.operands)
     # a graph built from a list does not share it with the caller
     tasks = list(_tiny_graph().tasks)
     g = TaskGraph(tasks, (4, 4), 5)
     tasks.append(Task(5, OpKind.SQR, (4,), Phase.ITERATE, 1))
     assert len(g.tasks) == 5
     assert G.to_text() == text
+
+
+@pytest.mark.parametrize("name,k", [("p17", 13), ("b4", 0b100101),
+                                    ("prime32", 0xb7a3),
+                                    ("binary33", 0x1b2d3c4e5)])
+def test_row_view_agrees_with_columns(name, k):
+    preset = PRESETS[name]
+    G = compile_scalar_mul(preset.curve, k, preset.base)
+    assert len(G.tasks) == len(G.kinds)
+    for t in G.tasks:
+        assert (t.kind, t.operands, t.phase, t.point_op_index, t.label,
+                t.value) == (G.kinds[t.id], G.operands[t.id], G.phases[t.id],
+                             G.point_op_index[t.id], G.labels[t.id],
+                             G.values[t.id])
+    rebuilt = TaskGraph(G.tasks, G.result, G.field_bits)
+    assert rebuilt == G
+    assert rebuilt.to_text() == G.to_text()
+
+
+def test_pipeline_never_builds_the_row_view(monkeypatch, capsys):
+    """Everything in the package reads the columns; the row view is
+    built only on request."""
+    preset = PRESETS["prime32"]
+    cm = CostModel.default(preset.curve.field.kind)
+    G = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+    G2 = TaskGraph.from_text(G.to_text())
+    replay(G2, preset.curve)
+    critical_path(G2, cm)
+    G2.n_arith_tasks()
+    sequential_baseline(G2, cm)
+    mesh = MeshConfig()
+    simulate(G2, cm, mesh,
+             default_placement(mesh, DEFAULT_ROLE_COUNTS, role_usage(G2)))
+    assert "tasks" not in vars(G) and "tasks" not in vars(G2)
+    # the commands too: any read of the row view fails them
+    monkeypatch.setattr(TaskGraph, "tasks", property(
+        lambda self: pytest.fail("the row view was built")))
+    for command in ("graph", "simulate", "compare"):
+        assert main([command, "--curve", "p17", "--k", "d"]) == 0
+    capsys.readouterr()
+
+
+_FUZZ_TEXTS = [compile_scalar_mul(PRESETS[name].curve, k,
+                                  PRESETS[name].base).to_text()
+               for name, k in (("p17", 13), ("b4", 0b100101))]
+
+
+@st.composite
+def _mutated_graph_text(draw):
+    """A compiled graph text with a few character insertions, deletions
+    or substitutions, or task lines swapped or duplicated."""
+    text = draw(st.sampled_from(_FUZZ_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(
+            ("insert", "delete", "substitute", "swap", "duplicate")))
+        if op in ("swap", "duplicate"):
+            lines = text.splitlines(keepends=True)
+            i, j = (draw(st.integers(1, len(lines) - 2)) for _ in range(2))
+            if op == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(j, lines[i])
+            text = "".join(lines)
+            continue
+        pos = draw(st.integers(0, max(len(text) - 1, 0)))
+        char = draw(st.one_of(st.sampled_from("0123456789abcdef,- \n"),
+                              st.characters()))
+        if op == "insert":
+            text = text[:pos] + char + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + char + text[pos + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=_mutated_graph_text())
+def test_mutated_graph_text_is_rejected_or_round_trips(text):
+    try:
+        G = TaskGraph.from_text(text)
+    except MalformedGraph:
+        return
+    out = G.to_text()
+    assert TaskGraph.from_text(out).to_text() == out
 
 
 def test_replay_checks_field_width(p17, b4):
