@@ -24,7 +24,7 @@ from .curves import AffinePoint, CurveParams
 from .errors import ConfigError
 from .fields import FieldKind, FieldSpec
 from .nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, curve_from_ints, get_preset
 from .procmodel import CostModel
 
 _HEX = re.compile(r"^[0-9a-f]+$")
@@ -141,22 +141,13 @@ def _curve_from_section(sec) -> tuple[CurveParams, AffinePoint, str]:
         else:
             spec = FieldSpec.binary(_parse_dec(sec["m"], "m"),
                                     parse_hex(sec["poly"]))
-        a = spec.element(parse_hex(sec["a"]))
-        b = spec.element(parse_hex(sec["b"]))
-        gx = spec.element(parse_hex(sec["gx"]))
-        gy = spec.element(parse_hex(sec["gy"]))
+        ints = [parse_hex(sec[key]) for key in ("a", "b", "gx", "gy")]
+        order = _parse_dec(sec["order"], "order") if "order" in sec else None
+        return (*curve_from_ints(spec, *ints, order), "inline")
     except KeyError as exc:
         raise ConfigError(f"[curve] is missing key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ConfigError(f"bad curve parameters: {exc}") from exc
-    order = None
-    if "order" in sec:
-        order = _parse_dec(sec["order"], "order")
-    try:
-        curve = CurveParams(field=spec, a=a, b=b, order=order)
-    except ValueError as exc:
-        raise ConfigError(f"bad curve parameters: {exc}") from exc
-    return curve, AffinePoint(gx, gy), "inline"
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -39,7 +39,6 @@ sum of those counts.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -50,6 +49,11 @@ from .fields import OpKind
 from .procmodel import CostModel, TaskGraph
 
 Tile = tuple[int, int]
+
+# placement is quadratic in the tile count and shipping a value books its
+# flits one by one, so both are bounded; 64 flits carry a 2048-bit value
+MAX_TILES = 1024
+MAX_FLITS_PER_VALUE = 64
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,14 @@ class MeshConfig:
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise BadValue("mesh needs at least one column and one row")
+        if self.cols * self.rows > MAX_TILES:
+            raise BadValue(f"mesh has more than {MAX_TILES} tiles")
         if self.hop_cycles < 1:
             raise BadValue("hop_cycles must be at least 1")
-        if self.flits_per_value is not None and self.flits_per_value < 1:
-            raise BadValue("flits_per_value must be at least 1")
+        if self.flits_per_value is not None and not \
+                1 <= self.flits_per_value <= MAX_FLITS_PER_VALUE:
+            raise BadValue(f"flits_per_value must be 1 to "
+                           f"{MAX_FLITS_PER_VALUE}")
 
     @property
     def n_tiles(self) -> int:
@@ -190,12 +198,13 @@ def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
 def _build_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
                      usage: dict[CoreRole, int], sign: int) -> Placement:
     """Busiest roles first onto tiles ordered by sign * centrality."""
+    n_cores = sum(max(role_counts.get(role, 0), 0) for role in CoreRole)
+    if n_cores > mesh.n_tiles:  # before any name is built
+        raise TooManyCores(f"{n_cores} cores will not fit on "
+                           f"{mesh.n_tiles} tiles")
     roles = sorted(CoreRole, key=lambda r: -usage.get(r, 0))
     names = [f"{role.value}{i}" for role in roles
              for i in range(role_counts.get(role, 0))]
-    if len(names) > mesh.n_tiles:
-        raise TooManyCores(f"{len(names)} cores will not fit on "
-                           f"{mesh.n_tiles} tiles")
     cent = centrality(mesh)
     tiles = sorted(mesh.tiles(), key=lambda t: (sign * cent[t], t))
     return Placement(dict(zip(names, tiles)))
@@ -290,7 +299,10 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                 f"graph needs a {role.name} core but the placement has none")
     io_tile = cores[CoreRole.IO][0][1]
     hop = mesh.hop_cycles
-    flits = mesh.flits_per_value or max(1, math.ceil(G.field_bits / 32))
+    flits = mesh.flits_per_value or -(-G.field_bits // 32)
+    if flits > MAX_FLITS_PER_VALUE:
+        raise BadValue(f"values wider than {32 * MAX_FLITS_PER_VALUE} bits "
+                       f"need more than {MAX_FLITS_PER_VALUE} flits")
     kinds, costs = G.kinds, G.costs(cm)
     arith = [tid for tid, kind in enumerate(kinds) if kind is not OpKind.XFER]
     # each task's distinct computed operands; inputs are preloaded

@@ -23,18 +23,26 @@ class CurvePreset:
     base: AffinePoint
 
 
-def _prime_preset(name: str, p: int, a: int, b: int, gx: int, gy: int,
+def curve_from_ints(spec: FieldSpec, a: int, b: int, gx: int, gy: int,
+                    order: int | None = None
+                    ) -> tuple[CurveParams, AffinePoint]:
+    """The curve over `spec` with coefficients a, b and its base point
+    (gx, gy), from plain ints."""
+    curve = CurveParams(field=spec, a=spec.element(a), b=spec.element(b),
+                        order=order)
+    return curve, AffinePoint(spec.element(gx), spec.element(gy))
+
+
+def _prime_preset(name: str, p: int, *ints: int,
                   order: int | None = None) -> CurvePreset:
-    f = FieldSpec.prime(p)
-    curve = CurveParams(field=f, a=f.element(a), b=f.element(b), order=order)
-    return CurvePreset(name, curve, AffinePoint(f.element(gx), f.element(gy)))
+    return CurvePreset(name, *curve_from_ints(FieldSpec.prime(p), *ints,
+                                              order))
 
 
-def _binary_preset(name: str, m: int, poly: int, a: int, b: int, gx: int,
-                   gy: int, order: int | None = None) -> CurvePreset:
-    f = FieldSpec.binary(m, poly)
-    curve = CurveParams(field=f, a=f.element(a), b=f.element(b), order=order)
-    return CurvePreset(name, curve, AffinePoint(f.element(gx), f.element(gy)))
+def _binary_preset(name: str, m: int, poly: int, *ints: int,
+                   order: int | None = None) -> CurvePreset:
+    return CurvePreset(name, *curve_from_ints(FieldSpec.binary(m, poly),
+                                              *ints, order))
 
 
 _ALL = [

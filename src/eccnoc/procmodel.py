@@ -8,22 +8,21 @@ the graph is exactly the executed op sequence: the same tape
 constants) are XFER source tasks, one per distinct (label, value); no
 other common subexpression is merged.
 
-A `TaskGraph` holds one tuple per task attribute, indexed by task id:
-`kinds`, `operands`, `phases`, `point_op_index`, `labels` and `values`
-(an XFER's raw value, None for the others).  Compiling transposes the
-tape into these columns and `from_text` parses straight into them.  Ids
-are emission order, so they are a topological order of the DAG; the
-field width sizes value transfers.  `tasks` is a row view of `Task`
-objects, built only on request, and `TaskGraph(tasks, result,
-field_bits)` builds a graph from such rows.  Every graph passes one
-validator when it is made and cannot be changed afterwards.
+A `TaskGraph` is a frozen dataclass of one tuple per task attribute,
+indexed by task id (`kinds`, `operands`, `phases`, `point_op_index`,
+`labels`, and `values`: an XFER's raw value, None for the others), the
+`result` pair and the field width, which sizes value transfers.  Ids are
+emission order, so they are a topological order of the DAG.
+`compile_scalar_mul` and `from_text` call the generated constructor,
+whose `__post_init__` is the one validator.  `tasks` is a row view of
+`Task` objects, built only on request; hand-written graphs are text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
@@ -40,10 +39,6 @@ _KIND_OF = {kind.value: kind for kind in OpKind}
 _PHASE_OF = {phase.value: phase for phase in Phase}
 _OPERANDS_TEXT = ("-", "%d", "%d,%d")
 
-# the per-task columns of a `TaskGraph`, in the order of `Task`'s fields
-_COLUMNS = ("kinds", "operands", "phases", "point_op_index", "labels",
-            "values")
-
 
 @dataclass(frozen=True)
 class Task:
@@ -58,7 +53,7 @@ class Task:
     value: Optional[int] = None  # XFER only: the raw field value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TaskGraph:
     """A field-op dependency DAG with a designated result pair, held as
     columns indexed by task id; checked when built, immutable after."""
@@ -72,31 +67,17 @@ class TaskGraph:
     result: tuple[int, int]
     field_bits: int
 
-    def __init__(self, tasks: Iterable[Task], result: tuple[int, int],
-                 field_bits: int):
-        """Build a graph from `Task` rows whose ids count up from 0."""
-        rows = []
-        for pos, t in enumerate(tasks):
-            if t.id != pos:
-                raise MalformedGraph(
-                    f"task ids must be consecutive from 0; saw {t.id} at {pos}")
-            rows.append((t.kind, tuple(t.operands), t.phase, t.point_op_index,
-                         t.label, t.value))
-        # the fields of the same graph built, and checked, from columns
-        vars(self).update(vars(self._of_columns(
-            list(zip(*rows)) or [()] * len(_COLUMNS), result, field_bits)))
-
-    @classmethod
-    def _of_columns(cls, columns, result, field_bits) -> TaskGraph:
-        G = cls.__new__(cls)
-        # frozen, so the fields go straight into the instance dict
-        vars(G).update(zip(_COLUMNS, map(tuple, columns)),
-                       result=(int(result[0]), int(result[1])),
-                       field_bits=int(field_bits))
-        G._validate()
-        return G
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
+        if any(type(c) is not tuple or len(c) != len(self.kinds) for c in (
+                self.kinds, self.operands, self.phases, self.point_op_index,
+                self.labels, self.values)) \
+                or any(type(ops) is not tuple for ops in self.operands) \
+                or type(self.result) is not tuple or len(self.result) != 2 \
+                or not all(isinstance(i, int)
+                           for i in (*self.result, self.field_bits)):
+            raise MalformedGraph(
+                "a graph needs tuple columns of one length, tuple operands, "
+                "two int result ids and an int field width")
         if not self.kinds:
             raise MalformedGraph("graph has no tasks")
         if self.field_bits < 1:
@@ -115,6 +96,9 @@ class TaskGraph:
             if kind is OpKind.XFER:
                 if value is None or value < 0:
                     raise MalformedGraph(f"XFER task {tid} has no value")
+                if value.bit_length() > self.field_bits:
+                    raise MalformedGraph(f"XFER task {tid} value is wider "
+                                         f"than {self.field_bits} bits")
                 if not label:
                     raise MalformedGraph(f"XFER task {tid} has no label")
             elif value is not None:
@@ -126,7 +110,8 @@ class TaskGraph:
 
     def _rows(self):
         """(kind, operands, phase, point_op_index, label, value) by id."""
-        return zip(*(getattr(self, name) for name in _COLUMNS))
+        return zip(self.kinds, self.operands, self.phases,
+                   self.point_op_index, self.labels, self.values)
 
     @cached_property
     def tasks(self) -> tuple[Task, ...]:
@@ -208,7 +193,7 @@ class TaskGraph:
             result = (int(tail[1]), int(tail[2]))
         except ValueError as exc:
             raise MalformedGraph(f"bad result ids: {lines[-1]!r}") from exc
-        return cls._of_columns(columns, result, field_bits)
+        return cls(*map(tuple, columns), result, field_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +237,8 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     kinds, operands, phases, pidxs, labels = zip(*tape.ops)
     values = [value if kind is OpKind.XFER else None
               for kind, value in zip(kinds, tape.values)]
-    return TaskGraph._of_columns((kinds, operands, phases, pidxs, labels,
-                                  values), tape.result, curve.field.bits)
+    return TaskGraph(kinds, operands, phases, pidxs, labels, tuple(values),
+                     tape.result, curve.field.bits)
 
 
 def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:

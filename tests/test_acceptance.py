@@ -20,7 +20,7 @@ from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
                            corner_first_placement, default_placement,
                            role_usage, simulate)
 from eccnoc.presets import PRESETS
-from eccnoc.procmodel import (CostModel, Task, TaskGraph, compile_scalar_mul,
+from eccnoc.procmodel import (CostModel, TaskGraph, compile_scalar_mul,
                               replay)
 from eccnoc.scalarmul import (OpTrace, Phase, count_report, scalar_mul,
                               scalar_mul_reference)
@@ -229,11 +229,9 @@ def test_criterion_7_noc_simulation_invariants():
     # frozen hand schedule: one MUL (cost 4) adjacent to IO, 2-flit value
     mesh = MeshConfig(cols=2, rows=1, flits_per_value=2)
     pl = Placement({"mul0": (1, 0), "io0": (0, 0)})
-    G1 = TaskGraph([
-        Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-        Task(1, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
-        Task(2, OpKind.MUL, (0, 1), Phase.CONVERT, -1),
-    ], (2, 2), 64)
+    G1 = TaskGraph.from_text(
+        "taskgraph 1 fieldbits 64\n0 XFER init -1 - Px 3\n"
+        "1 XFER init -1 - Py 4\n2 MUL convert -1 0,1 - -\nresult 2 2\n")
     rep = simulate(G1, CostModel(mul=4), mesh, pl)
     assert rep.makespan_cycles == 6 and rep.total_flit_hops == 2
     # invariant battery over a matrix of real graphs and both placements

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eccnoc.cli import _VERIFY_WORK_LIMIT, main
 from eccnoc.config import load_placement, load_run_config, parse_hex
@@ -232,12 +233,58 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad.write_text("[costs]\nmul = " + "9" * 5000 + "\n")
     with pytest.raises(ConfigError, match="too many digits"):
         load_run_config(bad)
+    for mesh, reason in (("cols = 1000000\nrows = 1000000", "1024 tiles"),
+                         ("flits_per_value = 1000000000", "1 to 64")):
+        bad.write_text(f"[curve]\npreset = p17\n\n[mesh]\n{mesh}\n")
+        with pytest.raises(ConfigError, match=reason):
+            load_run_config(bad)
+
+
+def _readme_config_block():
+    section = (ROOT / "README.md").read_text().split("## Config files", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+_INI_TEXTS = [
+    _readme_config_block(),
+    "[curve]\nkind = prime\np = 11\na = 2\nb = 2\ngx = 5\ngy = 1\n"
+    "order = 19\n[run]\nk = d\n",
+    "[curve]\nkind = binary\nm = 4\npoly = 13\na = 1\nb = 6\ngx = 8\n"
+    "gy = 0\norder = 24\n[mesh]\ncols = 2\nrows = 6\n",
+    "[placement]\nmul0 = 1,1\nadd0 = 2,1\nio0 = 3,0\nsqr0 = 0,2\n",
+]
+
+
+@st.composite
+def _mutated_ini(draw):
+    """One of the INI texts above with 1-4 characters inserted, deleted
+    or substituted."""
+    text = draw(st.sampled_from(_INI_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text) - 1))
+        char = draw(st.one_of(st.sampled_from("0123456789abcdef,=;[] \n"),
+                              st.characters()))
+        text = draw(st.sampled_from((
+            text[:pos] + char + text[pos:], text[:pos] + text[pos + 1:],
+            text[:pos] + char + text[pos + 1:])))
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=_mutated_ini())
+def test_mutated_ini_loads_or_raises_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mutated.ini"
+    # lone surrogates become bytes that are not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    for load in (load_run_config, load_placement):
+        try:
+            load(path)
+        except ConfigError:
+            pass
 
 
 def test_readme_config_example_runs(capsys, tmp_path):
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Config files", 1)[1]
-    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = _readme_config_block()
     cfg_file = tmp_path / "readme.ini"
     cfg_file.write_text(block)
     code, out, err = run_cli(capsys, "mul", "--config", str(cfg_file))

@@ -1,17 +1,20 @@
 """Mesh routing, placement construction, and schedule simulation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eccnoc.errors import (MissingCoreRole, OutOfMesh, TooManyCores)
+from eccnoc.errors import (BadValue, EccNocError, MissingCoreRole, OutOfMesh,
+                           TooManyCores)
 from eccnoc.fields import OpKind
-from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig,
+from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MAX_FLITS_PER_VALUE,
+                           MAX_TILES, MeshConfig,
                            Placement, centrality, compare_placements,
                            corner_first_placement, default_placement,
                            manhattan, role_for_kind, role_usage,
                            sequential_baseline, simulate, xy_route)
-from eccnoc.procmodel import CostModel, Task, TaskGraph, compile_scalar_mul, \
+from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul, \
     critical_path
-from eccnoc.scalarmul import OpTrace, Phase, scalar_mul
+from eccnoc.scalarmul import OpTrace, scalar_mul
 from eccnoc.presets import PRESETS
 
 from conftest import seeded
@@ -137,17 +140,35 @@ def test_mesh_validation():
         MeshConfig(hop_cycles=0)
     with pytest.raises(ValueError):
         MeshConfig(flits_per_value=0)
+    # at most MAX_TILES tiles and MAX_FLITS_PER_VALUE flits
+    assert MeshConfig(cols=32, rows=32).n_tiles == MAX_TILES
+    assert MeshConfig(flits_per_value=MAX_FLITS_PER_VALUE)
+    for bad in ({"cols": 33, "rows": 32}, {"cols": 10**6, "rows": 10**6},
+                {"flits_per_value": MAX_FLITS_PER_VALUE + 1},
+                {"flits_per_value": 10**9}):
+        with pytest.raises(BadValue):
+            MeshConfig(**bad)
+
+
+def test_core_count_is_checked_before_any_core_is_named():
+    # a count this large could never be named; it is refused at once
+    usage = {role: 1 for role in CoreRole}
+    for build in (default_placement, corner_first_placement):
+        with pytest.raises(TooManyCores, match="1000000000007 cores"):
+            build(MESH, {**DEFAULT_ROLE_COUNTS, CoreRole.MUL_UNIT: 10**12},
+                  usage)
 
 
 # ---------------------------------------------------------------------------
 # hand-checkable schedules
 
 def _graph_single_mul():
-    return TaskGraph([
-        Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-        Task(1, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
-        Task(2, OpKind.MUL, (0, 1), Phase.CONVERT, -1),
-    ], (2, 2), 64)
+    return TaskGraph.from_text("""taskgraph 1 fieldbits 64
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+result 2 2
+""")
 
 
 def test_single_task_two_flit_delivery():
@@ -183,13 +204,14 @@ def test_result_on_io_tile_needs_no_message():
 
 
 def _graph_two_muls_one_add():
-    return TaskGraph([
-        Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-        Task(1, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
-        Task(2, OpKind.MUL, (0, 1), Phase.ITERATE, 0),
-        Task(3, OpKind.MUL, (0, 0), Phase.ITERATE, 0),
-        Task(4, OpKind.ADD, (2, 3), Phase.ITERATE, 1),
-    ], (4, 4), 32)
+    return TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 MUL iterate 0 0,0 - -
+4 ADD iterate 1 2,3 - -
+result 4 4
+""")
 
 
 def test_serialized_muls_on_one_core():
@@ -261,13 +283,14 @@ def test_shipped_value_stays_resident():
     # carries 2 to (1,0) (launch 3, arrival 4); ADD 3 runs [4,5) and
     # ADD 4 runs [5,6) on the resident copy, with no second transfer;
     # the results reach IO at 6 and 7
-    G = TaskGraph([
-        Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-        Task(1, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
-        Task(2, OpKind.MUL, (0, 1), Phase.ITERATE, 0),
-        Task(3, OpKind.ADD, (2, 0), Phase.ITERATE, 1),
-        Task(4, OpKind.ADD, (2, 1), Phase.ITERATE, 1),
-    ], (3, 4), 32)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 ADD iterate 1 2,0 - -
+4 ADD iterate 1 2,1 - -
+result 3 4
+""")
     mesh = MeshConfig(cols=3, rows=1)
     pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)})
     cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
@@ -308,6 +331,19 @@ def test_default_flit_count_follows_field_width(p17):
     rep = simulate(G64, CostModel.default(pr64.curve.field.kind), override,
                    pl64)
     assert rep.flits_per_value == 5
+    # the width is an exact int: rounded up to 32-bit flits, to the limit
+    text = G.to_text()
+
+    def flits(field_bits):
+        Gw = TaskGraph.from_text(text.replace(
+            "fieldbits 5", f"fieldbits {field_bits}", 1))
+        return simulate(Gw, cm, MESH, pl).flits_per_value
+
+    assert flits(32 * 3) == 3 and flits(32 * 3 + 1) == 4
+    assert flits(32 * MAX_FLITS_PER_VALUE) == MAX_FLITS_PER_VALUE
+    for field_bits in (32 * MAX_FLITS_PER_VALUE + 1, 10**400):
+        with pytest.raises(BadValue, match="flits"):
+            flits(field_bits)
 
 
 def _invariant_check(G, cm, mesh, rep):
@@ -422,6 +458,52 @@ def test_simulation_invariants(preset_name, seed):
                    corner_first_placement(MESH, DEFAULT_ROLE_COUNTS, usage)):
             rep = simulate(G, cm, MESH, pl)
             _invariant_check(G, cm, MESH, rep)
+
+
+@st.composite
+def _simulation_setup(draw):
+    """A p17 or b4 graph, a mesh of up to 6x6, 0-4 cores per role placed
+    by default, corner-first or by hand, and arbitrary costs."""
+    preset = PRESETS[draw(st.sampled_from(("p17", "b4")))]
+    k = draw(st.integers(1, 2 * preset.curve.order))
+    # some draws lack one role; the others have 1-4 cores of each
+    missing = draw(st.none() | st.sampled_from(CoreRole))
+    counts = {role: 0 if role is missing else draw(st.integers(1, 4))
+              for role in CoreRole}
+    names = [f"{role.value}{i}" for role, n in counts.items()
+             for i in range(n)]
+    # some meshes get rows enough for every core, where 6 rows will do
+    cols = draw(st.integers(1, 6))
+    fit = min(6, -(-len(names) // cols)) if draw(st.booleans()) else 1
+    mesh = dict(cols=cols, rows=draw(st.integers(fit, 6)),
+                hop_cycles=draw(st.integers(1, 3)),
+                flits_per_value=draw(st.none() | st.integers(1, 4)))
+    costs = {name: draw(st.integers(1, 50))
+             for name in ("add", "sub", "mul", "sqr", "inv")}
+    tiles = draw(st.permutations([(c, r) for c in range(mesh["cols"])
+                                  for r in range(mesh["rows"])]))
+    # cores past the last tile share (0, 0): too many for the mesh
+    hand = dict(zip(names, [*tiles, *[(0, 0)] * len(names)]))
+    how = draw(st.sampled_from((default_placement, corner_first_placement,
+                                hand)))
+    return preset, k, mesh, costs, counts, how
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(setup=_simulation_setup())
+def test_simulate_property(setup):
+    """Any machine either raises an `EccNocError` or yields a schedule
+    that passes every invariant."""
+    preset, k, mesh_args, costs, counts, how = setup
+    try:
+        G = compile_scalar_mul(preset.curve, k, preset.base)
+        mesh, cm = MeshConfig(**mesh_args), CostModel(**costs)
+        pl = Placement(how) if isinstance(how, dict) else \
+            how(mesh, counts, role_usage(G))
+        rep = simulate(G, cm, mesh, pl)
+    except EccNocError:
+        return
+    _invariant_check(G, cm, mesh, rep)
 
 
 def test_simulation_is_deterministic(p17):

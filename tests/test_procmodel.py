@@ -10,7 +10,7 @@ from eccnoc.cli import main
 from eccnoc.curves import INFINITY
 from eccnoc.errors import (FieldMismatch, MalformedGraph, ResultAtInfinity)
 from eccnoc.fields import OpKind
-from eccnoc.procmodel import (CostModel, Task, TaskGraph, compile_scalar_mul,
+from eccnoc.procmodel import (CostModel, TaskGraph, compile_scalar_mul,
                               critical_path, replay)
 from eccnoc.scalarmul import (OpTrace, Phase, scalar_mul,
                               scalar_mul_reference)
@@ -116,52 +116,43 @@ def test_text_round_trip_is_identical(p17, b4):
         assert replay(G2, preset.curve) == replay(G, preset.curve)
 
 
-def _tiny_graph(costed=False):
-    tasks = [
-        Task(0, OpKind.XFER, (), Phase.INIT, -1, label="Px", value=3),
-        Task(1, OpKind.XFER, (), Phase.INIT, -1, label="Py", value=4),
-        Task(2, OpKind.MUL, (0, 1), Phase.ITERATE, 0),
-        Task(3, OpKind.MUL, (0, 0), Phase.ITERATE, 0),
-        Task(4, OpKind.ADD, (2, 3), Phase.ITERATE, 1),
-    ]
-    return TaskGraph(tasks, (4, 4), 5)
+# two parallel MULs feed one ADD, which is both result coordinates
+_TINY_TEXT = """taskgraph 1 fieldbits 5
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 MUL iterate 0 0,0 - -
+4 ADD iterate 1 2,3 - -
+result 4 4
+"""
 
 
 def test_malformed_graphs_rejected():
+    px = "0 XFER init -1 - Px 3\n"
+    for body, reason in (
+            ("result 0 0", "needs a header, tasks"),
+            ("1 XFER init -1 - Px 3\nresult 0 0", "consecutive from 0"),
+            (px + "1 SQR iterate 0 2 - -\n2 XFER init -1 - Py 4\nresult 1 1",
+             "not an earlier task"),
+            (px + "1 MUL iterate 0 0 - -\nresult 1 1", "takes 2 operands"),
+            ("0 XFER init -1 - Px -\nresult 0 0", "has no value"),
+            (px + "1 SQR iterate 0 0 - 9\nresult 1 1", "not an XFER"),
+            (px + "result 0 7", "result id 7"),
+            # 6 and 160 bits of Px in a 5-bit graph: too few flits each
+            ("0 XFER init -1 - Px 20\nresult 0 0", "wider than 5 bits"),
+            ("0 XFER init -1 - Px " + "f" * 40 + "\nresult 0 0",
+             "wider than 5 bits")):
+        with pytest.raises(MalformedGraph, match=reason):
+            TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{body}\n")
+    # the constructor rejects an empty graph, which text cannot spell
+    with pytest.raises(MalformedGraph, match="no tasks"):
+        TaskGraph((), (), (), (), (), (), (0, 0), 5)
     with pytest.raises(MalformedGraph):
-        TaskGraph([], (0, 0), 5)
-    with pytest.raises(MalformedGraph):  # non-consecutive ids
-        TaskGraph([Task(1, OpKind.XFER, (), Phase.INIT, -1, "Px", 3)],
-                  (0, 0), 5)
-    with pytest.raises(MalformedGraph):  # forward reference
-        TaskGraph([
-            Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-            Task(1, OpKind.SQR, (2,), Phase.ITERATE, 0),
-            Task(2, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
-        ], (1, 1), 5)
-    with pytest.raises(MalformedGraph):  # wrong arity
-        TaskGraph([
-            Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-            Task(1, OpKind.MUL, (0,), Phase.ITERATE, 0),
-        ], (1, 1), 5)
-    with pytest.raises(MalformedGraph):  # XFER without value
-        TaskGraph([Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", None)],
-                  (0, 0), 5)
-    with pytest.raises(MalformedGraph):  # value on an arithmetic task
-        TaskGraph([
-            Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-            Task(1, OpKind.SQR, (0,), Phase.ITERATE, 0, value=9),
-        ], (1, 1), 5)
-    with pytest.raises(MalformedGraph):  # result id out of range
-        TaskGraph([Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3)],
-                  (0, 7), 5)
-    g = _tiny_graph()
+        TaskGraph.from_text("nonsense\n" + _TINY_TEXT)
     with pytest.raises(MalformedGraph):
-        TaskGraph.from_text("nonsense\n" + g.to_text())
+        TaskGraph.from_text(_TINY_TEXT.replace("result 4 4", "result 4"))
     with pytest.raises(MalformedGraph):
-        TaskGraph.from_text(g.to_text().replace("result 4 4", "result 4"))
-    with pytest.raises(MalformedGraph):
-        TaskGraph.from_text(g.to_text().replace("MUL", "MULL"))
+        TaskGraph.from_text(_TINY_TEXT.replace("MUL", "MULL"))
 
 
 def test_built_graph_cannot_be_mutated(p17):
@@ -185,11 +176,14 @@ def test_built_graph_cannot_be_mutated(p17):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(G, field.name, column)
     assert all(type(ops) is tuple for ops in G.operands)
-    # a graph built from a list does not share it with the caller
-    tasks = list(_tiny_graph().tasks)
-    g = TaskGraph(tasks, (4, 4), 5)
-    tasks.append(Task(5, OpKind.SQR, (4,), Phase.ITERATE, 1))
-    assert len(g.tasks) == 5
+    # list columns are rejected, so no graph shares a caller's list
+    for bad in ({"kinds": list(G.kinds)},
+                {"operands": tuple(map(list, G.operands))},
+                {"values": G.values[:-1]}, {"result": list(G.result)},
+                {"result": (G.result[0],)}, {"result": (0, "1")},
+                {"field_bits": float(G.field_bits)}):
+        with pytest.raises(MalformedGraph):
+            dataclasses.replace(G, **bad)
     assert G.to_text() == text
 
 
@@ -205,7 +199,7 @@ def test_row_view_agrees_with_columns(name, k):
                 t.value) == (G.kinds[t.id], G.operands[t.id], G.phases[t.id],
                              G.point_op_index[t.id], G.labels[t.id],
                              G.values[t.id])
-    rebuilt = TaskGraph(G.tasks, G.result, G.field_bits)
+    rebuilt = dataclasses.replace(G)
     assert rebuilt == G
     assert rebuilt.to_text() == G.to_text()
 
@@ -286,19 +280,16 @@ def test_replay_checks_field_width(p17, b4):
 
 def test_critical_path_hand_graphs():
     cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
-    single = TaskGraph([
-        Task(0, OpKind.XFER, (), Phase.INIT, -1, "Px", 3),
-        Task(1, OpKind.XFER, (), Phase.INIT, -1, "Py", 4),
-        Task(2, OpKind.MUL, (0, 1), Phase.CONVERT, -1),
-    ], (2, 2), 5)
+    single = TaskGraph.from_text(
+        "taskgraph 1 fieldbits 5\n0 XFER init -1 - Px 3\n"
+        "1 XFER init -1 - Py 4\n2 MUL convert -1 0,1 - -\nresult 2 2\n")
     assert critical_path(single, cm) == 3
-    fanin = _tiny_graph()
+    fanin = TaskGraph.from_text(_TINY_TEXT)
     # two parallel MULs (3 each) feed one ADD (1)
     assert critical_path(fanin, cm) == 4
     # a dead expensive task does not stretch the result's path
-    orphan = TaskGraph(
-        [*fanin.tasks, Task(5, OpKind.INV, (2,), Phase.CONVERT, -1)],
-        (4, 4), 5)
+    orphan = TaskGraph.from_text(_TINY_TEXT.replace(
+        "result", "5 INV convert -1 2 - -\nresult"))
     assert critical_path(orphan, cm) == 4
 
 
