@@ -1,5 +1,9 @@
 """Mesh routing, placement construction, and schedule simulation."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +24,7 @@ from eccnoc.presets import PRESETS
 from conftest import seeded
 
 MESH = MeshConfig()
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_xy_route_frozen_examples():
@@ -540,3 +545,49 @@ def test_compare_placements_ranks_and_validates(p17):
         compare_placements(G, cm, MESH, [("only", d)])
     with pytest.raises(ValueError):
         compare_placements(G, cm, MESH, [("x", d), ("x", c)])
+
+
+# full-size runs: both curves on the default and corner-first 4x3
+# placements, and on a 6x4 mesh with twice the cores, 2-cycle hops and
+# 3-flit values
+_LARGE_RUNS = (("prime64", 0xe3c45e0ad1bbea06), ("binary63", 0xa5942337f65e5924))
+_LARGE_MACHINES = (
+    ("4x3-default", MESH, DEFAULT_ROLE_COUNTS, default_placement),
+    ("4x3-corner-first", MESH, DEFAULT_ROLE_COUNTS, corner_first_placement),
+    ("6x4-hop2-3flit-default",
+     MeshConfig(cols=6, rows=4, hop_cycles=2, flits_per_value=3),
+     {role: 2 * n for role, n in DEFAULT_ROLE_COUNTS.items()},
+     default_placement),
+)
+
+
+def simulate_large_doc() -> dict:
+    """Every field of each full-size report, the schedule and the
+    messages as a digest; dict orders are part of the record."""
+    doc = {}
+    for name, k in _LARGE_RUNS:
+        preset = PRESETS[name]
+        G = compile_scalar_mul(preset.curve, k, preset.base)
+        cm = CostModel.default(preset.curve.field.kind)
+        usage = role_usage(G)
+        for machine, mesh, counts, place in _LARGE_MACHINES:
+            rep = simulate(G, cm, mesh, place(mesh, counts, usage))
+            trail = json.dumps([rep.schedule_rows(), [
+                (m.producer, m.consumer, m.src, m.dst, m.launch, m.arrival)
+                for m in rep.messages]])
+            doc[f"{name}/{machine}"] = {
+                "makespan_cycles": rep.makespan_cycles,
+                "total_flit_hops": rep.total_flit_hops,
+                "per_core_busy_cycles": rep.per_core_busy_cycles,
+                "per_link_flits": list(rep.per_link_flits.items()),
+                "schedule_messages_sha256":
+                    hashlib.sha256(trail.encode()).hexdigest(),
+            }
+    return doc
+
+
+def test_simulate_large_matches_golden():
+    """Regenerate the full-size reports and compare them byte for byte
+    with `golden/simulate_large.json`."""
+    text = json.dumps(simulate_large_doc(), indent=1) + "\n"
+    assert text == (GOLDEN_DIR / "simulate_large.json").read_text()
