@@ -33,12 +33,14 @@ ends when both have arrived, and that arrival cycle is the makespan.
 Each directed link's set of booked cycles is the one record of traffic:
 the report reads a link's flit count as the size of its set, and total
 flit-hops (one flit crossing one link, the traffic/energy proxy) as the
-sum of those counts.
+sum of those counts.  A run builds each tile pair's route once, on first
+use, as the list of its links' booked-cycle sets.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -291,115 +293,134 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
              placement: Placement) -> SimReport:
     """Run the deterministic schedule simulation; see the module doc."""
     placement.validate(mesh)
+    # cores by index in placement order; `validate` gave each its own
+    # tile, so a core index stands for its tile
+    names, tiles = list(placement.entries), list(placement.entries.values())
+    index = {name: i for i, name in enumerate(names)}
+    cores = {role: [index[name] for name, _ in placement.cores_of_role(role)]
+             for role in CoreRole}
     usage = role_usage(G)
-    cores = {role: placement.cores_of_role(role) for role in CoreRole}
     for role in CoreRole:
         if usage[role] and not cores[role]:
             raise MissingCoreRole(
                 f"graph needs a {role.name} core but the placement has none")
-    io_tile = cores[CoreRole.IO][0][1]
+    io = cores[CoreRole.IO][0]
     hop = mesh.hop_cycles
     flits = mesh.flits_per_value or -(-G.field_bits // 32)
     if flits > MAX_FLITS_PER_VALUE:
         raise BadValue(f"values wider than {32 * MAX_FLITS_PER_VALUE} bits "
                        f"need more than {MAX_FLITS_PER_VALUE} flits")
+    dist = [[manhattan(a, b) for b in tiles] for a in tiles]
+    # each arithmetic kind's candidate cores, in index order, and name
+    runs_on = {kind: (cores[role], kind.value)
+               for kind, role in _KIND_ROLE.items()}
+
     kinds, costs = G.kinds, G.costs(cm)
     arith = [tid for tid, kind in enumerate(kinds) if kind is not OpKind.XFER]
     # each task's distinct computed operands; inputs are preloaded
-    needs = [sorted({o for o in ops if kinds[o] is not OpKind.XFER})
-             for ops in G.operands]
-    succ: list[list[int]] = [[] for _ in kinds]
-    for tid in arith:
-        for o in needs[tid]:
-            succ[o].append(tid)
+    inputs = set(range(len(kinds))).difference(arith)
+    needs = [sorted(set(ops) - inputs) for ops in G.operands]
     # upward rank: longest remaining cost-weighted path to any sink;
-    # every cost is >= 1, so decreasing rank is a topological order
-    prio: dict[int, int] = {}
+    # every cost is >= 1, so decreasing rank is a topological order.
+    # Visited sinks first, a task's entry holds its successors' highest
+    # rank until its own cost is added
+    prio = [0] * len(kinds)
     for tid in reversed(arith):
-        prio[tid] = costs[tid] + max(map(prio.__getitem__, succ[tid]),
-                                     default=0)
+        rank = prio[tid] = prio[tid] + costs[tid]
+        for o in needs[tid]:
+            if rank > prio[o]:
+                prio[o] = rank
 
-    free = {name: 0 for name in placement.entries}
-    busy_cycles = dict(free)
-    # end cycle and tile of each computed value, by task id
+    free = [0] * len(names)
+    busy = [0] * len(names)
+    # end cycle and core of each computed value, by task id
     end = [0] * len(kinds)
-    loc: list[Optional[Tile]] = [None] * len(kinds)
-    # arrival cycle of each value copied to a tile other than its own
-    copies: dict[tuple[int, Tile], int] = {}
+    loc = [-1] * len(kinds)
+    # per core: arrival cycle of each value copied there from another core
+    copies: list[dict[int, int]] = [{} for _ in names]
 
     # the occupied cycles of each directed link: the only traffic record
     booked: dict[tuple[Tile, Tile], set[int]] = {}
+    # per (source, destination) core pair: its route's booked-cycle sets
+    routes: dict[tuple[int, int], list[set[int]]] = {}
     messages: list[MessageRecord] = []
 
-    def ship(producer: int, consumer: int, dst: Tile) -> int:
-        """Book one value's flits from its producer's tile to dst,
+    def ship(producer: int, consumer: int, dst: int) -> int:
+        """Book one value's flits from its producer's core to core dst,
         launched when the producer ends; returns the arrival cycle."""
         src, launch = loc[producer], end[producer]
-        route = xy_route(mesh, src, dst)
-        last: dict[tuple[Tile, Tile], int] = {}  # flits stay in order
+        route = routes.get((src, dst))
+        if route is None:
+            route = routes[src, dst] = [
+                booked.setdefault(link, set())
+                for link in xy_route(mesh, tiles[src], tiles[dst])]
+        # first fit keeps the flits in order on every link: each reaches
+        # a link later than the flit before it, and every cycle from
+        # that flit's reaching it to its booked cycle is taken
         arrival = launch
         for _ in range(flits):
             t = launch
-            for link in route:
-                cycle = max(t, last.get(link, -1) + 1)
-                taken = booked.setdefault(link, set())
-                while cycle in taken:
-                    cycle += 1
-                taken.add(cycle)
-                last[link] = cycle
-                t = cycle + hop
+            for taken in route:
+                while t in taken:
+                    t += 1
+                taken.add(t)
+                t += hop
             arrival = t
-        messages.append(MessageRecord(producer, consumer, src, dst,
-                                      launch, arrival))
+        messages.append(MessageRecord(producer, consumer, tiles[src],
+                                      tiles[dst], launch, arrival))
         return arrival
-
-    def present(o: int, tile: Tile) -> Optional[int]:
-        """Cycle value o is on tile, or None if it was never sent there."""
-        return end[o] if loc[o] == tile else copies.get((o, tile))
 
     schedule: list[ScheduleEntry] = []
     # highest rank first; the stable sort keeps equal ranks in id order
-    for tid in sorted(sorted(prio), key=prio.__getitem__, reverse=True):
-        kind, cost, ops = kinds[tid], costs[tid], needs[tid]
-
-        def estimate(core):
-            name, tile = core
-            ready, new_hops = free[name], 0
-            for o in ops:
-                arr = present(o, tile)
-                if arr is None:
-                    hops = manhattan(loc[o], tile)
-                    arr = end[o] + hops * hop + flits - 1
-                    new_hops += hops
-                ready = max(ready, arr)
-            return ready + cost, new_hops
-
-        # min keeps the first of equal estimates, i.e. the lowest index
-        name, tile = min(cores[role_for_kind(kind)], key=estimate)
-        start = free[name]
-        for o in ops:
-            arr = present(o, tile)
+    for tid in sorted(arith, key=prio.__getitem__, reverse=True):
+        candidates, kind_name = runs_on[kinds[tid]]
+        operands = needs[tid]
+        # `ready` is the estimate less the task's cost, which every
+        # candidate shares; only a strictly lower (estimate, new hops)
+        # displaces the best, so ties go to the lowest index
+        best, best_hops = math.inf, 0
+        for c in candidates:
+            ready, new_hops, here = free[c], 0, copies[c]
+            for o in operands:
+                at = loc[o]
+                if at == c:
+                    arr = end[o]
+                else:
+                    arr = here.get(o)
+                    if arr is None:
+                        hops = dist[at][c]
+                        arr = end[o] + hops * hop + flits - 1
+                        new_hops += hops
+                if arr > ready:
+                    ready = arr
+            if ready < best or ready == best and new_hops < best_hops:
+                best, best_hops, core = ready, new_hops, c
+        start, here = free[core], copies[core]
+        for o in operands:
+            arr = end[o] if loc[o] == core else here.get(o)
             if arr is None:
-                arr = copies[(o, tile)] = ship(o, tid, tile)
-            start = max(start, arr)
-        end[tid] = free[name] = start + cost
-        busy_cycles[name] += cost
-        loc[tid] = tile
-        schedule.append(ScheduleEntry(tid, kind.value, name, start, end[tid]))
+                arr = here[o] = ship(o, tid, core)
+            if arr > start:
+                start = arr
+        end[tid] = free[core] = start + costs[tid]
+        busy[core] += costs[tid]
+        loc[tid] = core
+        schedule.append(ScheduleEntry(tid, kind_name, names[core], start,
+                                      end[tid]))
 
     makespan = 0  # inputs are preloaded everywhere, IO included
-    for r in sorted({r for r in G.result if loc[r] is not None}):
-        makespan = max(makespan, ship(r, -1, io_tile))
+    for r in sorted({r for r in G.result if loc[r] >= 0}):
+        makespan = max(makespan, ship(r, -1, io))
     per_link_flits = {f"{c1},{r1}->{c2},{r2}": len(taken)
                       for ((c1, r1), (c2, r2)), taken in booked.items()}
-    baseline = sequential_baseline(G, cm)
+    baseline = sum(costs)
     return SimReport(
         makespan_cycles=makespan,
         sequential_baseline_cycles=baseline,
         speedup=baseline / makespan if makespan > 0 else 1.0,
         total_flit_hops=sum(per_link_flits.values()),
         flits_per_value=flits,
-        per_core_busy_cycles=busy_cycles,
+        per_core_busy_cycles=dict(zip(names, busy)),
         per_link_flits=per_link_flits,
         schedule=schedule,
         messages=messages,
