@@ -51,7 +51,9 @@ class _Tape:
     appends an input value (XFER, in the init phase) once per (label,
     value).  `is_zero` reads the computed value, so the kernels branch
     exactly as the real run does.  `steps` holds one entry per loop
-    step, True for a mixed addition and False for a doubling.
+    step, True for a mixed addition and False for a doubling;
+    `step_starts` holds the index in `ops` where each step begins, and
+    `convert_start` the index where the conversion begins.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -59,6 +61,8 @@ class _Tape:
         self.values: list[int] = []
         self.ops: list[tuple] = []
         self.steps: list[bool] = []
+        self.step_starts: list[int] = []
+        self.convert_start: Optional[int] = None
         self.phase = Phase.INIT
         self.pidx = -1
         self.result: Optional[tuple[int, int]] = None
@@ -107,6 +111,12 @@ class _Tape:
         self.phase = Phase.ITERATE
         self.pidx = len(self.steps)
         self.steps.append(is_add)
+        self.step_starts.append(len(self.ops))
+
+    def begin_convert(self) -> None:
+        """Close the loop; the ops that follow convert to affine."""
+        self.phase, self.pidx = Phase.CONVERT, -1
+        self.convert_start = len(self.ops)
 
 
 # the audit's point-operation columns plus the init phase (named as their
@@ -134,11 +144,18 @@ class OpTrace:
         n_adds = sum(tape.steps)
         self.n_point_adds += n_adds
         self.n_point_doubles += len(tape.steps) - n_adds
-        for kind, _, phase, pidx, _ in tape.ops:
-            if kind is not OpKind.XFER:
-                col = phase.value if pidx < 0 else (
-                    "point_add" if tape.steps[pidx] else "point_double")
-                self._columns[col][kind] += 1
+        # each column's op kinds, sliced at the step and conversion
+        # starts; XFERs (inputs, wherever recorded) are never counted
+        kinds = [op[0] for op in tape.ops]
+        starts = [*tape.step_starts, tape.convert_start]
+        cols = {"init": kinds[:starts[0]], "point_double": [],
+                "point_add": [], "convert": kinds[tape.convert_start:]}
+        for is_add, a, b in zip(tape.steps, starts, starts[1:]):
+            cols["point_add" if is_add else "point_double"] += kinds[a:b]
+        for col, col_kinds in cols.items():
+            counters = self._columns[col]
+            for kind in ARITH_KINDS:
+                counters[kind] += col_kinds.count(kind)
 
     def column_counts(self, column: str) -> dict[OpKind, int]:
         return dict(self._columns[column])
@@ -194,7 +211,7 @@ def run_binary_method(curve: CurveParams, k: int,
         if (k >> i) & 1:
             tape.begin_step(is_add=True)
             X, Y, Z = madd(tape, curve, X, Y, Z, P.x, P.y)
-    tape.phase, tape.pidx = Phase.CONVERT, -1
+    tape.begin_convert()
     tape.result = to_aff(tape, curve, X, Y, Z)
     return tape
 

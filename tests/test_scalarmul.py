@@ -6,7 +6,8 @@ from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
 from eccnoc.errors import EmptyTrace, NotOnCurve, OracleBoundExceeded
 from eccnoc.fields import OpKind
 from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
-                              scalar_mul, scalar_mul_reference)
+                              run_binary_method, scalar_mul,
+                              scalar_mul_reference)
 
 from conftest import seeded
 
@@ -77,6 +78,29 @@ def test_infinite_result_skips_the_inversion(p17):
     assert t.totals()[OpKind.INV] == 0
     assert t.n_point_doubles == 4  # 19 = 0b10011 still walks the loop
     assert t.n_point_adds == 2
+
+
+def test_column_counts_equal_a_per_op_recount(p17, b4):
+    """The sliced column counts agree with a recount of every tape op by
+    its own phase and step; k up to twice the order reaches the
+    doubling-only, madd-to-double and infinite-result branches."""
+    for preset in (p17, b4):
+        for k in range(1, 2 * preset.curve.order + 1):
+            tape = run_binary_method(preset.curve, k, preset.base)
+            t = OpTrace()
+            t._count(tape)
+            want = {col: {kind: 0 for kind in OpKind if kind is not OpKind.XFER}
+                    for col in ("init", "point_double", "point_add",
+                                "convert")}
+            for kind, _, phase, pidx, _ in tape.ops:
+                if kind is OpKind.XFER:
+                    continue
+                if pidx < 0:
+                    col = phase.value
+                else:
+                    col = "point_add" if tape.steps[pidx] else "point_double"
+                want[col][kind] += 1
+            assert {col: t.column_counts(col) for col in want} == want, k
 
 
 def test_totals_equal_phase_sums(p17):
