@@ -78,6 +78,19 @@ class TaskGraph:
             raise MalformedGraph(
                 "a graph needs tuple columns of one length, tuple operands, "
                 "two int result ids and an int field width")
+        # checked in bulk: each column's set of entry types (operand ids
+        # are checked with their range below)
+        for name, entries, types in (
+                ("kinds", self.kinds, {OpKind}),
+                ("phases", self.phases, {Phase}),
+                ("point_op_index", self.point_op_index, {int}),
+                ("labels", self.labels, {str}),
+                ("values", self.values, {int, type(None)})):
+            stray = set(map(type, entries)) - types
+            if stray:
+                raise MalformedGraph(
+                    f"{name} column holds a "
+                    f"{min(t.__name__ for t in stray)} entry")
         if not self.kinds:
             raise MalformedGraph("graph has no tasks")
         if self.field_bits < 1:
@@ -89,9 +102,9 @@ class TaskGraph:
                     f"task {tid}: {kind.value} takes {_ARITY[kind]} "
                     f"operands, got {len(ops)}")
             for o in ops:
-                if not 0 <= o < tid:
+                if type(o) is not int or not 0 <= o < tid:
                     raise MalformedGraph(
-                        f"task {tid} references {o}, which is not an "
+                        f"task {tid} references {o!r}, which is not an "
                         f"earlier task")
             if kind is OpKind.XFER:
                 if value is None or value < 0:

@@ -187,6 +187,30 @@ def test_built_graph_cannot_be_mutated(p17):
     assert G.to_text() == text
 
 
+def test_column_entry_types_are_checked(p17):
+    """A library caller's graph with a wrongly typed entry in any column
+    ends in MalformedGraph, never in a KeyError or TypeError."""
+    G = _compile(p17, 13)
+    arith = G.kinds.index(OpKind.MUL)
+
+    def put(column, tid, entry):
+        col = getattr(G, column)
+        return {column: (*col[:tid], entry, *col[tid + 1:])}
+
+    for bad, reason in (
+            (put("kinds", 0, "XFER"), "kinds column holds a str"),
+            (put("operands", arith, ("0", "0")), "references '0'"),
+            (put("operands", arith, (0.0, 0)), "references 0.0"),
+            (put("phases", 0, "init"), "phases column holds a str"),
+            (put("point_op_index", arith, 0.0),
+             "point_op_index column holds a float"),
+            (put("labels", 0, None), "labels column holds a NoneType"),
+            (put("values", 0, "3"), "values column holds a str"),
+            (put("values", 0, True), "values column holds a bool")):
+        with pytest.raises(MalformedGraph, match=reason):
+            dataclasses.replace(G, **bad)
+
+
 @pytest.mark.parametrize("name,k", [("p17", 13), ("b4", 0b100101),
                                     ("prime32", 0xb7a3),
                                     ("binary33", 0x1b2d3c4e5)])
