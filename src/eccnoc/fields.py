@@ -390,7 +390,8 @@ class FieldElement:
 
 
 def _same_spec(a: FieldElement, b: FieldElement) -> FieldSpec:
-    if a.spec != b.spec:
+    # operands of one run share a spec object; only others need comparing
+    if a.spec is not b.spec and a.spec != b.spec:
         raise FieldMismatch(f"operands live in {a.spec.tag} and {b.spec.tag}")
     return a.spec
 

@@ -149,6 +149,20 @@ def test_field_mismatch_rejected():
         ff_add(GF17.one, other.one)
     with pytest.raises(FieldMismatch):
         ff_mul(GF16.one, GF8.one)
+    with pytest.raises(FieldMismatch):
+        ff_sub(GF16.one, FieldSpec.binary(4, 0b11001).one)
+
+
+def test_equal_specs_built_apart_combine():
+    """Operands need equal fields, not one spec object."""
+    # 5 and 3: 8, 2, 15 mod 17; in GF(2^4), 5 ^ 3 twice and
+    # (z^2 + 1)(z + 1) = z^3 + z^2 + z + 1
+    for spec, twin, want in ((GF17, FieldSpec.prime(17), (8, 2, 15)),
+                             (GF16, FieldSpec.binary(4, 0b10011), (6, 6, 15))):
+        assert twin is not spec and twin == spec
+        a, b = spec.element(5), twin.element(3)
+        assert (ff_add(a, b).value, ff_sub(a, b).value,
+                ff_mul(a, b).value) == want
 
 
 def test_bad_field_parameters_rejected():
