@@ -322,8 +322,8 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     needs = [sorted(set(ops) - inputs) for ops in G.operands]
     # upward rank: longest remaining cost-weighted path to any sink;
     # every cost is >= 1, so decreasing rank is a topological order.
-    # Visited sinks first, a task's entry holds its successors' highest
-    # rank until its own cost is added
+    # Tasks are visited last id first, so a task's entry holds its
+    # successors' highest rank until its own cost is added
     prio = [0] * len(kinds)
     for tid in reversed(arith):
         rank = prio[tid] = prio[tid] + costs[tid]
