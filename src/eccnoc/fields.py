@@ -433,6 +433,10 @@ class OpKind(enum.Enum):
     INV = "INV"
     XFER = "XFER"
 
+    # members are singletons and Enum's == is identity, so an identity
+    # hash agrees with it and dict lookups skip Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
 
 ARITH_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV)
 

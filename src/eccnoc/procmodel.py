@@ -16,6 +16,10 @@ emission order, so they are a topological order of the DAG.
 `compile_scalar_mul` and `from_text` call the generated constructor,
 whose `__post_init__` is the one validator.  `tasks` is a row view of
 `Task` objects, built only on request; hand-written graphs are text.
+
+`replay` re-executes a graph on raw ints: each task runs the curve
+field's raw op (`FieldSpec._add` ... `_inv`, the ones the tape runs),
+and only the result coordinates are wrapped as `FieldElement`s.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from typing import Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
-from .fields import (FieldElement, FieldKind, OpKind, ff_add, ff_inv, ff_mul,
-                     ff_sqr, ff_sub)
+from .fields import FieldElement, FieldKind, OpKind
 from .scalarmul import Phase, run_binary_method
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
@@ -35,8 +38,10 @@ _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
 
 _FORMAT_HEADER = "taskgraph 1"
 # task lines name kinds and phases by value and write operands by arity
-_KIND_OF = {kind.value: kind for kind in OpKind}
-_PHASE_OF = {phase.value: phase for phase in Phase}
+_KIND_TEXT = {kind: kind.value for kind in OpKind}
+_PHASE_TEXT = {phase: phase.value for phase in Phase}
+_KIND_OF = {text: kind for kind, text in _KIND_TEXT.items()}
+_PHASE_OF = {text: phase for phase, text in _PHASE_TEXT.items()}
 _OPERANDS_TEXT = ("-", "%d", "%d,%d")
 
 
@@ -71,9 +76,9 @@ class TaskGraph:
         if any(type(c) is not tuple or len(c) != len(self.kinds) for c in (
                 self.kinds, self.operands, self.phases, self.point_op_index,
                 self.labels, self.values)) \
-                or any(type(ops) is not tuple for ops in self.operands) \
+                or set(map(type, self.operands)) - {tuple} \
                 or type(self.result) is not tuple or len(self.result) != 2 \
-                or not all(isinstance(i, int)
+                or not all(type(i) is int
                            for i in (*self.result, self.field_bits)):
             raise MalformedGraph(
                 "a graph needs tuple columns of one length, tuple operands, "
@@ -95,41 +100,50 @@ class TaskGraph:
             raise MalformedGraph("graph has no tasks")
         if self.field_bits < 1:
             raise MalformedGraph("field width must be positive")
-        for tid, (kind, ops, label, value) in enumerate(zip(
-                self.kinds, self.operands, self.labels, self.values)):
-            if len(ops) != _ARITY[kind]:
-                raise MalformedGraph(
-                    f"task {tid}: {kind.value} takes {_ARITY[kind]} "
-                    f"operands, got {len(ops)}")
+        n_operands = list(map(len, self.operands))
+        if n_operands != list(map(_ARITY.__getitem__, self.kinds)):
+            tid = next(tid for tid, (kind, n) in enumerate(
+                zip(self.kinds, n_operands)) if n != _ARITY[kind])
+            kind = self.kinds[tid]
+            raise MalformedGraph(
+                f"task {tid}: {kind.value} takes {_ARITY[kind]} "
+                f"operands, got {n_operands[tid]}")
+        for tid, ops in enumerate(self.operands):
             for o in ops:
                 if type(o) is not int or not 0 <= o < tid:
                     raise MalformedGraph(
                         f"task {tid} references {o!r}, which is not an "
                         f"earlier task")
-            if kind is OpKind.XFER:
-                if value is None or value < 0:
-                    raise MalformedGraph(f"XFER task {tid} has no value")
-                if value.bit_length() > self.field_bits:
-                    raise MalformedGraph(f"XFER task {tid} value is wider "
-                                         f"than {self.field_bits} bits")
-                if not label:
-                    raise MalformedGraph(f"XFER task {tid} has no label")
-            elif value is not None:
-                raise MalformedGraph(
-                    f"task {tid} carries a value but is not an XFER")
+        # the XFERs are found by scanning the kinds column; once each has
+        # a value, one count shows whether any other task carries one
+        xfer, tid = OpKind.XFER, -1
+        n_xfers = self.kinds.count(xfer)
+        for _ in range(n_xfers):
+            tid = self.kinds.index(xfer, tid + 1)
+            value = self.values[tid]
+            if value is None or value < 0:
+                raise MalformedGraph(f"XFER task {tid} has no value")
+            if value.bit_length() > self.field_bits:
+                raise MalformedGraph(f"XFER task {tid} value is wider "
+                                     f"than {self.field_bits} bits")
+            if not self.labels[tid]:
+                raise MalformedGraph(f"XFER task {tid} has no label")
+        if len(self.values) - self.values.count(None) != n_xfers:
+            tid = next(tid for tid, (kind, value) in enumerate(
+                zip(self.kinds, self.values))
+                if value is not None and kind is not xfer)
+            raise MalformedGraph(
+                f"task {tid} carries a value but is not an XFER")
         for r in self.result:
             if not 0 <= r < len(self.kinds):
                 raise MalformedGraph(f"result id {r} does not exist")
 
-    def _rows(self):
-        """(kind, operands, phase, point_op_index, label, value) by id."""
-        return zip(self.kinds, self.operands, self.phases,
-                   self.point_op_index, self.labels, self.values)
-
     @cached_property
     def tasks(self) -> tuple[Task, ...]:
         """The graph as `Task` rows, built on first use."""
-        return tuple(Task(tid, *row) for tid, row in enumerate(self._rows()))
+        return tuple(Task(tid, *row) for tid, row in enumerate(zip(
+            self.kinds, self.operands, self.phases, self.point_op_index,
+            self.labels, self.values)))
 
     def n_arith_tasks(self) -> int:
         return len(self.kinds) - self.kinds.count(OpKind.XFER)
@@ -154,15 +168,19 @@ class TaskGraph:
     # -- text round trip ----------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{_FORMAT_HEADER} fieldbits {self.field_bits}"]
-        for tid, (kind, ops, phase, pidx, label, value) in enumerate(
-                self._rows()):
-            lines.append(
-                f"{tid} {kind.value} {phase.value} {pidx} "
-                f"{_OPERANDS_TEXT[len(ops)] % ops} {label or '-'} "
-                f"{'-' if value is None else format(value, 'x')}")
-        lines.append(f"result {self.result[0]} {self.result[1]}")
-        return "\n".join(lines) + "\n"
+        # one task line per id, joined from the columns' texts
+        rows = map(" ".join, zip(
+            map(str, range(len(self.kinds))),
+            map(_KIND_TEXT.__getitem__, self.kinds),
+            map(_PHASE_TEXT.__getitem__, self.phases),
+            map(str, self.point_op_index),
+            [_OPERANDS_TEXT[len(ops)] % ops for ops in self.operands],
+            [label or "-" for label in self.labels],
+            ["-" if value is None else format(value, "x")
+             for value in self.values]))
+        return "\n".join((f"{_FORMAT_HEADER} fieldbits {self.field_bits}",
+                          *rows, f"result {self.result[0]} {self.result[1]}",
+                          ""))
 
     @classmethod
     def from_text(cls, text: str) -> TaskGraph:
@@ -193,8 +211,12 @@ class TaskGraph:
                 phases.append(_PHASE_OF[sphase])
                 tid = int(sid)
                 pidxs.append(int(spidx))
-                operands.append(() if sops == "-" else tuple(
-                    map(int, sops.split(","))))
+                first, comma, rest = sops.partition(",")
+                operands.append(
+                    () if sops == "-" else (int(first),) if not comma
+                    else (int(first), int(rest)) if "," not in rest
+                    # three or more ids, left for the validator to name
+                    else tuple(map(int, sops.split(","))))
                 values.append(None if svalue == "-" else int(svalue, 16))
             except (KeyError, ValueError) as exc:
                 raise MalformedGraph(f"unparseable task line: {ln!r}") from exc
@@ -248,33 +270,39 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
     kinds, operands, phases, pidxs, labels = zip(*tape.ops)
-    values = [value if kind is OpKind.XFER else None
+    xfer = OpKind.XFER
+    values = [value if kind is xfer else None
               for kind, value in zip(kinds, tape.values)]
     return TaskGraph(kinds, operands, phases, pidxs, labels, tuple(values),
                      tape.result, curve.field.bits)
 
 
 def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
-    """Re-execute a graph task by task and return the result point."""
-    if G.field_bits != curve.field.bits:
+    """Re-execute a graph task by task and return the result point.
+
+    Each task runs the curve field's raw op on the raw ints of its
+    operands; only an XFER's value is reduced (`element`), since the
+    graph text may spell it non-canonically, and only the two result
+    coordinates become `FieldElement`s."""
+    spec = curve.field
+    if G.field_bits != spec.bits:
         raise FieldMismatch(
             f"graph was compiled for a {G.field_bits}-bit field, curve "
-            f"field has {curve.field.bits} bits")
-    values: list[FieldElement] = []
+            f"field has {spec.bits} bits")
+    run = {OpKind.ADD: spec._add, OpKind.SUB: spec._sub,
+           OpKind.MUL: spec._mul, OpKind.SQR: spec._sqr, OpKind.INV: spec._inv}
+    xfer = OpKind.XFER
+    values: list[int] = []
     for kind, ops, value in zip(G.kinds, G.operands, G.values):
-        if kind is OpKind.XFER:
-            values.append(curve.field.element(value))
-        elif kind is OpKind.ADD:
-            values.append(ff_add(values[ops[0]], values[ops[1]]))
-        elif kind is OpKind.SUB:
-            values.append(ff_sub(values[ops[0]], values[ops[1]]))
-        elif kind is OpKind.MUL:
-            values.append(ff_mul(values[ops[0]], values[ops[1]]))
-        elif kind is OpKind.SQR:
-            values.append(ff_sqr(values[ops[0]]))
+        if kind is xfer:
+            values.append(spec.element(value).value)
+        elif len(ops) == 2:
+            values.append(run[kind](values[ops[0]], values[ops[1]]))
         else:
-            values.append(ff_inv(values[ops[0]]))
-    return AffinePoint(values[G.result[0]], values[G.result[1]])
+            values.append(run[kind](values[ops[0]]))
+    x, y = G.result
+    return AffinePoint(FieldElement(spec, values[x]),
+                       FieldElement(spec, values[y]))
 
 
 def critical_path(G: TaskGraph, cm: CostModel) -> int:

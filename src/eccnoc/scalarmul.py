@@ -35,29 +35,38 @@ from .fields import ARITH_KINDS, FieldElement, FieldSpec, OpKind
 
 ORACLE_BOUND = 1 << 16
 
+# module-level names for the kinds the tape records per op: reading a
+# member off its Enum class is a much slower lookup before Python 3.12
+_ADD, _SUB, _MUL, _SQR, _INV = ARITH_KINDS
+
 
 class Phase(enum.Enum):
     INIT = "init"
     ITERATE = "iterate"
     CONVERT = "convert"
 
+    __hash__ = object.__hash__   # identity, as for OpKind
+
 
 class _Tape:
     """The recorder the curve kernels run on.
 
     A kernel value is an index into the tape.  Each arithmetic op
-    computes its raw int with the field's own arithmetic and appends
-    (kind, operands, phase, point_op_index, label) to `ops`.  `const`
-    appends an input value (XFER, in the init phase) once per (label,
-    value).  `is_zero` reads the computed value, so the kernels branch
-    exactly as the real run does.  `steps` holds one entry per loop
-    step, True for a mixed addition and False for a doubling;
-    `step_starts` holds the index in `ops` where each step begins, and
-    `convert_start` the index where the conversion begins.
+    computes its raw int with the field's raw op (bound once per tape),
+    appends it to `values` and appends (kind, operands, phase,
+    point_op_index, label) to `ops`.  `const` appends an input value
+    (XFER, in the init phase) once per (label, value).  `is_zero` reads
+    the computed value, so the kernels branch exactly as the real run
+    does.  `steps` holds one entry per loop step, True for a mixed
+    addition and False for a doubling; `step_starts` holds the index in
+    `ops` where each step begins, and `convert_start` the index where
+    the conversion begins.
     """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
+        self._add, self._sub, self._mul, self._sqr, self._inv = (
+            spec._add, spec._sub, spec._mul, spec._sqr, spec._inv)
         self.values: list[int] = []
         self.ops: list[tuple] = []
         self.steps: list[bool] = []
@@ -68,28 +77,35 @@ class _Tape:
         self.result: Optional[tuple[int, int]] = None
         self._consts: dict[tuple[str, int], int] = {}
 
-    def _record(self, kind: OpKind, value: int, operands: tuple) -> int:
-        self.values.append(value)
-        self.ops.append((kind, operands, self.phase, self.pidx, ""))
-        return len(self.values) - 1
-
     def add(self, a: int, b: int) -> int:
         v = self.values
-        return self._record(OpKind.ADD, self.spec._add(v[a], v[b]), (a, b))
+        v.append(self._add(v[a], v[b]))
+        self.ops.append((_ADD, (a, b), self.phase, self.pidx, ""))
+        return len(v) - 1
 
     def sub(self, a: int, b: int) -> int:
         v = self.values
-        return self._record(OpKind.SUB, self.spec._sub(v[a], v[b]), (a, b))
+        v.append(self._sub(v[a], v[b]))
+        self.ops.append((_SUB, (a, b), self.phase, self.pidx, ""))
+        return len(v) - 1
 
     def mul(self, a: int, b: int) -> int:
         v = self.values
-        return self._record(OpKind.MUL, self.spec._mul(v[a], v[b]), (a, b))
+        v.append(self._mul(v[a], v[b]))
+        self.ops.append((_MUL, (a, b), self.phase, self.pidx, ""))
+        return len(v) - 1
 
     def sqr(self, a: int) -> int:
-        return self._record(OpKind.SQR, self.spec._sqr(self.values[a]), (a,))
+        v = self.values
+        v.append(self._sqr(v[a]))
+        self.ops.append((_SQR, (a,), self.phase, self.pidx, ""))
+        return len(v) - 1
 
     def inv(self, a: int) -> int:
-        return self._record(OpKind.INV, self.spec._inv(self.values[a]), (a,))
+        v = self.values
+        v.append(self._inv(v[a]))
+        self.ops.append((_INV, (a,), self.phase, self.pidx, ""))
+        return len(v) - 1
 
     def const(self, elem: FieldElement, label: str) -> int:
         key = (label, elem.value)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -321,6 +324,28 @@ def test_outputs_match_goldens(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and not err
     assert out == (GOLDEN_DIR / golden).read_text()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("graph",), "graph_binary33_1b2d3c4e5.txt"),
+    (("simulate", "--format", "json"), "simulate_binary33_1b2d3c4e5.json"),
+    (("compare", "--format", "json"), "compare_binary33_1b2d3c4e5.json"),
+])
+def test_output_does_not_depend_on_hash_seeds(argv, golden):
+    """Op kinds and phases hash by identity, which differs between
+    processes, and strings by PYTHONHASHSEED; no set or dict of them may
+    order any output."""
+    path = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "eccnoc", *argv, "--curve", "binary33",
+             "--k", "1b2d3c4e5"], env=env, capture_output=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].decode() == (GOLDEN_DIR / golden).read_text()
 
 
 def test_schedule_csv_matches_golden(capsys, tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from eccnoc.cli import main
 from eccnoc.curves import INFINITY
-from eccnoc.errors import (FieldMismatch, MalformedGraph, ResultAtInfinity)
-from eccnoc.fields import OpKind
+from eccnoc.errors import (DivisionByZero, FieldMismatch, MalformedGraph,
+                           ResultAtInfinity)
+from eccnoc.fields import OpKind, ff_add, ff_inv, ff_mul, ff_sqr, ff_sub
 from eccnoc.procmodel import (CostModel, TaskGraph, compile_scalar_mul,
                               critical_path, replay)
 from eccnoc.scalarmul import (OpTrace, Phase, scalar_mul,
@@ -206,7 +207,11 @@ def test_column_entry_types_are_checked(p17):
              "point_op_index column holds a float"),
             (put("labels", 0, None), "labels column holds a NoneType"),
             (put("values", 0, "3"), "values column holds a str"),
-            (put("values", 0, True), "values column holds a bool")):
+            (put("values", 0, True), "values column holds a bool"),
+            # bools are ints to isinstance, and would be written as text
+            # that from_text rejects
+            ({"result": (True, False)}, "two int result ids"),
+            ({"field_bits": True}, "an int field width")):
         with pytest.raises(MalformedGraph, match=reason):
             dataclasses.replace(G, **bad)
 
@@ -294,6 +299,60 @@ def test_mutated_graph_text_is_rejected_or_round_trips(text):
         return
     out = G.to_text()
     assert TaskGraph.from_text(out).to_text() == out
+
+
+def _replay_by_elements(G, curve):
+    """Element-level interpreter, the oracle for `replay`: each task
+    builds a `FieldElement` through the checked `ff_*` functions, by
+    branching on its kind rather than through a kind-to-op table."""
+    values = []
+    for kind, ops, value in zip(G.kinds, G.operands, G.values):
+        if kind is OpKind.XFER:
+            values.append(curve.field.element(value))
+        elif kind is OpKind.ADD:
+            values.append(ff_add(values[ops[0]], values[ops[1]]))
+        elif kind is OpKind.SUB:
+            values.append(ff_sub(values[ops[0]], values[ops[1]]))
+        elif kind is OpKind.MUL:
+            values.append(ff_mul(values[ops[0]], values[ops[1]]))
+        elif kind is OpKind.SQR:
+            values.append(ff_sqr(values[ops[0]]))
+        else:
+            assert kind is OpKind.INV
+            values.append(ff_inv(values[ops[0]]))
+    return values[G.result[0]], values[G.result[1]]
+
+
+@pytest.mark.parametrize("name", ["p17", "b4"])
+def test_replay_equals_element_interpreter(name):
+    preset = PRESETS[name]
+    curve = preset.curve
+    for k in range(1, 2 * curve.order + 1):
+        if scalar_mul(curve, k, preset.base).is_infinity:
+            with pytest.raises(ResultAtInfinity):
+                _compile(preset, k)
+            continue
+        G = _compile(preset, k)
+        R = replay(G, curve)
+        assert (R.x, R.y) == _replay_by_elements(G, curve), k
+
+
+def test_replay_hand_graphs_agree_with_element_interpreter(p17):
+    zero_inverse = TaskGraph.from_text(
+        "taskgraph 1 fieldbits 5\n0 XFER init -1 - zero 0\n"
+        "1 INV convert -1 0 - -\nresult 1 1\n")
+    for run in (replay, _replay_by_elements):
+        with pytest.raises(DivisionByZero):
+            run(zero_inverse, p17.curve)
+    # values in [17, 32) fit the 5-bit width but are not canonical mod 17
+    for value in range(17, 32):
+        G = TaskGraph.from_text(
+            f"taskgraph 1 fieldbits 5\n0 XFER init -1 - Px {value:x}\n"
+            f"1 XFER init -1 - Py 3\n2 MUL iterate 0 0,1 - -\n"
+            f"3 SUB iterate 0 2,0 - -\nresult 0 3\n")
+        R = replay(G, p17.curve)
+        assert (R.x, R.y) == _replay_by_elements(G, p17.curve)
+        assert R.x.value == value - 17
 
 
 def test_replay_checks_field_width(p17, b4):
