@@ -211,12 +211,8 @@ class TaskGraph:
                 phases.append(_PHASE_OF[sphase])
                 tid = int(sid)
                 pidxs.append(int(spidx))
-                first, comma, rest = sops.partition(",")
-                operands.append(
-                    () if sops == "-" else (int(first),) if not comma
-                    else (int(first), int(rest)) if "," not in rest
-                    # three or more ids, left for the validator to name
-                    else tuple(map(int, sops.split(","))))
+                operands.append(() if sops == "-" else tuple(
+                    map(int, sops.split(","))))
                 values.append(None if svalue == "-" else int(svalue, 16))
             except (KeyError, ValueError) as exc:
                 raise MalformedGraph(f"unparseable task line: {ln!r}") from exc

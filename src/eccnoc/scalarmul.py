@@ -37,7 +37,8 @@ ORACLE_BOUND = 1 << 16
 
 # module-level names for the kinds the tape records per op: reading a
 # member off its Enum class is a much slower lookup before Python 3.12
-_ADD, _SUB, _MUL, _SQR, _INV = ARITH_KINDS
+_ADD, _SUB, _MUL, _SQR, _INV = (OpKind.ADD, OpKind.SUB, OpKind.MUL,
+                                OpKind.SQR, OpKind.INV)
 
 
 class Phase(enum.Enum):
