@@ -4,14 +4,27 @@ Elements are immutable wrappers around Python ints.  For GF(p) the int is
 the least nonnegative residue; for GF(2^m) bit i of the int is the
 coefficient of z^i in the polynomial-basis representation, fully reduced
 by the field's irreducible polynomial.  Every operation returns a
-canonical value, so equality is plain int equality.
+canonical value, so equality is plain int equality.  Fields wider than
+`MAX_FIELD_BITS` are refused before their modulus is tested.
+
+Each `FieldSpec` binds its raw int ops (`_add` ... `_inv` and `_reduce`)
+once, when it is built, as closures over the modulus or the polynomial,
+so no call branches on the field kind or reads the spec's fields.
 
 GF(2^m) products use the comb method of Lopez and Dahab with a 4-bit
 window: a 16-entry table of multiples of one operand, indexed by the
-other operand four bits at a time.  Reduction then clears eight bits
-above z^m per step through a 256-entry table of (j * z^m) mod f that each
-field builds once, so its cost depends on m but not on the polynomial's
-shape.
+other operand four bits at a time.  The polynomial f = z^m + z^d + ...
+alone chooses how the product is reduced:
+
+- with at most five terms and 2d <= m + 1, it folds: the part at and
+  above z^m, hi, is replaced by hi times the terms of f below z^m, and
+  any product of two reduced elements needs at most two folds
+  (Hankerson, Menezes & Vanstone, Guide to Elliptic Curve Cryptography,
+  2004, sec. 2.3.5).  Every binary preset and the five NIST polynomials
+  of FIPS 186-4 fold; SEC 2's z^239 + z^158 + 1 does not.
+- any other polynomial, dense ones included, where folding could take up
+  to m rounds, clears eight bits above z^m per step through a 256-entry
+  table of (j * z^m) mod f that the field builds once.
 """
 
 from __future__ import annotations
@@ -19,12 +32,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterator
+from operator import xor
+from typing import Callable, Iterator
 
 from .errors import (BadValue, DivisionByZero, FieldMismatch,
                      OracleBoundExceeded)
 
 _ENUMERATION_BOUND = 1 << 16
+
+# the widest field accepted: 64 flits of 32 bits, the widest value that
+# nocsim can ship (nocsim.MAX_FLITS_PER_VALUE is derived from it)
+MAX_FIELD_BITS = 2048
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -169,7 +187,7 @@ def _reduction_table(f: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _reduce(x: int, m: int, table: tuple[int, ...]) -> int:
+def _table_reduce(x: int, m: int, table: tuple[int, ...]) -> int:
     """x mod f for the degree-m polynomial f that `table` was built from.
 
     Works down from the top, replacing the eight coefficients of
@@ -199,13 +217,13 @@ def is_irreducible(f: int) -> bool:
     z = 0b10
     t = z
     for _ in range(m):
-        t = _reduce(_clmul(t, t), m, table)
+        t = _table_reduce(_clmul(t, t), m, table)
     if t != z:
         return False
     for q in _prime_factors(m):
         t = z
         for _ in range(m // q):
-            t = _reduce(_clmul(t, t), m, table)
+            t = _table_reduce(_clmul(t, t), m, table)
         if _pgcd(f, t ^ z) != 1:
             return False
     return True
@@ -223,9 +241,108 @@ for _b in range(256):
 del _b, _s, _i
 
 
+RawOps = tuple[Callable[..., int], ...]
+
+
+def _prime_ops(p: int, tag: str) -> RawOps:
+    """(_add, _sub, _neg, _mul, _sqr, _inv, _reduce) of GF(p)."""
+    def add(a: int, b: int) -> int:
+        return (a + b) % p
+
+    def sub(a: int, b: int) -> int:
+        return (a - b) % p
+
+    def neg(a: int) -> int:
+        return -a % p
+
+    def mul(a: int, b: int) -> int:
+        return a * b % p
+
+    def sqr(a: int) -> int:
+        return a * a % p
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise DivisionByZero(f"zero has no inverse in {tag}")
+        return pow(a, -1, p)
+
+    def reduce(x: int) -> int:
+        return x % p
+
+    return add, sub, neg, mul, sqr, inv, reduce
+
+
+def _fold_exponents(m: int, f: int) -> tuple[int, ...] | None:
+    """The exponents of f's terms below z^m when f reduces by folding:
+    at most five terms and a second-highest exponent d with 2d <= m + 1.
+    A product of two reduced elements is below z^(2m-1), so its first
+    fold leaves less than z^(m-1+d), and the second less than z^(2d-1),
+    which is at most z^m."""
+    low = tuple(e for e in range(m) if f >> e & 1)
+    if len(low) <= 4 and 2 * max(low, default=0) <= m + 1:
+        return low
+    return None
+
+
+def _binary_ops(m: int, f: int, tag: str) -> RawOps:
+    """(_add, _sub, _neg, _mul, _sqr, _inv, _reduce) of GF(2^m) under the
+    polynomial f of degree m."""
+    low = _fold_exponents(m, f)
+    if low is None:
+        table = _reduction_table(f)
+
+        def reduce(x: int) -> int:
+            return _table_reduce(x, m, table)
+    else:
+        mask = (1 << m) - 1
+
+        def reduce(x: int) -> int:
+            while hi := x >> m:
+                x &= mask
+                for e in low:
+                    x ^= hi << e
+            return x
+
+    def neg(a: int) -> int:
+        return a
+
+    def mul(a: int, b: int) -> int:
+        return reduce(_clmul(a, b))
+
+    def sqr(a: int) -> int:
+        r = 0
+        for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+            r = (r << 16) | _SPREAD[byte]
+        return reduce(r)
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise DivisionByZero(f"zero has no inverse in {tag}")
+        # extended Euclid in GF(2)[z]; invariants g1*a = u, g2*a = v (mod f)
+        u, v = a, f
+        g1, g2 = 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return reduce(g1)
+
+    return xor, xor, neg, mul, sqr, inv, reduce
+
+
 class FieldKind(enum.Enum):
     PRIME = "prime"
     BINARY = "binary"
+
+
+_RAW_OPS = ("_add", "_sub", "_neg", "_mul", "_sqr", "_inv", "_reduce")
+
+
+def _derived():
+    return field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -240,13 +357,38 @@ class FieldSpec:
     modulus: int = 0          # p (prime fields only)
     degree: int = 0           # m (binary fields only)
     reduction_poly: int = 0   # monic irreducible of degree m (binary only)
-    # _reduction_table(reduction_poly); derived, so equality ignores it
-    rtable: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    # raw int ops on canonical values, bound by __post_init__ from the
+    # fields above; derived, so equality, hashing and repr ignore them
+    _add: Callable[[int, int], int] = _derived()
+    _sub: Callable[[int, int], int] = _derived()
+    _neg: Callable[[int], int] = _derived()
+    _mul: Callable[[int, int], int] = _derived()
+    _sqr: Callable[[int], int] = _derived()
+    _inv: Callable[[int], int] = _derived()
+    _reduce: Callable[[int], int] = _derived()
+
+    def __post_init__(self):
+        if self.kind is FieldKind.PRIME:
+            ops = _prime_ops(self.modulus, self.tag)
+        else:
+            ops = _binary_ops(self.degree, self.reduction_poly, self.tag)
+        for name, op in zip(_RAW_OPS, ops):
+            object.__setattr__(self, name, op)
+
+    def __reduce__(self):
+        # closures do not pickle: rebuild from the defining fields, which
+        # binds the ops afresh
+        return FieldSpec, (self.kind, self.modulus, self.degree,
+                           self.reduction_poly)
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         if p <= 3:
             raise BadValue(f"prime field modulus must exceed 3, got {p}")
+        if p.bit_length() > MAX_FIELD_BITS:
+            raise BadValue(f"prime field modulus has {p.bit_length()} bits; "
+                           f"fields wider than {MAX_FIELD_BITS} bits are "
+                           "refused")
         if not _is_prime(p):
             raise BadValue(f"modulus {p} is not prime")
         return cls(kind=FieldKind.PRIME, modulus=p)
@@ -255,6 +397,9 @@ class FieldSpec:
     def binary(cls, m: int, poly: int) -> "FieldSpec":
         if m < 2:
             raise BadValue(f"binary field degree must be at least 2, got {m}")
+        if m > MAX_FIELD_BITS:
+            raise BadValue(f"binary field degree is {m}; fields wider than "
+                           f"{MAX_FIELD_BITS} bits are refused")
         if _pdeg(poly) != m:
             raise BadValue(
                 f"reduction polynomial degree {_pdeg(poly)} does not match m={m}")
@@ -262,8 +407,7 @@ class FieldSpec:
             raise BadValue("reduction polynomial has zero constant term")
         if not is_irreducible(poly):
             raise BadValue(f"reduction polynomial {poly:#x} is reducible")
-        return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly,
-                   rtable=_reduction_table(poly))
+        return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly)
 
     # -- descriptive helpers ------------------------------------------------
 
@@ -289,11 +433,9 @@ class FieldSpec:
 
     def element(self, value: int) -> "FieldElement":
         """Wrap an int, reducing it to canonical form first."""
-        if self.kind is FieldKind.PRIME:
-            return FieldElement(self, value % self.modulus)
-        if value < 0:
+        if value < 0 and self.kind is FieldKind.BINARY:
             raise BadValue("binary field elements are nonnegative bit vectors")
-        return FieldElement(self, _reduce(value, self.degree, self.rtable))
+        return FieldElement(self, self._reduce(value))
 
     @property
     def zero(self) -> "FieldElement":
@@ -314,53 +456,6 @@ class FieldSpec:
                 f"at {_ENUMERATION_BOUND}")
         for v in range(self.order):
             yield FieldElement(self, v)
-
-    # -- raw int arithmetic (values assumed canonical) ----------------------
-
-    def _add(self, a: int, b: int) -> int:
-        if self.kind is FieldKind.PRIME:
-            return (a + b) % self.modulus
-        return a ^ b
-
-    def _sub(self, a: int, b: int) -> int:
-        if self.kind is FieldKind.PRIME:
-            return (a - b) % self.modulus
-        return a ^ b
-
-    def _neg(self, a: int) -> int:
-        if self.kind is FieldKind.PRIME:
-            return -a % self.modulus
-        return a
-
-    def _mul(self, a: int, b: int) -> int:
-        if self.kind is FieldKind.PRIME:
-            return a * b % self.modulus
-        return _reduce(_clmul(a, b), self.degree, self.rtable)
-
-    def _sqr(self, a: int) -> int:
-        if self.kind is FieldKind.PRIME:
-            return a * a % self.modulus
-        r = 0
-        for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
-            r = (r << 16) | _SPREAD[byte]
-        return _reduce(r, self.degree, self.rtable)
-
-    def _inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"zero has no inverse in {self.tag}")
-        if self.kind is FieldKind.PRIME:
-            return pow(a, -1, self.modulus)
-        # extended Euclid in GF(2)[z]; invariants g1*a = u, g2*a = v (mod f)
-        u, v = a, self.reduction_poly
-        g1, g2 = 1, 0
-        while u != 1:
-            j = u.bit_length() - v.bit_length()
-            if j < 0:
-                u, v, g1, g2 = v, u, g2, g1
-                j = -j
-            u ^= v << j
-            g1 ^= g2 << j
-        return _reduce(g1, self.degree, self.rtable)
 
 
 @dataclass(frozen=True)

@@ -47,15 +47,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadValue, MissingCoreRole, OutOfMesh, TooManyCores
-from .fields import OpKind
+from .fields import MAX_FIELD_BITS, OpKind
 from .procmodel import CostModel, TaskGraph
 
 Tile = tuple[int, int]
 
 # placement is quadratic in the tile count and shipping a value books its
-# flits one by one, so both are bounded; 64 flits carry a 2048-bit value
+# flits one by one, so both are bounded; 64 flits carry the widest field
 MAX_TILES = 1024
-MAX_FLITS_PER_VALUE = 64
+MAX_FLITS_PER_VALUE = MAX_FIELD_BITS // 32
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     hop = mesh.hop_cycles
     flits = mesh.flits_per_value or -(-G.field_bits // 32)
     if flits > MAX_FLITS_PER_VALUE:
-        raise BadValue(f"values wider than {32 * MAX_FLITS_PER_VALUE} bits "
+        raise BadValue(f"values wider than {MAX_FIELD_BITS} bits "
                        f"need more than {MAX_FLITS_PER_VALUE} flits")
     dist = [[manhattan(a, b) for b in tiles] for a in tiles]
     # each arithmetic kind's candidate cores, in index order, and name

@@ -59,3 +59,15 @@ def test_bench_imports_resolve():
                for fname, module, name in found
                if not _resolves(module, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "bench"])
+def test_sources_parse_as_python_3_10(tree):
+    """`requires-python` is >=3.10: syntax that needs a later release,
+    such as `except*`, fails to parse here on any interpreter.  Library
+    calls that are new in a later release are not checked."""
+    paths = sorted((ROOT / tree).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

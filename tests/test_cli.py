@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,33 @@ gy = 1
 """)
     with pytest.raises(ConfigError, match="not prime"):
         load_run_config(cfg_file)
+
+
+def test_inline_curve_wider_than_2048_bits_fails_fast(capsys, tmp_path):
+    """A 32768-bit binary field is refused before Rabin's test, which
+    would run for minutes on it."""
+    m = 32768
+    big = tmp_path / "big.ini"
+    big.write_text(f"""
+[curve]
+kind = binary
+m = {m}
+poly = {1 << m | 1 << 71 | 1:x}
+a = 1
+b = 1
+gx = 1
+gy = 1
+[run]
+k = 3
+""")
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="wider than 2048 bits"):
+        load_run_config(big)
+    code, _, err = run_cli(capsys, "mul", "--config", str(big))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: bad curve parameters: binary field degree "
+                          "is 32768; fields wider than 2048 bits")
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -1,10 +1,14 @@
 """Field arithmetic against hand-computed tables and independent oracles."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eccnoc.errors import DivisionByZero, FieldMismatch, OracleBoundExceeded
-from eccnoc.fields import (FieldKind, FieldSpec, _is_strong_lucas_prp, ff_add,
+from eccnoc.errors import (BadValue, DivisionByZero, FieldMismatch,
+                           OracleBoundExceeded)
+from eccnoc.fields import (MAX_FIELD_BITS, FieldKind, FieldSpec,
+                           _fold_exponents, _is_strong_lucas_prp, ff_add,
                            ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub,
                            is_irreducible)
 from eccnoc.presets import PRESETS
@@ -137,9 +141,11 @@ def test_element_constructor_canonicalizes():
 
 
 def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero,
+                       match=r"^zero has no inverse in GF\(17\)$"):
         ff_inv(GF17.zero)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero,
+                       match=r"^zero has no inverse in GF\(2\^4\)$"):
         ff_inv(GF16.zero)
 
 
@@ -163,6 +169,59 @@ def test_equal_specs_built_apart_combine():
         a, b = spec.element(5), twin.element(3)
         assert (ff_add(a, b).value, ff_sub(a, b).value,
                 ff_mul(a, b).value) == want
+
+
+# FIPS 186-4 App. D's five binary fields, and SEC 2's sect239, whose
+# z^158 term keeps it on the table (2 * 158 > 239 + 1)
+_NAMED_POLYS = {
+    "B-163": (163, 7, 6, 3), "B-233": (233, 74), "B-283": (283, 12, 7, 5),
+    "B-409": (409, 87), "B-571": (571, 10, 5, 2), "sect239": (239, 158),
+}
+
+
+def _named_poly(name):
+    m, *middle = _NAMED_POLYS[name]
+    return m, 1 << m | sum(1 << e for e in middle) | 1
+
+
+_SECT239 = _named_poly("sect239")[1]
+
+
+@pytest.mark.parametrize("build,want", [
+    (lambda: FieldSpec.prime(17),
+     "FieldSpec(kind=<FieldKind.PRIME: 'prime'>, modulus=17, degree=0, "
+     "reduction_poly=0)"),
+    (lambda: FieldSpec.binary(4, 0b10011),
+     "FieldSpec(kind=<FieldKind.BINARY: 'binary'>, modulus=0, degree=4, "
+     "reduction_poly=19)"),
+    (lambda: FieldSpec.binary(239, _SECT239),
+     "FieldSpec(kind=<FieldKind.BINARY: 'binary'>, modulus=0, degree=239, "
+     f"reduction_poly={_SECT239})"),
+])
+def test_specs_built_apart_are_equal_and_print_alike(build, want):
+    """The bound ops of a spec play no part in equality, hash or repr,
+    and a pickled spec comes back with working ops."""
+    spec, twin = build(), build()
+    assert twin is not spec and twin._mul is not spec._mul
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(twin) == repr(spec) == want
+    assert spec != FieldSpec.prime(19) and spec != GF8
+    clone = pickle.loads(pickle.dumps(spec.element(12345)))
+    assert clone.spec == spec and clone == spec.element(12345)
+    assert ff_sqr(clone) == ff_sqr(spec.element(12345))
+
+
+def test_field_width_is_bounded():
+    """Fields up to MAX_FIELD_BITS (2048) wide are accepted; wider ones
+    are refused before their primality or irreducibility test."""
+    assert MAX_FIELD_BITS == 2048
+    assert FieldSpec.prime(2**2048 - 1557).bits == 2048
+    f2048 = 1 << 2048 | 1 << 19 | 1 << 14 | 1 << 13 | 1
+    assert FieldSpec.binary(2048, f2048).bits == 2048
+    with pytest.raises(BadValue, match="2049 bits; fields wider than 2048"):
+        FieldSpec.prime(2**2048 + 981)   # a prime
+    with pytest.raises(BadValue, match="2049; fields wider than 2048"):
+        FieldSpec.binary(2049, 1 << 2049 | 1 << 2 | 1)
 
 
 def test_bad_field_parameters_rejected():
@@ -234,6 +293,8 @@ def _check_against_oracle(spec, a, b, x):
     assert ff_mul(A, B).value == _ref_mulmod(a, b, f)
     assert ff_sqr(A).value == _ref_mulmod(a, a, f)
     assert spec.element(x).value == _naive_pmod(x, f)
+    if a:
+        assert _ref_mulmod(a, ff_inv(A).value, f) == 1
 
 
 _BINARY_PRESETS = sorted(name for name, p in PRESETS.items()
@@ -286,6 +347,74 @@ def test_dense_degree_63_field_matches_bit_serial_oracle():
                               rng.getrandbits(189))
     top = (1 << 63) - 1
     _check_against_oracle(spec, top, top, (1 << 189) - 1)
+
+
+def _ben_or_irreducible(f):
+    # Ben-Or: f of degree m is irreducible iff it has no common factor
+    # with z^(2^d) - z for any d <= m/2; squaring spreads the bits apart
+    m = f.bit_length() - 1
+    t = 0b10
+    for _ in range(m // 2):
+        t = _naive_pmod(int("0".join(bin(t)[2:]), 2), f)
+        a, b = f, t ^ 0b10
+        while b:
+            a, b = b, _naive_pmod(a, b)
+        if a != 1:
+            return False
+    return m >= 1
+
+
+def _sparse_irreducible(rng, m, weights, tops):
+    """A random irreducible polynomial z^m + ... + 1 with 1 or 3 middle
+    terms, none above z^top: every trinomial is tried once, pentanomials
+    4m times, for each number of middle terms in `weights` and then each
+    bound in `tops`, until one is irreducible."""
+    for n in weights:
+        for top in tops:
+            if top < n:
+                continue
+            exponents = range(1, top + 1)
+            draws = ([[k] for k in rng.sample(exponents, top)] if n == 1
+                     else [rng.sample(exponents, 3) for _ in range(4 * m)])
+            for middle in draws:
+                f = 1 << m | sum(1 << e for e in middle) | 1
+                if _ben_or_irreducible(f):
+                    return f
+    raise AssertionError(f"no irreducible polynomial of degree {m} found")
+
+
+# each draw searches for an irreducible polynomial of degree up to 600,
+# which can take a second
+@settings(_PROPERTY, max_examples=15)
+@given(m=st.integers(2, 600), pentanomial=st.booleans(), low=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_sparse_fields_match_bit_serial_oracle(m, pentanomial, low, seed):
+    """Random irreducible trinomials and pentanomials: with `low`, the
+    middle terms are first sought at or below z^((m+1)/2), where the
+    reduction folds; a degree without such a polynomial moves on to
+    wider middle terms, then to the other weight."""
+    rng = seeded(seed)
+    f = _sparse_irreducible(rng, m, (3, 1) if pentanomial else (1, 3),
+                            ((m + 1) // 2, m - 1) if low else (m - 1,))
+    spec = FieldSpec.binary(m, f)
+    for _ in range(3):
+        a, b = rng.getrandbits(m), rng.getrandbits(m)
+        _check_against_oracle(spec, a, b, rng.getrandbits(3 * m))
+    top = (1 << m) - 1
+    _check_against_oracle(spec, top, top, (1 << 3 * m) - 1)
+
+
+@pytest.mark.parametrize("name", _NAMED_POLYS)
+def test_named_polynomials_match_bit_serial_oracle(name):
+    m, f = _named_poly(name)
+    assert (_fold_exponents(m, f) is None) == (name == "sect239")
+    spec = FieldSpec.binary(m, f)
+    rng = seeded(m)
+    for _ in range(20):
+        _check_against_oracle(spec, rng.getrandbits(m), rng.getrandbits(m),
+                              rng.getrandbits(3 * m))
+    top = (1 << m) - 1
+    _check_against_oracle(spec, top, top, (1 << 3 * m) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -373,19 +373,43 @@ def _invariant_check(G, cm, mesh, rep):
                 assert ends[o] <= e.start
     # accounting
     assert sum(rep.per_link_flits.values()) == rep.total_flit_hops
-    # per-link flits from each message's column-first route, walked here
-    # rather than through xy_route
+    # link traffic, replayed here rather than through xy_route or the
+    # simulator's booking: each message in booking order walks its
+    # column-first route, and each of its flits takes, link by link, the
+    # first cycle at or after the one it reaches that link that is still
+    # free in this replay's own (link, cycle) table, so no link carries
+    # two flits in one cycle.  A simulator that let two flits share a
+    # link-cycle, or timed a hop otherwise, gets other arrival cycles
+    hop = mesh.hop_cycles
+    occupied = set()
     walked = {}
     for m in rep.messages:
         (c, r), (dc, dr) = m.src, m.dst
+        route = []
         while (c, r) != (dc, dr):
             if c != dc:
                 nc, nr = c + (1 if dc > c else -1), r
             else:
                 nc, nr = c, r + (1 if dr > r else -1)
-            link = f"{c},{r}->{nc},{nr}"
-            walked[link] = walked.get(link, 0) + rep.flits_per_value
+            route.append(f"{c},{r}->{nc},{nr}")
             c, r = nc, nr
+        prev = None     # the cycles the message's previous flit crossed at
+        arrival = m.launch
+        for _ in range(rep.flits_per_value):
+            t, crossed = m.launch, []
+            for link in route:
+                while (link, t) in occupied:
+                    t += 1
+                occupied.add((link, t))
+                crossed.append(t)
+                walked[link] = walked.get(link, 0) + 1
+                t += hop
+            # flits of a message stay in order on every link
+            assert prev is None or all(
+                b > a for a, b in zip(prev, crossed))
+            prev, arrival = crossed, t
+        # the message arrives when its last flit clears its last link
+        assert m.arrival == arrival
     assert walked == rep.per_link_flits
     assert sum(rep.per_core_busy_cycles.values()) == \
         rep.sequential_baseline_cycles
