@@ -12,8 +12,8 @@ from .nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
                      SimReport, centrality, compare_placements,
                      corner_first_placement, default_placement, role_usage,
                      sequential_baseline, simulate, xy_route)
-from .procmodel import (CostModel, Task, TaskGraph, compile_scalar_mul,
-                        critical_path, replay)
+from .procmodel import (CostModel, Plan, Task, TaskGraph,
+                        compile_scalar_mul, critical_path, replay)
 from .presets import PRESETS, get_preset
 from .scalarmul import (AUDIT_BASELINE, CountReport, OpTrace, Phase,
                         count_report, scalar_mul, scalar_mul_reference)

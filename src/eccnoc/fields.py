@@ -177,6 +177,27 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
+# squaring in GF(2)[z] interleaves a zero bit between adjacent coefficient
+# bits; `_psqr` does it a byte at a time through a 256-entry table
+_SPREAD = []
+for _b in range(256):
+    _s = 0
+    for _i in range(8):
+        if _b >> _i & 1:
+            _s |= 1 << (2 * _i)
+    _SPREAD.append(_s)
+del _b, _s, _i
+
+
+def _psqr(a: int) -> int:
+    """a * a in GF(2)[z], equal to _clmul(a, a): the cross terms cancel
+    in pairs, so each coefficient moves to twice its exponent."""
+    r = 0
+    for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+        r = (r << 16) | _SPREAD[byte]
+    return r
+
+
 def _reduction_table(f: int) -> tuple[int, ...]:
     """R[j] = (j * z^m) mod f for every j below 256 (m = deg f)."""
     m = _pdeg(f)
@@ -198,6 +219,39 @@ def _table_reduce(x: int, m: int, table: tuple[int, ...]) -> int:
     return x
 
 
+def _fold_exponents(m: int, f: int) -> tuple[int, ...] | None:
+    """The exponents of f's terms below z^m when f reduces by folding:
+    at most five terms and a second-highest exponent d with 2d <= m + 1.
+    A product of two reduced elements is below z^(2m-1), so its first
+    fold leaves less than z^(m-1+d), and the second less than z^(2d-1),
+    which is at most z^m."""
+    low = tuple(e for e in range(m) if f >> e & 1)
+    if len(low) <= 4 and 2 * max(low, default=0) <= m + 1:
+        return low
+    return None
+
+
+def _reducer(m: int, f: int) -> Callable[[int], int]:
+    """x mod f for the degree-m polynomial f: by folding when f allows
+    it, else through f's byte table."""
+    low = _fold_exponents(m, f)
+    if low is None:
+        table = _reduction_table(f)
+
+        def reduce(x: int) -> int:
+            return _table_reduce(x, m, table)
+    else:
+        mask = (1 << m) - 1
+
+        def reduce(x: int) -> int:
+            while hi := x >> m:
+                x &= mask
+                for e in low:
+                    x ^= hi << e
+            return x
+    return reduce
+
+
 def _pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
@@ -213,32 +267,20 @@ def is_irreducible(f: int) -> bool:
         return True
     if not f & 1:
         return False  # divisible by z
-    table = _reduction_table(f)
+    reduce = _reducer(m, f)
     z = 0b10
     t = z
     for _ in range(m):
-        t = _table_reduce(_clmul(t, t), m, table)
+        t = reduce(_psqr(t))
     if t != z:
         return False
     for q in _prime_factors(m):
         t = z
         for _ in range(m // q):
-            t = _table_reduce(_clmul(t, t), m, table)
+            t = reduce(_psqr(t))
         if _pgcd(f, t ^ z) != 1:
             return False
     return True
-
-
-# squaring in GF(2^m) interleaves a zero bit between adjacent coefficient
-# bits; do it a byte at a time through a 256-entry table
-_SPREAD = []
-for _b in range(256):
-    _s = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _s |= 1 << (2 * _i)
-    _SPREAD.append(_s)
-del _b, _s, _i
 
 
 RawOps = tuple[Callable[..., int], ...]
@@ -272,36 +314,10 @@ def _prime_ops(p: int, tag: str) -> RawOps:
     return add, sub, neg, mul, sqr, inv, reduce
 
 
-def _fold_exponents(m: int, f: int) -> tuple[int, ...] | None:
-    """The exponents of f's terms below z^m when f reduces by folding:
-    at most five terms and a second-highest exponent d with 2d <= m + 1.
-    A product of two reduced elements is below z^(2m-1), so its first
-    fold leaves less than z^(m-1+d), and the second less than z^(2d-1),
-    which is at most z^m."""
-    low = tuple(e for e in range(m) if f >> e & 1)
-    if len(low) <= 4 and 2 * max(low, default=0) <= m + 1:
-        return low
-    return None
-
-
 def _binary_ops(m: int, f: int, tag: str) -> RawOps:
     """(_add, _sub, _neg, _mul, _sqr, _inv, _reduce) of GF(2^m) under the
     polynomial f of degree m."""
-    low = _fold_exponents(m, f)
-    if low is None:
-        table = _reduction_table(f)
-
-        def reduce(x: int) -> int:
-            return _table_reduce(x, m, table)
-    else:
-        mask = (1 << m) - 1
-
-        def reduce(x: int) -> int:
-            while hi := x >> m:
-                x &= mask
-                for e in low:
-                    x ^= hi << e
-            return x
+    reduce = _reducer(m, f)
 
     def neg(a: int) -> int:
         return a
@@ -310,10 +326,7 @@ def _binary_ops(m: int, f: int, tag: str) -> RawOps:
         return reduce(_clmul(a, b))
 
     def sqr(a: int) -> int:
-        r = 0
-        for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
-            r = (r << 16) | _SPREAD[byte]
-        return reduce(r)
+        return reduce(_psqr(a))
 
     def inv(a: int) -> int:
         if a == 0:

@@ -24,6 +24,11 @@ starts once its core is free and every operand has arrived, and runs
 without preemption.  A value shipped to a tile stays resident there, so
 it never crosses to the same tile twice.
 
+The visit order, the task costs and each task's computed operands come
+from the graph's plan (`TaskGraph.plan`), which is built on first use
+and memoised per cost model on the immutable graph; `simulate` keeps
+only the placement-dependent work.
+
 Input (XFER) values are preloaded into every core's local store before
 cycle 0, so only computed values cross the network.  Control traffic
 (assigning tasks to cores) is not charged.  Each computed coordinate of
@@ -227,7 +232,7 @@ def corner_first_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
 # ---------------------------------------------------------------------------
 # simulation
 
-@dataclass
+@dataclass(slots=True)
 class ScheduleEntry:
     task: int
     kind: str
@@ -236,7 +241,7 @@ class ScheduleEntry:
     end: int
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
     producer: int         # task whose value moves
     consumer: int         # receiving task, or -1 for result delivery
@@ -286,7 +291,7 @@ class SimReport:
 def sequential_baseline(G: TaskGraph, cm: CostModel) -> int:
     """Total cycles of a single core running every task back to back
     with no transfers: the serial reference for speedup."""
-    return sum(G.costs(cm))
+    return sum(G.plan(cm).costs)
 
 
 def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
@@ -315,21 +320,9 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     runs_on = {kind: (cores[role], kind.value)
                for kind, role in _KIND_ROLE.items()}
 
-    kinds, costs = G.kinds, G.costs(cm)
-    arith = [tid for tid, kind in enumerate(kinds) if kind is not OpKind.XFER]
-    # each task's distinct computed operands; inputs are preloaded
-    inputs = set(range(len(kinds))).difference(arith)
-    needs = [sorted(set(ops) - inputs) for ops in G.operands]
-    # upward rank: longest remaining cost-weighted path to any sink;
-    # every cost is >= 1, so decreasing rank is a topological order.
-    # Tasks are visited last id first, so a task's entry holds its
-    # successors' highest rank until its own cost is added
-    prio = [0] * len(kinds)
-    for tid in reversed(arith):
-        rank = prio[tid] = prio[tid] + costs[tid]
-        for o in needs[tid]:
-            if rank > prio[o]:
-                prio[o] = rank
+    kinds = G.kinds
+    plan = G.plan(cm)
+    costs, needs = plan.costs, plan.needs
 
     free = [0] * len(names)
     busy = [0] * len(names)
@@ -371,8 +364,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         return arrival
 
     schedule: list[ScheduleEntry] = []
-    # highest rank first; the stable sort keeps equal ranks in id order
-    for tid in sorted(arith, key=prio.__getitem__, reverse=True):
+    for tid in plan.order:
         candidates, kind_name = runs_on[kinds[tid]]
         operands = needs[tid]
         # `ready` is the estimate less the task's cost, which every

@@ -20,6 +20,14 @@ whose `__post_init__` is the one validator.  `tasks` is a row view of
 `replay` re-executes a graph on raw ints: each task runs the curve
 field's raw op (`FieldSpec._add` ... `_inv`, the ones the tape runs),
 and only the result coordinates are wrapped as `FieldElement`s.
+
+`TaskGraph.plan(cm)` is what scheduling needs of the graph under one
+cost model, none of it placement-dependent: each task's cost, each
+task's distinct computed operands in id order (XFER inputs dropped), and
+the arithmetic tasks in decreasing upward rank, ties by id.  It is built
+on first use and memoised per cost model on the immutable graph, so
+`critical_path`, `nocsim.sequential_baseline` and every
+`nocsim.simulate` call on one graph and cost model share it.
 """
 
 from __future__ import annotations
@@ -145,13 +153,20 @@ class TaskGraph:
             self.kinds, self.operands, self.phases, self.point_op_index,
             self.labels, self.values)))
 
+    @cached_property
+    def _plans(self) -> dict[CostModel, Plan]:
+        return {}
+
+    def plan(self, cm: CostModel) -> Plan:
+        """The graph's schedule plan under `cm`: built on first use and
+        memoised per cost model, since the graph cannot change."""
+        plan = self._plans.get(cm)
+        if plan is None:
+            plan = self._plans[cm] = Plan.build(self, cm)
+        return plan
+
     def n_arith_tasks(self) -> int:
         return len(self.kinds) - self.kinds.count(OpKind.XFER)
-
-    def costs(self, cm: CostModel) -> list[int]:
-        """Cycle cost of each task under `cm`, by task id."""
-        table = {kind: cm.cost(kind) for kind in OpKind}
-        return [table[kind] for kind in self.kinds]
 
     def ancestors_of_result(self) -> set[int]:
         """Ids of the tasks the result pair depends on (inclusive)."""
@@ -256,6 +271,53 @@ class CostModel:
         return getattr(self, kind.value.lower())
 
 
+@dataclass(frozen=True)
+class Plan:
+    """What scheduling one graph under one cost model needs, none of it
+    placement-dependent; `TaskGraph.plan` builds and memoises it."""
+
+    costs: tuple[int, ...]              # cycles per task, by id; XFER 0
+    needs: tuple[tuple[int, ...], ...]  # distinct computed operands, id order
+    order: tuple[int, ...]              # arithmetic tasks, highest upward
+                                        # rank first, ties by id
+
+    @classmethod
+    def build(cls, G: TaskGraph, cm: CostModel) -> Plan:
+        table = {kind: cm.cost(kind) for kind in OpKind}
+        costs = tuple(map(table.__getitem__, G.kinds))
+        # every arithmetic cost is at least 1 and an XFER's is 0, so a
+        # cost says whether its task is computed; inputs are preloaded,
+        # so only computed operands are needed.  An operand tuple that
+        # already lists distinct computed ids in order is kept as it is
+        needs = []
+        for ops in G.operands:
+            if len(ops) == 2:
+                a, b = ops
+                if not costs[a]:
+                    ops = (b,) if costs[b] else ()
+                elif not costs[b] or a == b:
+                    ops = (a,)
+                elif a > b:
+                    ops = (b, a)
+            elif ops and not costs[ops[0]]:
+                ops = ()
+            needs.append(ops)
+        arith = [tid for tid, cost in enumerate(costs) if cost]
+        # upward rank: longest remaining cost-weighted path to any sink;
+        # every cost is >= 1, so decreasing rank is a topological order.
+        # Tasks are visited last id first, so a task's entry holds its
+        # successors' highest rank until its own cost is added
+        rank = [0] * len(costs)
+        for tid in reversed(arith):
+            r = rank[tid] = rank[tid] + costs[tid]
+            for o in needs[tid]:
+                if r > rank[o]:
+                    rank[o] = r
+        # the stable sort keeps equal ranks in id order
+        return cls(costs, tuple(needs),
+                   tuple(sorted(arith, key=rank.__getitem__, reverse=True)))
+
+
 # ---------------------------------------------------------------------------
 # compilation and the independent interpreter
 
@@ -308,7 +370,12 @@ def critical_path(G: TaskGraph, cm: CostModel) -> int:
     result does not depend on never stretch it; the chain is a lower
     bound on any schedule's completion time for the result.
     """
-    dist: list[int] = []
-    for cost, ops in zip(G.costs(cm), G.operands):
-        dist.append(cost + max(map(dist.__getitem__, ops), default=0))
+    plan = G.plan(cm)
+    dist = list(plan.costs)
+    for tid, ops in enumerate(plan.needs):
+        longest = 0
+        for o in ops:
+            if dist[o] > longest:
+                longest = dist[o]
+        dist[tid] += longest
     return max(dist[r] for r in G.result)

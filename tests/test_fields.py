@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from eccnoc.errors import (BadValue, DivisionByZero, FieldMismatch,
                            OracleBoundExceeded)
-from eccnoc.fields import (MAX_FIELD_BITS, FieldKind, FieldSpec,
-                           _fold_exponents, _is_strong_lucas_prp, ff_add,
-                           ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub,
+from eccnoc.fields import (MAX_FIELD_BITS, FieldKind, FieldSpec, _clmul,
+                           _fold_exponents, _is_strong_lucas_prp, _psqr,
+                           ff_add, ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub,
                            is_irreducible)
 from eccnoc.presets import PRESETS
 
@@ -116,6 +116,14 @@ def test_binary_squaring_is_frobenius():
             a = spec.random_element(rng)
             b = spec.random_element(rng)
             assert ff_sqr(a + b) == ff_sqr(a) + ff_sqr(b)
+
+
+def test_polynomial_square_equals_carry_less_product():
+    rng = seeded(79)
+    for x in [0, 1, (1 << MAX_FIELD_BITS) - 1] + [
+            rng.getrandbits(rng.randrange(1, MAX_FIELD_BITS + 1))
+            for _ in range(300)]:
+        assert _psqr(x) == _clmul(x, x)
 
 
 def test_results_stay_canonical():

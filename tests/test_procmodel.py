@@ -1,6 +1,7 @@
 """Task-graph compilation, validation, text round trip, critical path."""
 
 import dataclasses
+import pickle
 from collections import Counter
 
 import pytest
@@ -374,6 +375,104 @@ def test_critical_path_hand_graphs():
     orphan = TaskGraph.from_text(_TINY_TEXT.replace(
         "result", "5 INV convert -1 2 - -\nresult"))
     assert critical_path(orphan, cm) == 4
+
+
+def _critical_path_oracle(G, cm):
+    """The longest-path pass over the raw operand tuples, XFER operands
+    and repeats included."""
+    dist = []
+    for kind, ops in zip(G.kinds, G.operands):
+        dist.append(cm.cost(kind) + max(map(dist.__getitem__, ops),
+                                        default=0))
+    return max(dist[r] for r in G.result)
+
+
+def _plan_oracle(G, cm):
+    """Costs, needs and visit order derived with sets and a sort per task."""
+    costs = tuple(cm.cost(kind) for kind in G.kinds)
+    inputs = {tid for tid, kind in enumerate(G.kinds) if kind is OpKind.XFER}
+    needs = tuple(tuple(sorted(set(ops) - inputs)) for ops in G.operands)
+    rank = {}
+    for tid in reversed(range(len(G.kinds))):
+        if tid not in inputs:
+            users = [rank[u] for u in range(tid + 1, len(G.kinds))
+                     if tid in needs[u]]
+            rank[tid] = costs[tid] + max(users, default=0)
+    order = tuple(sorted(rank, key=lambda tid: (-rank[tid], tid)))
+    return costs, needs, order
+
+
+# XFER-only operands (2), a repeated operand (4), descending operands (5),
+# an XFER next to a computed operand (7) and a dead expensive task (6)
+_PLAN_TEXT = """taskgraph 1 fieldbits 5
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 SQR iterate 0 2 - -
+4 MUL iterate 0 3,3 - -
+5 ADD iterate 0 4,2 - -
+6 INV convert -1 5 - -
+7 SUB convert -1 1,5 - -
+result 7 5
+"""
+
+
+def test_plan_of_a_hand_graph():
+    G = TaskGraph.from_text(_PLAN_TEXT)
+    cm = CostModel(add=1, sub=2, mul=3, sqr=5, inv=40)
+    plan = G.plan(cm)
+    assert plan.costs == (0, 0, 3, 5, 3, 1, 40, 2)
+    assert plan.needs == ((), (), (), (2,), (3,), (2, 4), (5,), (5,))
+    # upward ranks 52, 49, 44, 41, 40, 2
+    assert plan.order == (2, 3, 4, 5, 6, 7)
+    assert (plan.costs, plan.needs, plan.order) == _plan_oracle(G, cm)
+    # 3 + 5 + 3 + 1 + 2 through the SUB; the INV feeds nothing
+    assert critical_path(G, cm) == _critical_path_oracle(G, cm) == 14
+
+
+def test_critical_path_and_plan_match_oracles_on_every_preset():
+    rng = seeded(41)
+    cms = (CostModel(), CostModel(add=2, sub=3, mul=5, sqr=1, inv=17))
+    for preset in PRESETS.values():
+        bits = min(preset.curve.field.bits, 20)
+        for _ in range(3):
+            k = rng.randrange(2, 1 << bits)
+            try:
+                G = _compile(preset, k)
+            except ResultAtInfinity:
+                continue
+            for cm in cms:
+                assert critical_path(G, cm) == _critical_path_oracle(G, cm)
+                plan = G.plan(cm)
+                assert (plan.costs, plan.needs, plan.order) == \
+                    _plan_oracle(G, cm), (preset.name, k)
+
+
+def test_plan_is_memoised_per_cost_model():
+    preset = PRESETS["prime32"]
+    a = CostModel.default(preset.curve.field.kind)
+    b = CostModel(add=2, sub=2, mul=7, sqr=3, inv=20)
+    G = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+    bare = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+    mesh = MeshConfig()
+    pl = default_placement(mesh, DEFAULT_ROLE_COUNTS, role_usage(G))
+    reports = []
+    for cm in (a, b, a):
+        fresh = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+        assert critical_path(G, cm) == critical_path(fresh, cm)
+        report = simulate(G, cm, mesh, pl)
+        assert report == simulate(fresh, cm, mesh, pl)
+        reports.append(report)
+    assert reports[0] == reports[2] != reports[1]
+    # equal cost models built apart share one plan
+    assert G.plan(CostModel(mul=5)) is G.plan(CostModel(mul=5))
+    assert G.plan(a) is G.plan(CostModel.default(preset.curve.field.kind))
+    # the memo is no part of the graph's value
+    assert G == bare and hash(G) == hash(bare)
+    copy = pickle.loads(pickle.dumps(G))
+    assert copy == G and hash(copy) == hash(G)
+    assert copy.plan(b) == G.plan(b)
+    assert simulate(copy, b, mesh, pl) == reports[1]
 
 
 def test_critical_path_scales_with_cost_model(p17):
