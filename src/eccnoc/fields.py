@@ -177,25 +177,12 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
-# squaring in GF(2)[z] interleaves a zero bit between adjacent coefficient
-# bits; `_psqr` does it a byte at a time through a 256-entry table
-_SPREAD = []
-for _b in range(256):
-    _s = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _s |= 1 << (2 * _i)
-    _SPREAD.append(_s)
-del _b, _s, _i
-
-
 def _psqr(a: int) -> int:
     """a * a in GF(2)[z], equal to _clmul(a, a): the cross terms cancel
-    in pairs, so each coefficient moves to twice its exponent."""
-    r = 0
-    for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
-        r = (r << 16) | _SPREAD[byte]
-    return r
+    in pairs, so each coefficient moves to twice its exponent.  Read as
+    base-4 digits, a's binary digits put bit i at bit 2i; the int/str
+    digit limit does not apply to power-of-two bases."""
+    return int(format(a, "b"), 4)
 
 
 def _reduction_table(f: int) -> tuple[int, ...]:

@@ -71,6 +71,13 @@ class MeshConfig:
     flits_per_value: Optional[int] = None  # None: ceil(field_bits / 32)
 
     def __post_init__(self):
+        names = ("cols", "rows", "hop_cycles") + (
+            () if self.flits_per_value is None else ("flits_per_value",))
+        for name in names:
+            value = getattr(self, name)
+            # a float, bool or str would reach the simulator's arithmetic
+            if type(value) is not int:
+                raise BadValue(f"mesh {name} must be an int, got {value!r}")
         if self.cols < 1 or self.rows < 1:
             raise BadValue("mesh needs at least one column and one row")
         if self.cols * self.rows > MAX_TILES:

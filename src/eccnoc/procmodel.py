@@ -4,9 +4,12 @@
 (`scalarmul.run_binary_method`) into tasks, one per recorded field
 operation, so data-dependent branches are decided by the real run and
 the graph is exactly the executed op sequence: the same tape
-`scalar_mul` counts.  Input values (base-point coordinates, curve
-constants) are XFER source tasks, one per distinct (label, value); no
-other common subexpression is merged.
+`scalar_mul` counts.  It decodes the tape's kind codes and stamps each
+task's phase and point-op index from the tape's step and conversion
+boundaries.  Input values (base-point coordinates, curve constants) are
+XFER source tasks, one per distinct (label, value), in the init phase
+wherever the run first asked for them; no other common subexpression is
+merged.
 
 A `TaskGraph` is a frozen dataclass of one tuple per task attribute,
 indexed by task id (`kinds`, `operands`, `phases`, `point_op_index`,
@@ -39,7 +42,7 @@ from typing import Optional
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import FieldElement, FieldKind, OpKind
-from .scalarmul import Phase, run_binary_method
+from .scalarmul import _KINDS, Phase, run_binary_method
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
@@ -257,7 +260,11 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("add", "sub", "mul", "sqr", "inv"):
-            if getattr(self, name) < 1:
+            cost = getattr(self, name)
+            # a float, bool or str would reach the schedule's arithmetic
+            if type(cost) is not int:
+                raise BadValue(f"{name} cost must be an int, got {cost!r}")
+            if cost < 1:
                 raise BadValue(f"{name} cost must be at least 1 cycle")
 
     @classmethod
@@ -327,12 +334,26 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     if tape is None or tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
-    kinds, operands, phases, pidxs, labels = zip(*tape.ops)
-    xfer = OpKind.XFER
-    values = [value if kind is xfer else None
-              for kind, value in zip(kinds, tape.values)]
-    return TaskGraph(kinds, operands, phases, pidxs, labels, tuple(values),
-                     tape.result, curve.field.bits)
+    n, conv = len(tape.values), tape.convert_start
+    starts = [*tape.step_starts, conv]
+    phases = ([Phase.INIT] * starts[0] + [Phase.ITERATE] * (conv - starts[0])
+              + [Phase.CONVERT] * (n - conv))
+    pidxs = [-1] * starts[0]
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        pidxs += [i] * (b - a)
+    pidxs += [-1] * (n - conv)
+    labels: list[str] = [""] * n
+    values: list[Optional[int]] = [None] * n
+    # an XFER is an input of the whole run, wherever a kernel asked for it
+    for i, label in tape.labels.items():
+        labels[i] = label
+        values[i] = tape.values[i]
+        phases[i] = Phase.INIT
+        pidxs[i] = -1
+    return TaskGraph(tuple(map(_KINDS.__getitem__, tape.kinds)),
+                     tuple(tape.operands), tuple(phases), tuple(pidxs),
+                     tuple(labels), tuple(values), tape.result,
+                     curve.field.bits)
 
 
 def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:

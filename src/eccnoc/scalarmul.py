@@ -5,16 +5,20 @@ kernels.  A scalar k with bit length l costs l-1 point doublings and
 HW(k)-1 mixed additions, and the single field inversion of the whole run
 happens in the final conversion back to affine coordinates.
 
-Every run is recorded on a tape (`run_binary_method`): each field
-operation computes its value on raw ints and appends its kind, its
-operands and where in the run it happened.  The tape is the one program
+Every run is recorded on a tape (`run_binary_method`) held as columns:
+each field operation computes its value on raw ints and appends it, its
+kind as a one-byte code and its operands.  The tape also records where
+each loop step and the conversion begin; an op's phase and step follow
+from those boundaries, not from the op.  The tape is the one program
 both consumers read.  `scalar_mul` counts it into an `OpTrace` by phase:
 
   Init     embedding the base point (no arithmetic)
   Iterate  every doubling and mixed addition in the loop
   Convert  the one projective-to-affine conversion
 
-and `procmodel.compile_scalar_mul` turns the same entries into tasks.
+slicing the kind codes at the boundaries and counting each slice with
+`bytes.count`, and `procmodel.compile_scalar_mul` turns the same columns
+into tasks.
 
 `count_report` compares the measured per-point-op averages against a
 fixed baseline cost table and reports the deviations; the baseline is an
@@ -35,10 +39,12 @@ from .fields import ARITH_KINDS, FieldElement, FieldSpec, OpKind
 
 ORACLE_BOUND = 1 << 16
 
-# module-level names for the kinds the tape records per op: reading a
-# member off its Enum class is a much slower lookup before Python 3.12
-_ADD, _SUB, _MUL, _SQR, _INV = (OpKind.ADD, OpKind.SUB, OpKind.MUL,
-                                OpKind.SQR, OpKind.INV)
+# one-byte kind codes, indexed like tuple(OpKind): the tape records each
+# op's kind as its code, so counting a column is `bytes.count`
+_KINDS = tuple(OpKind)
+_ADD, _SUB, _MUL, _SQR, _INV, _XFER = map(_KINDS.index, (
+    OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV, OpKind.XFER))
+_ARITH_CODES = tuple((kind, _KINDS.index(kind)) for kind in ARITH_KINDS)
 
 
 class Phase(enum.Enum):
@@ -50,18 +56,23 @@ class Phase(enum.Enum):
 
 
 class _Tape:
-    """The recorder the curve kernels run on.
+    """The recorder the curve kernels run on, held as columns.
 
     A kernel value is an index into the tape.  Each arithmetic op
-    computes its raw int with the field's raw op (bound once per tape),
-    appends it to `values` and appends (kind, operands, phase,
-    point_op_index, label) to `ops`.  `const` appends an input value
-    (XFER, in the init phase) once per (label, value).  `is_zero` reads
-    the computed value, so the kernels branch exactly as the real run
-    does.  `steps` holds one entry per loop step, True for a mixed
-    addition and False for a doubling; `step_starts` holds the index in
-    `ops` where each step begins, and `convert_start` the index where
-    the conversion begins.
+    computes its raw int with the field's raw op (bound once per tape)
+    and appends to three columns: its value to `values`, its kind's code
+    (an index into `tuple(OpKind)`) to the `kinds` bytearray, and its
+    operand indices to `operands`.  `const` appends an input value
+    (XFER) once per (label, value) and files its label in `labels` under
+    its index.  `is_zero` reads the computed value, so the kernels
+    branch exactly as the real run does.
+
+    No op carries its phase or step.  `steps` holds one entry per loop
+    step, True for a mixed addition and False for a doubling;
+    `step_starts` holds the index where each step begins and
+    `convert_start` the index where the conversion begins.  An op's
+    phase and step follow from those boundaries, except that an XFER
+    belongs to the init phase wherever a kernel first asks for it.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -69,43 +80,48 @@ class _Tape:
         self._add, self._sub, self._mul, self._sqr, self._inv = (
             spec._add, spec._sub, spec._mul, spec._sqr, spec._inv)
         self.values: list[int] = []
-        self.ops: list[tuple] = []
+        self.kinds = bytearray()
+        self.operands: list[tuple[int, ...]] = []
+        self.labels: dict[int, str] = {}
         self.steps: list[bool] = []
         self.step_starts: list[int] = []
         self.convert_start: Optional[int] = None
-        self.phase = Phase.INIT
-        self.pidx = -1
         self.result: Optional[tuple[int, int]] = None
         self._consts: dict[tuple[str, int], int] = {}
 
     def add(self, a: int, b: int) -> int:
         v = self.values
         v.append(self._add(v[a], v[b]))
-        self.ops.append((_ADD, (a, b), self.phase, self.pidx, ""))
+        self.kinds.append(_ADD)
+        self.operands.append((a, b))
         return len(v) - 1
 
     def sub(self, a: int, b: int) -> int:
         v = self.values
         v.append(self._sub(v[a], v[b]))
-        self.ops.append((_SUB, (a, b), self.phase, self.pidx, ""))
+        self.kinds.append(_SUB)
+        self.operands.append((a, b))
         return len(v) - 1
 
     def mul(self, a: int, b: int) -> int:
         v = self.values
         v.append(self._mul(v[a], v[b]))
-        self.ops.append((_MUL, (a, b), self.phase, self.pidx, ""))
+        self.kinds.append(_MUL)
+        self.operands.append((a, b))
         return len(v) - 1
 
     def sqr(self, a: int) -> int:
         v = self.values
         v.append(self._sqr(v[a]))
-        self.ops.append((_SQR, (a,), self.phase, self.pidx, ""))
+        self.kinds.append(_SQR)
+        self.operands.append((a,))
         return len(v) - 1
 
     def inv(self, a: int) -> int:
         v = self.values
         v.append(self._inv(v[a]))
-        self.ops.append((_INV, (a,), self.phase, self.pidx, ""))
+        self.kinds.append(_INV)
+        self.operands.append((a,))
         return len(v) - 1
 
     def const(self, elem: FieldElement, label: str) -> int:
@@ -114,7 +130,9 @@ class _Tape:
         if idx is None:
             idx = self._consts[key] = len(self.values)
             self.values.append(elem.value)
-            self.ops.append((OpKind.XFER, (), Phase.INIT, -1, label))
+            self.kinds.append(_XFER)
+            self.operands.append(())
+            self.labels[idx] = label
         return idx
 
     def is_zero(self, a: int) -> bool:
@@ -124,16 +142,13 @@ class _Tape:
         return FieldElement(self.spec, self.values[a])
 
     def begin_step(self, is_add: bool) -> None:
-        """Open the next loop step; its ops carry its point_op_index."""
-        self.phase = Phase.ITERATE
-        self.pidx = len(self.steps)
+        """Open the next loop step at the current end of the tape."""
         self.steps.append(is_add)
-        self.step_starts.append(len(self.ops))
+        self.step_starts.append(len(self.values))
 
     def begin_convert(self) -> None:
         """Close the loop; the ops that follow convert to affine."""
-        self.phase, self.pidx = Phase.CONVERT, -1
-        self.convert_start = len(self.ops)
+        self.convert_start = len(self.values)
 
 
 # the audit's point-operation columns plus the init phase (named as their
@@ -161,18 +176,18 @@ class OpTrace:
         n_adds = sum(tape.steps)
         self.n_point_adds += n_adds
         self.n_point_doubles += len(tape.steps) - n_adds
-        # each column's op kinds, sliced at the step and conversion
+        # each column's kind codes, sliced at the step and conversion
         # starts; XFERs (inputs, wherever recorded) are never counted
-        kinds = [op[0] for op in tape.ops]
-        starts = [*tape.step_starts, tape.convert_start]
-        cols = {"init": kinds[:starts[0]], "point_double": [],
-                "point_add": [], "convert": kinds[tape.convert_start:]}
+        kinds, conv = tape.kinds, tape.convert_start
+        starts = [*tape.step_starts, conv]
+        cols = {"init": kinds[:starts[0]], "point_double": bytearray(),
+                "point_add": bytearray(), "convert": kinds[conv:]}
         for is_add, a, b in zip(tape.steps, starts, starts[1:]):
             cols["point_add" if is_add else "point_double"] += kinds[a:b]
-        for col, col_kinds in cols.items():
+        for col, codes in cols.items():
             counters = self._columns[col]
-            for kind in ARITH_KINDS:
-                counters[kind] += col_kinds.count(kind)
+            for kind, code in _ARITH_CODES:
+                counters[kind] += codes.count(code)
 
     def column_counts(self, column: str) -> dict[OpKind, int]:
         return dict(self._columns[column])

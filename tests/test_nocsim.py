@@ -155,6 +155,23 @@ def test_mesh_validation():
             MeshConfig(**bad)
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    # on p17 with k=7 these gave a makespan of 137.0 and a critical path
+    # of 83.5, were taken as 1, or ended in a bare TypeError
+    (MeshConfig, "hop_cycles", 1.5),
+    (MeshConfig, "flits_per_value", True),
+    (MeshConfig, "cols", 4.0),
+    (MeshConfig, "rows", "3"),
+    (CostModel, "mul", 2.5),
+    (CostModel, "mul", True),
+    (CostModel, "mul", "3"),
+    (CostModel, "inv", 40.0),
+], ids=lambda v: repr(v) if not isinstance(v, type) else v.__name__)
+def test_mesh_and_cost_fields_must_be_ints(cls, field, value):
+    with pytest.raises(BadValue, match=f"{field}.* must be an int"):
+        cls(**{field: value})
+
+
 def test_core_count_is_checked_before_any_core_is_named():
     # a count this large could never be named; it is refused at once
     usage = {role: 1 for role in CoreRole}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from eccnoc import procmodel, scalarmul
 from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
 from eccnoc.errors import EmptyTrace, NotOnCurve, OracleBoundExceeded
 from eccnoc.fields import OpKind
@@ -80,27 +81,93 @@ def test_infinite_result_skips_the_inversion(p17):
     assert t.n_point_adds == 2
 
 
-def test_column_counts_equal_a_per_op_recount(p17, b4):
-    """The sliced column counts agree with a recount of every tape op by
-    its own phase and step; k up to twice the order reaches the
-    doubling-only, madd-to-double and infinite-result branches."""
+class _StampingTape(scalarmul._Tape):
+    """Oracle tape: stamps each op with its kind, phase, step, label and
+    input value as it is recorded, the way a tape of per-op rows does.
+    It never reads `step_starts` or `convert_start`; an XFER is stamped
+    init and -1 wherever a kernel first asks for it."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.stamps = []            # (kind, phase, step, label, value)
+        self.step_is_add = []
+        self.phase, self.step = Phase.INIT, -1
+
+    def _stamp(self, kind):
+        self.stamps.append((kind, self.phase, self.step, "", None))
+
+    def add(self, a, b):
+        self._stamp(OpKind.ADD)
+        return super().add(a, b)
+
+    def sub(self, a, b):
+        self._stamp(OpKind.SUB)
+        return super().sub(a, b)
+
+    def mul(self, a, b):
+        self._stamp(OpKind.MUL)
+        return super().mul(a, b)
+
+    def sqr(self, a):
+        self._stamp(OpKind.SQR)
+        return super().sqr(a)
+
+    def inv(self, a):
+        self._stamp(OpKind.INV)
+        return super().inv(a)
+
+    def const(self, elem, label):
+        n = len(self.stamps)
+        idx = super().const(elem, label)
+        if idx == n:  # a new input, not one already on the tape
+            self.stamps.append(
+                (OpKind.XFER, Phase.INIT, -1, label, elem.value))
+        return idx
+
+    def begin_step(self, is_add):
+        super().begin_step(is_add)
+        self.phase, self.step = Phase.ITERATE, len(self.step_is_add)
+        self.step_is_add.append(is_add)
+
+    def begin_convert(self):
+        super().begin_convert()
+        self.phase, self.step = Phase.CONVERT, -1
+
+
+def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
+    """The column counts sliced at the tape's boundaries, and the phases,
+    steps, labels and values compile stamps from them, agree with a
+    tape that stamps every op as it is recorded; k up to twice the order
+    reaches the doubling-only, madd-to-double and infinite-result
+    branches."""
+    monkeypatch.setattr(scalarmul, "_Tape", _StampingTape)
     for preset in (p17, b4):
-        for k in range(1, 2 * preset.curve.order + 1):
-            tape = run_binary_method(preset.curve, k, preset.base)
+        curve, P = preset.curve, preset.base
+        for k in range(1, 2 * curve.order + 1):
+            tape = run_binary_method(curve, k, P)
             t = OpTrace()
             t._count(tape)
             want = {col: {kind: 0 for kind in OpKind if kind is not OpKind.XFER}
                     for col in ("init", "point_double", "point_add",
                                 "convert")}
-            for kind, _, phase, pidx, _ in tape.ops:
+            for kind, phase, step, _, _ in tape.stamps:
                 if kind is OpKind.XFER:
                     continue
-                if pidx < 0:
+                if step < 0:
                     col = phase.value
                 else:
-                    col = "point_add" if tape.steps[pidx] else "point_double"
+                    col = ("point_add" if tape.step_is_add[step]
+                           else "point_double")
                 want[col][kind] += 1
             assert {col: t.column_counts(col) for col in want} == want, k
+            if tape.result is None:
+                continue  # no graph for a result at infinity
+            # compile this very tape
+            monkeypatch.setattr(procmodel, "run_binary_method",
+                                lambda *args: tape)
+            G = procmodel.compile_scalar_mul(curve, k, P)
+            assert (G.kinds, G.phases, G.point_op_index, G.labels,
+                    G.values) == tuple(zip(*tape.stamps)), k
 
 
 def test_totals_equal_phase_sums(p17):
