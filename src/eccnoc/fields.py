@@ -13,15 +13,19 @@ so no call branches on the field kind or reads the spec's fields.
 
 GF(2^m) products use the comb method of Lopez and Dahab with a 4-bit
 window: a 16-entry table of multiples of one operand, indexed by the
-other operand four bits at a time.  The polynomial f = z^m + z^d + ...
-alone chooses how the product is reduced:
+other operand four bits at a time.  A product with an operand below 16
+(the curve constants a = 1 and b = 0xb of the binary presets, or a base
+point's x = 3) skips the table: it is the XOR of at most four shifts of
+the other operand.  The polynomial f = z^m + z^d + ... alone chooses how
+the product is reduced:
 
-- with at most five terms and 2d <= m + 1, it folds: the part at and
-  above z^m, hi, is replaced by hi times the terms of f below z^m, and
-  any product of two reduced elements needs at most two folds
-  (Hankerson, Menezes & Vanstone, Guide to Elliptic Curve Cryptography,
-  2004, sec. 2.3.5).  Every binary preset and the five NIST polynomials
-  of FIPS 186-4 fold; SEC 2's z^239 + z^158 + 1 does not.
+- a trinomial or pentanomial with 2d <= m + 1 folds: the part at and
+  above z^m, hi, is replaced by hi times the terms of f below z^m, as
+  one fixed expression per shape, and any product of two reduced
+  elements needs at most two folds (Hankerson, Menezes & Vanstone,
+  Guide to Elliptic Curve Cryptography, 2004, sec. 2.3.5).  Every
+  binary preset and the five NIST polynomials of FIPS 186-4 fold; SEC
+  2's z^239 + z^158 + 1 does not.
 - any other polynomial, dense ones included, where folding could take up
   to m rounds, clears eight bits above z^m per step through a 256-entry
   table of (j * z^m) mod f that the field builds once.
@@ -162,15 +166,26 @@ def _pmod(x: int, f: int) -> int:
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product in GF(2)[z]: a 4-bit window comb over the
-    shorter operand against a table of the 16 multiples of the other."""
+    """Carry-less product in GF(2)[z].  A shorter operand below 16 (a
+    curve constant such as a = 1, or a small base-point coordinate)
+    multiplies by shifts alone: the XOR of the longer operand shifted by
+    each set bit.  Otherwise a 4-bit window comb walks the shorter
+    operand against a table of the 16 multiples of the other."""
     if a < b:
         a, b = b, a
+    if b < 16:
+        r = a if b & 1 else 0
+        if b & 2:
+            r ^= a << 1
+        if b & 4:
+            r ^= a << 2
+        if b & 8:
+            r ^= a << 3
+        return r
     a2, a4, a8 = a << 1, a << 2, a << 3
-    a3 = a2 ^ a
+    a3, a12 = a2 ^ a, a8 ^ a4
     w = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
-         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a4 ^ a2,
-         a8 ^ a4 ^ a3)
+         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
     r = 0
     for byte in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
         r = (r << 8) ^ (w[byte >> 4] << 4) ^ w[byte & 15]
@@ -208,33 +223,45 @@ def _table_reduce(x: int, m: int, table: tuple[int, ...]) -> int:
 
 def _fold_exponents(m: int, f: int) -> tuple[int, ...] | None:
     """The exponents of f's terms below z^m when f reduces by folding:
-    at most five terms and a second-highest exponent d with 2d <= m + 1.
-    A product of two reduced elements is below z^(2m-1), so its first
-    fold leaves less than z^(m-1+d), and the second less than z^(2d-1),
-    which is at most z^m."""
+    a trinomial z^m + z^k + 1 or a pentanomial z^m + z^k3 + z^k2 + z^k1
+    + 1, whose second-highest exponent d has 2d <= m + 1.  (An
+    irreducible polynomial of degree m >= 2 has an odd number of terms,
+    or z + 1 would divide it, so these are its sparse shapes.)  A
+    product of two reduced elements is below z^(2m-1), so its first fold
+    leaves less than z^(m-1+d), and the second less than z^(2d-1), which
+    is at most z^m."""
     low = tuple(e for e in range(m) if f >> e & 1)
-    if len(low) <= 4 and 2 * max(low, default=0) <= m + 1:
+    if len(low) in (2, 4) and low[0] == 0 and 2 * low[-1] <= m + 1:
         return low
     return None
 
 
 def _reducer(m: int, f: int) -> Callable[[int], int]:
-    """x mod f for the degree-m polynomial f: by folding when f allows
-    it, else through f's byte table."""
+    """x mod f for the degree-m polynomial f.  A trinomial or pentanomial
+    that folds gets a closure that replaces the part at and above z^m,
+    hi, by hi times f's low terms in one fixed expression; every other
+    polynomial goes through f's byte table."""
     low = _fold_exponents(m, f)
     if low is None:
         table = _reduction_table(f)
 
         def reduce(x: int) -> int:
             return _table_reduce(x, m, table)
-    else:
-        mask = (1 << m) - 1
+        return reduce
+    mask = (1 << m) - 1
+    if len(low) == 2:
+        k = low[1]
 
         def reduce(x: int) -> int:
             while hi := x >> m:
-                x &= mask
-                for e in low:
-                    x ^= hi << e
+                x = (x & mask) ^ hi ^ (hi << k)
+            return x
+    else:
+        _, k1, k2, k3 = low
+
+        def reduce(x: int) -> int:
+            while hi := x >> m:
+                x = (x & mask) ^ hi ^ (hi << k1) ^ (hi << k2) ^ (hi << k3)
             return x
     return reduce
 
@@ -248,12 +275,14 @@ def _pgcd(a: int, b: int) -> int:
 def is_irreducible(f: int) -> bool:
     """Rabin's irreducibility test for a GF(2) polynomial given as an int."""
     m = _pdeg(f)
-    if m < 1:
+    if m < 1 or f < 0:
         return False
     if m == 1:
         return True
     if not f & 1:
         return False  # divisible by z
+    if f.bit_count() % 2 == 0:
+        return False  # f(1) = 0, so divisible by z + 1
     reduce = _reducer(m, f)
     z = 0b10
     t = z
@@ -349,8 +378,10 @@ def _derived():
 class FieldSpec:
     """A validated field description: GF(p) or GF(2^m).
 
-    Use the `prime` / `binary` constructors; they reject composite moduli
-    and reducible polynomials up front so arithmetic can assume a field.
+    Every way of building one (the `prime` / `binary` constructors, the
+    generated constructor, `dataclasses.replace`, unpickling) runs
+    `__post_init__`, which rejects composite moduli and reducible
+    polynomials up front so arithmetic can assume a field.
     """
 
     kind: FieldKind
@@ -368,45 +399,63 @@ class FieldSpec:
     _reduce: Callable[[int], int] = _derived()
 
     def __post_init__(self):
+        if not isinstance(self.kind, FieldKind):
+            raise BadValue(f"field kind must be a FieldKind, got "
+                           f"{type(self.kind).__name__}")
+        for name in ("modulus", "degree", "reduction_poly"):
+            value = getattr(self, name)
+            # a bool, float or str would reach the arithmetic
+            if type(value) is not int:
+                raise BadValue(f"field {name} must be an int, got "
+                               f"{type(value).__name__}")
+        p, m, poly = self.modulus, self.degree, self.reduction_poly
         if self.kind is FieldKind.PRIME:
-            ops = _prime_ops(self.modulus, self.tag)
+            if m or poly:
+                raise BadValue("a prime field takes no degree or reduction "
+                               "polynomial")
+            if p <= 3:
+                raise BadValue(f"prime field modulus must exceed 3, got {p}")
+            if p.bit_length() > MAX_FIELD_BITS:
+                raise BadValue(f"prime field modulus has {p.bit_length()} "
+                               f"bits; fields wider than {MAX_FIELD_BITS} "
+                               "bits are refused")
+            if not _is_prime(p):
+                raise BadValue(f"modulus {p} is not prime")
+            ops = _prime_ops(p, self.tag)
         else:
-            ops = _binary_ops(self.degree, self.reduction_poly, self.tag)
+            if p:
+                raise BadValue("a binary field takes no modulus")
+            if m < 2:
+                raise BadValue(
+                    f"binary field degree must be at least 2, got {m}")
+            if m > MAX_FIELD_BITS:
+                raise BadValue(f"binary field degree is {m}; fields wider "
+                               f"than {MAX_FIELD_BITS} bits are refused")
+            if poly < 0:
+                raise BadValue("reduction polynomial must be nonnegative")
+            if _pdeg(poly) != m:
+                raise BadValue(f"reduction polynomial degree {_pdeg(poly)} "
+                               f"does not match m={m}")
+            if not poly & 1:
+                raise BadValue("reduction polynomial has zero constant term")
+            if not is_irreducible(poly):
+                raise BadValue(f"reduction polynomial {poly:#x} is reducible")
+            ops = _binary_ops(m, poly, self.tag)
         for name, op in zip(_RAW_OPS, ops):
             object.__setattr__(self, name, op)
 
     def __reduce__(self):
         # closures do not pickle: rebuild from the defining fields, which
-        # binds the ops afresh
+        # validates them and binds the ops afresh
         return FieldSpec, (self.kind, self.modulus, self.degree,
                            self.reduction_poly)
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        if p <= 3:
-            raise BadValue(f"prime field modulus must exceed 3, got {p}")
-        if p.bit_length() > MAX_FIELD_BITS:
-            raise BadValue(f"prime field modulus has {p.bit_length()} bits; "
-                           f"fields wider than {MAX_FIELD_BITS} bits are "
-                           "refused")
-        if not _is_prime(p):
-            raise BadValue(f"modulus {p} is not prime")
         return cls(kind=FieldKind.PRIME, modulus=p)
 
     @classmethod
     def binary(cls, m: int, poly: int) -> "FieldSpec":
-        if m < 2:
-            raise BadValue(f"binary field degree must be at least 2, got {m}")
-        if m > MAX_FIELD_BITS:
-            raise BadValue(f"binary field degree is {m}; fields wider than "
-                           f"{MAX_FIELD_BITS} bits are refused")
-        if _pdeg(poly) != m:
-            raise BadValue(
-                f"reduction polynomial degree {_pdeg(poly)} does not match m={m}")
-        if not poly & 1:
-            raise BadValue("reduction polynomial has zero constant term")
-        if not is_irreducible(poly):
-            raise BadValue(f"reduction polynomial {poly:#x} is reducible")
         return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly)
 
     # -- descriptive helpers ------------------------------------------------

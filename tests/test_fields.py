@@ -1,16 +1,18 @@
 """Field arithmetic against hand-computed tables and independent oracles."""
 
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eccnoc import fields
 from eccnoc.errors import (BadValue, DivisionByZero, FieldMismatch,
                            OracleBoundExceeded)
 from eccnoc.fields import (MAX_FIELD_BITS, FieldKind, FieldSpec, _clmul,
                            _fold_exponents, _is_strong_lucas_prp, _psqr,
-                           ff_add, ff_inv, ff_mul, ff_neg, ff_sqr, ff_sub,
-                           is_irreducible)
+                           _reducer, ff_add, ff_inv, ff_mul, ff_neg, ff_sqr,
+                           ff_sub, is_irreducible)
 from eccnoc.presets import PRESETS
 
 from conftest import seeded
@@ -120,7 +122,7 @@ def test_binary_squaring_is_frobenius():
 
 def test_polynomial_square_equals_carry_less_product():
     rng = seeded(79)
-    for x in [0, 1, (1 << MAX_FIELD_BITS) - 1] + [
+    for x in [*range(16), (1 << MAX_FIELD_BITS) - 1] + [
             rng.getrandbits(rng.randrange(1, MAX_FIELD_BITS + 1))
             for _ in range(300)]:
         assert _psqr(x) == _clmul(x, x)
@@ -247,6 +249,74 @@ def test_bad_field_parameters_rejected():
         FieldSpec.binary(1, 0b11)        # degree too small for a field here
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: FieldSpec(FieldKind.BINARY, degree=4, reduction_poly=0b10001),
+     "0x11 is reducible"),
+    (lambda: FieldSpec(FieldKind.PRIME, modulus=15), "15 is not prime"),
+    (lambda: FieldSpec(FieldKind.PRIME), "must exceed 3, got 0"),
+    (lambda: FieldSpec(FieldKind.BINARY), "at least 2, got 0"),
+    (lambda: FieldSpec("prime", modulus=17), "must be a FieldKind, got str"),
+    (lambda: FieldSpec(FieldKind.PRIME, modulus=17.0),
+     "modulus must be an int, got float"),
+    (lambda: FieldSpec(FieldKind.BINARY, degree=True, reduction_poly=0b11),
+     "degree must be an int, got bool"),
+    (lambda: FieldSpec(FieldKind.BINARY, degree=4, reduction_poly="19"),
+     "reduction_poly must be an int, got str"),
+    (lambda: FieldSpec(FieldKind.PRIME, modulus=17, degree=4),
+     "prime field takes no degree"),
+    (lambda: FieldSpec(FieldKind.PRIME, modulus=17, reduction_poly=0b10011),
+     "prime field takes no degree or reduction polynomial"),
+    (lambda: FieldSpec(FieldKind.BINARY, modulus=17, degree=4,
+                       reduction_poly=0b10011),
+     "binary field takes no modulus"),
+    (lambda: FieldSpec(FieldKind.BINARY, degree=4, reduction_poly=-19),
+     "must be nonnegative"),
+    # its irreducibility test never ended
+    (lambda: FieldSpec.binary(2, -5), "must be nonnegative"),
+    (lambda: dataclasses.replace(GF16, reduction_poly=0b10001), "reducible"),
+    (lambda: dataclasses.replace(GF16, degree=5), "does not match m=5"),
+    (lambda: dataclasses.replace(GF17, modulus=15), "not prime"),
+    (lambda: dataclasses.replace(GF17, kind=FieldKind.BINARY),
+     "binary field takes no modulus"),
+])
+def test_every_constructor_validates(build, match):
+    """The generated constructor and dataclasses.replace run the same
+    checks as FieldSpec.prime / binary: no spec over a composite modulus
+    or a reducible polynomial exists to hang or crash its arithmetic."""
+    with pytest.raises(BadValue, match=match):
+        build()
+
+
+def test_direct_constructor_and_replace_build_valid_specs():
+    assert dataclasses.replace(GF17, modulus=19) == FieldSpec.prime(19)
+    assert FieldSpec(FieldKind.BINARY, degree=4, reduction_poly=0b10011) \
+        == GF16
+    twin = dataclasses.replace(B33)
+    assert twin == B33 and ff_mul(twin.element(5), twin.element(7)) \
+        == ff_mul(B33.element(5), B33.element(7))
+
+
+class _Forged:
+    """Pickles as a FieldSpec over the given fields, none checked."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return FieldSpec, self.args
+
+
+@pytest.mark.parametrize("args,match", [
+    ((FieldKind.BINARY, 0, 4, 0b10001), "reducible"),
+    ((FieldKind.PRIME, 15, 0, 0), "not prime"),
+    (("binary", 0, 4, 0b10011), "must be a FieldKind"),
+])
+def test_forged_pickle_is_validated(args, match):
+    payload = pickle.dumps(_Forged(*args))
+    with pytest.raises(BadValue, match=match):
+        pickle.loads(payload)
+
+
 def _naive_pmod(x, f):
     df = f.bit_length() - 1
     while x.bit_length() - 1 >= df:
@@ -265,9 +335,25 @@ def _naive_irreducible(f):
 
 
 def test_irreducibility_against_trial_division():
-    for m in range(2, 9):
+    for m in range(2, 13):
         for f in range(1 << m, 1 << (m + 1)):
             assert is_irreducible(f) == _naive_irreducible(f), bin(f)
+
+
+def test_negative_ints_are_not_irreducible():
+    assert not any(is_irreducible(-f) for f in range(600))
+
+
+def test_even_weight_polynomials_rejected_before_any_reduction(monkeypatch):
+    """z + 1 divides a polynomial with an even number of terms, so only
+    three- and five-term polynomials reach the fold closures."""
+    def no_reducer(m, f):
+        raise AssertionError(f"reducer built for {f:#x}")
+
+    monkeypatch.setattr(fields, "_reducer", no_reducer)
+    for f in (0b101, 0b10001, 1 << 163 | 1 << 7 | 1 << 6 | 1,
+              1 << 2048 | 1 << 5 | 1 << 3 | 1):
+        assert not is_irreducible(f)
 
 
 def test_enumeration_is_bounded():
@@ -346,15 +432,61 @@ def test_random_fields_match_bit_serial_oracle(f, data):
     _check_against_oracle(FieldSpec.binary(m, f), a, b, x)
 
 
+def _check_short_operands(spec, rng):
+    """Every b below 16, the operands the product by shifts takes, in
+    both argument orders, against a random and the all-ones a."""
+    m, f = spec.degree, spec.reduction_poly
+    for a in (rng.getrandbits(m), (1 << m) - 1):
+        A = spec.element(a)
+        for b in range(16):
+            B = spec.element(b)
+            want = _ref_mulmod(A.value, B.value, f)
+            assert ff_mul(A, B).value == ff_mul(B, A).value == want, (a, b)
+
+
+@pytest.mark.parametrize("name", _BINARY_PRESETS)
+def test_binary_presets_short_operands_match_bit_serial_oracle(name):
+    _check_short_operands(PRESETS[name].curve.field, seeded(16))
+
+
+_DENSE63 = 0xcff07a8df17fd375   # irreducible, 41 terms, z^62 among them
+
+
 def test_dense_degree_63_field_matches_bit_serial_oracle():
-    f = 0xcff07a8df17fd375   # irreducible, 41 terms, z^62 among them
-    spec = FieldSpec.binary(63, f)
+    spec = FieldSpec.binary(63, _DENSE63)
     rng = seeded(63)
+    _check_short_operands(spec, rng)
     for _ in range(50):
         _check_against_oracle(spec, rng.getrandbits(63), rng.getrandbits(63),
                               rng.getrandbits(189))
     top = (1 << 63) - 1
     _check_against_oracle(spec, top, top, (1 << 189) - 1)
+
+
+@pytest.mark.parametrize("m,f,shape", [
+    (7, 0b10010001, 2),                        # z^7 + z^4 + 1: 2d = m + 1
+    (63, 1 << 63 | 0b11, 2),                   # binary63
+    *((*_named_poly(name), 4) for name in ("B-163", "B-283", "B-571")),
+    (*_named_poly("B-409"), 2),
+    (*_named_poly("sect239"), None),           # 2 * 158 > 239 + 1
+    (63, _DENSE63, None),
+    (8, 0b100011011, 4),                       # z^8 + z^4 + z^3 + z + 1
+    (8, 0b110001011, None),                    # z^8 + z^7 + z^3 + z + 1
+    # reducible shapes that no field has still reduce, by the table
+    (8, 0b100000001, None), (8, 0b100000111, None), (8, 0b100000110, None),
+])
+def test_each_reduction_shape_matches_long_division(m, f, shape):
+    """The trinomial and pentanomial folds and the byte table, each on
+    0, values below z^m and values up to z^(3m)."""
+    low = _fold_exponents(m, f)
+    assert (None if low is None else len(low)) == shape
+    reduce = _reducer(m, f)
+    rng = seeded(m)
+    xs = [0, 1, (1 << m) - 1, 1 << m, (1 << 3 * m) - 1]
+    xs += [rng.getrandbits(m) for _ in range(10)]
+    xs += [rng.getrandbits(rng.randrange(m, 3 * m + 1)) for _ in range(40)]
+    for x in xs:
+        assert reduce(x) == _naive_pmod(x, f), hex(x)
 
 
 def _ben_or_irreducible(f):
@@ -408,6 +540,7 @@ def test_sparse_fields_match_bit_serial_oracle(m, pentanomial, low, seed):
     for _ in range(3):
         a, b = rng.getrandbits(m), rng.getrandbits(m)
         _check_against_oracle(spec, a, b, rng.getrandbits(3 * m))
+    _check_short_operands(spec, rng)
     top = (1 << m) - 1
     _check_against_oracle(spec, top, top, (1 << 3 * m) - 1)
 
@@ -418,6 +551,7 @@ def test_named_polynomials_match_bit_serial_oracle(name):
     assert (_fold_exponents(m, f) is None) == (name == "sect239")
     spec = FieldSpec.binary(m, f)
     rng = seeded(m)
+    _check_short_operands(spec, rng)
     for _ in range(20):
         _check_against_oracle(spec, rng.getrandbits(m), rng.getrandbits(m),
                               rng.getrandbits(3 * m))
