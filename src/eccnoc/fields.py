@@ -48,6 +48,16 @@ _ENUMERATION_BOUND = 1 << 16
 # nocsim can ship (nocsim.MAX_FLITS_PER_VALUE is derived from it)
 MAX_FIELD_BITS = 2048
 
+
+def _show(n: int) -> str:
+    """`n` for an error message: in decimal if it is at most
+    MAX_FIELD_BITS wide, else by its width, since the interpreter refuses
+    to print ints of more than 4300 digits."""
+    if n.bit_length() <= MAX_FIELD_BITS:
+        return str(n)
+    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit int"
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # the least composite that passes Miller-Rabin to every base in _MR_BASES
@@ -414,7 +424,8 @@ class FieldSpec:
                 raise BadValue("a prime field takes no degree or reduction "
                                "polynomial")
             if p <= 3:
-                raise BadValue(f"prime field modulus must exceed 3, got {p}")
+                raise BadValue(f"prime field modulus must exceed 3, got "
+                               f"{_show(p)}")
             if p.bit_length() > MAX_FIELD_BITS:
                 raise BadValue(f"prime field modulus has {p.bit_length()} "
                                f"bits; fields wider than {MAX_FIELD_BITS} "
@@ -426,11 +437,11 @@ class FieldSpec:
             if p:
                 raise BadValue("a binary field takes no modulus")
             if m < 2:
-                raise BadValue(
-                    f"binary field degree must be at least 2, got {m}")
+                raise BadValue(f"binary field degree must be at least 2, "
+                               f"got {_show(m)}")
             if m > MAX_FIELD_BITS:
-                raise BadValue(f"binary field degree is {m}; fields wider "
-                               f"than {MAX_FIELD_BITS} bits are refused")
+                raise BadValue(f"binary field degree is {_show(m)}; fields "
+                               f"wider than {MAX_FIELD_BITS} bits are refused")
             if poly < 0:
                 raise BadValue("reduction polynomial must be nonnegative")
             if _pdeg(poly) != m:

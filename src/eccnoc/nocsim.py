@@ -40,6 +40,13 @@ the report reads a link's flit count as the size of its set, and total
 flit-hops (one flit crossing one link, the traffic/energy proxy) as the
 sum of those counts.  A run builds each tile pair's route once, on first
 use, as the list of its links' booked-cycle sets.
+
+A `SimReport` holds the run as columns: each task's core, start and end
+cycle indexed by task id, the visit order, and one producer, consumer,
+destination core and arrival per message.  `schedule` (`ScheduleEntry`
+rows) and `messages` (`MessageRecord` rows) are views of those columns,
+built on first read and kept; `to_json_dict` and `schedule_rows` read
+the columns, so `simulate` and `compare` never build a row object.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import BadValue, MissingCoreRole, OutOfMesh, TooManyCores
@@ -175,6 +183,12 @@ class Placement:
             m = _CORE_NAME.match(name)
             if m is None:
                 raise BadValue(f"core name {name!r} is not <role><index>")
+            # a float would step xy_route past its column for ever, and a
+            # bool or str would reach the simulator's arithmetic
+            if not isinstance(tile, tuple) or len(tile) != 2 or \
+                    any(type(v) is not int for v in tile):
+                raise BadValue(f"core {name} must sit on a (col, row) "
+                               f"tuple of two ints")
             role = CoreRole(m.group(1))
             self._by_role[role].append((int(m.group(2)), name, tile))
         for role in CoreRole:
@@ -188,7 +202,8 @@ class Placement:
         seen: dict[Tile, str] = {}
         for name, tile in self.entries.items():
             if not mesh.contains(tile):
-                raise OutOfMesh(f"core {name} sits at {tile}, outside the "
+                # no tile in the message: a huge int cannot be formatted
+                raise OutOfMesh(f"core {name} sits outside the "
                                 f"{mesh.cols}x{mesh.rows} mesh")
             if tile in seen:
                 raise BadValue(
@@ -260,6 +275,19 @@ class MessageRecord:
 
 @dataclass
 class SimReport:
+    """One run's totals, plus the run itself held as columns.
+
+    `core`, `start` and `end` are indexed by task id: each task's core
+    (an index into `placement.entries`, -1 for an XFER) and its start
+    and end cycles (0 for an XFER).  `order` lists the arithmetic tasks
+    in the order they were scheduled.  The `msg_*` columns hold one entry
+    per message in booking order: the producing task, the consuming task
+    (-1 for result delivery), the destination core and the arrival
+    cycle; a message leaves its producer's core when the producer ends.
+    `schedule` and `messages` are row views of those columns, built on
+    first read and kept.
+    """
+
     makespan_cycles: int
     sequential_baseline_cycles: int
     speedup: float
@@ -267,10 +295,31 @@ class SimReport:
     flits_per_value: int
     per_core_busy_cycles: dict[str, int]
     per_link_flits: dict[str, int]
-    schedule: list[ScheduleEntry]
-    messages: list[MessageRecord]
     mesh: MeshConfig
     placement: Placement
+    kinds: tuple[OpKind, ...]
+    core: list[int]
+    start: list[int]
+    end: list[int]
+    order: tuple[int, ...]
+    msg_producer: list[int]
+    msg_consumer: list[int]
+    msg_dst: list[int]
+    msg_arrival: list[int]
+
+    @cached_property
+    def schedule(self) -> list[ScheduleEntry]:
+        """One `ScheduleEntry` per arithmetic task, in `order`."""
+        return [ScheduleEntry(*row) for row in self.schedule_rows()[1:]]
+
+    @cached_property
+    def messages(self) -> list[MessageRecord]:
+        """One `MessageRecord` per message, in booking order."""
+        tiles = list(self.placement.entries.values())
+        core, end = self.core, self.end
+        return [MessageRecord(p, c, tiles[core[p]], tiles[d], end[p], a)
+                for p, c, d, a in zip(self.msg_producer, self.msg_consumer,
+                                      self.msg_dst, self.msg_arrival)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,14 +334,15 @@ class SimReport:
                           for name, tile in sorted(self.placement.entries.items())},
             "per_core_busy_cycles": dict(sorted(self.per_core_busy_cycles.items())),
             "per_link_flits": dict(sorted(self.per_link_flits.items())),
-            "n_scheduled_tasks": len(self.schedule),
+            "n_scheduled_tasks": len(self.order),
         }
 
     def schedule_rows(self) -> list[list]:
-        rows = [["task", "kind", "core", "start_cycle", "end_cycle"]]
-        for e in self.schedule:
-            rows.append([e.task, e.kind, e.core, e.start, e.end])
-        return rows
+        names, kinds = list(self.placement.entries), self.kinds
+        core, start, end = self.core, self.start, self.end
+        return [["task", "kind", "core", "start_cycle", "end_cycle"]] + [
+            [t, kinds[t].value, names[core[t]], start[t], end[t]]
+            for t in self.order]
 
 
 def sequential_baseline(G: TaskGraph, cm: CostModel) -> int:
@@ -323,9 +373,8 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         raise BadValue(f"values wider than {MAX_FIELD_BITS} bits "
                        f"need more than {MAX_FLITS_PER_VALUE} flits")
     dist = [[manhattan(a, b) for b in tiles] for a in tiles]
-    # each arithmetic kind's candidate cores, in index order, and name
-    runs_on = {kind: (cores[role], kind.value)
-               for kind, role in _KIND_ROLE.items()}
+    # each arithmetic kind's candidate cores, in index order
+    runs_on = {kind: cores[role] for kind, role in _KIND_ROLE.items()}
 
     kinds = G.kinds
     plan = G.plan(cm)
@@ -333,9 +382,10 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
 
     free = [0] * len(names)
     busy = [0] * len(names)
-    # end cycle and core of each computed value, by task id
-    end = [0] * len(kinds)
+    # core, start and end cycle of each computed value, by task id
     loc = [-1] * len(kinds)
+    begin = [0] * len(kinds)
+    end = [0] * len(kinds)
     # per core: arrival cycle of each value copied there from another core
     copies: list[dict[int, int]] = [{} for _ in names]
 
@@ -343,7 +393,11 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     booked: dict[tuple[Tile, Tile], set[int]] = {}
     # per (source, destination) core pair: its route's booked-cycle sets
     routes: dict[tuple[int, int], list[set[int]]] = {}
-    messages: list[MessageRecord] = []
+    # per message: producer, consumer, destination core, arrival cycle
+    producers: list[int] = []
+    consumers: list[int] = []
+    dsts: list[int] = []
+    arrivals: list[int] = []
 
     def ship(producer: int, consumer: int, dst: int) -> int:
         """Book one value's flits from its producer's core to core dst,
@@ -366,13 +420,14 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                 taken.add(t)
                 t += hop
             arrival = t
-        messages.append(MessageRecord(producer, consumer, tiles[src],
-                                      tiles[dst], launch, arrival))
+        producers.append(producer)
+        consumers.append(consumer)
+        dsts.append(dst)
+        arrivals.append(arrival)
         return arrival
 
-    schedule: list[ScheduleEntry] = []
     for tid in plan.order:
-        candidates, kind_name = runs_on[kinds[tid]]
+        candidates = runs_on[kinds[tid]]
         operands = needs[tid]
         # `ready` is the estimate less the task's cost, which every
         # candidate shares; only a strictly lower (estimate, new hops)
@@ -401,11 +456,10 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                 arr = here[o] = ship(o, tid, core)
             if arr > start:
                 start = arr
+        begin[tid] = start
         end[tid] = free[core] = start + costs[tid]
         busy[core] += costs[tid]
         loc[tid] = core
-        schedule.append(ScheduleEntry(tid, kind_name, names[core], start,
-                                      end[tid]))
 
     makespan = 0  # inputs are preloaded everywhere, IO included
     for r in sorted({r for r in G.result if loc[r] >= 0}):
@@ -421,10 +475,17 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         flits_per_value=flits,
         per_core_busy_cycles=dict(zip(names, busy)),
         per_link_flits=per_link_flits,
-        schedule=schedule,
-        messages=messages,
         mesh=mesh,
         placement=placement,
+        kinds=kinds,
+        core=loc,
+        start=begin,
+        end=end,
+        order=plan.order,
+        msg_producer=producers,
+        msg_consumer=consumers,
+        msg_dst=dsts,
+        msg_arrival=arrivals,
     )
 
 

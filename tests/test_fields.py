@@ -278,6 +278,14 @@ def test_bad_field_parameters_rejected():
     (lambda: dataclasses.replace(GF17, modulus=15), "not prime"),
     (lambda: dataclasses.replace(GF17, kind=FieldKind.BINARY),
      "binary field takes no modulus"),
+    # ints past the interpreter's 4300-digit print limit are named by
+    # their width, so the message can be built at all
+    (lambda: FieldSpec.binary(10**5000, 3),
+     "degree is a 16610-bit int; fields wider than 2048"),
+    (lambda: FieldSpec.binary(-10**5000, 3),
+     "at least 2, got a negative 16610-bit int"),
+    (lambda: FieldSpec.prime(-10**5000),
+     "must exceed 3, got a negative 16610-bit int"),
 ])
 def test_every_constructor_validates(build, match):
     """The generated constructor and dataclasses.replace run the same

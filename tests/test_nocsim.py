@@ -1,7 +1,10 @@
 """Mesh routing, placement construction, and schedule simulation."""
 
+import ast
 import hashlib
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -632,3 +635,109 @@ def test_simulate_large_matches_golden():
     with `golden/simulate_large.json`."""
     text = json.dumps(simulate_large_doc(), indent=1) + "\n"
     assert text == (GOLDEN_DIR / "simulate_large.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the report's columns and row views
+
+def _report(p17, k=45, place=default_placement):
+    G = compile_scalar_mul(p17.curve, k, p17.base)
+    cm = CostModel.default(p17.curve.field.kind)
+    return G, simulate(G, cm, MESH, place(MESH, DEFAULT_ROLE_COUNTS,
+                                          role_usage(G)))
+
+
+def test_report_rows_are_built_only_when_read(p17):
+    """`simulate` fills columns only; `schedule` and `messages` are
+    built on first read and kept, and nothing else depends on them."""
+    _, rep = _report(p17)
+    assert "schedule" not in vars(rep) and "messages" not in vars(rep)
+    doc, rows = rep.to_json_dict(), rep.schedule_rows()
+    assert "schedule" not in vars(rep) and "messages" not in vars(rep)
+    schedule, messages = rep.schedule, rep.messages
+    assert rep.schedule is schedule and rep.messages is messages
+    assert rep.to_json_dict() == doc and rep.schedule_rows() == rows
+    assert doc["n_scheduled_tasks"] == len(schedule) == len(rows) - 1
+    assert [[e.task, e.kind, e.core, e.start, e.end]
+            for e in schedule] == rows[1:]
+
+
+def _attributes_read(path: Path, name: str) -> set[str]:
+    """Every `name.<attr>` that the module at `path` reads."""
+    tree = ast.parse(path.read_text())
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == name}
+
+
+@pytest.mark.parametrize("place", (default_placement, corner_first_placement))
+def test_rows_carry_what_the_benchmark_reads(p17, place):
+    """Each row agrees with the columns it is built from, and carries
+    every attribute the benchmark's schedule checks read (`e` is a
+    schedule entry there, `m` a message)."""
+    G, rep = _report(p17, 29, place)
+    model = Path(__file__).parent.parent / "bench" / "model.py"
+    assert _attributes_read(model, "e") == {"task", "core", "start", "end"}
+    assert _attributes_read(model, "m") == {"producer", "consumer", "src",
+                                            "dst", "launch", "arrival"}
+    names = list(rep.placement.entries)
+    tiles = list(rep.placement.entries.values())
+    assert [e.task for e in rep.schedule] == list(rep.order)
+    for e in rep.schedule:
+        assert (e.kind, e.core, e.start, e.end) == (
+            G.kinds[e.task].value, names[rep.core[e.task]],
+            rep.start[e.task], rep.end[e.task])
+    assert len(rep.messages) == len(rep.msg_arrival) > 0
+    for i, m in enumerate(rep.messages):
+        assert (m.producer, m.consumer, m.arrival) == (
+            rep.msg_producer[i], rep.msg_consumer[i], rep.msg_arrival[i])
+        assert m.src == tiles[rep.core[m.producer]]
+        assert m.dst == tiles[rep.msg_dst[i]]
+        assert m.launch == rep.end[m.producer]
+    # XFER tasks run on no core
+    assert all(rep.core[t] == -1 for t, kind in enumerate(G.kinds)
+               if kind is OpKind.XFER)
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail the test, rather than hang it, if the body runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("tile", [
+    (0.5, 0),      # xy_route stepped past a non-integer column for ever
+    (1, 1.5),
+    ("1", 0),
+    (1, 0, 0),
+    (1,),
+    (True, 0),     # passed as (1, 0)
+    (2.0, 0),
+    [1, 0],
+    1,
+    None,
+])
+def test_placement_tiles_must_be_pairs_of_ints(p17, tile):
+    G = compile_scalar_mul(p17.curve, 7, p17.base)
+    cm = CostModel.default(p17.curve.field.kind)
+    entries = dict(default_placement(MESH, DEFAULT_ROLE_COUNTS,
+                                     role_usage(G)).entries)
+    entries["io0"] = tile
+    with _deadline(10), pytest.raises(BadValue, match="core io0 must sit"):
+        simulate(G, cm, MESH, Placement(entries))
+
+
+def test_out_of_mesh_tile_with_a_huge_coordinate():
+    # the message names the core; formatting the tile would raise the
+    # interpreter's own ValueError for an int of over 4300 digits
+    pl = Placement({"io0": (10**5000, 0)})
+    with pytest.raises(OutOfMesh, match="core io0 sits outside the 4x3"):
+        pl.validate(MESH)
