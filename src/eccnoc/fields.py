@@ -68,8 +68,8 @@ _MR_EXACT_BOUND = 318665857834031151167461
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin to the bases 2..37, exact below 3.18e23; from there
-    on a strong Lucas test joins it, which makes it the Baillie-PSW test
-    (no composite is known to pass it)."""
+    on Miller-Rabin to base 2 and a strong Lucas test, the Baillie-PSW
+    test (no composite is known to pass it)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -79,7 +79,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _MR_EXACT_BOUND else _MR_BASES[:1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -35,11 +35,23 @@ cycle 0, so only computed values cross the network.  Control traffic
 the result pair launches towards the IO core when its task ends; the run
 ends when both have arrived, and that arrival cycle is the makespan.
 
+A run keeps one availability row per core, indexed by task id: the
+cycle at which a value can be used on that core, which is its end on
+the core that computed it, its arrival on a core it was shipped to, and
+None elsewhere.  Both the estimate and the start of a task read an
+operand's entry there; only a missing one costs the contention-free
+latency, which is precomputed for every core pair, or a transfer.  The
+rows hold one reference per (core, task): about 180 KB for a 64-bit k
+on the 11 default cores, about 33 MB for a 4060-task graph on 1024
+cores.  The latency and route tables hold one reference per core pair,
+about 8 MB each on 1024 cores.
+
 Each directed link's set of booked cycles is the one record of traffic:
 the report reads a link's flit count as the size of its set, and total
 flit-hops (one flit crossing one link, the traffic/energy proxy) as the
-sum of those counts.  A run builds each tile pair's route once, on first
-use, as the list of its links' booked-cycle sets.
+sum of those counts.  A run builds each core pair's route once, on first
+use, as the list of its links' booked-cycle sets, and holds the routes
+in a cores x cores table.
 
 A `SimReport` holds the run as columns: each task's core, start and end
 cycle indexed by task id, the visit order, and one producer, consumer,
@@ -142,6 +154,14 @@ def role_for_kind(kind: OpKind) -> CoreRole:
     return _KIND_ROLE[kind]
 
 
+def _is_tile(tile) -> bool:
+    """True for a (col, row) tuple of two ints.  A float would step
+    `xy_route` past its column for ever, and a bool or str would reach
+    the simulator's arithmetic."""
+    return isinstance(tile, tuple) and len(tile) == 2 and \
+        all(type(v) is int for v in tile)
+
+
 def manhattan(a: Tile, b: Tile) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
@@ -149,8 +169,12 @@ def manhattan(a: Tile, b: Tile) -> int:
 def xy_route(mesh: MeshConfig, src: Tile, dst: Tile) -> list[tuple[Tile, Tile]]:
     """Directed links of the XY route: column steps first, then rows."""
     for tile in (src, dst):
+        if not _is_tile(tile):
+            raise BadValue("a route runs between (col, row) tuples of "
+                           "two ints")
         if not mesh.contains(tile):
-            raise OutOfMesh(f"tile {tile} lies outside the "
+            # no tile in the message: a huge int cannot be formatted
+            raise OutOfMesh(f"a route end lies outside the "
                             f"{mesh.cols}x{mesh.rows} mesh")
     route = []
     c, r = src
@@ -183,10 +207,7 @@ class Placement:
             m = _CORE_NAME.match(name)
             if m is None:
                 raise BadValue(f"core name {name!r} is not <role><index>")
-            # a float would step xy_route past its column for ever, and a
-            # bool or str would reach the simulator's arithmetic
-            if not isinstance(tile, tuple) or len(tile) != 2 or \
-                    any(type(v) is not int for v in tile):
+            if not _is_tile(tile):
                 raise BadValue(f"core {name} must sit on a (col, row) "
                                f"tuple of two ints")
             role = CoreRole(m.group(1))
@@ -373,6 +394,8 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         raise BadValue(f"values wider than {MAX_FIELD_BITS} bits "
                        f"need more than {MAX_FLITS_PER_VALUE} flits")
     dist = [[manhattan(a, b) for b in tiles] for a in tiles]
+    # contention-free latency of one value from core a to core b
+    lat = [[d * hop + flits - 1 for d in row] for row in dist]
     # each arithmetic kind's candidate cores, in index order
     runs_on = {kind: cores[role] for kind, role in _KIND_ROLE.items()}
 
@@ -386,13 +409,15 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     loc = [-1] * len(kinds)
     begin = [0] * len(kinds)
     end = [0] * len(kinds)
-    # per core: arrival cycle of each value copied there from another core
-    copies: list[dict[int, int]] = [{} for _ in names]
+    # per core, by task id: the cycle the value can be used there (its
+    # end on its own core, its arrival where it was shipped), else None
+    avail = [[None] * len(kinds) for _ in names]
 
     # the occupied cycles of each directed link: the only traffic record
     booked: dict[tuple[Tile, Tile], set[int]] = {}
-    # per (source, destination) core pair: its route's booked-cycle sets
-    routes: dict[tuple[int, int], list[set[int]]] = {}
+    # per source core, per destination core: its route's booked-cycle sets
+    routes: list[list[Optional[list[set[int]]]]] = [
+        [None] * len(names) for _ in names]
     # per message: producer, consumer, destination core, arrival cycle
     producers: list[int] = []
     consumers: list[int] = []
@@ -403,9 +428,9 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         """Book one value's flits from its producer's core to core dst,
         launched when the producer ends; returns the arrival cycle."""
         src, launch = loc[producer], end[producer]
-        route = routes.get((src, dst))
+        route = routes[src][dst]
         if route is None:
-            route = routes[src, dst] = [
+            route = routes[src][dst] = [
                 booked.setdefault(link, set())
                 for link in xy_route(mesh, tiles[src], tiles[dst])]
         # first fit keeps the flits in order on every link: each reaches
@@ -434,30 +459,26 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         # displaces the best, so ties go to the lowest index
         best, best_hops = math.inf, 0
         for c in candidates:
-            ready, new_hops, here = free[c], 0, copies[c]
+            ready, new_hops, here = free[c], 0, avail[c]
             for o in operands:
-                at = loc[o]
-                if at == c:
-                    arr = end[o]
-                else:
-                    arr = here.get(o)
-                    if arr is None:
-                        hops = dist[at][c]
-                        arr = end[o] + hops * hop + flits - 1
-                        new_hops += hops
+                arr = here[o]
+                if arr is None:
+                    at = loc[o]
+                    arr = end[o] + lat[at][c]
+                    new_hops += dist[at][c]
                 if arr > ready:
                     ready = arr
             if ready < best or ready == best and new_hops < best_hops:
                 best, best_hops, core = ready, new_hops, c
-        start, here = free[core], copies[core]
+        start, here = free[core], avail[core]
         for o in operands:
-            arr = end[o] if loc[o] == core else here.get(o)
+            arr = here[o]
             if arr is None:
                 arr = here[o] = ship(o, tid, core)
             if arr > start:
                 start = arr
         begin[tid] = start
-        end[tid] = free[core] = start + costs[tid]
+        end[tid] = here[tid] = free[core] = start + costs[tid]
         busy[core] += costs[tid]
         loc[tid] = core
 

@@ -585,6 +585,28 @@ def test_strong_pseudoprimes_rejected_crypto_primes_accepted():
         assert FieldSpec.prime(p).modulus == p
 
 
+def _strong_prp(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2 ** i, n) == n - 1 for i in range(1, s))
+
+
+def test_is_prime_on_either_side_of_the_exact_bound():
+    # below the bound the 12 bases decide alone: 3215031751 is a strong
+    # pseudoprime to 2, 3, 5 and 7, caught by 11
+    assert all(_strong_prp(3215031751, a) for a in (2, 3, 5, 7))
+    assert not fields._is_prime(3215031751)
+    # the bound passes all 12 bases, so from there on only base 2 and
+    # the strong Lucas test stand between a composite and a field
+    n = fields._MR_EXACT_BOUND
+    assert all(_strong_prp(n, a) for a in fields._MR_BASES)
+    assert not fields._is_prime(n)
+    assert fields._is_prime(2 ** 2048 - 1557)
+
+
 def test_strong_lucas_against_sieve():
     # the odd composites below 20000 that pass are exactly the strong
     # Lucas pseudoprimes listed in OEIS A217255

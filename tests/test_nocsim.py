@@ -59,11 +59,23 @@ def test_xy_route_length_is_manhattan():
         assert pos == b
 
 
+@pytest.mark.parametrize("tile", [(0.5, 0), ("1", 0), (True, 0), (1, 0, 0)])
+def test_route_ends_must_be_pairs_of_ints(tile):
+    # a float column made the column walk step past it for ever
+    for src, dst in ((tile, (1, 0)), ((1, 0), tile)):
+        with _deadline(3), pytest.raises(BadValue, match="route runs"):
+            xy_route(MESH, src, dst)
+
+
 def test_route_outside_mesh():
     with pytest.raises(OutOfMesh):
         xy_route(MESH, (0, 0), (4, 0))
     with pytest.raises(OutOfMesh):
         xy_route(MESH, (-1, 0), (0, 0))
+    # formatting an int of over 4300 digits raises the interpreter's own
+    # ValueError
+    with pytest.raises(OutOfMesh, match="outside the 4x3 mesh"):
+        xy_route(MESH, (10**5000, 0), (0, 0))
 
 
 def test_centrality_frozen_4x3():
@@ -301,6 +313,30 @@ def test_two_flit_values_contend_for_a_link():
     assert rep.total_flit_hops == 8
     assert rep.per_link_flits == {"2,0->1,0": 4, "3,0->2,0": 2,
                                   "1,0->0,0": 2}
+
+
+def test_chained_muls_on_one_core_send_nothing_between_them():
+    # MUL 3 reads MUL 2's value on the core that made it: 2 runs [0,4),
+    # 3 runs [4,8) with no transfer between them; only the result
+    # travels, its two flits crossing (1,0)->(0,0) at 8 and 9 (IO at 10)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 64
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 MUL iterate 0 2,0 - -
+result 3 3
+""")
+    mesh = MeshConfig(cols=2, rows=1)  # flits: ceil(64/32) = 2
+    pl = Placement({"io0": (0, 0), "mul0": (1, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "mul0", 0, 4), (3, "mul0", 4, 8)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(3, -1, 8, 10)]
+    assert rep.makespan_cycles == 10
+    assert rep.per_link_flits == {"1,0->0,0": 2}
+    _invariant_check(G, cm, mesh, rep)
 
 
 def test_shipped_value_stays_resident():
