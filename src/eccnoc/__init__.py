@@ -11,7 +11,7 @@ from .fields import (FieldElement, FieldKind, FieldSpec, OpKind, ff_add,
 from .nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
                      SimReport, centrality, compare_placements,
                      corner_first_placement, default_placement, role_usage,
-                     sequential_baseline, simulate, xy_route)
+                     simulate, xy_route)
 from .procmodel import (CostModel, Plan, Task, TaskGraph,
                         compile_scalar_mul, critical_path, replay)
 from .presets import PRESETS, get_preset

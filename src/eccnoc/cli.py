@@ -11,7 +11,8 @@ Commands:
   compare   rank two or more placements on the same compiled run
 
 Scalars and coordinates are lowercase unprefixed hex.  Every command is
-deterministic.
+deterministic.  Each subparser names its command function as `run`;
+`main` resolves the run config and calls it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .config import (RunConfig, format_hex, load_placement, load_run_config,
-                     parse_hex, preset_names)
+from .config import RunConfig, load_placement, load_run_config, parse_hex
 from .errors import BadValue, EccNocError, EmptyTrace, OracleBoundExceeded
-from .nocsim import (corner_first_placement, default_placement, role_usage,
-                     simulate)
+from .nocsim import (compare_placements, corner_first_placement,
+                     default_placement, role_usage, simulate)
+from .presets import PRESETS, get_preset
 from .procmodel import compile_scalar_mul, critical_path
 from .scalarmul import (OpTrace, count_report, scalar_mul,
                         scalar_mul_reference)
@@ -44,17 +45,16 @@ def _dump_json(doc: dict) -> str:
 def _point_doc(R) -> dict:
     if R.is_infinity:
         return {"infinity": True}
-    return {"infinity": False, "x": format_hex(R.x.value),
-            "y": format_hex(R.y.value)}
+    return {"infinity": False, "x": f"{R.x.value:x}", "y": f"{R.y.value:x}"}
 
 
 def _describe_point(R) -> str:
     if R.is_infinity:
         return "infinity"
-    return f"x={format_hex(R.x.value)} y={format_hex(R.y.value)}"
+    return f"x={R.x.value:x} y={R.y.value:x}"
 
 
-def cmd_mul(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
+def cmd_mul(cfg: RunConfig, args: argparse.Namespace) -> int:
     trace = OpTrace()
     R = scalar_mul(cfg.curve, cfg.k, cfg.base, trace)
     try:
@@ -63,17 +63,17 @@ def cmd_mul(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
         audit = None
     doc = {
         "curve": cfg.curve_name,
-        "k": format_hex(cfg.k),
+        "k": f"{cfg.k:x}",
         "result": _point_doc(R),
         "trace": trace.to_dict(),
         "audit": audit.to_dict() if audit is not None else None,
     }
-    if fmt == "json":
+    if args.format == "json":
         print(_dump_json(doc))
     else:
         print(f"curve: {cfg.curve_name} ({cfg.curve.field.tag}, "
               f"{cfg.curve.system.value})")
-        print(f"k: {format_hex(cfg.k)}")
+        print(f"k: {cfg.k:x}")
         print(f"result: {_describe_point(R)}")
         t = trace.to_dict()
         for phase in ("init", "iterate", "convert"):
@@ -86,12 +86,13 @@ def cmd_mul(cfg: RunConfig, fmt: str, out: Optional[str]) -> int:
             print("audit: no point operations in this run")
         else:
             print(audit.format_text())
-    if out:
-        Path(out).write_text(_dump_json(doc) + "\n")
+    if args.out:
+        Path(args.out).write_text(_dump_json(doc) + "\n")
     return 0
 
 
-def cmd_verify(cfg: RunConfig, kmax: int) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    kmax = args.kmax
     if kmax < 0 or kmax * (kmax + 1) // 2 > _VERIFY_WORK_LIMIT:
         raise OracleBoundExceeded(
             f"verify needs 0 <= kmax and kmax*(kmax+1)/2 <= "
@@ -117,13 +118,13 @@ def cmd_verify(cfg: RunConfig, kmax: int) -> int:
     return 0
 
 
-def cmd_graph(cfg: RunConfig, out: Optional[str]) -> int:
+def cmd_graph(cfg: RunConfig, args: argparse.Namespace) -> int:
     G = compile_scalar_mul(cfg.curve, cfg.k, cfg.base)
     text = G.to_text()
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
         print(f"wrote {len(G.kinds)} tasks ({G.n_arith_tasks()} arithmetic) "
-              f"to {out}")
+              f"to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -134,12 +135,11 @@ def _graph_and_machine(cfg: RunConfig):
     return G, cfg.cost_model(), cfg.mesh, role_usage(G)
 
 
-def cmd_simulate(cfg: RunConfig, placement_file: Optional[str], fmt: str,
-                 out: Optional[str]) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     G, cm, mesh, usage = _graph_and_machine(cfg)
-    if placement_file:
-        pl = load_placement(placement_file)
-        pl_name = Path(placement_file).stem
+    if args.placement:
+        pl = load_placement(args.placement)
+        pl_name = Path(args.placement).stem
     else:
         pl = default_placement(mesh, cfg.role_counts, usage)
         pl_name = "default"
@@ -147,17 +147,17 @@ def cmd_simulate(cfg: RunConfig, placement_file: Optional[str], fmt: str,
     cp = critical_path(G, cm)
     doc = {
         "curve": cfg.curve_name,
-        "k": format_hex(cfg.k),
+        "k": f"{cfg.k:x}",
         "placement_name": pl_name,
         "n_tasks": len(G.kinds),
         "n_arith_tasks": G.n_arith_tasks(),
         "critical_path_cycles": cp,
     }
     doc.update(rep.to_json_dict())
-    if fmt == "json":
+    if args.format == "json":
         print(_dump_json(doc))
     else:
-        print(f"curve: {cfg.curve_name}   k: {format_hex(cfg.k)}   "
+        print(f"curve: {cfg.curve_name}   k: {cfg.k:x}   "
               f"tasks: {len(G.kinds)} ({G.n_arith_tasks()} arithmetic)")
         print(f"mesh: {mesh.cols}x{mesh.rows}   flits/value: "
               f"{rep.flits_per_value}   placement: {pl_name}")
@@ -166,27 +166,25 @@ def cmd_simulate(cfg: RunConfig, placement_file: Optional[str], fmt: str,
               f"speedup: {rep.speedup:.3f}")
         print(f"critical path: {cp} cycles   "
               f"flit-hops: {rep.total_flit_hops}")
-    if out:
-        outdir = Path(out)
+    if args.out:
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(_dump_json(doc) + "\n")
         with (outdir / "schedule.csv").open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerows(rep.schedule_rows())
-        if fmt == "text":
+        if args.format == "text":
             print(f"wrote {outdir / 'report.json'} and "
                   f"{outdir / 'schedule.csv'}")
     return 0
 
 
-def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
-                out: Optional[str]) -> int:
-    from .nocsim import compare_placements
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     G, cm, mesh, usage = _graph_and_machine(cfg)
-    if placement_files:
-        if len(placement_files) < 2:
+    if args.placement:
+        if len(args.placement) < 2:
             raise BadValue("compare needs at least two --placement files")
-        entries = [(Path(p).stem, load_placement(p)) for p in placement_files]
+        entries = [(Path(p).stem, load_placement(p)) for p in args.placement]
     else:
         entries = [
             ("default", default_placement(mesh, cfg.role_counts, usage)),
@@ -196,7 +194,7 @@ def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
     ranked = compare_placements(G, cm, mesh, entries)
     doc = {
         "curve": cfg.curve_name,
-        "k": format_hex(cfg.k),
+        "k": f"{cfg.k:x}",
         "ranking": [
             {"name": name,
              "makespan_cycles": rep.makespan_cycles,
@@ -204,10 +202,10 @@ def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
              "speedup": rep.speedup}
             for name, rep in ranked],
     }
-    if fmt == "json":
+    if args.format == "json":
         print(_dump_json(doc))
     else:
-        print(f"curve: {cfg.curve_name}   k: {format_hex(cfg.k)}   "
+        print(f"curve: {cfg.curve_name}   k: {cfg.k:x}   "
               f"tasks: {len(G.kinds)}")
         print(f"{'placement':<16}{'makespan':>10}{'flit-hops':>11}"
               f"{'speedup':>9}")
@@ -215,19 +213,23 @@ def cmd_compare(cfg: RunConfig, placement_files: list[str], fmt: str,
             print(f"{name:<16}{rep.makespan_cycles:>10}"
                   f"{rep.total_flit_hops:>11}{rep.speedup:>9.3f}")
         print(f"best: {ranked[0][0]}")
-    if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        (Path(out) / "compare.json").write_text(_dump_json(doc) + "\n")
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        (Path(args.out) / "compare.json").write_text(_dump_json(doc) + "\n")
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_k: bool) -> None:
+def _add_command(sub, name: str, run, help: str,
+                 with_k: bool = True) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
     p.add_argument("--curve", metavar="NAME",
-                   help="curve preset: " + ", ".join(preset_names()))
+                   help="curve preset: " + ", ".join(sorted(PRESETS)))
     p.add_argument("--config", metavar="FILE", help="INI run config")
     if with_k:
         p.add_argument("--k", metavar="HEX",
                        help="scalar, lowercase unprefixed hex")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,32 +239,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "compilation, and mesh schedule simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mul", help="compute k*P and audit the op counts")
-    _add_common(p, with_k=True)
+    p = _add_command(sub, "mul", cmd_mul,
+                     "compute k*P and audit the op counts")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
-    p = sub.add_parser("verify",
-                       help="brute-force check k*P for every k in [0, kmax]")
-    _add_common(p, with_k=False)
+    p = _add_command(sub, "verify", cmd_verify,
+                     "brute-force check k*P for every k in [0, kmax]",
+                     with_k=False)
     p.add_argument("--kmax", type=int, default=64, metavar="N",
                    help="largest scalar to check (default 64)")
 
-    p = sub.add_parser("graph", help="dump the compiled task graph")
-    _add_common(p, with_k=True)
+    p = _add_command(sub, "graph", cmd_graph, "dump the compiled task graph")
     p.add_argument("--out", metavar="FILE",
                    help="write the graph text here instead of stdout")
 
-    p = sub.add_parser("simulate", help="schedule one run on the mesh")
-    _add_common(p, with_k=True)
+    p = _add_command(sub, "simulate", cmd_simulate,
+                     "schedule one run on the mesh")
     p.add_argument("--placement", metavar="FILE",
                    help="INI placement (default: centrality placement)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="DIR",
                    help="write report.json and schedule.csv here")
 
-    p = sub.add_parser("compare", help="rank placements on one run")
-    _add_common(p, with_k=True)
+    p = _add_command(sub, "compare", cmd_compare,
+                     "rank placements on one run")
     p.add_argument("--placement", metavar="FILE", action="append",
                    default=[],
                    help="INI placement; repeat for each candidate "
@@ -272,11 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve(args: argparse.Namespace, need_k: bool) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.curve:
-        cfg.use_preset(args.curve)
-    if getattr(args, "k", None) is not None:
+        preset = get_preset(args.curve)
+        cfg.curve, cfg.base, cfg.curve_name = \
+            preset.curve, preset.base, preset.name
+    need_k = "k" in vars(args)   # the command has a --k option
+    if need_k and args.k is not None:
         cfg.k = parse_hex(args.k)
     if cfg.curve is None:
         raise BadValue("no curve selected; pass --curve or a config "
@@ -289,20 +293,7 @@ def _resolve(args: argparse.Namespace, need_k: bool) -> RunConfig:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "mul":
-            cfg = _resolve(args, need_k=True)
-            return cmd_mul(cfg, args.format, args.out)
-        if args.command == "verify":
-            cfg = _resolve(args, need_k=False)
-            return cmd_verify(cfg, args.kmax)
-        if args.command == "graph":
-            cfg = _resolve(args, need_k=True)
-            return cmd_graph(cfg, args.out)
-        if args.command == "simulate":
-            cfg = _resolve(args, need_k=True)
-            return cmd_simulate(cfg, args.placement, args.format, args.out)
-        cfg = _resolve(args, need_k=True)
-        return cmd_compare(cfg, args.placement, args.format, args.out)
+        return args.run(_resolve(args), args)
     except EccNocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,9 +7,10 @@ so typos cannot silently fall back to defaults.
 
 Scalars, field values, and coordinates are written as lowercase
 big-endian hex without a prefix; plain sizes and counts are decimal.
+Both are bare ASCII digits: no sign, `_`, prefix or surrounding space.
 
 Placement files use a single [placement] section mapping core names
-(role plus instance index, e.g. mul0) to "col,row" tiles.
+(role plus instance index, e.g. mul0) to decimal "col,row" tiles.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ from .curves import AffinePoint, CurveParams
 from .errors import ConfigError
 from .fields import FieldKind, FieldSpec
 from .nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement
-from .presets import PRESETS, curve_from_ints, get_preset
+from .presets import curve_from_ints, get_preset
 from .procmodel import CostModel
 
-_HEX = re.compile(r"^[0-9a-f]+$")
-_DEC = re.compile(r"^[0-9]+$")
+# ASCII classes matched whole: no sign, `_`, prefix, Unicode digit or
+# trailing newline gets through
+_HEX = re.compile(r"[0-9a-f]+")
+_DEC = re.compile(r"[0-9]+")
+# at most 9 digits a coordinate, like a core index
+_TILE = re.compile(r"([0-9]{1,9}),([0-9]{1,9})")
 
 _KNOWN_KEYS = {
     "curve": {"preset", "kind", "p", "m", "poly", "a", "b", "gx", "gy",
@@ -42,18 +47,14 @@ _KNOWN_KEYS = {
 
 def parse_hex(text: str) -> int:
     """Strict lowercase big-endian hex without prefix."""
-    if not _HEX.match(text):
+    if not _HEX.fullmatch(text):
         raise ConfigError(
             f"{text!r} is not lowercase unprefixed hex")
     return int(text, 16)
 
 
-def format_hex(value: int) -> str:
-    return f"{value:x}"
-
-
 def _parse_dec(text: str, what: str) -> int:
-    if not _DEC.match(text):
+    if not _DEC.fullmatch(text):
         raise ConfigError(f"{what} must be a decimal integer, got {text!r}")
     try:
         return int(text)
@@ -81,12 +82,6 @@ class RunConfig:
                 else CostModel.default(self.curve.field.kind))
         return replace(base, **self.costs)
 
-    def use_preset(self, name: str) -> None:
-        preset = get_preset(name)
-        self.curve = preset.curve
-        self.base = preset.base
-        self.curve_name = name
-
 
 def _read_ini(path: str | Path) -> configparser.ConfigParser:
     p = Path(path)
@@ -107,11 +102,8 @@ def _check_keys(parser: configparser.ConfigParser, known: dict) -> None:
     for section in parser.sections():
         if section not in known:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = known[section]
-        if allowed is None:
-            continue  # free-form keys, validated downstream
         for key in parser[section]:
-            if key not in allowed:
+            if key not in known[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]")
 
@@ -178,39 +170,26 @@ def load_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"bad mesh: {exc}") from exc
     if parser.has_section("roles"):
         sec = parser["roles"]
-        counts = dict(DEFAULT_ROLE_COUNTS)
-        for key in sec:
-            counts[CoreRole(key)] = _parse_dec(sec[key], f"roles.{key}")
-        if any(n < 0 for n in counts.values()):
-            raise ConfigError("role counts must be nonnegative")
-        cfg.role_counts = counts
+        for key in sec:  # over the defaults RunConfig starts from
+            cfg.role_counts[CoreRole(key)] = _parse_dec(sec[key],
+                                                        f"roles.{key}")
     return cfg
 
 
 def load_placement(path: str | Path) -> Placement:
     parser = _read_ini(path)
-    _check_keys(parser, {"placement": None})
-    # placement keys are free-form core names; validate via Placement
-    if not parser.has_section("placement"):
-        raise ConfigError(f"{path}: missing [placement] section")
+    # keys are core names, checked by Placement
+    if parser.sections() != ["placement"]:
+        raise ConfigError(f"{path}: a placement file has one [placement] "
+                          f"section and no other, got {parser.sections()}")
     entries = {}
     for name, text in parser["placement"].items():
-        parts = text.split(",")
-        if len(parts) != 2:
+        m = _TILE.fullmatch(text)
+        if m is None:
             raise ConfigError(
-                f"tile for {name!r} must be 'col,row', got {text!r}")
-        try:
-            tile = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ConfigError(
-                f"tile for {name!r} must be 'col,row', got {text!r}") \
-                from None
-        entries[name] = tile
+                f"tile for {name!r} must be decimal 'col,row', got {text!r}")
+        entries[name] = (int(m[1]), int(m[2]))
     try:
         return Placement(entries)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def preset_names() -> list[str]:
-    return sorted(PRESETS)

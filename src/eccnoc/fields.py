@@ -493,6 +493,9 @@ class FieldSpec:
 
     def element(self, value: int) -> "FieldElement":
         """Wrap an int, reducing it to canonical form first."""
+        if type(value) is not int:  # a float, bool or str would be kept
+            raise BadValue(f"a field element is an int, got "
+                           f"{type(value).__name__}")
         if value < 0 and self.kind is FieldKind.BINARY:
             raise BadValue("binary field elements are nonnegative bit vectors")
         return FieldElement(self, self._reduce(value))

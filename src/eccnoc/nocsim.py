@@ -145,8 +145,10 @@ _KIND_ROLE = {
     OpKind.INV: CoreRole.INV_UNIT,
 }
 
-# at most 9 index digits, so the index always converts to an int
-_CORE_NAME = re.compile(r"^(add|mul|sqr|inv|io)(\d{1,9})$")
+# a role and at most 9 ASCII index digits, so the index always converts
+# to an int and a non-ASCII digit (`mul٣`) is no name
+_CORE_NAME = re.compile(
+    f"({'|'.join(role.value for role in CoreRole)})([0-9]{{1,9}})")
 
 
 def role_for_kind(kind: OpKind) -> CoreRole:
@@ -204,7 +206,7 @@ class Placement:
         self._by_role: dict[CoreRole, list[tuple[int, str, Tile]]] = {
             role: [] for role in CoreRole}
         for name, tile in self.entries.items():
-            m = _CORE_NAME.match(name)
+            m = _CORE_NAME.fullmatch(name)
             if m is None:
                 raise BadValue(f"core name {name!r} is not <role><index>")
             if not _is_tile(tile):
@@ -364,12 +366,6 @@ class SimReport:
         return [["task", "kind", "core", "start_cycle", "end_cycle"]] + [
             [t, kinds[t].value, names[core[t]], start[t], end[t]]
             for t in self.order]
-
-
-def sequential_baseline(G: TaskGraph, cm: CostModel) -> int:
-    """Total cycles of a single core running every task back to back
-    with no transfers: the serial reference for speedup."""
-    return sum(G.plan(cm).costs)
 
 
 def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,

@@ -29,8 +29,8 @@ cost model, none of it placement-dependent: each task's cost, each
 task's distinct computed operands in id order (XFER inputs dropped), and
 the arithmetic tasks in decreasing upward rank, ties by id.  It is built
 on first use and memoised per cost model on the immutable graph, so
-`critical_path`, `nocsim.sequential_baseline` and every
-`nocsim.simulate` call on one graph and cost model share it.
+`critical_path` and every `nocsim.simulate` call on one graph and cost
+model share it.
 """
 
 from __future__ import annotations

@@ -35,9 +35,13 @@ from typing import Optional
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
                      _embed_kernel, _require_on_curve, kernels_for)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
-from .fields import ARITH_KINDS, FieldElement, FieldSpec, OpKind
+from .fields import (ARITH_KINDS, MAX_FIELD_BITS, FieldElement, FieldSpec,
+                     OpKind)
 
 ORACLE_BOUND = 1 << 16
+# twice the widest field: a 4096-bit k compiles in a fraction of a second,
+# and the tape grows linearly with the width past it
+MAX_SCALAR_BITS = 2 * MAX_FIELD_BITS
 
 # one-byte kind codes, indexed like tuple(OpKind): the tape records each
 # op's kind as its code, so counting a column is `bytes.count`
@@ -223,12 +227,17 @@ def run_binary_method(curve: CurveParams, k: int,
                       P: AffinePoint) -> Optional[_Tape]:
     """Record one double-and-add run of k*P on a fresh tape.
 
-    Raises NotOnCurve for a foreign P and BadValue for a
-    negative k.
+    Raises NotOnCurve for a foreign P and BadValue for a k that is not
+    an int, is negative or is wider than MAX_SCALAR_BITS.
     Returns None when k*P is infinity without any work (k = 0 or P at
     infinity).  Otherwise the tape's `result` holds the indices of the
     affine coordinates, or None when k*P is the point at infinity.
     """
+    if type(k) is not int:
+        raise BadValue(f"scalar must be an int, got {type(k).__name__}")
+    if k.bit_length() > MAX_SCALAR_BITS:
+        raise BadValue(f"scalar has {k.bit_length()} bits; scalars wider "
+                       f"than {MAX_SCALAR_BITS} bits are refused")
     _require_on_curve(curve, P)
     if k < 0:
         raise BadValue("scalar must be nonnegative")

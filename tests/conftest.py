@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -49,3 +51,17 @@ def point_order(curve, P):
             raise OracleBoundExceeded(
                 f"point order exceeds the scan bound {_POINT_SCAN_BOUND}")
     return n
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the test, rather than hang it, if the body runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

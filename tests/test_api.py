@@ -61,6 +61,21 @@ def test_bench_imports_resolve():
     assert not missing
 
 
+def test_bench_items_and_model_pass_run_clean(monkeypatch):
+    """The benchmark's items, checks and model pass on one input per
+    workload: a change that breaks what bench/ reads of the package
+    (`rep.schedule`, `G.tasks`, `trace.phase_counts`, `cores_of_role`
+    ...) fails here, not only in bench/test_bench.py."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    harness = importlib.import_module("harness")
+    workloads = importlib.import_module("workloads")
+    for workload, (item, check) in workloads.ITEMS.items():
+        inp = workloads.make_inputs(workload, seed=1)[0]
+        assert check(inp, item(harness.Tracer(), inp)) == [], workload
+        metrics, bad = workloads.model_run(harness.Tracer(), inp, full=True)
+        assert bad == [] and metrics["makespan_cycles"] > 0, workload
+
+
 @pytest.mark.parametrize("tree", ["src", "tests", "bench"])
 def test_sources_parse_as_python_3_10(tree):
     """`requires-python` is >=3.10: syntax that needs a later release,

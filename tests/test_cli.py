@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eccnoc.cli import _VERIFY_WORK_LIMIT, main
-from eccnoc.config import load_placement, load_run_config, parse_hex
-from eccnoc.errors import ConfigError
+from eccnoc.config import _parse_dec, load_placement, load_run_config, \
+    parse_hex
+from eccnoc.errors import BadValue, ConfigError
 from eccnoc.nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, \
-    default_placement, role_usage
+    Placement, default_placement, role_usage
 from eccnoc.procmodel import TaskGraph, compile_scalar_mul, replay
 from eccnoc.scalarmul import scalar_mul
+
+from conftest import deadline
 
 ROOT = Path(__file__).parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -269,6 +272,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         bad.write_text(f"[curve]\npreset = p17\n\n[mesh]\n{mesh}\n")
         with pytest.raises(ConfigError, match=reason):
             load_run_config(bad)
+    for text in ("[placement]\nmul0 = 1,1\n[mesh]\ncols = 4\n",
+                 "[placements]\nmul0 = 1,1\n"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=r"one \[placement\] section"):
+            load_placement(bad)
 
 
 def _readme_config_block():
@@ -416,6 +424,47 @@ def test_hex_is_strict():
         parse_hex("0x12")
     with pytest.raises(ConfigError):
         parse_hex("")
+
+
+@pytest.mark.parametrize("what,text", [
+    ("tile", "1_0,+1"),       # read as (10, 1)
+    ("tile", "\uff11,1"),     # a fullwidth 1, read as (1, 1)
+    ("tile", "-1,0"),         # refused only at simulate, as OutOfMesh
+    ("k", "b7a3\n"),          # `$` matched before the newline
+    ("dec", "5\n"),
+    ("core", "mul\u0663"),    # an Arabic-Indic 3, the index of mul3 too
+])
+def test_lenient_spellings_are_refused(capsys, tmp_path, what, text):
+    if what == "tile":
+        path = tmp_path / "pl.ini"
+        path.write_text(f"[placement]\nmul0 = {text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="must be decimal 'col,row'"):
+            load_placement(path)
+    elif what == "k":
+        code, out, err = run_cli(capsys, "mul", "--curve", "p17", "--k", text)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif what == "dec":
+        with pytest.raises(ConfigError, match="decimal integer"):
+            _parse_dec(text, "cols")
+    else:
+        with pytest.raises(BadValue, match="not <role><index>"):
+            Placement({text: (0, 0), "mul3": (1, 0)})
+
+
+def test_scalar_width_is_bounded(capsys):
+    # 1025 hex digits, 4097 bits: one past the bound
+    with deadline(10):
+        code, out, err = run_cli(capsys, "mul", "--curve", "p17",
+                                 "--k", "1" + "0" * 1024)
+    assert code == 1 and not out
+    assert err == "error: scalar has 4097 bits; scalars wider than 4096 " \
+        "bits are refused\n"
+    with deadline(10):
+        code, out, err = run_cli(capsys, "mul", "--curve", "p17",
+                                 "--k", "f" * 1024)
+    assert code == 0 and not err
+    assert "point doublings: 4095   point additions: 4095" in out
 
 
 def test_placement_file_round_trip(capsys, tmp_path):

@@ -150,6 +150,15 @@ def test_element_constructor_canonicalizes():
         GF16.element(-1)
 
 
+@pytest.mark.parametrize("spec", [GF17, GF16], ids=["prime", "binary"])
+@pytest.mark.parametrize("value", [3.5, 3.0, True, "3", None])
+def test_element_value_must_be_an_int(spec, value):
+    # a prime field kept 3.5 as the value, whose repr then raised; the
+    # binary field raised a bare TypeError
+    with pytest.raises(BadValue, match="a field element is an int"):
+        spec.element(value)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero,
                        match=r"^zero has no inverse in GF\(17\)$"):

@@ -3,8 +3,6 @@
 import ast
 import hashlib
 import json
-import signal
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -18,13 +16,13 @@ from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MAX_FLITS_PER_VALUE,
                            Placement, centrality, compare_placements,
                            corner_first_placement, default_placement,
                            manhattan, role_for_kind, role_usage,
-                           sequential_baseline, simulate, xy_route)
+                           simulate, xy_route)
 from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul, \
     critical_path
 from eccnoc.scalarmul import OpTrace, scalar_mul
 from eccnoc.presets import PRESETS
 
-from conftest import seeded
+from conftest import deadline, seeded
 
 MESH = MeshConfig()
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,7 +61,7 @@ def test_xy_route_length_is_manhattan():
 def test_route_ends_must_be_pairs_of_ints(tile):
     # a float column made the column walk step past it for ever
     for src, dst in ((tile, (1, 0)), ((1, 0), tile)):
-        with _deadline(3), pytest.raises(BadValue, match="route runs"):
+        with deadline(3), pytest.raises(BadValue, match="route runs"):
             xy_route(MESH, src, dst)
 
 
@@ -609,7 +607,9 @@ def test_sequential_baseline_sums_costs(p17):
     scalar_mul(p17.curve, 13, p17.base, tr)
     tot = tr.totals()
     want = sum(tot[k] * cm.cost(k) for k in tot)
-    assert sequential_baseline(G, cm) == want
+    rep = simulate(G, cm, MESH, default_placement(MESH, DEFAULT_ROLE_COUNTS,
+                                                  role_usage(G)))
+    assert rep.sequential_baseline_cycles == want
 
 
 def test_compare_placements_ranks_and_validates(p17):
@@ -735,20 +735,6 @@ def test_rows_carry_what_the_benchmark_reads(p17, place):
                if kind is OpKind.XFER)
 
 
-@contextmanager
-def _deadline(seconds: float):
-    """Fail the test, rather than hang it, if the body runs too long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize("tile", [
     (0.5, 0),      # xy_route stepped past a non-integer column for ever
     (1, 1.5),
@@ -767,7 +753,7 @@ def test_placement_tiles_must_be_pairs_of_ints(p17, tile):
     entries = dict(default_placement(MESH, DEFAULT_ROLE_COUNTS,
                                      role_usage(G)).entries)
     entries["io0"] = tile
-    with _deadline(10), pytest.raises(BadValue, match="core io0 must sit"):
+    with deadline(10), pytest.raises(BadValue, match="core io0 must sit"):
         simulate(G, cm, MESH, Placement(entries))
 
 

@@ -18,8 +18,7 @@ from eccnoc.scalarmul import (OpTrace, Phase, scalar_mul,
                               scalar_mul_reference)
 from eccnoc.fields import FieldKind
 from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig,
-                           default_placement, role_usage,
-                           sequential_baseline, simulate)
+                           default_placement, role_usage, simulate)
 from eccnoc.presets import PRESETS
 
 from conftest import seeded
@@ -244,7 +243,6 @@ def test_pipeline_never_builds_the_row_view(monkeypatch, capsys):
     replay(G2, preset.curve)
     critical_path(G2, cm)
     G2.n_arith_tasks()
-    sequential_baseline(G2, cm)
     mesh = MeshConfig()
     simulate(G2, cm, mesh,
              default_placement(mesh, DEFAULT_ROLE_COUNTS, role_usage(G2)))

@@ -4,7 +4,8 @@ import pytest
 
 from eccnoc import procmodel, scalarmul
 from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
-from eccnoc.errors import EmptyTrace, NotOnCurve, OracleBoundExceeded
+from eccnoc.errors import (BadValue, EmptyTrace, NotOnCurve,
+                           OracleBoundExceeded)
 from eccnoc.fields import OpKind
 from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
                               run_binary_method, scalar_mul,
@@ -199,6 +200,23 @@ def test_input_validation(p17):
         scalar_mul(p17.curve, 3, AffinePoint(e(5), e(2)))
     with pytest.raises(OracleBoundExceeded):
         scalar_mul_reference(p17.curve, (1 << 16) + 1, p17.base)
+
+
+@pytest.mark.parametrize("k,match", [
+    (3.0, "must be an int, got float"),
+    (True, "must be an int, got bool"),
+    ("3", "must be an int, got str"),
+    (1 << scalarmul.MAX_SCALAR_BITS, "4097 bits"),
+    (-(1 << scalarmul.MAX_SCALAR_BITS), "4097 bits"),
+])
+def test_scalar_type_and_width_are_checked_first(p17, k, match):
+    assert scalarmul.MAX_SCALAR_BITS == 4096
+    t = OpTrace()
+    with pytest.raises(BadValue, match=match):
+        scalar_mul(p17.curve, k, p17.base, t)
+    assert all(n == 0 for n in t.totals().values())
+    with pytest.raises(BadValue, match=match):
+        procmodel.compile_scalar_mul(p17.curve, k, p17.base)
 
 
 def test_reference_is_literal_repeated_addition(p17):
