@@ -24,8 +24,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .config import RunConfig, load_placement, load_run_config, parse_hex
+from .config import (RunConfig, _parse_dec, load_placement, load_run_config,
+                     parse_hex)
 from .errors import BadValue, EccNocError, EmptyTrace, OracleBoundExceeded
+from .fields import _show
 from .nocsim import (compare_placements, corner_first_placement,
                      default_placement, role_usage, simulate)
 from .presets import PRESETS, get_preset
@@ -92,11 +94,11 @@ def cmd_mul(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    kmax = args.kmax
-    if kmax < 0 or kmax * (kmax + 1) // 2 > _VERIFY_WORK_LIMIT:
+    kmax = _parse_dec(args.kmax, "kmax")
+    if kmax * (kmax + 1) // 2 > _VERIFY_WORK_LIMIT:
         raise OracleBoundExceeded(
-            f"verify needs 0 <= kmax and kmax*(kmax+1)/2 <= "
-            f"{_VERIFY_WORK_LIMIT} repeated additions; got kmax={kmax}")
+            f"verify needs kmax*(kmax+1)/2 <= {_VERIFY_WORK_LIMIT} repeated "
+            f"additions; got kmax {_show(args.kmax)}")
     if cfg.curve.field.bits > _VERIFY_FIELD_BITS:
         raise OracleBoundExceeded(
             f"verify brute-forces every scalar and is capped at "
@@ -247,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "verify", cmd_verify,
                      "brute-force check k*P for every k in [0, kmax]",
                      with_k=False)
-    p.add_argument("--kmax", type=int, default=64, metavar="N",
-                   help="largest scalar to check (default 64)")
+    p.add_argument("--kmax", default="64", metavar="N",
+                   help="largest scalar to check, decimal (default 64)")
 
     p = _add_command(sub, "graph", cmd_graph, "dump the compiled task graph")
     p.add_argument("--out", metavar="FILE",

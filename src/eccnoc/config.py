@@ -23,7 +23,7 @@ from typing import Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import ConfigError
-from .fields import FieldKind, FieldSpec
+from .fields import FieldKind, FieldSpec, _show
 from .nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement
 from .presets import curve_from_ints, get_preset
 from .procmodel import CostModel
@@ -48,14 +48,14 @@ _KNOWN_KEYS = {
 def parse_hex(text: str) -> int:
     """Strict lowercase big-endian hex without prefix."""
     if not _HEX.fullmatch(text):
-        raise ConfigError(
-            f"{text!r} is not lowercase unprefixed hex")
+        raise ConfigError(f"{_show(text)} is not lowercase unprefixed hex")
     return int(text, 16)
 
 
 def _parse_dec(text: str, what: str) -> int:
     if not _DEC.fullmatch(text):
-        raise ConfigError(f"{what} must be a decimal integer, got {text!r}")
+        raise ConfigError(
+            f"{what} must be a decimal integer, got {_show(text)}")
     try:
         return int(text)
     except ValueError:  # past the interpreter's int digit limit
@@ -101,11 +101,11 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
 def _check_keys(parser: configparser.ConfigParser, known: dict) -> None:
     for section in parser.sections():
         if section not in known:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigError(f"unknown section {_show(section)}")
         for key in parser[section]:
             if key not in known[section]:
                 raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]")
+                    f"unknown key {_show(key)} in section [{section}]")
 
 
 def _curve_from_section(sec) -> tuple[CurveParams, AffinePoint, str]:
@@ -125,8 +125,8 @@ def _curve_from_section(sec) -> tuple[CurveParams, AffinePoint, str]:
         raise ConfigError("[curve] needs either preset or kind") from None
     except ValueError:
         raise ConfigError(
-            f"curve kind must be prime or binary, got {sec['kind']!r}") \
-            from None
+            f"curve kind must be prime or binary, got {_show(sec['kind'])}"
+        ) from None
     try:
         if kind is FieldKind.PRIME:
             spec = FieldSpec.prime(parse_hex(sec["p"]))
@@ -180,14 +180,15 @@ def load_placement(path: str | Path) -> Placement:
     parser = _read_ini(path)
     # keys are core names, checked by Placement
     if parser.sections() != ["placement"]:
-        raise ConfigError(f"{path}: a placement file has one [placement] "
-                          f"section and no other, got {parser.sections()}")
+        raise ConfigError(
+            f"{path}: a placement file has one [placement] section and no "
+            f"other, got {_show(', '.join(parser.sections()))}")
     entries = {}
     for name, text in parser["placement"].items():
         m = _TILE.fullmatch(text)
         if m is None:
-            raise ConfigError(
-                f"tile for {name!r} must be decimal 'col,row', got {text!r}")
+            raise ConfigError(f"tile for {_show(name)} must be decimal "
+                              f"'col,row', got {_show(text)}")
         entries[name] = (int(m[1]), int(m[2]))
     try:
         return Placement(entries)

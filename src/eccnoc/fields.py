@@ -49,13 +49,34 @@ _ENUMERATION_BOUND = 1 << 16
 MAX_FIELD_BITS = 2048
 
 
-def _show(n: int) -> str:
-    """`n` for an error message: in decimal if it is at most
-    MAX_FIELD_BITS wide, else by its width, since the interpreter refuses
-    to print ints of more than 4300 digits."""
-    if n.bit_length() <= MAX_FIELD_BITS:
-        return str(n)
-    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit int"
+# the most characters of outside text an error message repeats
+_SHOW_CHARS = 60
+
+
+def _show(value: int | str) -> str:
+    """`value` for an error message.  An int shows in decimal if it is at
+    most MAX_FIELD_BITS wide, else by its width, since the interpreter
+    refuses to print ints of more than 4300 digits.  Text shows quoted,
+    cut to its first _SHOW_CHARS characters and its length when longer,
+    so a huge rejected input gives a short message."""
+    if isinstance(value, str):
+        if len(value) <= _SHOW_CHARS:
+            return repr(value)
+        return f"{value[:_SHOW_CHARS]!r}\u2026 ({len(value)} characters)"
+    if value.bit_length() <= MAX_FIELD_BITS:
+        return str(value)
+    return (f"a {'negative ' if value < 0 else ''}{value.bit_length()}"
+            f"-bit int")
+
+
+def _require_ints(obj, owner: str, names) -> None:
+    """Raise BadValue unless each named field of `obj` is exactly an
+    int: a bool, float or str would reach the arithmetic."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise BadValue(f"{owner} {name} must be an int, got "
+                           f"{type(value).__name__}")
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -412,12 +433,7 @@ class FieldSpec:
         if not isinstance(self.kind, FieldKind):
             raise BadValue(f"field kind must be a FieldKind, got "
                            f"{type(self.kind).__name__}")
-        for name in ("modulus", "degree", "reduction_poly"):
-            value = getattr(self, name)
-            # a bool, float or str would reach the arithmetic
-            if type(value) is not int:
-                raise BadValue(f"field {name} must be an int, got "
-                               f"{type(value).__name__}")
+        _require_ints(self, "field", ("modulus", "degree", "reduction_poly"))
         p, m, poly = self.modulus, self.degree, self.reduction_poly
         if self.kind is FieldKind.PRIME:
             if m or poly:

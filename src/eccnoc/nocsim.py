@@ -72,7 +72,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import BadValue, MissingCoreRole, OutOfMesh, TooManyCores
-from .fields import MAX_FIELD_BITS, OpKind
+from .fields import MAX_FIELD_BITS, OpKind, _require_ints, _show
 from .procmodel import CostModel, TaskGraph
 
 Tile = tuple[int, int]
@@ -91,13 +91,8 @@ class MeshConfig:
     flits_per_value: Optional[int] = None  # None: ceil(field_bits / 32)
 
     def __post_init__(self):
-        names = ("cols", "rows", "hop_cycles") + (
-            () if self.flits_per_value is None else ("flits_per_value",))
-        for name in names:
-            value = getattr(self, name)
-            # a float, bool or str would reach the simulator's arithmetic
-            if type(value) is not int:
-                raise BadValue(f"mesh {name} must be an int, got {value!r}")
+        _require_ints(self, "mesh", ("cols", "rows", "hop_cycles") + (
+            () if self.flits_per_value is None else ("flits_per_value",)))
         if self.cols < 1 or self.rows < 1:
             raise BadValue("mesh needs at least one column and one row")
         if self.cols * self.rows > MAX_TILES:
@@ -145,10 +140,11 @@ _KIND_ROLE = {
     OpKind.INV: CoreRole.INV_UNIT,
 }
 
-# a role and at most 9 ASCII index digits, so the index always converts
-# to an int and a non-ASCII digit (`mul٣`) is no name
+# a role and at most 9 ASCII index digits without a leading zero, so the
+# index always converts to an int and no two names (`mul3`, `mul03`,
+# `mul٣`) share one
 _CORE_NAME = re.compile(
-    f"({'|'.join(role.value for role in CoreRole)})([0-9]{{1,9}})")
+    f"({'|'.join(role.value for role in CoreRole)})(0|[1-9][0-9]{{0,8}})")
 
 
 def role_for_kind(kind: OpKind) -> CoreRole:
@@ -208,7 +204,8 @@ class Placement:
         for name, tile in self.entries.items():
             m = _CORE_NAME.fullmatch(name)
             if m is None:
-                raise BadValue(f"core name {name!r} is not <role><index>")
+                raise BadValue(
+                    f"core name {_show(name)} is not <role><index>")
             if not _is_tile(tile):
                 raise BadValue(f"core {name} must sit on a (col, row) "
                                f"tuple of two ints")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue
-from .fields import FieldSpec
+from .fields import FieldSpec, _show
 
 
 @dataclass(frozen=True)
@@ -74,5 +74,5 @@ def get_preset(name: str) -> CurvePreset:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
-        raise BadValue(f"unknown curve preset {name!r}; known: {known}") \
-            from None
+        raise BadValue(f"unknown curve preset {_show(name)}; known: "
+                       f"{known}") from None

@@ -41,7 +41,7 @@ from typing import Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
-from .fields import FieldElement, FieldKind, OpKind
+from .fields import FieldElement, FieldKind, OpKind, _require_ints, _show
 from .scalarmul import _KINDS, Phase, run_binary_method
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
@@ -202,27 +202,34 @@ class TaskGraph:
 
     @classmethod
     def from_text(cls, text: str) -> TaskGraph:
+        # whole-text checks, at C speed: `int` would read a fullwidth 5,
+        # `+5` and `0_5` as 5, and no recorded label holds a `_` or `+`
+        if not text.isascii() or "_" in text or "+" in text:
+            raise MalformedGraph(
+                "graph text must be ASCII without '_' or '+'")
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if len(lines) < 3:
             raise MalformedGraph("graph text needs a header, tasks, and a result")
         head = lines[0].split()
         if head[:2] != _FORMAT_HEADER.split() or len(head) != 4 \
                 or head[2] != "fieldbits":
-            raise MalformedGraph(f"unrecognised header: {lines[0]!r}")
+            raise MalformedGraph(f"unrecognised header: {_show(lines[0])}")
         try:
             field_bits = int(head[3])
         except ValueError as exc:
-            raise MalformedGraph(f"bad field width: {head[3]!r}") from exc
+            raise MalformedGraph(f"bad field width: {_show(head[3])}") \
+                from exc
         tail = lines[-1].split()
         if len(tail) != 3 or tail[0] != "result":
             raise MalformedGraph(f"last line must name the result pair: "
-                                 f"{lines[-1]!r}")
+                                 f"{_show(lines[-1])}")
         kinds, operands, phases, pidxs, labels, values = \
             columns = [], [], [], [], [], []
         for pos, ln in enumerate(lines[1:-1]):
             parts = ln.split()
             if len(parts) != 7:
-                raise MalformedGraph(f"task line needs 7 fields: {ln!r}")
+                raise MalformedGraph(
+                    f"task line needs 7 fields: {_show(ln)}")
             sid, skind, sphase, spidx, sops, slabel, svalue = parts
             try:
                 kinds.append(_KIND_OF[skind])
@@ -233,7 +240,8 @@ class TaskGraph:
                     map(int, sops.split(","))))
                 values.append(None if svalue == "-" else int(svalue, 16))
             except (KeyError, ValueError) as exc:
-                raise MalformedGraph(f"unparseable task line: {ln!r}") from exc
+                raise MalformedGraph(
+                    f"unparseable task line: {_show(ln)}") from exc
             if tid != pos:
                 raise MalformedGraph(
                     f"task ids must be consecutive from 0; saw {tid} at {pos}")
@@ -241,7 +249,8 @@ class TaskGraph:
         try:
             result = (int(tail[1]), int(tail[2]))
         except ValueError as exc:
-            raise MalformedGraph(f"bad result ids: {lines[-1]!r}") from exc
+            raise MalformedGraph(
+                f"bad result ids: {_show(lines[-1])}") from exc
         return cls(*map(tuple, columns), result, field_bits)
 
 
@@ -259,12 +268,10 @@ class CostModel:
     inv: int = 40
 
     def __post_init__(self):
-        for name in ("add", "sub", "mul", "sqr", "inv"):
-            cost = getattr(self, name)
-            # a float, bool or str would reach the schedule's arithmetic
-            if type(cost) is not int:
-                raise BadValue(f"{name} cost must be an int, got {cost!r}")
-            if cost < 1:
+        names = ("add", "sub", "mul", "sqr", "inv")
+        _require_ints(self, "cost", names)
+        for name in names:
+            if getattr(self, name) < 1:
                 raise BadValue(f"{name} cost must be at least 1 cycle")
 
     @classmethod
@@ -331,7 +338,7 @@ class Plan:
 def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     """Compile one binary-method run of k*P into a task graph."""
     tape = run_binary_method(curve, k, P)
-    if tape is None or tape.result is None:
+    if tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
     n, conv = len(tape.values), tape.convert_start

@@ -5,12 +5,16 @@ kernels.  A scalar k with bit length l costs l-1 point doublings and
 HW(k)-1 mixed additions, and the single field inversion of the whole run
 happens in the final conversion back to affine coordinates.
 
-Every run is recorded on a tape (`run_binary_method`) held as columns:
-each field operation computes its value on raw ints and appends it, its
-kind as a one-byte code and its operands.  The tape also records where
-each loop step and the conversion begin; an op's phase and step follow
-from those boundaries, not from the op.  The tape is the one program
-both consumers read.  `scalar_mul` counts it into an `OpTrace` by phase:
+Every run is recorded on a tape (`run_binary_method`) held as columns.
+The tape has one recorder per arity, a binary one for add, sub and mul
+and a unary one for sqr and inv; each computes the op's value on raw
+ints and appends it, its kind as a one-byte code and its operands.  The
+tape also records where each loop step and the conversion begin, and
+names each step by the audit column it counts under (`point_double` or
+`point_add`); an op's phase and step follow from those boundaries, not
+from the op.  A run that does no work (k = 0 or P at infinity) is an
+empty tape with no result.  The tape is the one program both consumers
+read.  `scalar_mul` counts it into an `OpTrace` by column and phase:
 
   Init     embedding the base point (no arithmetic)
   Iterate  every doubling and mixed addition in the loop
@@ -43,11 +47,11 @@ ORACLE_BOUND = 1 << 16
 # and the tape grows linearly with the width past it
 MAX_SCALAR_BITS = 2 * MAX_FIELD_BITS
 
-# one-byte kind codes, indexed like tuple(OpKind): the tape records each
-# op's kind as its code, so counting a column is `bytes.count`
-_KINDS = tuple(OpKind)
-_ADD, _SUB, _MUL, _SQR, _INV, _XFER = map(_KINDS.index, (
-    OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV, OpKind.XFER))
+# one-byte kind codes, indices into _KINDS: the tape records each op's
+# kind as its code, so counting a column is `bytes.count`
+_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV,
+          OpKind.XFER)
+_ADD, _SUB, _MUL, _SQR, _INV, _XFER = range(len(_KINDS))
 _ARITH_CODES = tuple((kind, _KINDS.index(kind)) for kind in ARITH_KINDS)
 
 
@@ -59,74 +63,66 @@ class Phase(enum.Enum):
     __hash__ = object.__hash__   # identity, as for OpKind
 
 
+# the one recorder per arity, made once per kind code (see `_Tape`)
+def _binary(code: int):
+    def record(self, a: int, b: int) -> int:
+        values = self.values
+        values.append(self._ops[code](values[a], values[b]))
+        self.kinds.append(code)
+        self.operands.append((a, b))
+        return len(values) - 1
+    return record
+
+
+def _unary(code: int):
+    def record(self, a: int) -> int:
+        values = self.values
+        values.append(self._ops[code](values[a]))
+        self.kinds.append(code)
+        self.operands.append((a,))
+        return len(values) - 1
+    return record
+
+
 class _Tape:
     """The recorder the curve kernels run on, held as columns.
 
-    A kernel value is an index into the tape.  Each arithmetic op
-    computes its raw int with the field's raw op (bound once per tape)
-    and appends to three columns: its value to `values`, its kind's code
-    (an index into `tuple(OpKind)`) to the `kinds` bytearray, and its
-    operand indices to `operands`.  `const` appends an input value
-    (XFER) once per (label, value) and files its label in `labels` under
-    its index.  `is_zero` reads the computed value, so the kernels
+    A kernel value is an index into the tape.  `add`, `sub` and `mul`
+    are the one binary recorder and `sqr` and `inv` the one unary
+    recorder, each made once for its kind's code (an index into
+    `_KINDS`): it computes the raw int with the field's raw op for that
+    code (bound once per tape in `_ops`) and appends its value to
+    `values`, the code to the `kinds` bytearray and its operand indices
+    to `operands`, and returns the new index.  `const` appends an input
+    value (XFER) once per (label, value) and files its label in `labels`
+    under its index.  `is_zero` reads the computed value, so the kernels
     branch exactly as the real run does.
 
     No op carries its phase or step.  `steps` holds one entry per loop
-    step, True for a mixed addition and False for a doubling;
-    `step_starts` holds the index where each step begins and
-    `convert_start` the index where the conversion begins.  An op's
-    phase and step follow from those boundaries, except that an XFER
-    belongs to the init phase wherever a kernel first asks for it.
+    step, the name of the audit column it counts under; `step_starts`
+    holds the index where each step begins and `convert_start` the index
+    where the conversion begins (0 on a tape that never converts, such
+    as the empty one of a run without work).  An op's phase and step
+    follow from those boundaries, except that an XFER belongs to the
+    init phase wherever a kernel first asks for it.
     """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self._add, self._sub, self._mul, self._sqr, self._inv = (
-            spec._add, spec._sub, spec._mul, spec._sqr, spec._inv)
         self.values: list[int] = []
         self.kinds = bytearray()
         self.operands: list[tuple[int, ...]] = []
         self.labels: dict[int, str] = {}
-        self.steps: list[bool] = []
+        self.steps: list[str] = []
         self.step_starts: list[int] = []
-        self.convert_start: Optional[int] = None
+        self.convert_start = 0
         self.result: Optional[tuple[int, int]] = None
         self._consts: dict[tuple[str, int], int] = {}
+        # the field's raw ops, indexed by kind code
+        self._ops = (spec._add, spec._sub, spec._mul, spec._sqr, spec._inv)
 
-    def add(self, a: int, b: int) -> int:
-        v = self.values
-        v.append(self._add(v[a], v[b]))
-        self.kinds.append(_ADD)
-        self.operands.append((a, b))
-        return len(v) - 1
-
-    def sub(self, a: int, b: int) -> int:
-        v = self.values
-        v.append(self._sub(v[a], v[b]))
-        self.kinds.append(_SUB)
-        self.operands.append((a, b))
-        return len(v) - 1
-
-    def mul(self, a: int, b: int) -> int:
-        v = self.values
-        v.append(self._mul(v[a], v[b]))
-        self.kinds.append(_MUL)
-        self.operands.append((a, b))
-        return len(v) - 1
-
-    def sqr(self, a: int) -> int:
-        v = self.values
-        v.append(self._sqr(v[a]))
-        self.kinds.append(_SQR)
-        self.operands.append((a,))
-        return len(v) - 1
-
-    def inv(self, a: int) -> int:
-        v = self.values
-        v.append(self._inv(v[a]))
-        self.kinds.append(_INV)
-        self.operands.append((a,))
-        return len(v) - 1
+    add, sub, mul = _binary(_ADD), _binary(_SUB), _binary(_MUL)
+    sqr, inv = _unary(_SQR), _unary(_INV)
 
     def const(self, elem: FieldElement, label: str) -> int:
         key = (label, elem.value)
@@ -145,9 +141,10 @@ class _Tape:
     def element(self, a: int) -> FieldElement:
         return FieldElement(self.spec, self.values[a])
 
-    def begin_step(self, is_add: bool) -> None:
-        """Open the next loop step at the current end of the tape."""
-        self.steps.append(is_add)
+    def begin_step(self, column: str) -> None:
+        """Open the next loop step at the current end of the tape; its
+        ops count under audit column `column`."""
+        self.steps.append(column)
         self.step_starts.append(len(self.values))
 
     def begin_convert(self) -> None:
@@ -155,61 +152,67 @@ class _Tape:
         self.convert_start = len(self.values)
 
 
-# the audit's point-operation columns plus the init phase (named as their
-# phases); a loop op falls into a doubling or an addition column by the
-# step that ran it
-_COLUMN_PHASE = {"init": Phase.INIT, "point_double": Phase.ITERATE,
-                 "point_add": Phase.ITERATE, "convert": Phase.CONVERT}
+# every count column: its phase and, for the audit's columns (in the
+# audit's order), the idealised field-op cost of one of its point
+# operations by row, where the ADD row covers additions and subtractions
+# together; a loop op counts under the column its step is named by
+_ROWS = ("ADD", "MUL", "INV", "SQR")
+_COLUMNS = {
+    "init": (Phase.INIT, None),
+    "point_double": (Phase.ITERATE, (1, 2, 0, 4)),
+    "point_add": (Phase.ITERATE, (2, 4, 0, 1)),
+    "convert": (Phase.CONVERT, (6, 10, 1, 1)),
+}
+AUDIT_BASELINE = {col: dict(zip(_ROWS, base))
+                  for col, (_, base) in _COLUMNS.items() if base}
 
 
 class OpTrace:
     """Monotone field-op counters of the runs recorded into it, kept
     per column (init, point_double, point_add, convert).
 
-    Phase counts and totals are derived sums over the columns, so the
-    totals always equal the sum of the per-phase counts.
+    Phase counts and totals are sums over sets of columns, so the totals
+    always equal the sum of the per-phase counts.
     """
 
     def __init__(self):
-        self._columns = {
-            col: {kind: 0 for kind in ARITH_KINDS} for col in _COLUMN_PHASE}
+        self._columns = {col: dict.fromkeys(ARITH_KINDS, 0)
+                         for col in _COLUMNS}
         self.n_point_doubles = 0
         self.n_point_adds = 0
 
     def _count(self, tape: _Tape) -> None:
-        n_adds = sum(tape.steps)
-        self.n_point_adds += n_adds
-        self.n_point_doubles += len(tape.steps) - n_adds
+        steps, kinds = tape.steps, tape.kinds
+        self.n_point_doubles += steps.count("point_double")
+        self.n_point_adds += steps.count("point_add")
         # each column's kind codes, sliced at the step and conversion
         # starts; XFERs (inputs, wherever recorded) are never counted
-        kinds, conv = tape.kinds, tape.convert_start
-        starts = [*tape.step_starts, conv]
-        cols = {"init": kinds[:starts[0]], "point_double": bytearray(),
-                "point_add": bytearray(), "convert": kinds[conv:]}
-        for is_add, a, b in zip(tape.steps, starts, starts[1:]):
-            cols["point_add" if is_add else "point_double"] += kinds[a:b]
+        starts = (*tape.step_starts, tape.convert_start)
+        cols = {col: bytearray() for col in _COLUMNS}
+        for col, a, b in zip(("init", *steps, "convert"), (0, *starts),
+                             (*starts, len(kinds))):
+            cols[col] += kinds[a:b]
         for col, codes in cols.items():
             counters = self._columns[col]
             for kind, code in _ARITH_CODES:
                 counters[kind] += codes.count(code)
 
+    def _sum(self, columns) -> dict[OpKind, int]:
+        out = dict.fromkeys(ARITH_KINDS, 0)
+        for col in columns:
+            for kind, n in self._columns[col].items():
+                out[kind] += n
+        return out
+
     def column_counts(self, column: str) -> dict[OpKind, int]:
         return dict(self._columns[column])
 
     def phase_counts(self, phase: Phase) -> dict[OpKind, int]:
-        out = {kind: 0 for kind in ARITH_KINDS}
-        for col, col_phase in _COLUMN_PHASE.items():
-            if col_phase is phase:
-                for kind, n in self._columns[col].items():
-                    out[kind] += n
-        return out
+        return self._sum(col for col, (col_phase, _) in _COLUMNS.items()
+                         if col_phase is phase)
 
     def totals(self) -> dict[OpKind, int]:
-        out = {kind: 0 for kind in ARITH_KINDS}
-        for counters in self._columns.values():
-            for kind, n in counters.items():
-                out[kind] += n
-        return out
+        return self._sum(_COLUMNS)
 
     def to_dict(self) -> dict:
         return {
@@ -223,15 +226,14 @@ class OpTrace:
         }
 
 
-def run_binary_method(curve: CurveParams, k: int,
-                      P: AffinePoint) -> Optional[_Tape]:
+def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     """Record one double-and-add run of k*P on a fresh tape.
 
     Raises NotOnCurve for a foreign P and BadValue for a k that is not
-    an int, is negative or is wider than MAX_SCALAR_BITS.
-    Returns None when k*P is infinity without any work (k = 0 or P at
-    infinity).  Otherwise the tape's `result` holds the indices of the
-    affine coordinates, or None when k*P is the point at infinity.
+    an int, is negative or is wider than MAX_SCALAR_BITS.  The tape's
+    `result` holds the indices of the affine coordinates, or None when
+    k*P is the point at infinity; for k = 0 or P at infinity the tape
+    is empty.
     """
     if type(k) is not int:
         raise BadValue(f"scalar must be an int, got {type(k).__name__}")
@@ -241,16 +243,16 @@ def run_binary_method(curve: CurveParams, k: int,
     _require_on_curve(curve, P)
     if k < 0:
         raise BadValue("scalar must be nonnegative")
-    if k == 0 or P.is_infinity:
-        return None
-    double, madd, to_aff = kernels_for(curve)
     tape = _Tape(curve.field)
+    if k == 0 or P.is_infinity:
+        return tape
+    double, madd, to_aff = kernels_for(curve)
     X, Y, Z = _embed_kernel(tape, curve, P.x, P.y)
     for i in range(k.bit_length() - 2, -1, -1):
-        tape.begin_step(is_add=False)
+        tape.begin_step("point_double")
         X, Y, Z = double(tape, curve, X, Y, Z)
         if (k >> i) & 1:
-            tape.begin_step(is_add=True)
+            tape.begin_step("point_add")
             X, Y, Z = madd(tape, curve, X, Y, Z, P.x, P.y)
     tape.begin_convert()
     tape.result = to_aff(tape, curve, X, Y, Z)
@@ -261,8 +263,6 @@ def scalar_mul(curve: CurveParams, k: int, P: AffinePoint,
                trace: Optional[OpTrace] = None) -> AffinePoint:
     """Compute k*P by the binary method, counting its ops into `trace`."""
     tape = run_binary_method(curve, k, P)
-    if tape is None:
-        return INFINITY
     if trace is not None:
         trace._count(tape)
     if tape.result is None:
@@ -287,20 +287,7 @@ def scalar_mul_reference(curve: CurveParams, k: int,
 
 
 # ---------------------------------------------------------------------------
-# baseline cost table and the audit report
-
-# Idealised field-op cost of each projective point operation; the audit
-# compares measured averages against these cells.  The ADD row covers
-# additions and subtractions together.
-AUDIT_BASELINE = {
-    "point_add": {"ADD": 2, "MUL": 4, "INV": 0, "SQR": 1},
-    "point_double": {"ADD": 1, "MUL": 2, "INV": 0, "SQR": 4},
-    "convert": {"ADD": 6, "MUL": 10, "INV": 1, "SQR": 1},
-}
-
-_ROW_ORDER = ("ADD", "MUL", "INV", "SQR")
-_COL_ORDER = ("point_double", "point_add", "convert")
-
+# the audit report
 
 def _row_value(counts: dict[OpKind, int], row: str) -> int:
     if row == "ADD":
@@ -327,13 +314,13 @@ class CountReport:
         lines = [
             f"point doublings: {self.n_point_doubles}   "
             f"point additions: {self.n_point_adds}",
-            f"{'op':<5}" + "".join(f"{col:>34}" for col in _COL_ORDER),
+            f"{'op':<5}" + "".join(f"{col:>34}" for col in AUDIT_BASELINE),
             f"{'':<5}" + "".join(f"{'base':>12}{'measured':>11}{'dev':>11}"
-                                 for _ in _COL_ORDER),
+                                 for _ in AUDIT_BASELINE),
         ]
-        for row in _ROW_ORDER:
+        for row in _ROWS:
             parts = [f"{row:<5}"]
-            for col in _COL_ORDER:
+            for col in AUDIT_BASELINE:
                 cell = self.cells[col][row]
                 base = cell["baseline"]
                 if cell["measured"] is None:
@@ -349,28 +336,20 @@ def count_report(trace: OpTrace, n_doubles: int, n_adds: int) -> CountReport:
     """Audit a trace against the baseline cost table.
 
     Measured cells are per-point-op averages (doubling and addition
-    columns divided by their op counts; conversion happens once).
-    Raises EmptyTrace when the run performed no point operations at all.
+    columns divided by their op counts; conversion happens once), None
+    in a column that ran no point operation.  Raises EmptyTrace when the
+    run performed no point operations at all.
     """
     if n_doubles == 0 and n_adds == 0:
         raise EmptyTrace("the run performed no point operations to audit")
     n_of = {"point_double": n_doubles, "point_add": n_adds, "convert": 1}
     cells = {}
-    for col in _COL_ORDER:
-        n = n_of[col]
-        counts = trace.column_counts(col)
+    for col, baseline in AUDIT_BASELINE.items():
+        n, counts = n_of[col], trace.column_counts(col)
         cells[col] = {}
-        for row in _ROW_ORDER:
-            base = AUDIT_BASELINE[col][row]
-            if n == 0:
-                cells[col][row] = {
-                    "baseline": base, "measured": None, "deviation": None}
-            else:
-                measured = _row_value(counts, row) / n
-                cells[col][row] = {
-                    "baseline": base,
-                    "measured": measured,
-                    "deviation": measured - base,
-                }
+        for row, base in baseline.items():
+            measured = _row_value(counts, row) / n if n else None
+            cells[col][row] = {"baseline": base, "measured": measured,
+                               "deviation": measured - base if n else None}
     return CountReport(n_point_doubles=n_doubles, n_point_adds=n_adds,
                        cells=cells)

@@ -61,19 +61,40 @@ def test_bench_imports_resolve():
     assert not missing
 
 
-def test_bench_items_and_model_pass_run_clean(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's `harness` and `workloads` modules."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("harness"), importlib.import_module(
+        "workloads")
+
+
+def test_bench_items_and_model_pass_run_clean(bench):
     """The benchmark's items, checks and model pass on one input per
     workload: a change that breaks what bench/ reads of the package
     (`rep.schedule`, `G.tasks`, `trace.phase_counts`, `cores_of_role`
     ...) fails here, not only in bench/test_bench.py."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    harness = importlib.import_module("harness")
-    workloads = importlib.import_module("workloads")
+    harness, workloads = bench
     for workload, (item, check) in workloads.ITEMS.items():
         inp = workloads.make_inputs(workload, seed=1)[0]
         assert check(inp, item(harness.Tracer(), inp)) == [], workload
         metrics, bad = workloads.model_run(harness.Tracer(), inp, full=True)
         assert bad == [] and metrics["makespan_cycles"] > 0, workload
+
+
+def test_bench_traced_probes_run_clean(bench):
+    """The probes only a traced benchmark run reaches: the field ops and
+    point kernels (`point_*_projective`, run on the recorder) and an
+    in-process `eccnoc compare` checked against `simulate`."""
+    harness, workloads = bench
+    probes = workloads.kernel_probes(harness.Tracer())
+    assert probes and all(ns > 0 for ns in probes.values())
+    inp = workloads.make_inputs("schedule", seed=1)[0]
+    metrics, bad = workloads.model_run(harness.Tracer(), inp, full=False)
+    assert bad == []
+    compare_ms, bad = workloads.cli_probe(harness.Tracer(), inp,
+                                          metrics["makespan_cycles"])
+    assert bad == [] and compare_ms > 0
 
 
 @pytest.mark.parametrize("tree", ["src", "tests", "bench"])

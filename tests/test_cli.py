@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from eccnoc.cli import _VERIFY_WORK_LIMIT, main
 from eccnoc.config import _parse_dec, load_placement, load_run_config, \
     parse_hex
-from eccnoc.errors import BadValue, ConfigError
+from eccnoc.errors import BadValue, ConfigError, EccNocError
 from eccnoc.nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, \
     Placement, default_placement, role_usage
+from eccnoc.presets import get_preset
 from eccnoc.procmodel import TaskGraph, compile_scalar_mul, replay
 from eccnoc.scalarmul import scalar_mul
 
@@ -65,16 +66,22 @@ def test_verify_passes_and_bounds(capsys):
     assert code == 0 and "PASS" in out
     code, _, err = run_cli(capsys, "verify", "--curve", "prime64")
     assert code == 1 and "error:" in err
-    # refused before any scalar is checked: a negative kmax, and the
-    # least kmax whose kmax*(kmax+1)/2 additions exceed the limit
+    # refused before any scalar is checked: the least kmax whose
+    # kmax*(kmax+1)/2 additions exceed the limit, and a kmax that is not
+    # bare ASCII decimal (`1_0` and ' \uff15' were read as 10 and 5)
     kmax = 0
     while (kmax + 1) * (kmax + 2) // 2 <= _VERIFY_WORK_LIMIT:
         kmax += 1
-    for bad in (-5, kmax + 1):
+    for bad, want in ((str(kmax + 1), "error: verify needs"),
+                      ("-5", "error: kmax must be a decimal integer"),
+                      ("1_0", "error: kmax must be a decimal integer"),
+                      (" \uff15", "error: kmax must be a decimal integer")):
         code, out, err = run_cli(capsys, "verify", "--curve", "b4",
-                                 "--kmax", str(bad))
-        assert code == 1 and not out
-        assert "error: verify needs" in err and str(_VERIFY_WORK_LIMIT) in err
+                                 "--kmax", bad)
+        assert code == 1 and not out and err.count("\n") == 1
+        assert err.startswith(want), bad
+    assert str(_VERIFY_WORK_LIMIT) in run_cli(
+        capsys, "verify", "--curve", "b4", "--kmax", str(kmax + 1))[2]
 
 
 def test_graph_dump_replays(capsys, tmp_path, b4):
@@ -433,6 +440,7 @@ def test_hex_is_strict():
     ("k", "b7a3\n"),          # `$` matched before the newline
     ("dec", "5\n"),
     ("core", "mul\u0663"),    # an Arabic-Indic 3, the index of mul3 too
+    ("core", "mul03"),        # a leading zero, the index of mul3 too
 ])
 def test_lenient_spellings_are_refused(capsys, tmp_path, what, text):
     if what == "tile":
@@ -450,6 +458,71 @@ def test_lenient_spellings_are_refused(capsys, tmp_path, what, text):
     else:
         with pytest.raises(BadValue, match="not <role><index>"):
             Placement({text: (0, 0), "mul3": (1, 0)})
+
+
+_BIG = "g" * 10**6   # 1 MB of outside text that no reader accepts
+_GRAPH = """taskgraph 1 fieldbits 5
+0 XFER init -1 - Px 3
+1 MUL iterate 0 0,0 - -
+result 1 1
+"""
+
+
+def _ini(name, text):
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
+_ECHO_SITES = {
+    "hex": lambda: parse_hex(_BIG),
+    "dec": lambda: _parse_dec(_BIG, "cols"),
+    "tile": lambda: load_placement(
+        _ini("pl.ini", f"[placement]\nmul0 = {_BIG}\n")),
+    "tile name": lambda: load_placement(
+        _ini("pl.ini", f"[placement]\n{_BIG} = 0\n")),
+    "sections": lambda: load_placement(
+        _ini("pl.ini", f"[placement]\nmul0 = 0,0\n[{_BIG}]\n")),
+    "curve kind": lambda: load_run_config(
+        _ini("run.ini", f"[curve]\nkind = {_BIG}\n")),
+    "section": lambda: load_run_config(_ini("run.ini", f"[{_BIG}]\n")),
+    "key": lambda: load_run_config(_ini("run.ini", f"[run]\n{_BIG} = 1\n")),
+    "preset": lambda: get_preset(_BIG),
+    "core name": lambda: Placement({_BIG: (0, 0)}),
+    "header": lambda: TaskGraph.from_text(
+        _GRAPH.replace("fieldbits 5", f"fieldbits 5 {_BIG}")),
+    "field width": lambda: TaskGraph.from_text(
+        _GRAPH.replace("fieldbits 5", f"fieldbits {_BIG}")),
+    "task line": lambda: TaskGraph.from_text(
+        _GRAPH.replace("MUL iterate", f"{_BIG} iterate")),
+    "task fields": lambda: TaskGraph.from_text(
+        _GRAPH.replace("- -\n", f"- - {_BIG}\n")),
+    "result line": lambda: TaskGraph.from_text(
+        _GRAPH.replace("result 1", f"result {_BIG}")),
+    "last line": lambda: TaskGraph.from_text(
+        _GRAPH.replace("result 1 1", f"result 1 1 {_BIG}")),
+}
+
+
+@pytest.mark.parametrize("site", _ECHO_SITES)
+def test_rejected_input_is_echoed_short(tmp_path, monkeypatch, site):
+    # each message used to repeat the whole 1 MB input
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(EccNocError) as info:
+        _ECHO_SITES[site]()
+    msg = str(info.value)
+    assert len(msg) < 200 and "\n" not in msg and " characters)" in msg
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--curve", "b4", "--kmax", _BIG),
+    ("mul", "--curve", "p17", "--k", _BIG),
+    ("mul", "--curve", _BIG, "--k", "3"),
+], ids=("kmax", "k", "curve"))
+def test_cli_echoes_rejected_input_short(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) - len("error: \n") < 200
 
 
 def test_scalar_width_is_bounded(capsys):

@@ -156,6 +156,22 @@ def test_malformed_graphs_rejected():
         TaskGraph.from_text(_TINY_TEXT.replace("MUL", "MULL"))
 
 
+
+@pytest.mark.parametrize("old,new", [
+    ("fieldbits 5", "fieldbits \uff15"),     # a fullwidth 5
+    ("fieldbits 5", "fieldbits +5"),
+    ("fieldbits 5", "fieldbits 0_5"),
+    ("result 4 4", "result +4 4"),
+    ("MUL iterate 0 0,1", "MUL iterate 0 0,+1"),
+    ("Px 3", "Px 0_3"),
+])
+def test_lenient_graph_spellings_are_refused(old, new):
+    # `int` read each as the graph without its odd character
+    text = _TINY_TEXT.replace(old, new, 1)
+    assert text != _TINY_TEXT
+    with pytest.raises(MalformedGraph, match="ASCII without '_' or '[+]'"):
+        TaskGraph.from_text(text)
+
 def test_built_graph_cannot_be_mutated(p17):
     G = _compile(p17, 13)
     text = G.to_text()

@@ -85,37 +85,24 @@ def test_infinite_result_skips_the_inversion(p17):
 class _StampingTape(scalarmul._Tape):
     """Oracle tape: stamps each op with its kind, phase, step, label and
     input value as it is recorded, the way a tape of per-op rows does.
-    It never reads `step_starts` or `convert_start`; an XFER is stamped
-    init and -1 wherever a kernel first asks for it."""
+    It wraps each of the tape's recorders on the instance, and never
+    reads `step_starts` or `convert_start`; an XFER is stamped init and
+    -1 wherever a kernel first asks for it."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.stamps = []            # (kind, phase, step, label, value)
-        self.step_is_add = []
+        self.step_columns = []
         self.phase, self.step = Phase.INIT, -1
+        for name in ("add", "sub", "mul", "sqr", "inv"):
+            setattr(self, name,
+                    self._stamped(OpKind[name.upper()], getattr(self, name)))
 
-    def _stamp(self, kind):
-        self.stamps.append((kind, self.phase, self.step, "", None))
-
-    def add(self, a, b):
-        self._stamp(OpKind.ADD)
-        return super().add(a, b)
-
-    def sub(self, a, b):
-        self._stamp(OpKind.SUB)
-        return super().sub(a, b)
-
-    def mul(self, a, b):
-        self._stamp(OpKind.MUL)
-        return super().mul(a, b)
-
-    def sqr(self, a):
-        self._stamp(OpKind.SQR)
-        return super().sqr(a)
-
-    def inv(self, a):
-        self._stamp(OpKind.INV)
-        return super().inv(a)
+    def _stamped(self, kind, record):
+        def stamped(*args):
+            self.stamps.append((kind, self.phase, self.step, "", None))
+            return record(*args)
+        return stamped
 
     def const(self, elem, label):
         n = len(self.stamps)
@@ -125,10 +112,10 @@ class _StampingTape(scalarmul._Tape):
                 (OpKind.XFER, Phase.INIT, -1, label, elem.value))
         return idx
 
-    def begin_step(self, is_add):
-        super().begin_step(is_add)
-        self.phase, self.step = Phase.ITERATE, len(self.step_is_add)
-        self.step_is_add.append(is_add)
+    def begin_step(self, column):
+        super().begin_step(column)
+        self.phase, self.step = Phase.ITERATE, len(self.step_columns)
+        self.step_columns.append(column)
 
     def begin_convert(self):
         super().begin_convert()
@@ -157,8 +144,7 @@ def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
                 if step < 0:
                     col = phase.value
                 else:
-                    col = ("point_add" if tape.step_is_add[step]
-                           else "point_double")
+                    col = tape.step_columns[step]
                 want[col][kind] += 1
             assert {col: t.column_counts(col) for col in want} == want, k
             if tape.result is None:
@@ -190,6 +176,17 @@ def test_trivial_scalars(p17):
     # k = 1 still pays the conversion
     assert t.phase_counts(Phase.CONVERT)[OpKind.INV] == 1
     assert scalar_mul(p17.curve, 5, INFINITY) == INFINITY
+
+
+def test_a_run_without_work_is_an_empty_tape(p17):
+    for k, P in ((0, p17.base), (5, INFINITY)):
+        tape = run_binary_method(p17.curve, k, P)
+        assert (tape.values, bytes(tape.kinds), tape.operands, tape.steps,
+                tape.step_starts, tape.convert_start, tape.result) == \
+            ([], b"", [], [], [], 0, None)
+        t = OpTrace()
+        t._count(tape)
+        assert t.to_dict() == OpTrace().to_dict()
 
 
 def test_input_validation(p17):
