@@ -50,10 +50,8 @@ def _point_doc(R) -> dict:
     return {"infinity": False, "x": f"{R.x.value:x}", "y": f"{R.y.value:x}"}
 
 
-def _describe_point(R) -> str:
-    if R.is_infinity:
-        return "infinity"
-    return f"x={R.x.value:x} y={R.y.value:x}"
+def _nonzero(counts: dict, empty: str) -> str:
+    return " ".join(f"{k}={v}" for k, v in counts.items() if v) or empty
 
 
 def cmd_mul(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -76,14 +74,12 @@ def cmd_mul(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"curve: {cfg.curve_name} ({cfg.curve.field.tag}, "
               f"{cfg.curve.system.value})")
         print(f"k: {cfg.k:x}")
-        print(f"result: {_describe_point(R)}")
-        t = trace.to_dict()
-        for phase in ("init", "iterate", "convert"):
-            counts = {k: v for k, v in t["phases"][phase].items() if v}
-            print(f"{phase:>8}: " + (" ".join(
-                f"{k}={v}" for k, v in counts.items()) or "(no field ops)"))
-        print(f"  totals: " + (" ".join(
-            f"{k}={v}" for k, v in t["totals"].items() if v) or "(none)"))
+        res, t = doc["result"], doc["trace"]
+        print("result: " + ("infinity" if res["infinity"]
+                            else f"x={res['x']} y={res['y']}"))
+        for phase, counts in t["phases"].items():
+            print(f"{phase:>8}: {_nonzero(counts, '(no field ops)')}")
+        print(f"  totals: {_nonzero(t['totals'], '(none)')}")
         if audit is None:
             print("audit: no point operations in this run")
         else:
@@ -221,8 +217,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_command(sub, name: str, run, help: str,
-                 with_k: bool = True) -> argparse.ArgumentParser:
+def _add_command(sub, name: str, run, help: str, with_k: bool = True,
+                 with_format: bool = False) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help)
     p.set_defaults(run=run)
     p.add_argument("--curve", metavar="NAME",
@@ -231,6 +227,8 @@ def _add_command(sub, name: str, run, help: str,
     if with_k:
         p.add_argument("--k", metavar="HEX",
                        help="scalar, lowercase unprefixed hex")
+    if with_format:
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
 
@@ -242,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "mul", cmd_mul,
-                     "compute k*P and audit the op counts")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+                     "compute k*P and audit the op counts", with_format=True)
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     p = _add_command(sub, "verify", cmd_verify,
@@ -257,20 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the graph text here instead of stdout")
 
     p = _add_command(sub, "simulate", cmd_simulate,
-                     "schedule one run on the mesh")
+                     "schedule one run on the mesh", with_format=True)
     p.add_argument("--placement", metavar="FILE",
                    help="INI placement (default: centrality placement)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="DIR",
                    help="write report.json and schedule.csv here")
 
     p = _add_command(sub, "compare", cmd_compare,
-                     "rank placements on one run")
+                     "rank placements on one run", with_format=True)
     p.add_argument("--placement", metavar="FILE", action="append",
                    default=[],
                    help="INI placement; repeat for each candidate "
                         "(default: centrality vs corner-first)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="DIR", help="write compare.json here")
     return ap
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -39,8 +39,8 @@ _KNOWN_KEYS = {
     "curve": {"preset", "kind", "p", "m", "poly", "a", "b", "gx", "gy",
               "order"},
     "run": {"k"},
-    "costs": {"add", "sub", "mul", "sqr", "inv"},
-    "mesh": {"cols", "rows", "hop_cycles", "flits_per_value"},
+    "costs": {f.name for f in fields(CostModel)},
+    "mesh": {f.name for f in fields(MeshConfig)},
     "roles": {role.value for role in CoreRole},
 }
 
@@ -153,26 +153,25 @@ def load_run_config(path: str | Path) -> RunConfig:
         sec = parser["run"]
         if "k" in sec:
             cfg.k = parse_hex(sec["k"])
-    if parser.has_section("costs"):
-        sec = parser["costs"]
-        cfg.costs = {name: _parse_dec(sec[name], f"costs.{name}")
-                     for name in sec}
+    # the decimal sections: every key is read as `<section>.<key>`, then
+    # the section is applied, and checked, as a whole
+    for section, what in (("costs", "bad cost model"), ("mesh", "bad mesh"),
+                          ("roles", "bad roles")):
+        if not parser.has_section(section):
+            continue
+        values = {key: _parse_dec(text, f"{section}.{key}")
+                  for key, text in parser[section].items()}
         try:
-            CostModel(**cfg.costs)  # rejects a cost below 1 at load
+            if section == "costs":
+                CostModel(**values)  # rejects a cost below 1 at load
+                cfg.costs = values
+            elif section == "mesh":
+                cfg.mesh = MeshConfig(**values)
+            else:  # over the defaults RunConfig starts from
+                cfg.role_counts.update(
+                    (CoreRole(key), n) for key, n in values.items())
         except ValueError as exc:
-            raise ConfigError(f"bad cost model: {exc}") from exc
-    if parser.has_section("mesh"):
-        sec = parser["mesh"]
-        try:
-            cfg.mesh = MeshConfig(**{key: _parse_dec(sec[key], f"mesh.{key}")
-                                     for key in sec})
-        except ValueError as exc:
-            raise ConfigError(f"bad mesh: {exc}") from exc
-    if parser.has_section("roles"):
-        sec = parser["roles"]
-        for key in sec:  # over the defaults RunConfig starts from
-            cfg.role_counts[CoreRole(key)] = _parse_dec(sec[key],
-                                                        f"roles.{key}")
+            raise ConfigError(f"{what}: {exc}") from exc
     return cfg
 
 

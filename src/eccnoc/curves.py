@@ -53,15 +53,13 @@ class CurveParams:
             raise FieldMismatch("curve coefficients must live in the curve field")
         if self.field.kind is FieldKind.PRIME:
             a3 = ff_mul(ff_sqr(self.a), self.a)
-            disc = ff_add(self._small(4) * a3, self._small(27) * ff_sqr(self.b))
+            disc = ff_add(self.field.element(4) * a3,
+                          self.field.element(27) * ff_sqr(self.b))
             if disc.is_zero():
                 raise BadValue("singular curve: 4a^3 + 27b^2 = 0")
         else:
             if self.b.is_zero():
                 raise BadValue("singular curve: b = 0")
-
-    def _small(self, n: int) -> FieldElement:
-        return self.field.element(n)
 
     @property
     def system(self) -> CoordSystem:
@@ -180,9 +178,9 @@ def _double_affine_raw(curve: CurveParams, P: AffinePoint) -> AffinePoint:
     if curve.field.kind is FieldKind.PRIME:
         if P.y.is_zero():
             return INFINITY
-        three_x2 = ff_mul(curve._small(3), ff_sqr(P.x))
+        three_x2 = ff_mul(curve.field.element(3), ff_sqr(P.x))
         lam = ff_mul(ff_add(three_x2, curve.a),
-                     ff_inv(ff_mul(curve._small(2), P.y)))
+                     ff_inv(ff_mul(curve.field.element(2), P.y)))
         x3 = ff_sub(ff_sub(ff_sqr(lam), P.x), P.x)
         y3 = ff_sub(ff_mul(lam, ff_sub(P.x, x3)), P.y)
     else:

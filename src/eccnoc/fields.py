@@ -7,9 +7,10 @@ by the field's irreducible polynomial.  Every operation returns a
 canonical value, so equality is plain int equality.  Fields wider than
 `MAX_FIELD_BITS` are refused before their modulus is tested.
 
-Each `FieldSpec` binds its raw int ops (`_add` ... `_inv` and `_reduce`)
-once, when it is built, as closures over the modulus or the polynomial,
-so no call branches on the field kind or reads the spec's fields.
+Each `FieldSpec` binds six raw int ops (`_add`, `_sub`, `_mul`, `_sqr`,
+`_inv` and `_reduce`) once, when it is built, as closures over the
+modulus or the polynomial, so no call branches on the field kind or
+reads the spec's fields.  Negation is subtraction from zero.
 
 GF(2^m) products use the comb method of Lopez and Dahab with a 4-bit
 window: a 16-entry table of multiples of one operand, indexed by the
@@ -334,15 +335,12 @@ RawOps = tuple[Callable[..., int], ...]
 
 
 def _prime_ops(p: int, tag: str) -> RawOps:
-    """(_add, _sub, _neg, _mul, _sqr, _inv, _reduce) of GF(p)."""
+    """(_add, _sub, _mul, _sqr, _inv, _reduce) of GF(p)."""
     def add(a: int, b: int) -> int:
         return (a + b) % p
 
     def sub(a: int, b: int) -> int:
         return (a - b) % p
-
-    def neg(a: int) -> int:
-        return -a % p
 
     def mul(a: int, b: int) -> int:
         return a * b % p
@@ -358,16 +356,13 @@ def _prime_ops(p: int, tag: str) -> RawOps:
     def reduce(x: int) -> int:
         return x % p
 
-    return add, sub, neg, mul, sqr, inv, reduce
+    return add, sub, mul, sqr, inv, reduce
 
 
 def _binary_ops(m: int, f: int, tag: str) -> RawOps:
-    """(_add, _sub, _neg, _mul, _sqr, _inv, _reduce) of GF(2^m) under the
+    """(_add, _sub, _mul, _sqr, _inv, _reduce) of GF(2^m) under the
     polynomial f of degree m."""
     reduce = _reducer(m, f)
-
-    def neg(a: int) -> int:
-        return a
 
     def mul(a: int, b: int) -> int:
         return reduce(_clmul(a, b))
@@ -390,7 +385,7 @@ def _binary_ops(m: int, f: int, tag: str) -> RawOps:
             g1 ^= g2 << j
         return reduce(g1)
 
-    return xor, xor, neg, mul, sqr, inv, reduce
+    return xor, xor, mul, sqr, inv, reduce
 
 
 class FieldKind(enum.Enum):
@@ -398,7 +393,7 @@ class FieldKind(enum.Enum):
     BINARY = "binary"
 
 
-_RAW_OPS = ("_add", "_sub", "_neg", "_mul", "_sqr", "_inv", "_reduce")
+_RAW_OPS = ("_add", "_sub", "_mul", "_sqr", "_inv", "_reduce")
 
 
 def _derived():
@@ -423,7 +418,6 @@ class FieldSpec:
     # fields above; derived, so equality, hashing and repr ignore them
     _add: Callable[[int, int], int] = _derived()
     _sub: Callable[[int, int], int] = _derived()
-    _neg: Callable[[int], int] = _derived()
     _mul: Callable[[int, int], int] = _derived()
     _sqr: Callable[[int], int] = _derived()
     _inv: Callable[[int], int] = _derived()
@@ -594,7 +588,7 @@ def ff_inv(a: FieldElement) -> FieldElement:
 
 
 def ff_neg(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec, a.spec._neg(a.value))
+    return FieldElement(a.spec, a.spec._sub(0, a.value))
 
 
 class OpKind(enum.Enum):

@@ -195,13 +195,20 @@ def centrality(mesh: MeshConfig) -> dict[Tile, int]:
 
 
 class Placement:
-    """Assignment of named cores (role + instance index) to tiles."""
+    """Assignment of named cores (role + instance index) to tiles.
+
+    A core's index is its position in `entries`.  The core table is
+    built once, when the placement is: `names` and `tiles` by core index,
+    and `cores`, each role's core indices in order of instance index.
+    """
 
     def __init__(self, entries: dict[str, Tile]):
         self.entries = dict(entries)
-        self._by_role: dict[CoreRole, list[tuple[int, str, Tile]]] = {
+        self.names = list(self.entries)
+        self.tiles = list(self.entries.values())
+        by_role: dict[CoreRole, list[tuple[int, int]]] = {
             role: [] for role in CoreRole}
-        for name, tile in self.entries.items():
+        for i, (name, tile) in enumerate(self.entries.items()):
             m = _CORE_NAME.fullmatch(name)
             if m is None:
                 raise BadValue(
@@ -209,10 +216,9 @@ class Placement:
             if not _is_tile(tile):
                 raise BadValue(f"core {name} must sit on a (col, row) "
                                f"tuple of two ints")
-            role = CoreRole(m.group(1))
-            self._by_role[role].append((int(m.group(2)), name, tile))
-        for role in CoreRole:
-            self._by_role[role].sort()
+            by_role[CoreRole(m.group(1))].append((int(m.group(2)), i))
+        self.cores = {role: [i for _, i in sorted(pairs)]
+                      for role, pairs in by_role.items()}
 
     def validate(self, mesh: MeshConfig) -> None:
         if len(self.entries) > mesh.n_tiles:
@@ -231,7 +237,7 @@ class Placement:
             seen[tile] = name
 
     def cores_of_role(self, role: CoreRole) -> list[tuple[str, Tile]]:
-        return [(name, tile) for _, name, tile in self._by_role[role]]
+        return [(self.names[i], self.tiles[i]) for i in self.cores[role]]
 
 
 def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
@@ -335,7 +341,7 @@ class SimReport:
     @cached_property
     def messages(self) -> list[MessageRecord]:
         """One `MessageRecord` per message, in booking order."""
-        tiles = list(self.placement.entries.values())
+        tiles = self.placement.tiles
         core, end = self.core, self.end
         return [MessageRecord(p, c, tiles[core[p]], tiles[d], end[p], a)
                 for p, c, d, a in zip(self.msg_producer, self.msg_consumer,
@@ -358,7 +364,7 @@ class SimReport:
         }
 
     def schedule_rows(self) -> list[list]:
-        names, kinds = list(self.placement.entries), self.kinds
+        names, kinds = self.placement.names, self.kinds
         core, start, end = self.core, self.start, self.end
         return [["task", "kind", "core", "start_cycle", "end_cycle"]] + [
             [t, kinds[t].value, names[core[t]], start[t], end[t]]
@@ -369,15 +375,15 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
              placement: Placement) -> SimReport:
     """Run the deterministic schedule simulation; see the module doc."""
     placement.validate(mesh)
-    # cores by index in placement order; `validate` gave each its own
-    # tile, so a core index stands for its tile
-    names, tiles = list(placement.entries), list(placement.entries.values())
-    index = {name: i for i, name in enumerate(names)}
-    cores = {role: [index[name] for name, _ in placement.cores_of_role(role)]
-             for role in CoreRole}
-    usage = role_usage(G)
+    # `validate` gave each core its own tile, so a core index stands for
+    # its tile
+    names, tiles, cores = placement.names, placement.tiles, placement.cores
+    kinds = G.kinds
+    # IO receives the result; every other role is needed when the graph
+    # holds a kind it runs
+    needed = {_KIND_ROLE[kind] for kind in set(kinds) - {OpKind.XFER}}
     for role in CoreRole:
-        if usage[role] and not cores[role]:
+        if not cores[role] and (role in needed or role is CoreRole.IO):
             raise MissingCoreRole(
                 f"graph needs a {role.name} core but the placement has none")
     io = cores[CoreRole.IO][0]
@@ -392,7 +398,6 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     # each arithmetic kind's candidate cores, in index order
     runs_on = {kind: cores[role] for kind, role in _KIND_ROLE.items()}
 
-    kinds = G.kinds
     plan = G.plan(cm)
     costs, needs = plan.costs, plan.needs
 

@@ -33,37 +33,31 @@ def curve_from_ints(spec: FieldSpec, a: int, b: int, gx: int, gy: int,
     return curve, AffinePoint(spec.element(gx), spec.element(gy))
 
 
-def _prime_preset(name: str, p: int, *ints: int,
-                  order: int | None = None) -> CurvePreset:
-    return CurvePreset(name, *curve_from_ints(FieldSpec.prime(p), *ints,
-                                              order))
-
-
-def _binary_preset(name: str, m: int, poly: int, *ints: int,
-                   order: int | None = None) -> CurvePreset:
-    return CurvePreset(name, *curve_from_ints(FieldSpec.binary(m, poly),
-                                              *ints, order))
+def _preset(name: str, spec: FieldSpec, *ints: int,
+            order: int | None = None) -> CurvePreset:
+    return CurvePreset(name, *curve_from_ints(spec, *ints, order))
 
 
 _ALL = [
     # toy scale: fully enumerable groups
-    _prime_preset("p17", 17, 2, 2, 5, 1, order=19),
-    _binary_preset("b4", 4, 0b10011, 1, 6, 8, 0, order=24),
+    _preset("p17", FieldSpec.prime(17), 2, 2, 5, 1, order=19),
+    _preset("b4", FieldSpec.binary(4, 0b10011), 1, 6, 8, 0, order=24),
     # mid-size primes (2^17-1, 2^32-5, 2^48-65, 2^64-189), all 3 mod 4
-    _prime_preset("prime17", 131071, 2, 3, 0x7, 0x4478),
-    _prime_preset("prime32", 4294967291, 2, 3, 0x6, 0x3a924feb),
-    _prime_preset("prime48", 281474976710591, 2, 3, 0x5, 0x1acc1f5f24e4),
-    _prime_preset("prime64", 18446744073709551427, 2, 3,
-                  0x7, 0x4f4bbdf88bae1a87),
+    _preset("prime17", FieldSpec.prime(131071), 2, 3, 0x7, 0x4478),
+    _preset("prime32", FieldSpec.prime(4294967291), 2, 3, 0x6, 0x3a924feb),
+    _preset("prime48", FieldSpec.prime(281474976710591), 2, 3,
+            0x5, 0x1acc1f5f24e4),
+    _preset("prime64", FieldSpec.prime(18446744073709551427), 2, 3,
+            0x7, 0x4f4bbdf88bae1a87),
     # mid-size binary fields over trinomials
-    _binary_preset("binary17", 17, (1 << 17) | (1 << 3) | 1, 1, 0xb,
-                   0x3, 0x1a1ca),
-    _binary_preset("binary33", 33, (1 << 33) | (1 << 10) | 1, 1, 0xb,
-                   0x6, 0x18b635af7),
-    _binary_preset("binary47", 47, (1 << 47) | (1 << 5) | 1, 1, 0xb,
-                   0x3, 0x68431f090d83),
-    _binary_preset("binary63", 63, (1 << 63) | (1 << 1) | 1, 1, 0xb,
-                   0x3, 0x6880800080000001),
+    _preset("binary17", FieldSpec.binary(17, (1 << 17) | (1 << 3) | 1),
+            1, 0xb, 0x3, 0x1a1ca),
+    _preset("binary33", FieldSpec.binary(33, (1 << 33) | (1 << 10) | 1),
+            1, 0xb, 0x6, 0x18b635af7),
+    _preset("binary47", FieldSpec.binary(47, (1 << 47) | (1 << 5) | 1),
+            1, 0xb, 0x3, 0x68431f090d83),
+    _preset("binary63", FieldSpec.binary(63, (1 << 63) | (1 << 1) | 1),
+            1, 0xb, 0x3, 0x6880800080000001),
 ]
 
 PRESETS: dict[str, CurvePreset] = {p.name: p for p in _ALL}

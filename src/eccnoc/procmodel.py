@@ -5,8 +5,8 @@
 operation, so data-dependent branches are decided by the real run and
 the graph is exactly the executed op sequence: the same tape
 `scalar_mul` counts.  It decodes the tape's kind codes and stamps each
-task's phase and point-op index from the tape's step and conversion
-boundaries.  Input values (base-point coordinates, curve constants) are
+task with the phase of its tape segment's column (`scalarmul._COLUMNS`)
+and, in a loop step, that step's index.  Input values (base-point coordinates, curve constants) are
 XFER source tasks, one per distinct (label, value), in the init phase
 wherever the run first asked for them; no other common subexpression is
 merged.
@@ -37,12 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import FieldElement, FieldKind, OpKind, _require_ints, _show
-from .scalarmul import _KINDS, Phase, run_binary_method
+from .scalarmul import _COLUMNS, _KINDS, Phase, run_binary_method
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
@@ -341,14 +342,13 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     if tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
-    n, conv = len(tape.values), tape.convert_start
-    starts = [*tape.step_starts, conv]
-    phases = ([Phase.INIT] * starts[0] + [Phase.ITERATE] * (conv - starts[0])
-              + [Phase.CONVERT] * (n - conv))
-    pidxs = [-1] * starts[0]
-    for i, (a, b) in enumerate(zip(starts, starts[1:])):
-        pidxs += [i] * (b - a)
-    pidxs += [-1] * (n - conv)
+    # each segment's phase is its column's; loop steps are numbered
+    phases, pidxs, steps = [], [], count()
+    for col, a, b in tape.segments():
+        phase = _COLUMNS[col][0]
+        phases += [phase] * (b - a)
+        pidxs += [next(steps) if phase is Phase.ITERATE else -1] * (b - a)
+    n = len(tape.values)
     labels: list[str] = [""] * n
     values: list[Optional[int]] = [None] * n
     # an XFER is an input of the whole run, wherever a kernel asked for it

@@ -102,9 +102,11 @@ class _Tape:
     step, the name of the audit column it counts under; `step_starts`
     holds the index where each step begins and `convert_start` the index
     where the conversion begins (0 on a tape that never converts, such
-    as the empty one of a run without work).  An op's phase and step
-    follow from those boundaries, except that an XFER belongs to the
-    init phase wherever a kernel first asks for it.
+    as the empty one of a run without work).  `segments` reads those
+    boundaries as one (column, start, end) range per column run, so an
+    op's phase and step follow from its segment's column (`_COLUMNS`),
+    except that an XFER belongs to the init phase wherever a kernel
+    first asks for it.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -151,6 +153,14 @@ class _Tape:
         """Close the loop; the ops that follow convert to affine."""
         self.convert_start = len(self.values)
 
+    def segments(self):
+        """(column, start, end) of the init ops, each loop step and the
+        conversion, in tape order; an empty tape has none."""
+        if self.values:
+            starts = (*self.step_starts, self.convert_start)
+            yield from zip(("init", *self.steps, "convert"), (0, *starts),
+                           (*starts, len(self.values)))
+
 
 # every count column: its phase and, for the audit's columns (in the
 # audit's order), the idealised field-op cost of one of its point
@@ -182,16 +192,13 @@ class OpTrace:
         self.n_point_adds = 0
 
     def _count(self, tape: _Tape) -> None:
-        steps, kinds = tape.steps, tape.kinds
-        self.n_point_doubles += steps.count("point_double")
-        self.n_point_adds += steps.count("point_add")
-        # each column's kind codes, sliced at the step and conversion
-        # starts; XFERs (inputs, wherever recorded) are never counted
-        starts = (*tape.step_starts, tape.convert_start)
+        self.n_point_doubles += tape.steps.count("point_double")
+        self.n_point_adds += tape.steps.count("point_add")
+        # each column's kind codes; XFERs (inputs, wherever recorded) are
+        # never counted
         cols = {col: bytearray() for col in _COLUMNS}
-        for col, a, b in zip(("init", *steps, "convert"), (0, *starts),
-                             (*starts, len(kinds))):
-            cols[col] += kinds[a:b]
+        for col, a, b in tape.segments():
+            cols[col] += tape.kinds[a:b]
         for col, codes in cols.items():
             counters = self._columns[col]
             for kind, code in _ARITH_CODES:
