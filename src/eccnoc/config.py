@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .curves import AffinePoint, CurveParams
-from .errors import ConfigError
+from .errors import ConfigError, NotOnCurve
 from .fields import FieldKind, FieldSpec, _show
 from .nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, Placement
 from .presets import curve_from_ints, get_preset
@@ -90,11 +90,17 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys as written
     try:
-        parser.read_string(p.read_text(encoding="utf-8"), source=str(p))
+        text = p.read_text(encoding="utf-8")
+        parser.read_string(text, source=str(p))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {p}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {p}: {exc}") from exc
+        # its message spans lines and repeats the whole line; name the
+        # line instead (a ParsingError lists each bad line, the first)
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"cannot parse {p}, line {lineno} "
+                          f"({type(exc).__name__}): {_show(line)}") from None
     return parser
 
 
@@ -138,7 +144,7 @@ def _curve_from_section(sec) -> tuple[CurveParams, AffinePoint, str]:
         return (*curve_from_ints(spec, *ints, order), "inline")
     except KeyError as exc:
         raise ConfigError(f"[curve] is missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (ValueError, NotOnCurve) as exc:
         raise ConfigError(f"bad curve parameters: {exc}") from exc
 
 

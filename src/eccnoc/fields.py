@@ -35,7 +35,7 @@ the product is reduced:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from operator import xor
 from typing import Callable, Iterator
@@ -393,11 +393,10 @@ class FieldKind(enum.Enum):
     BINARY = "binary"
 
 
+# the raw int ops on canonical values that __post_init__ binds on each
+# FieldSpec, in the order `_prime_ops` and `_binary_ops` return them;
+# plain attributes, not fields, so equality, hashing and repr ignore them
 _RAW_OPS = ("_add", "_sub", "_mul", "_sqr", "_inv", "_reduce")
-
-
-def _derived():
-    return field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -407,21 +406,14 @@ class FieldSpec:
     Every way of building one (the `prime` / `binary` constructors, the
     generated constructor, `dataclasses.replace`, unpickling) runs
     `__post_init__`, which rejects composite moduli and reducible
-    polynomials up front so arithmetic can assume a field.
+    polynomials up front so arithmetic can assume a field, then binds
+    the raw ops named in `_RAW_OPS` as attributes.
     """
 
     kind: FieldKind
     modulus: int = 0          # p (prime fields only)
     degree: int = 0           # m (binary fields only)
     reduction_poly: int = 0   # monic irreducible of degree m (binary only)
-    # raw int ops on canonical values, bound by __post_init__ from the
-    # fields above; derived, so equality, hashing and repr ignore them
-    _add: Callable[[int, int], int] = _derived()
-    _sub: Callable[[int, int], int] = _derived()
-    _mul: Callable[[int, int], int] = _derived()
-    _sqr: Callable[[int], int] = _derived()
-    _inv: Callable[[int], int] = _derived()
-    _reduce: Callable[[int], int] = _derived()
 
     def __post_init__(self):
         if not isinstance(self.kind, FieldKind):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue
 from .fields import FieldSpec, _show
+from .scalarmul import scalar_mul
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,17 @@ def curve_from_ints(spec: FieldSpec, a: int, b: int, gx: int, gy: int,
                     order: int | None = None
                     ) -> tuple[CurveParams, AffinePoint]:
     """The curve over `spec` with coefficients a, b and its base point
-    (gx, gy), from plain ints."""
+    G = (gx, gy), from plain ints.  A stated `order` must be at least 1
+    and take G to infinity (else BadValue; NotOnCurve when G is off the
+    curve)."""
     curve = CurveParams(field=spec, a=spec.element(a), b=spec.element(b),
                         order=order)
-    return curve, AffinePoint(spec.element(gx), spec.element(gy))
+    base = AffinePoint(spec.element(gx), spec.element(gy))
+    if order is not None and (
+            order < 1 or not scalar_mul(curve, order, base).is_infinity):
+        raise BadValue(f"order {_show(order)} is not a positive multiple of "
+                       f"the base point's order")
+    return curve, base
 
 
 def _preset(name: str, spec: FieldSpec, *ints: int,

@@ -6,10 +6,10 @@ operation, so data-dependent branches are decided by the real run and
 the graph is exactly the executed op sequence: the same tape
 `scalar_mul` counts.  It decodes the tape's kind codes and stamps each
 task with the phase of its tape segment's column (`scalarmul._COLUMNS`)
-and, in a loop step, that step's index.  Input values (base-point coordinates, curve constants) are
-XFER source tasks, one per distinct (label, value), in the init phase
-wherever the run first asked for them; no other common subexpression is
-merged.
+and, in a loop step, that step's index.  Input values (base-point
+coordinates, curve constants) are XFER source tasks, one per distinct
+(label, value), in the init phase wherever the run first asked for
+them; no other common subexpression is merged.
 
 A `TaskGraph` is a frozen dataclass of one tuple per task attribute,
 indexed by task id (`kinds`, `operands`, `phases`, `point_op_index`,
@@ -55,6 +55,17 @@ _PHASE_TEXT = {phase: phase.value for phase in Phase}
 _KIND_OF = {text: kind for kind, text in _KIND_TEXT.items()}
 _PHASE_OF = {text: phase for phase, text in _PHASE_TEXT.items()}
 _OPERANDS_TEXT = ("-", "%d", "%d,%d")
+
+
+class _Numbers(dict):
+    """`str(i) -> i` for the small ints of one graph text; a miss is read
+    only when spelt as `str` spells a nonnegative int, so every other
+    spelling (`05`, `-01`, `0x5`) is a KeyError."""
+
+    def __missing__(self, text: str) -> int:
+        if not text.isdigit() or text[0] == "0":  # "0" itself is a hit
+            raise KeyError(text)
+        return int(text)
 
 
 @dataclass(frozen=True)
@@ -203,6 +214,10 @@ class TaskGraph:
 
     @classmethod
     def from_text(cls, text: str) -> TaskGraph:
+        """Parse `to_text`'s format.  Every number has one spelling, the
+        one `to_text` writes: decimal without a sign (but for a point-op
+        index of -1) or a leading zero, and XFER values in lowercase hex
+        without a prefix or a leading zero."""
         # whole-text checks, at C speed: `int` would read a fullwidth 5,
         # `+5` and `0_5` as 5, and no recorded label holds a `_` or `+`
         if not text.isascii() or "_" in text or "+" in text:
@@ -215,9 +230,11 @@ class TaskGraph:
         if head[:2] != _FORMAT_HEADER.split() or len(head) != 4 \
                 or head[2] != "fieldbits":
             raise MalformedGraph(f"unrecognised header: {_show(lines[0])}")
+        # ids, indices, widths and result ids, looked up by spelling
+        num = _Numbers((str(i), i) for i in range(-1, len(lines)))
         try:
-            field_bits = int(head[3])
-        except ValueError as exc:
+            field_bits = num[head[3]]
+        except (KeyError, ValueError) as exc:
             raise MalformedGraph(f"bad field width: {_show(head[3])}") \
                 from exc
         tail = lines[-1].split()
@@ -235,11 +252,13 @@ class TaskGraph:
             try:
                 kinds.append(_KIND_OF[skind])
                 phases.append(_PHASE_OF[sphase])
-                tid = int(sid)
-                pidxs.append(int(spidx))
+                tid = num[sid]
+                pidxs.append(num[spidx])
                 operands.append(() if sops == "-" else tuple(
-                    map(int, sops.split(","))))
+                    map(num.__getitem__, sops.split(","))))
                 values.append(None if svalue == "-" else int(svalue, 16))
+                if svalue != "-" and format(values[-1], "x") != svalue:
+                    raise ValueError(svalue)
             except (KeyError, ValueError) as exc:
                 raise MalformedGraph(
                     f"unparseable task line: {_show(ln)}") from exc
@@ -248,8 +267,8 @@ class TaskGraph:
                     f"task ids must be consecutive from 0; saw {tid} at {pos}")
             labels.append("" if slabel == "-" else slabel)
         try:
-            result = (int(tail[1]), int(tail[2]))
-        except ValueError as exc:
+            result = (num[tail[1]], num[tail[2]])
+        except (KeyError, ValueError) as exc:
             raise MalformedGraph(
                 f"bad result ids: {_show(lines[-1])}") from exc
         return cls(*map(tuple, columns), result, field_bits)

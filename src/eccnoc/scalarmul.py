@@ -179,7 +179,8 @@ AUDIT_BASELINE = {col: dict(zip(_ROWS, base))
 
 class OpTrace:
     """Monotone field-op counters of the runs recorded into it, kept
-    per column (init, point_double, point_add, convert).
+    per column (init, point_double, point_add, convert), and the number
+    of point doublings, point additions and conversions they ran.
 
     Phase counts and totals are sums over sets of columns, so the totals
     always equal the sum of the per-phase counts.
@@ -190,15 +191,19 @@ class OpTrace:
                          for col in _COLUMNS}
         self.n_point_doubles = 0
         self.n_point_adds = 0
+        self.n_conversions = 0
 
     def _count(self, tape: _Tape) -> None:
-        self.n_point_doubles += tape.steps.count("point_double")
-        self.n_point_adds += tape.steps.count("point_add")
-        # each column's kind codes; XFERs (inputs, wherever recorded) are
-        # never counted
+        # each column's kind codes and its number of segments; XFERs
+        # (inputs, wherever recorded) are never counted
         cols = {col: bytearray() for col in _COLUMNS}
+        runs = dict.fromkeys(_COLUMNS, 0)
         for col, a, b in tape.segments():
             cols[col] += tape.kinds[a:b]
+            runs[col] += 1
+        self.n_point_doubles += runs["point_double"]
+        self.n_point_adds += runs["point_add"]
+        self.n_conversions += runs["convert"]
         for col, codes in cols.items():
             counters = self._columns[col]
             for kind, code in _ARITH_CODES:
@@ -343,13 +348,15 @@ def count_report(trace: OpTrace, n_doubles: int, n_adds: int) -> CountReport:
     """Audit a trace against the baseline cost table.
 
     Measured cells are per-point-op averages (doubling and addition
-    columns divided by their op counts; conversion happens once), None
-    in a column that ran no point operation.  Raises EmptyTrace when the
-    run performed no point operations at all.
+    columns divided by their op counts, the conversion column by the
+    conversions recorded, one per run), None in a column that ran no
+    point operation.  Raises EmptyTrace when the run performed no point
+    operations at all.
     """
     if n_doubles == 0 and n_adds == 0:
         raise EmptyTrace("the run performed no point operations to audit")
-    n_of = {"point_double": n_doubles, "point_add": n_adds, "convert": 1}
+    n_of = {"point_double": n_doubles, "point_add": n_adds,
+            "convert": trace.n_conversions}
     cells = {}
     for col, baseline in AUDIT_BASELINE.items():
         n, counts = n_of[col], trace.column_counts(col)

@@ -208,6 +208,27 @@ order = 19
     assert cfg.base == p17.base
 
 
+@pytest.mark.parametrize("gy,order,why", [
+    (1, 18, None),          # (0, 1) on y^2 = x^3 + x + 1 over GF(17)
+    (1, 5, "order 5 is not a positive multiple of the base point's order"),
+    (1, 0, "order 0 is not a positive multiple"),
+    (2, 5, "does not satisfy the curve equation"),
+])
+def test_inline_curve_order_is_checked(capsys, tmp_path, gy, order, why):
+    # an unchecked order 5 used to load, and `mul --k 5` gave x=10 y=4
+    cfg_file = tmp_path / "order.ini"
+    cfg_file.write_text("[curve]\nkind = prime\np = 11\na = 1\nb = 1\n"
+                        f"gx = 0\ngy = {gy}\norder = {order}\n")
+    code, out, err = run_cli(capsys, "mul", "--config", str(cfg_file),
+                             "--k", "5")
+    if why is None:
+        assert code == 0 and load_run_config(cfg_file).curve.order == order
+        return
+    assert code == 1 and not out and err.count("\n") == 1
+    with pytest.raises(ConfigError, match=why):
+        load_run_config(cfg_file)
+
+
 def test_inline_curve_rejects_strong_pseudoprime(tmp_path):
     # 1287836182261 * 2575672364521 passes Miller-Rabin to bases 2..41
     cfg_file = tmp_path / "psp.ini"
@@ -523,6 +544,23 @@ def test_cli_echoes_rejected_input_short(capsys, argv):
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) - len("error: \n") < 200
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("ggg\n[run]\nk = 1\n", 1),              # no section header
+    ("[run]\nk = 1\nk = 2\n", 3),             # a duplicate option
+    ("[run]\nk = 1\n\n[run]\nk = 2\n", 4),    # a duplicate section
+    (f"[curve]\npreset = p17\n{_BIG}\n", 3),  # 1 MB without `=`
+], ids=("header", "option", "section", "1MB line"))
+def test_config_parse_error_is_one_line_naming_its_line(
+        capsys, tmp_path, monkeypatch, text, lineno):
+    # configparser's own message spans lines and repeats the whole line
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "mul", "--curve", "p17", "--k", "d",
+                             "--config", _ini("c.ini", text))
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) - len("error: \n") < 200 and f"line {lineno} " in err
 
 
 def test_scalar_width_is_bounded(capsys):

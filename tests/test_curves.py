@@ -7,8 +7,9 @@ from eccnoc.curves import (AffinePoint, CoordSystem, CurveParams, INFINITY,
                            point_add_projective, point_double_affine,
                            point_double_projective, point_neg, to_affine,
                            to_projective)
-from eccnoc.errors import FieldMismatch, NotOnCurve
+from eccnoc.errors import BadValue, FieldMismatch, NotOnCurve
 from eccnoc.fields import FieldSpec, ff_mul, ff_sqr
+from eccnoc.presets import curve_from_ints
 
 from conftest import enumerate_points, point_order, seeded
 
@@ -56,6 +57,15 @@ def test_b4_point_census_against_plain_int_oracle(b4):
 def test_known_orders(p17, b4):
     assert point_order(p17.curve, p17.base) == 19
     assert point_order(b4.curve, b4.base) == 24
+
+
+def test_a_stated_order_is_checked(p17):
+    # p17's parameters: a multiple of the order passes, as 19 does
+    spec = p17.curve.field
+    assert curve_from_ints(spec, 2, 2, 5, 1, 38)[0].order == 38
+    for order in (-19, 0, 18, 20):
+        with pytest.raises(BadValue, match="order"):
+            curve_from_ints(spec, 2, 2, 5, 1, order)
 
 
 def test_frozen_small_multiples(p17):

@@ -135,6 +135,9 @@ def test_malformed_graphs_rejected():
             ("1 XFER init -1 - Px 3\nresult 0 0", "consecutive from 0"),
             (px + "1 SQR iterate 0 2 - -\n2 XFER init -1 - Py 4\nresult 1 1",
              "not an earlier task"),
+            # an id past the text's line count is still read
+            (px + "1 SQR iterate 0 99 - -\nresult 1 1",
+             "references 99, which is not an earlier task"),
             (px + "1 MUL iterate 0 0 - -\nresult 1 1", "takes 2 operands"),
             ("0 XFER init -1 - Px -\nresult 0 0", "has no value"),
             (px + "1 SQR iterate 0 0 - 9\nresult 1 1", "not an XFER"),
@@ -164,12 +167,25 @@ def test_malformed_graphs_rejected():
     ("result 4 4", "result +4 4"),
     ("MUL iterate 0 0,1", "MUL iterate 0 0,+1"),
     ("Px 3", "Px 0_3"),
+    # each number has the one spelling `to_text` writes
+    ("fieldbits 5", "fieldbits 05"),
+    ("3 MUL", "03 MUL"),
+    ("MUL iterate 0 0,0", "MUL iterate -01 0,0"),
+    ("MUL iterate 0 0,0", "MUL iterate -2 0,0"),   # below -1
+    ("MUL iterate 0 0,1", "MUL iterate 0 00,01"),
+    ("result 4 4", "result 04 4"),
+    ("Px 3", "Px 0x3"),
+    ("Px 3", "Px 0X3"),
+    ("Px 3", "Px 03"),
+    ("Py 4", "Py A"),
 ])
 def test_lenient_graph_spellings_are_refused(old, new):
-    # `int` read each as the graph without its odd character
+    # `int` read each as the graph without its odd spelling (`A` as `a`)
     text = _TINY_TEXT.replace(old, new, 1)
     assert text != _TINY_TEXT
-    with pytest.raises(MalformedGraph, match="ASCII without '_' or '[+]'"):
+    why = "ASCII without '_' or '[+]'" if {"_", "+", "\uff15"} & set(new) \
+        else "unparseable|bad field width|bad result ids"
+    with pytest.raises(MalformedGraph, match=why):
         TaskGraph.from_text(text)
 
 def test_built_graph_cannot_be_mutated(p17):

@@ -7,6 +7,7 @@ from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
 from eccnoc.errors import (BadValue, EmptyTrace, NotOnCurve,
                            OracleBoundExceeded)
 from eccnoc.fields import OpKind
+from eccnoc.presets import get_preset
 from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
                               run_binary_method, scalar_mul,
                               scalar_mul_reference)
@@ -251,6 +252,21 @@ def test_count_report_arithmetic(p17):
     assert conv["INV"]["measured"] == 1.0
     assert conv["INV"]["deviation"] == 0.0
     assert rep.format_text()  # renders without error
+
+
+def test_count_report_of_repeated_runs_is_that_of_one():
+    # every column, the conversion included, is divided by the runs the
+    # trace recorded, so two runs of one k audit as one run
+    preset = get_preset("prime32")
+    one, two = OpTrace(), OpTrace()
+    scalar_mul(preset.curve, 0xb7a3, preset.base, one)
+    for _ in range(2):
+        scalar_mul(preset.curve, 0xb7a3, preset.base, two)
+    assert (one.n_conversions, two.n_conversions) == (1, 2)
+    audit = [count_report(t, t.n_point_doubles, t.n_point_adds).cells
+             for t in (one, two)]
+    assert audit[0] == audit[1]
+    assert audit[1]["convert"]["INV"]["measured"] == 1.0
 
 
 def test_count_report_without_additions(p17):
