@@ -155,18 +155,16 @@ def load_run_config(path: str | Path) -> RunConfig:
     if parser.has_section("curve"):
         cfg.curve, cfg.base, cfg.curve_name = _curve_from_section(
             parser["curve"])
-    if parser.has_section("run"):
-        sec = parser["run"]
-        if "k" in sec:
-            cfg.k = parse_hex(sec["k"])
+    if parser.has_option("run", "k"):
+        cfg.k = parse_hex(parser["run"]["k"])
     # the decimal sections: every key is read as `<section>.<key>`, then
-    # the section is applied, and checked, as a whole
+    # the section is applied, and checked, as a whole; an absent one
+    # applies the defaults
     for section, what in (("costs", "bad cost model"), ("mesh", "bad mesh"),
                           ("roles", "bad roles")):
-        if not parser.has_section(section):
-            continue
+        sec = parser[section] if parser.has_section(section) else {}
         values = {key: _parse_dec(text, f"{section}.{key}")
-                  for key, text in parser[section].items()}
+                  for key, text in sec.items()}
         try:
             if section == "costs":
                 CostModel(**values)  # rejects a cost below 1 at load

@@ -57,15 +57,48 @@ _PHASE_OF = {text: phase for phase, text in _PHASE_TEXT.items()}
 _OPERANDS_TEXT = ("-", "%d", "%d,%d")
 
 
-class _Numbers(dict):
-    """`str(i) -> i` for the small ints of one graph text; a miss is read
-    only when spelt as `str` spells a nonnegative int, so every other
+def _number(text: str) -> int:
+    """The nonnegative int `text` spells as `str` spells it; any other
     spelling (`05`, `-01`, `0x5`) is a KeyError."""
+    if not text.isdigit() or text[0] == "0" and text != "0":
+        raise KeyError(text)
+    return int(text)
 
-    def __missing__(self, text: str) -> int:
-        if not text.isdigit() or text[0] == "0":  # "0" itself is a hit
-            raise KeyError(text)
-        return int(text)
+
+class _Numbers(dict):
+    """A table of spellings that reads its misses with `_number`."""
+
+    __missing__ = staticmethod(_number)
+
+
+def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
+    """The six task columns of the task lines `rows`; ids, point-op
+    indices and operands are read by lookup in `num`."""
+    kinds, operands, phases, pidxs, labels, values = \
+        columns = [], [], [], [], [], []
+    for pos, ln in enumerate(rows):
+        parts = ln.split()
+        if len(parts) != 7:
+            raise MalformedGraph(f"task line needs 7 fields: {_show(ln)}")
+        sid, skind, sphase, spidx, sops, slabel, svalue = parts
+        try:
+            kinds.append(_KIND_OF[skind])
+            phases.append(_PHASE_OF[sphase])
+            tid = num[sid]
+            pidxs.append(num[spidx])
+            operands.append(() if sops == "-" else tuple(
+                map(num.__getitem__, sops.split(","))))
+            values.append(None if svalue == "-" else int(svalue, 16))
+            if svalue != "-" and format(values[-1], "x") != svalue:
+                raise ValueError(svalue)
+        except (KeyError, ValueError) as exc:
+            raise MalformedGraph(
+                f"unparseable task line: {_show(ln)}") from exc
+        if tid != pos:
+            raise MalformedGraph(
+                f"task ids must be consecutive from 0; saw {tid} at {pos}")
+        labels.append("" if slabel == "-" else slabel)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -230,10 +263,8 @@ class TaskGraph:
         if head[:2] != _FORMAT_HEADER.split() or len(head) != 4 \
                 or head[2] != "fieldbits":
             raise MalformedGraph(f"unrecognised header: {_show(lines[0])}")
-        # ids, indices, widths and result ids, looked up by spelling
-        num = _Numbers((str(i), i) for i in range(-1, len(lines)))
         try:
-            field_bits = num[head[3]]
+            field_bits = _number(head[3])
         except (KeyError, ValueError) as exc:
             raise MalformedGraph(f"bad field width: {_show(head[3])}") \
                 from exc
@@ -241,33 +272,16 @@ class TaskGraph:
         if len(tail) != 3 or tail[0] != "result":
             raise MalformedGraph(f"last line must name the result pair: "
                                  f"{_show(lines[-1])}")
-        kinds, operands, phases, pidxs, labels, values = \
-            columns = [], [], [], [], [], []
-        for pos, ln in enumerate(lines[1:-1]):
-            parts = ln.split()
-            if len(parts) != 7:
-                raise MalformedGraph(
-                    f"task line needs 7 fields: {_show(ln)}")
-            sid, skind, sphase, spidx, sops, slabel, svalue = parts
-            try:
-                kinds.append(_KIND_OF[skind])
-                phases.append(_PHASE_OF[sphase])
-                tid = num[sid]
-                pidxs.append(num[spidx])
-                operands.append(() if sops == "-" else tuple(
-                    map(num.__getitem__, sops.split(","))))
-                values.append(None if svalue == "-" else int(svalue, 16))
-                if svalue != "-" and format(values[-1], "x") != svalue:
-                    raise ValueError(svalue)
-            except (KeyError, ValueError) as exc:
-                raise MalformedGraph(
-                    f"unparseable task line: {_show(ln)}") from exc
-            if tid != pos:
-                raise MalformedGraph(
-                    f"task ids must be consecutive from 0; saw {tid} at {pos}")
-            labels.append("" if slabel == "-" else slabel)
+        # an exact dict of the spellings of -1 .. len(lines) - 1 is the
+        # fastest lookup; text it cannot read is read again, with
+        # canonical numbers past the table, so the validator names them
+        table = {str(i): i for i in range(-1, len(lines))}
         try:
-            result = (num[tail[1]], num[tail[2]])
+            columns = _task_columns(lines[1:-1], table)
+        except MalformedGraph:
+            columns = _task_columns(lines[1:-1], _Numbers(table))
+        try:
+            result = (_number(tail[1]), _number(tail[2]))
         except (KeyError, ValueError) as exc:
             raise MalformedGraph(
                 f"bad result ids: {_show(lines[-1])}") from exc

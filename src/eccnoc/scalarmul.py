@@ -103,10 +103,10 @@ class _Tape:
     holds the index where each step begins and `convert_start` the index
     where the conversion begins (0 on a tape that never converts, such
     as the empty one of a run without work).  `segments` reads those
-    boundaries as one (column, start, end) range per column run, so an
-    op's phase and step follow from its segment's column (`_COLUMNS`),
-    except that an XFER belongs to the init phase wherever a kernel
-    first asks for it.
+    boundaries as (column, start, end) ranges: the init ops, each step
+    and the conversion.  An op's phase follows from its segment's column
+    (`_COLUMNS`) and its step from its segment, except that an XFER
+    belongs to the init phase wherever a kernel first asks for it.
     """
 
     def __init__(self, spec: FieldSpec):
