@@ -213,7 +213,7 @@ order = 19
     (1, 5, "order 5 is not a positive multiple of the base point's order"),
     (1, 0, "order 0 is not a positive multiple"),
     (2, 5, "does not satisfy the curve equation"),
-])
+], ids=("order 18", "order 5", "order 0", "off the curve"))
 def test_inline_curve_order_is_checked(capsys, tmp_path, gy, order, why):
     # an unchecked order 5 used to load, and `mul --k 5` gave x=10 y=4
     cfg_file = tmp_path / "order.ini"
