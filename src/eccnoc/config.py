@@ -87,7 +87,10 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"no such config file: {p}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name a section with a line break, so `[DEFAULT]` is
+    # an ordinary section, checked like any other, not merged into each
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="\n")
     parser.optionxform = str  # keep keys as written
     try:
         text = p.read_text(encoding="utf-8")

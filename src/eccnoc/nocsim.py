@@ -14,20 +14,31 @@ Scheduling is one earliest-finish-time pass in the style of HEFT
 (Topcuoglu, Hariri & Wu, IEEE TPDS 13(3), 2002).  Arithmetic tasks are
 visited once, longest remaining cost-weighted path to a sink (upward
 rank) first, ties by id.  Every core of the task's role, busy or idle,
-gets the estimate max(core free, operands ready on its tile) + cost,
-where an operand is ready when its copy on that tile arrived, or else
-at its producer's end plus the contention-free latency
-hops * hop_cycles + flits - 1.  The task goes to the lowest (estimate,
-hops of new transfers, core index); only then are the missing operands
-booked on the links, each launched when its producer ends.  The task
-starts once its core is free and every operand has arrived, and runs
-without preemption.  A value shipped to a tile stays resident there, so
-it never crosses to the same tile twice.
+gets an estimated start once its operands are ready on its tile, where
+an operand is ready when its copy on that tile arrived, or else at its
+producer's end plus the contention-free latency
+hops * hop_cycles + flits - 1.  A core keeps one idle gap, its latest:
+a task appended after idle cycles leaves [previous end, its start)
+free.  Operands ready at or after the core's last end give that
+estimate as it is.  Operands ready before it give max(ready, gap start)
+if the task ends by the gap's end, else the core's last end; this is
+HEFT's insertion reduced to one slot per core, O(1) per candidate.
+Candidates are tried nearest the task's consumers first: each kind's
+cores are ordered once per run by the sum, over the plan's edges from
+that kind, of the hops to the nearest core that runs the consumer (the
+IO core for a result), then by index.  The task goes to the first with
+the lowest (estimate, hops of new transfers), so a tie goes to the
+core nearer where the value goes next.  Only then are the missing
+operands booked on the links, each launched when its producer ends, and
+the gap test is made again with the real arrivals.  A task placed in
+the gap leaves the larger of the parts before and after it as the gap.
+Tasks run without preemption.  A value shipped to a tile stays resident
+there, so it never crosses to the same tile twice.
 
-The visit order, the task costs and each task's computed operands come
-from the graph's plan (`TaskGraph.plan`), which is built on first use
-and memoised per cost model on the immutable graph; `simulate` keeps
-only the placement-dependent work.
+The visit order, the task costs, each task's computed operands and the
+edge counts between kinds come from the graph's plan (`TaskGraph.plan`),
+which is built on first use and memoised per cost model on the
+immutable graph; `simulate` keeps only the placement-dependent work.
 
 Input (XFER) values are preloaded into every core's local store before
 cycle 0, so only computed values cross the network.  Control traffic
@@ -395,13 +406,27 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     dist = [[manhattan(a, b) for b in tiles] for a in tiles]
     # contention-free latency of one value from core a to core b
     lat = [[d * hop + flits - 1 for d in row] for row in dist]
-    # each arithmetic kind's candidate cores, in index order
-    runs_on = {kind: cores[role] for kind, role in _KIND_ROLE.items()}
 
     plan = G.plan(cm)
     costs, needs = plan.costs, plan.needs
 
+    # each arithmetic kind's candidate cores, nearest its consumers
+    # first: by the sum, over the plan's edges from the kind, of the hops
+    # to the nearest core that runs the consumer (IO for a result), then
+    # by index
+    runs_on = {}
+    for kind, role in _KIND_ROLE.items():
+        targets = [(n, cores[_KIND_ROLE.get(consumer, CoreRole.IO)])
+                   for producer, consumer, n in plan.flows
+                   if producer is kind]
+        runs_on[kind] = sorted(cores[role], key=lambda c: (sum(
+            n * min(map(dist[c].__getitem__, to)) for n, to in targets), c))
+
+    # per core: the cycle its last task ends, and its latest idle gap
+    # [gap_start, gap_end), empty until a task waits for its operands
     free = [0] * len(names)
+    gap_start = [0] * len(names)
+    gap_end = [0] * len(names)
     busy = [0] * len(names)
     # core, start and end cycle of each computed value, by task id
     loc = [-1] * len(kinds)
@@ -451,13 +476,13 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
 
     for tid in plan.order:
         candidates = runs_on[kinds[tid]]
-        operands = needs[tid]
+        operands, cost = needs[tid], costs[tid]
         # `ready` is the estimate less the task's cost, which every
         # candidate shares; only a strictly lower (estimate, new hops)
-        # displaces the best, so ties go to the lowest index
+        # displaces the best, so ties go to the candidate tried first
         best, best_hops = math.inf, 0
         for c in candidates:
-            ready, new_hops, here = free[c], 0, avail[c]
+            ready, new_hops, here = 0, 0, avail[c]
             for o in operands:
                 arr = here[o]
                 if arr is None:
@@ -466,18 +491,41 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                     new_hops += dist[at][c]
                 if arr > ready:
                     ready = arr
+            if ready < free[c]:
+                # before the core's last end: in its gap if it fits
+                if ready < gap_start[c]:
+                    ready = gap_start[c]
+                if ready + cost > gap_end[c]:
+                    ready = free[c]
             if ready < best or ready == best and new_hops < best_hops:
                 best, best_hops, core = ready, new_hops, c
-        start, here = free[core], avail[core]
+        # the same test on the real arrivals
+        start, here, last = 0, avail[core], free[core]
         for o in operands:
             arr = here[o]
             if arr is None:
                 arr = here[o] = ship(o, tid, core)
             if arr > start:
                 start = arr
+        if start < last:
+            # in the gap if it fits, leaving the larger part left over
+            # as the gap; else appended
+            gs, ge = gap_start[core], gap_end[core]
+            if start < gs:
+                start = gs
+            if start + cost > ge:
+                start = last
+            elif start - gs >= ge - start - cost:
+                gap_end[core] = start
+            else:
+                gap_start[core] = start + cost
+        if start >= last:
+            if start > last:
+                gap_start[core], gap_end[core] = last, start
+            free[core] = start + cost
         begin[tid] = start
-        end[tid] = here[tid] = free[core] = start + costs[tid]
-        busy[core] += costs[tid]
+        end[tid] = here[tid] = start + cost
+        busy[core] += cost
         loc[tid] = core
 
     makespan = 0  # inputs are preloaded everywhere, IO included

@@ -28,12 +28,19 @@ def curve_from_ints(spec: FieldSpec, a: int, b: int, gx: int, gy: int,
                     order: int | None = None
                     ) -> tuple[CurveParams, AffinePoint]:
     """The curve over `spec` with coefficients a, b and its base point
-    G = (gx, gy), from plain ints.  A stated `order` must be at least 1
-    and take G to infinity (else BadValue; NotOnCurve when G is off the
+    G = (gx, gy), from plain ints.  A stated `order` must be at least 1,
+    take G to infinity and be at most one bit wider than the field's
+    size q, since by Hasse's bound no curve over GF(q) has more than
+    q + 1 + 2 sqrt(q) points (else BadValue; NotOnCurve when G is off the
     curve)."""
     curve = CurveParams(field=spec, a=spec.element(a), b=spec.element(b),
                         order=order)
     base = AffinePoint(spec.element(gx), spec.element(gy))
+    widest = spec.order.bit_length() + 1
+    if order is not None and order.bit_length() > widest:
+        # before `scalar_mul`, whose own width bound speaks of a scalar
+        raise BadValue(f"order {_show(order)} is wider than {widest} bits, "
+                       f"more than any curve over {spec.tag} has points")
     if order is not None and (
             order < 1 or not scalar_mul(curve, order, base).is_infinity):
         raise BadValue(f"order {_show(order)} is not a positive multiple of "

@@ -26,11 +26,12 @@ and only the result coordinates are wrapped as `FieldElement`s.
 
 `TaskGraph.plan(cm)` is what scheduling needs of the graph under one
 cost model, none of it placement-dependent: each task's cost, each
-task's distinct computed operands in id order (XFER inputs dropped), and
-the arithmetic tasks in decreasing upward rank, ties by id.  It is built
-on first use and memoised per cost model on the immutable graph, so
-`critical_path` and every `nocsim.simulate` call on one graph and cost
-model share it.
+task's distinct computed operands in id order (XFER inputs dropped), the
+arithmetic tasks in decreasing upward rank, ties by id, and the count of
+dependency edges from each op kind to each consumer kind, result
+delivery included.  It is built on first use and memoised per cost
+model on the immutable graph, so `critical_path` and every
+`nocsim.simulate` call on one graph and cost model share it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ _PHASE_TEXT = {phase: phase.value for phase in Phase}
 _KIND_OF = {text: kind for kind, text in _KIND_TEXT.items()}
 _PHASE_OF = {text: phase for phase, text in _PHASE_TEXT.items()}
 _OPERANDS_TEXT = ("-", "%d", "%d,%d")
+# a plan counts edges by the position of each end here; the last
+# consumer, None, is the delivery of a result value to IO
+_FLOW_ENDS = (*OpKind, None)
+_KIND_CODE = {kind: code for code, kind in enumerate(OpKind)}
 
 
 def _number(text: str) -> int:
@@ -328,6 +333,10 @@ class Plan:
     needs: tuple[tuple[int, ...], ...]  # distinct computed operands, id order
     order: tuple[int, ...]              # arithmetic tasks, highest upward
                                         # rank first, ties by id
+    # (producer kind, consumer kind, edge count) for every pair with an
+    # edge between distinct computed tasks, producer kinds in `OpKind`
+    # order; a consumer of None is the delivery of a result value to IO
+    flows: tuple[tuple[OpKind, Optional[OpKind], int], ...]
 
     @classmethod
     def build(cls, G: TaskGraph, cm: CostModel) -> Plan:
@@ -354,16 +363,29 @@ class Plan:
         # upward rank: longest remaining cost-weighted path to any sink;
         # every cost is >= 1, so decreasing rank is a topological order.
         # Tasks are visited last id first, so a task's entry holds its
-        # successors' highest rank until its own cost is added
+        # successors' highest rank until its own cost is added.  The same
+        # walk over the edges counts them by (producer, consumer) kind
+        # code, in a row of one column per consumer kind, then delivery
+        code = list(map(_KIND_CODE.__getitem__, G.kinds))
+        width = len(_FLOW_ENDS)
+        edges = [0] * (len(_KIND_CODE) * width)
         rank = [0] * len(costs)
         for tid in reversed(arith):
             r = rank[tid] = rank[tid] + costs[tid]
+            to = code[tid]
             for o in needs[tid]:
+                edges[code[o] * width + to] += 1
                 if r > rank[o]:
                     rank[o] = r
+        for r in set(G.result):
+            if costs[r]:
+                edges[code[r] * width + width - 1] += 1
+        flows = tuple((_FLOW_ENDS[i // width], _FLOW_ENDS[i % width], n)
+                      for i, n in enumerate(edges) if n)
         # the stable sort keeps equal ranks in id order
         return cls(costs, tuple(needs),
-                   tuple(sorted(arith, key=rank.__getitem__, reverse=True)))
+                   tuple(sorted(arith, key=rank.__getitem__, reverse=True)),
+                   flows)
 
 
 # ---------------------------------------------------------------------------

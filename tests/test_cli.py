@@ -131,7 +131,9 @@ def test_compare_builtin_pair(capsys):
     code, out, _ = run_cli(capsys, "compare", "--curve", "prime32",
                            "--k", "beef")
     assert code == 0
-    assert "best: default" in out
+    # corner_first ends in 580 cycles, the default in 581 with 806
+    # flit-hops against 882
+    assert "best: corner_first" in out
     code, out, _ = run_cli(capsys, "compare", "--curve", "prime32",
                            "--k", "beef", "--format", "json")
     doc = json.loads(out)
@@ -180,7 +182,7 @@ def test_cost_overrides_follow_the_cli_curve(capsys, tmp_path):
     argv = ("simulate", "--curve", "binary33", "--k", "b7a3")
     code, want, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert "makespan: 500 cycles   sequential: 934 " in want
+    assert "makespan: 501 cycles   sequential: 934 " in want
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
     assert code == 0 and not err
     assert out == want
@@ -213,7 +215,10 @@ order = 19
     (1, 5, "order 5 is not a positive multiple of the base point's order"),
     (1, 0, "order 0 is not a positive multiple"),
     (2, 5, "does not satisfy the curve equation"),
-], ids=("order 18", "order 5", "order 0", "off the curve"))
+    # Hasse: a curve over GF(17) has at most 26 points; one bit more
+    # than 17 is the widest order taken
+    (1, 2**5000, "order a 5001-bit int is wider than 6 bits"),
+], ids=("order 18", "order 5", "order 0", "off the curve", "order 2^5000"))
 def test_inline_curve_order_is_checked(capsys, tmp_path, gy, order, why):
     # an unchecked order 5 used to load, and `mul --k 5` gave x=10 y=4
     cfg_file = tmp_path / "order.ini"
@@ -305,6 +310,31 @@ def test_config_rejects_unknown_keys(tmp_path):
         bad.write_text(text)
         with pytest.raises(ConfigError, match=r"one \[placement\] section"):
             load_placement(bad)
+
+
+@pytest.mark.parametrize("option,text,why", [
+    ("--config", "[DEFAULT]\nseed = 9\n", "unknown section 'DEFAULT'"),
+    ("--config", "[DEFAULT]\nk = d\n[curve]\npreset = p17\n",
+     "unknown section 'DEFAULT'"),
+    ("--placement", "[DEFAULT]\nmul1 = 1,1\n[placement]\nadd0 = 0,0\n",
+     r"one \[placement\] section and no other, got 'DEFAULT, placement'"),
+    ("--placement", "[DEFAULT]\nio0 = 3,0\n",
+     r"one \[placement\] section and no other, got 'DEFAULT'"),
+], ids=("run config", "run config with a curve", "placement",
+        "placement alone"))
+def test_default_section_is_an_unknown_section(capsys, tmp_path, option,
+                                                text, why):
+    # configparser merges `[DEFAULT]` into every section and leaves it
+    # out of `sections()`, so it used to slip past both checks
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    load = load_run_config if option == "--config" else load_placement
+    with pytest.raises(ConfigError, match=why):
+        load(path)
+    code, out, err = run_cli(capsys, "simulate", "--curve", "p17", "--k",
+                             "5", option, str(path))
+    assert code == 1 and not out and err.count("\n") == 1
+    assert err.startswith("error: ")
 
 
 def _readme_config_block():

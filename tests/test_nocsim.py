@@ -365,6 +365,63 @@ result 3 4
     _invariant_check(G, cm, mesh, rep)
 
 
+def test_task_backfills_the_idle_gap_of_its_operand_core():
+    # mul0 runs MUL 2 [0,4), then waits for INV 3 (inv0, [0,40)), whose
+    # value crosses one link to arrive at 41: MUL 4 runs [41,45) and
+    # leaves mul0 idle in [4,41).  MUL 5 is visited last (rank 4, after
+    # MUL 4 by id); its operand 2 sits on mul0 from cycle 4, so it runs
+    # [4,8) in that gap, with no message, not [45,49) after MUL 4.  The
+    # results reach IO two hops away at 47 (4) and 10 (5)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 INV convert -1 0 - -
+4 MUL convert -1 3,0 - -
+5 MUL convert -1 2,2 - -
+result 4 5
+""")
+    mesh = MeshConfig(cols=3, rows=1)
+    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (3, "inv0", 0, 40), (2, "mul0", 0, 4), (4, "mul0", 41, 45),
+        (5, "mul0", 4, 8)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(3, 4, 40, 41), (4, -1, 45, 47),
+                                       (5, -1, 8, 10)]
+    assert rep.makespan_cycles == 47
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_equal_estimates_go_to_the_core_nearer_the_consumers():
+    # MUL 2 reads only inputs, so both idle MUL cores estimate [0,4)
+    # with no new hops; its consumer is ADD 3, and add0 sits one hop
+    # from mul1 but two from mul0, so mul1 takes it: the value crosses
+    # one link (arrival 5), ADD 3 runs [5,6) and the result reaches IO
+    # at 7.  On mul0 the ADD would start at 6 and the run end at 8
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 ADD iterate 0 2,0 - -
+result 3 3
+""")
+    mesh = MeshConfig(cols=4, rows=1)
+    pl = Placement({"mul0": (0, 0), "io0": (1, 0), "add0": (2, 0),
+                    "mul1": (3, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "mul1", 0, 4), (3, "add0", 5, 6)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 3, 4, 5), (3, -1, 6, 7)]
+    assert rep.makespan_cycles == 7
+    assert rep.total_flit_hops == 2
+    _invariant_check(G, cm, mesh, rep)
+
+
 def test_missing_role_detected():
     mesh = MeshConfig(cols=3, rows=1)
     pl = Placement({"io0": (0, 0), "mul0": (2, 0)})  # no ADD core

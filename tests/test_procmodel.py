@@ -12,8 +12,8 @@ from eccnoc.curves import INFINITY
 from eccnoc.errors import (DivisionByZero, FieldMismatch, MalformedGraph,
                            ResultAtInfinity)
 from eccnoc.fields import OpKind, ff_add, ff_inv, ff_mul, ff_sqr, ff_sub
-from eccnoc.procmodel import (CostModel, TaskGraph, compile_scalar_mul,
-                              critical_path, replay)
+from eccnoc.procmodel import (CostModel, Plan, TaskGraph,
+                              compile_scalar_mul, critical_path, replay)
 from eccnoc.scalarmul import (OpTrace, Phase, scalar_mul,
                               scalar_mul_reference)
 from eccnoc.fields import FieldKind
@@ -458,6 +458,43 @@ def test_plan_of_a_hand_graph():
     assert (plan.costs, plan.needs, plan.order) == _plan_oracle(G, cm)
     # 3 + 5 + 3 + 1 + 2 through the SUB; the INV feeds nothing
     assert critical_path(G, cm) == _critical_path_oracle(G, cm) == 14
+
+
+def _flows_oracle(G, cm):
+    """Edges between computed tasks counted by (producer, consumer) kind,
+    plus one per distinct computed result, in the plan's order."""
+    needs = _plan_oracle(G, cm)[1]
+    edges = Counter((G.kinds[o], G.kinds[tid])
+                    for tid, ops in enumerate(needs) for o in ops)
+    edges.update((G.kinds[r], None) for r in set(G.result)
+                 if G.kinds[r] is not OpKind.XFER)
+    consumers = [*OpKind, None]
+    return tuple((a, b, edges[a, b]) for a in OpKind for b in consumers
+                 if edges[a, b])
+
+
+def test_plan_counts_edges_by_kind():
+    G = TaskGraph.from_text(_PLAN_TEXT)
+    plan = G.plan(CostModel())
+    # 3 <- 2, 4 <- 3, 5 <- 2 and 4, 6 <- 5, 7 <- 5, and results 7 and 5
+    assert plan.flows == (
+        (OpKind.ADD, OpKind.SUB, 1), (OpKind.ADD, OpKind.INV, 1),
+        (OpKind.ADD, None, 1), (OpKind.SUB, None, 1),
+        (OpKind.MUL, OpKind.ADD, 2), (OpKind.MUL, OpKind.SQR, 1),
+        (OpKind.SQR, OpKind.MUL, 1))
+    assert plan.flows == _flows_oracle(G, CostModel())
+    # the plan stays hashable
+    assert hash(plan) == hash(Plan.build(G, CostModel()))
+    rng = seeded(43)
+    for name in ("p17", "b4", "prime32", "binary33"):
+        preset = PRESETS[name]
+        cm = CostModel.default(preset.curve.field.kind)
+        k = rng.randrange(2, 1 << 12)
+        try:
+            G = _compile(preset, k)
+        except ResultAtInfinity:
+            continue
+        assert G.plan(cm).flows == _flows_oracle(G, cm), (name, k)
 
 
 def test_critical_path_and_plan_match_oracles_on_every_preset():
