@@ -75,10 +75,6 @@ class AffinePoint:
     x: Optional[FieldElement]
     y: Optional[FieldElement]
 
-    @classmethod
-    def infinity(cls) -> "AffinePoint":
-        return cls(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -89,7 +85,7 @@ class AffinePoint:
         return f"Point({self.x!r}, {self.y!r})"
 
 
-INFINITY = AffinePoint.infinity()
+INFINITY = AffinePoint(None, None)
 
 
 @dataclass(frozen=True)

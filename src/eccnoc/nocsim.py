@@ -51,11 +51,11 @@ cycle at which a value can be used on that core, which is its end on
 the core that computed it, its arrival on a core it was shipped to, and
 None elsewhere.  Both the estimate and the start of a task read an
 operand's entry there; only a missing one costs the contention-free
-latency, which is precomputed for every core pair, or a transfer.  The
-rows hold one reference per (core, task): about 180 KB for a 64-bit k
-on the 11 default cores, about 33 MB for a 4060-task graph on 1024
-cores.  The latency and route tables hold one reference per core pair,
-about 8 MB each on 1024 cores.
+latency, read from the cores' hops times `hop_cycles`, or a transfer.
+The rows hold one reference per (core, task): about 180 KB for a
+64-bit k on the 11 default cores, about 33 MB for a 4100-task graph on
+1024 cores.  The table of hop cycles and the route table hold one
+reference per core pair, about 8 MB each on 1024 cores.
 
 Each directed link's set of booked cycles is the one record of traffic:
 the report reads a link's flit count as the size of its set, and total
@@ -403,9 +403,11 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     if flits > MAX_FLITS_PER_VALUE:
         raise BadValue(f"values wider than {MAX_FIELD_BITS} bits "
                        f"need more than {MAX_FLITS_PER_VALUE} flits")
-    dist = [[manhattan(a, b) for b in tiles] for a in tiles]
-    # contention-free latency of one value from core a to core b
-    lat = [[d * hop + flits - 1 for d in row] for row in dist]
+    # the cycles a value's head flit takes from core a's tile to core b's,
+    # its contention-free latency less the `tail` flits behind it; since
+    # hop >= 1, sums of these order cores as sums of hops do
+    wire = [[manhattan(a, b) * hop for b in tiles] for a in tiles]
+    tail = flits - 1
 
     plan = G.plan(cm)
     costs, needs = plan.costs, plan.needs
@@ -420,7 +422,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                    for producer, consumer, n in plan.flows
                    if producer is kind]
         runs_on[kind] = sorted(cores[role], key=lambda c: (sum(
-            n * min(map(dist[c].__getitem__, to)) for n, to in targets), c))
+            n * min(map(wire[c].__getitem__, to)) for n, to in targets), c))
 
     # per core: the cycle its last task ends, and its latest idle gap
     # [gap_start, gap_end), empty until a task waits for its operands
@@ -478,17 +480,18 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         candidates = runs_on[kinds[tid]]
         operands, cost = needs[tid], costs[tid]
         # `ready` is the estimate less the task's cost, which every
-        # candidate shares; only a strictly lower (estimate, new hops)
-        # displaces the best, so ties go to the candidate tried first
-        best, best_hops = math.inf, 0
+        # candidate shares; only a strictly lower (estimate, wire cycles
+        # of new transfers) displaces the best, so ties go to the
+        # candidate tried first
+        best, best_wire = math.inf, 0
         for c in candidates:
-            ready, new_hops, here = 0, 0, avail[c]
+            ready, new_wire, here = 0, 0, avail[c]
             for o in operands:
                 arr = here[o]
                 if arr is None:
-                    at = loc[o]
-                    arr = end[o] + lat[at][c]
-                    new_hops += dist[at][c]
+                    w = wire[loc[o]][c]
+                    arr = end[o] + w + tail
+                    new_wire += w
                 if arr > ready:
                     ready = arr
             if ready < free[c]:
@@ -497,8 +500,8 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                     ready = gap_start[c]
                 if ready + cost > gap_end[c]:
                     ready = free[c]
-            if ready < best or ready == best and new_hops < best_hops:
-                best, best_hops, core = ready, new_hops, c
+            if ready < best or ready == best and new_wire < best_wire:
+                best, best_wire, core = ready, new_wire, c
         # the same test on the real arrivals
         start, here, last = 0, avail[core], free[core]
         for o in operands:

@@ -407,9 +407,9 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     labels: list[str] = [""] * n
     values: list[Optional[int]] = [None] * n
     # an XFER is an input of the whole run, wherever a kernel asked for it
-    for i, label in tape.labels.items():
+    for (label, value), i in tape.inputs.items():
         labels[i] = label
-        values[i] = tape.values[i]
+        values[i] = value
         phases[i] = Phase.INIT
         pidxs[i] = -1
     return TaskGraph(tuple(map(_KINDS.__getitem__, tape.kinds)),

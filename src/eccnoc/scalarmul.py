@@ -9,12 +9,13 @@ Every run is recorded on a tape (`run_binary_method`) held as columns.
 The tape has one recorder per arity, a binary one for add, sub and mul
 and a unary one for sqr and inv; each computes the op's value on raw
 ints and appends it, its kind as a one-byte code and its operands.  The
-tape also records where each loop step and the conversion begin, and
-names each step by the audit column it counts under (`point_double` or
-`point_add`); an op's phase and step follow from those boundaries, not
-from the op.  A run that does no work (k = 0 or P at infinity) is an
-empty tape with no result.  The tape is the one program both consumers
-read.  `scalar_mul` counts it into an `OpTrace` by column and phase:
+tape also keeps one list of segments: where each loop step and the
+conversion begin, each named by the audit column it counts under
+(`point_double`, `point_add` or `convert`); an op's phase and step
+follow from its segment, not from the op.  A run that does no work
+(k = 0 or P at infinity) is an empty tape with no result.  The tape is
+the one program both consumers read.  `scalar_mul` counts it into an
+`OpTrace` by column and phase:
 
   Init     embedding the base point (no arithmetic)
   Iterate  every doubling and mixed addition in the loop
@@ -94,19 +95,20 @@ class _Tape:
     code (bound once per tape in `_ops`) and appends its value to
     `values`, the code to the `kinds` bytearray and its operand indices
     to `operands`, and returns the new index.  `const` appends an input
-    value (XFER) once per (label, value) and files its label in `labels`
-    under its index.  `is_zero` reads the computed value, so the kernels
-    branch exactly as the real run does.
+    value (XFER) once per (label, value) and files its index in `inputs`
+    under that pair, in the order the inputs were first asked for.
+    `is_zero` reads the computed value, so the kernels branch exactly as
+    the real run does.
 
-    No op carries its phase or step.  `steps` holds one entry per loop
-    step, the name of the audit column it counts under; `step_starts`
-    holds the index where each step begins and `convert_start` the index
-    where the conversion begins (0 on a tape that never converts, such
-    as the empty one of a run without work).  `segments` reads those
-    boundaries as (column, start, end) ranges: the init ops, each step
-    and the conversion.  An op's phase follows from its segment's column
-    (`_COLUMNS`) and its step from its segment, except that an XFER
-    belongs to the init phase wherever a kernel first asks for it.
+    No op carries its phase or step.  `starts` holds one (column, index)
+    pair per segment after the init ops: the audit column the segment
+    counts under and the index where it begins, appended by
+    `begin_step`; the conversion is the segment named `convert`.
+    `segments` reads them as (column, start, end) ranges: the init ops,
+    then each segment in tape order.  An op's phase follows from its
+    segment's column (`_COLUMNS`) and its step from its segment, except
+    that an XFER belongs to the init phase wherever a kernel first asks
+    for it.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -114,12 +116,9 @@ class _Tape:
         self.values: list[int] = []
         self.kinds = bytearray()
         self.operands: list[tuple[int, ...]] = []
-        self.labels: dict[int, str] = {}
-        self.steps: list[str] = []
-        self.step_starts: list[int] = []
-        self.convert_start = 0
+        self.inputs: dict[tuple[str, int], int] = {}
+        self.starts: list[tuple[str, int]] = []
         self.result: Optional[tuple[int, int]] = None
-        self._consts: dict[tuple[str, int], int] = {}
         # the field's raw ops, indexed by kind code
         self._ops = (spec._add, spec._sub, spec._mul, spec._sqr, spec._inv)
 
@@ -128,13 +127,12 @@ class _Tape:
 
     def const(self, elem: FieldElement, label: str) -> int:
         key = (label, elem.value)
-        idx = self._consts.get(key)
+        idx = self.inputs.get(key)
         if idx is None:
-            idx = self._consts[key] = len(self.values)
+            idx = self.inputs[key] = len(self.values)
             self.values.append(elem.value)
             self.kinds.append(_XFER)
             self.operands.append(())
-            self.labels[idx] = label
         return idx
 
     def is_zero(self, a: int) -> bool:
@@ -144,22 +142,17 @@ class _Tape:
         return FieldElement(self.spec, self.values[a])
 
     def begin_step(self, column: str) -> None:
-        """Open the next loop step at the current end of the tape; its
-        ops count under audit column `column`."""
-        self.steps.append(column)
-        self.step_starts.append(len(self.values))
-
-    def begin_convert(self) -> None:
-        """Close the loop; the ops that follow convert to affine."""
-        self.convert_start = len(self.values)
+        """Open the next segment at the current end of the tape; its ops
+        count under column `column`."""
+        self.starts.append((column, len(self.values)))
 
     def segments(self):
-        """(column, start, end) of the init ops, each loop step and the
-        conversion, in tape order; an empty tape has none."""
+        """(column, start, end) of the init ops and each segment, in tape
+        order; an empty tape has none."""
         if self.values:
-            starts = (*self.step_starts, self.convert_start)
-            yield from zip(("init", *self.steps, "convert"), (0, *starts),
-                           (*starts, len(self.values)))
+            bounds = [("init", 0), *self.starts, ("", len(self.values))]
+            for (column, a), (_, b) in zip(bounds, bounds[1:]):
+                yield column, a, b
 
 
 # every count column: its phase and, for the audit's columns (in the
@@ -266,7 +259,7 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
         if (k >> i) & 1:
             tape.begin_step("point_add")
             X, Y, Z = madd(tape, curve, X, Y, Z, P.x, P.y)
-    tape.begin_convert()
+    tape.begin_step("convert")
     tape.result = to_aff(tape, curve, X, Y, Z)
     return tape
 
@@ -350,13 +343,18 @@ def count_report(trace: OpTrace, n_doubles: int, n_adds: int) -> CountReport:
     Measured cells are per-point-op averages (doubling and addition
     columns divided by their op counts, the conversion column by the
     conversions recorded, one per run), None in a column that ran no
-    point operation.  Raises EmptyTrace when the run performed no point
-    operations at all.
+    point operation.  `n_doubles` and `n_adds` must equal the trace's own
+    counts, else BadValue.  Raises EmptyTrace when the run performed no
+    point operations at all.
     """
+    n_of = {"point_double": trace.n_point_doubles,
+            "point_add": trace.n_point_adds, "convert": trace.n_conversions}
+    if (n_doubles, n_adds) != (n_of["point_double"], n_of["point_add"]):
+        raise BadValue(
+            f"{n_doubles} doublings and {n_adds} additions disagree with the "
+            f"trace's {n_of['point_double']} and {n_of['point_add']}")
     if n_doubles == 0 and n_adds == 0:
         raise EmptyTrace("the run performed no point operations to audit")
-    n_of = {"point_double": n_doubles, "point_add": n_adds,
-            "convert": trace.n_conversions}
     cells = {}
     for col, baseline in AUDIT_BASELINE.items():
         n, counts = n_of[col], trace.column_counts(col)

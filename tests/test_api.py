@@ -3,6 +3,9 @@ errors for bad values, and every name the benchmark imports."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,7 +100,7 @@ def test_bench_traced_probes_run_clean(bench):
     assert bad == [] and compare_ms > 0
 
 
-@pytest.mark.parametrize("tree", ["src", "tests", "bench"])
+@pytest.mark.parametrize("tree", ["src", "tests", "bench", "tools"])
 def test_sources_parse_as_python_3_10(tree):
     """`requires-python` is >=3.10: syntax that needs a later release,
     such as `except*`, fails to parse here on any interpreter.  Library
@@ -107,3 +110,30 @@ def test_sources_parse_as_python_3_10(tree):
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, 10))
+
+
+def _tool(name: str, *args: str) -> str:
+    return subprocess.run([sys.executable, str(ROOT / "tools" / name), *args],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_tools_agree_with_the_golden_and_with_themselves():
+    """`tools/model_table.py` prints the 4x3 numbers of the large golden,
+    and the total `tools/code_lines.py` prints is its files' sum."""
+    golden = json.loads(
+        (ROOT / "tests" / "golden" / "simulate_large.json").read_text())
+    rows = {}
+    for line in _tool("model_table.py").splitlines()[2:]:
+        curve, _, machine, makespan, hops, *_ = line.strip("| ").split(" | ")
+        rows[curve, machine] = [int(makespan), int(hops)]
+    for curve in ("prime64", "binary63"):
+        for machine, key in (("default", "4x3-default"),
+                             ("corner_first", "4x3-corner-first")):
+            doc = golden[f"{curve}/{key}"]
+            assert rows[curve, machine] == [doc["makespan_cycles"],
+                                            doc["total_flit_hops"]]
+    paths = sorted(map(str, (ROOT / "src" / "eccnoc").glob("*.py")))
+    *files, total = [line.split() for line in
+                     _tool("code_lines.py", *paths).splitlines()]
+    assert [path for _, path in files] == paths
+    assert total == [str(sum(int(n) for n, _ in files)), "total"]

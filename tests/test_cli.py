@@ -11,14 +11,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eccnoc import cli
 from eccnoc.cli import _VERIFY_WORK_LIMIT, main
 from eccnoc.config import _parse_dec, load_placement, load_run_config, \
     parse_hex
+from eccnoc.curves import INFINITY
 from eccnoc.errors import BadValue, ConfigError, EccNocError
 from eccnoc.nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, \
-    Placement, default_placement, role_usage
+    Placement, compare_placements, corner_first_placement, \
+    default_placement, role_usage
 from eccnoc.presets import get_preset
-from eccnoc.procmodel import TaskGraph, compile_scalar_mul, replay
+from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul, \
+    replay
 from eccnoc.scalarmul import scalar_mul
 
 from conftest import deadline
@@ -296,6 +300,12 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_run_config(bad)
     bad.write_text("[curve]\npreset = nope\n")
     with pytest.raises(ConfigError, match="unknown curve preset 'nope'"):
+        load_run_config(bad)
+    bad.write_text("[curve]\np = 11\n")
+    with pytest.raises(ConfigError, match="needs either preset or kind"):
+        load_run_config(bad)
+    bad.write_text("[curve]\nkind = prime\np = 11\na = 1\nb = 1\ngx = 0\n")
+    with pytest.raises(ConfigError, match="is missing key 'gy'"):
         load_run_config(bad)
     bad.write_text("[costs]\nmul = " + "9" * 5000 + "\n")
     with pytest.raises(ConfigError, match="too many digits"):
@@ -639,6 +649,45 @@ def test_compare_with_placement_files(capsys, tmp_path):
     assert code == 1 and "at least two" in err
 
 
+def test_compare_ranks_placement_files(capsys, tmp_path):
+    # the default and corner-first placements of prime32, written out
+    preset = get_preset("prime32")
+    G = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+    argv, entries = [], []
+    for place in (default_placement, corner_first_placement):
+        pl = place(MeshConfig(), DEFAULT_ROLE_COUNTS, role_usage(G))
+        path = tmp_path / f"{place.__name__}.ini"
+        path.write_text("[placement]\n" + "".join(
+            f"{name} = {c},{r}\n" for name, (c, r) in pl.entries.items()))
+        argv += ["--placement", str(path)]
+        entries.append((path.stem, pl))
+    code, out, err = run_cli(capsys, "compare", "--curve", "prime32", "--k",
+                             "b7a3", "--format", "json",
+                             "--out", str(tmp_path / "out"), *argv)
+    assert code == 0 and not err
+    ranking = [(row["name"], row["makespan_cycles"], row["total_flit_hops"])
+               for row in json.loads(out)["ranking"]]
+    assert ranking == [("corner_first_placement", 529, 770),
+                       ("default_placement", 530, 725)]
+    cm = CostModel.default(preset.curve.field.kind)
+    assert ranking == [
+        (name, rep.makespan_cycles, rep.total_flit_hops) for name, rep in
+        compare_placements(G, cm, MeshConfig(), entries)]
+    assert (tmp_path / "out" / "compare.json").read_text() == out
+
+
+def test_verify_reports_a_disagreeing_scalar(capsys, monkeypatch):
+    reference = cli.scalar_mul_reference
+
+    def wrong_at_7(curve, k, P):
+        return INFINITY if k == 7 else reference(curve, k, P)
+
+    monkeypatch.setattr(cli, "scalar_mul_reference", wrong_at_7)
+    code, out, err = run_cli(capsys, "verify", "--curve", "p17")
+    assert (code, out, err) == (
+        1, "verify p17: FAIL (1/65 scalars disagree, first: [7])\n", "")
+
+
 def test_bad_usage_errors(capsys):
     code, _, err = run_cli(capsys, "mul", "--curve", "nope", "--k", "d")
     assert code == 1 and "unknown curve preset" in err
@@ -656,6 +705,7 @@ def test_bad_usage_errors(capsys):
     ("simulate", "--out", "taken", "cannot write"),
     ("compare", "--out", "taken", "cannot write"),
     ("mul", "--config", "latin1.ini", "cannot read"),
+    ("mul", "--config", "missing.ini", "no such config file:"),
     ("simulate", "--placement", "latin1.ini", "cannot read"),
 ])
 def test_file_errors_end_in_one_error_line(capsys, tmp_path, command, option,

@@ -88,6 +88,10 @@ def test_membership_errors(p17):
     with pytest.raises(FieldMismatch):
         is_on_curve(p17.curve, AffinePoint(foreign.element(5),
                                            foreign.element(1)))
+    # infinity is on the curve, but has no affine coordinates to add
+    with pytest.raises(NotOnCurve, match="finite affine addend"):
+        point_add_projective(p17.curve, to_projective(p17.curve, p17.base),
+                             INFINITY)
 
 
 @pytest.mark.parametrize("preset_name", ["p17", "b4"])

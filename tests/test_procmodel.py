@@ -140,6 +140,7 @@ def test_malformed_graphs_rejected():
              "references 99, which is not an earlier task"),
             (px + "1 MUL iterate 0 0 - -\nresult 1 1", "takes 2 operands"),
             ("0 XFER init -1 - Px -\nresult 0 0", "has no value"),
+            ("0 XFER init -1 - - 3\nresult 0 0", "XFER task 0 has no label"),
             (px + "1 SQR iterate 0 0 - 9\nresult 1 1", "not an XFER"),
             (px + "result 0 7", "result id 7"),
             # 6 and 160 bits of Px in a 5-bit graph: too few flits each
@@ -151,6 +152,8 @@ def test_malformed_graphs_rejected():
     # the constructor rejects an empty graph, which text cannot spell
     with pytest.raises(MalformedGraph, match="no tasks"):
         TaskGraph((), (), (), (), (), (), (0, 0), 5)
+    with pytest.raises(MalformedGraph, match="field width must be positive"):
+        TaskGraph.from_text(_TINY_TEXT.replace("fieldbits 5", "fieldbits 0"))
     with pytest.raises(MalformedGraph):
         TaskGraph.from_text("nonsense\n" + _TINY_TEXT)
     with pytest.raises(MalformedGraph):

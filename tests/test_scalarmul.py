@@ -87,8 +87,8 @@ class _StampingTape(scalarmul._Tape):
     """Oracle tape: stamps each op with its kind, phase, step, label and
     input value as it is recorded, the way a tape of per-op rows does.
     It wraps each of the tape's recorders on the instance, and never
-    reads `step_starts` or `convert_start`; an XFER is stamped init and
-    -1 wherever a kernel first asks for it."""
+    reads the tape's segment list; an XFER is stamped init and -1
+    wherever a kernel first asks for it."""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -115,12 +115,11 @@ class _StampingTape(scalarmul._Tape):
 
     def begin_step(self, column):
         super().begin_step(column)
-        self.phase, self.step = Phase.ITERATE, len(self.step_columns)
-        self.step_columns.append(column)
-
-    def begin_convert(self):
-        super().begin_convert()
-        self.phase, self.step = Phase.CONVERT, -1
+        if column == "convert":
+            self.phase, self.step = Phase.CONVERT, -1
+        else:
+            self.phase, self.step = Phase.ITERATE, len(self.step_columns)
+            self.step_columns.append(column)
 
 
 def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
@@ -182,12 +181,19 @@ def test_trivial_scalars(p17):
 def test_a_run_without_work_is_an_empty_tape(p17):
     for k, P in ((0, p17.base), (5, INFINITY)):
         tape = run_binary_method(p17.curve, k, P)
-        assert (tape.values, bytes(tape.kinds), tape.operands, tape.steps,
-                tape.step_starts, tape.convert_start, tape.result) == \
-            ([], b"", [], [], [], 0, None)
+        assert (tape.values, bytes(tape.kinds), tape.operands, tape.inputs,
+                tape.starts, tape.result) == ([], b"", [], {}, [], None)
         t = OpTrace()
         t._count(tape)
         assert t.to_dict() == OpTrace().to_dict()
+
+
+def test_a_tape_without_segments_is_all_init(p17):
+    # the tape one kernel runs on (`curves`) opens no segment, so none of
+    # its ops counts as a conversion
+    tape = scalarmul._Tape(p17.curve.field)
+    tape.sqr(tape.const(p17.base.x, "x"))
+    assert list(tape.segments()) == [("init", 0, 2)]
 
 
 def test_input_validation(p17):
@@ -198,6 +204,8 @@ def test_input_validation(p17):
         scalar_mul(p17.curve, 3, AffinePoint(e(5), e(2)))
     with pytest.raises(OracleBoundExceeded):
         scalar_mul_reference(p17.curve, (1 << 16) + 1, p17.base)
+    with pytest.raises(BadValue, match="nonnegative"):
+        scalar_mul_reference(p17.curve, -1, p17.base)
 
 
 @pytest.mark.parametrize("k,match", [
@@ -252,6 +260,10 @@ def test_count_report_arithmetic(p17):
     assert conv["INV"]["measured"] == 1.0
     assert conv["INV"]["deviation"] == 0.0
     assert rep.format_text()  # renders without error
+    # counts other than the trace's own are refused, not mixed in
+    for n_doubles, n_adds in ((4, 2), (3, 1), (0, 0)):
+        with pytest.raises(BadValue, match="disagree with the trace's 3 "):
+            count_report(t, n_doubles, n_adds)
 
 
 def test_count_report_of_repeated_runs_is_that_of_one():
