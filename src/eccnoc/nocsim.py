@@ -17,23 +17,26 @@ rank) first, ties by id.  Every core of the task's role, busy or idle,
 gets an estimated start once its operands are ready on its tile, where
 an operand is ready when its copy on that tile arrived, or else at its
 producer's end plus the contention-free latency
-hops * hop_cycles + flits - 1.  A core keeps one idle gap, its latest:
-a task appended after idle cycles leaves [previous end, its start)
-free.  Operands ready at or after the core's last end give that
-estimate as it is.  Operands ready before it give max(ready, gap start)
-if the task ends by the gap's end, else the core's last end; this is
-HEFT's insertion reduced to one slot per core, O(1) per candidate.
-Candidates are tried nearest the task's consumers first: each kind's
-cores are ordered once per run by the sum, over the plan's edges from
-that kind, of the hops to the nearest core that runs the consumer (the
-IO core for a result), then by index.  The task goes to the first with
-the lowest (estimate, hops of new transfers), so a tie goes to the
-core nearer where the value goes next.  Only then are the missing
-operands booked on the links, each launched when its producer ends, and
-the gap test is made again with the real arrivals.  A task placed in
-the gap leaves the larger of the parts before and after it as the gap.
-Tasks run without preemption.  A value shipped to a tile stays resident
-there, so it never crosses to the same tile twice.
+hops * hop_cycles + flits - 1.  Each core keeps every idle gap below
+its last end, sorted: a task appended after idle cycles leaves [previous
+end, its start) free.  Operands ready at or after the core's last end
+give that estimate as it is.  Operands ready before it give the start
+in the first gap that holds the task, max(ready, gap start) with the
+task ending by the gap's end, else the core's last end; this is HEFT's
+insertion-based policy.  The search bisects the gaps' ends, and it
+stops walking past gaps too short once a start could not beat the best
+estimate so far.  Candidates are tried nearest the task's consumers
+first: each kind's cores are ordered once per run by the sum, over the
+plan's edges from that kind, of the hops to the nearest core that runs
+the consumer (the IO core for a result), then by index.  The task goes
+to the first with the lowest (estimate, hops of new transfers), so a
+tie goes to the core nearer where the value goes next.  Only then are
+the missing operands booked on the links, each launched when its
+producer ends, and the same search is made from the real arrivals.  A
+task placed in a gap splits it into the parts before and after it and
+keeps those that are not empty.  Tasks run without preemption.  A value
+shipped to a tile stays resident there, so it never crosses to the same
+tile twice.
 
 The visit order, the task costs, each task's computed operands and the
 edge counts between kinds come from the graph's plan (`TaskGraph.plan`),
@@ -55,7 +58,10 @@ latency, read from the cores' hops times `hop_cycles`, or a transfer.
 The rows hold one reference per (core, task): about 180 KB for a
 64-bit k on the 11 default cores, about 33 MB for a 4100-task graph on
 1024 cores.  The table of hop cycles and the route table hold one
-reference per core pair, about 8 MB each on 1024 cores.
+reference per core pair, about 8 MB each on 1024 cores.  A core's idle
+gaps are two int lists, their starts and their ends; a core holds at
+most one gap per task placed on it, so the gaps of a run hold at most
+two references per task.
 
 Each directed link's set of booked cycles is the one record of traffic:
 the report reads a link's flit count as the size of its set, and total
@@ -77,6 +83,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -424,11 +431,11 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         runs_on[kind] = sorted(cores[role], key=lambda c: (sum(
             n * min(map(wire[c].__getitem__, to)) for n, to in targets), c))
 
-    # per core: the cycle its last task ends, and its latest idle gap
-    # [gap_start, gap_end), empty until a task waits for its operands
+    # per core: the cycle its last task ends, and its idle gaps below
+    # it, [idle_starts[i], idle_ends[i]) in cycle order
     free = [0] * len(names)
-    gap_start = [0] * len(names)
-    gap_end = [0] * len(names)
+    idle_starts: list[list[int]] = [[] for _ in names]
+    idle_ends: list[list[int]] = [[] for _ in names]
     busy = [0] * len(names)
     # core, start and end cycle of each computed value, by task id
     loc = [-1] * len(kinds)
@@ -495,14 +502,27 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                 if arr > ready:
                     ready = arr
             if ready < free[c]:
-                # before the core's last end: in its gap if it fits
-                if ready < gap_start[c]:
-                    ready = gap_start[c]
-                if ready + cost > gap_end[c]:
+                # before the core's last end: in the first gap that holds
+                # the task.  Gap i is the first to end at ready + cost or
+                # later, so it holds the task at ready if it is open by
+                # then; else the walk takes the first long enough gap from
+                # i on, and stops at a start that could not beat `best`
+                ends = idle_ends[c]
+                i = bisect_left(ends, ready + cost)
+                if i == len(ends):
                     ready = free[c]
+                elif idle_starts[c][i] > ready:
+                    starts = idle_starts[c]
+                    for i in range(i, len(ends)):
+                        s = starts[i]
+                        if s + cost <= ends[i] or s > best:
+                            break
+                    else:
+                        s = free[c]
+                    ready = s
             if ready < best or ready == best and new_wire < best_wire:
                 best, best_wire, core = ready, new_wire, c
-        # the same test on the real arrivals
+        # the same rule on the real arrivals
         start, here, last = 0, avail[core], free[core]
         for o in operands:
             arr = here[o]
@@ -511,20 +531,31 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
             if arr > start:
                 start = arr
         if start < last:
-            # in the gap if it fits, leaving the larger part left over
-            # as the gap; else appended
-            gs, ge = gap_start[core], gap_end[core]
-            if start < gs:
-                start = gs
-            if start + cost > ge:
-                start = last
-            elif start - gs >= ge - start - cost:
-                gap_end[core] = start
+            # in the first gap that holds it, keeping the parts before
+            # and after it that are not empty; else appended
+            starts, ends = idle_starts[core], idle_ends[core]
+            for i in range(bisect_left(ends, start + cost), len(ends)):
+                gs, ge = starts[i], ends[i]
+                s = gs if gs > start else start
+                e = s + cost
+                if e <= ge:
+                    start = s
+                    if s > gs:
+                        ends[i] = s
+                        if e < ge:
+                            starts.insert(i + 1, e)
+                            ends.insert(i + 1, ge)
+                    elif e < ge:
+                        starts[i] = e
+                    else:
+                        del starts[i], ends[i]
+                    break
             else:
-                gap_start[core] = start + cost
+                start = last
         if start >= last:
             if start > last:
-                gap_start[core], gap_end[core] = last, start
+                idle_starts[core].append(last)
+                idle_ends[core].append(start)
             free[core] = start + cost
         begin[tid] = start
         end[tid] = here[tid] = start + cost

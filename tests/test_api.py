@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from eccnoc.errors import EccNocError
-from eccnoc.nocsim import MeshConfig, Placement
+from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
+                           default_placement, role_usage, simulate)
+from eccnoc.procmodel import CostModel, compile_scalar_mul
 from eccnoc.presets import get_preset
 from eccnoc.scalarmul import scalar_mul
 
@@ -118,20 +120,29 @@ def _tool(name: str, *args: str) -> str:
 
 
 def test_tools_agree_with_the_golden_and_with_themselves():
-    """`tools/model_table.py` prints the 4x3 numbers of the large golden,
-    and the total `tools/code_lines.py` prints is its files' sum."""
+    """`tools/model_table.py` prints the 4x3 numbers of the large golden
+    and the message count of each run, and the total
+    `tools/code_lines.py` prints is its files' sum."""
     golden = json.loads(
         (ROOT / "tests" / "golden" / "simulate_large.json").read_text())
-    rows = {}
-    for line in _tool("model_table.py").splitlines()[2:]:
-        curve, _, machine, makespan, hops, *_ = line.strip("| ").split(" | ")
-        rows[curve, machine] = [int(makespan), int(hops)]
+    head, _, *lines = [line.strip("| ").split(" | ") for line in
+                       _tool("model_table.py").splitlines()]
+    rows = {(row["curve"], row["placement"]): row
+            for row in (dict(zip(head, line)) for line in lines)}
     for curve in ("prime64", "binary63"):
         for machine, key in (("default", "4x3-default"),
                              ("corner_first", "4x3-corner-first")):
-            doc = golden[f"{curve}/{key}"]
-            assert rows[curve, machine] == [doc["makespan_cycles"],
-                                            doc["total_flit_hops"]]
+            doc, row = golden[f"{curve}/{key}"], rows[curve, machine]
+            assert [int(row["makespan"]), int(row["flit-hops"])] == \
+                [doc["makespan_cycles"], doc["total_flit_hops"]]
+            # 64-bit values travel as two flits, over one link or more
+            assert 0 < 2 * int(row["messages"]) <= int(row["flit-hops"])
+    preset = get_preset("prime32")
+    G = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+    rep = simulate(G, CostModel.default(preset.curve.field.kind),
+                   MeshConfig(), default_placement(
+                       MeshConfig(), DEFAULT_ROLE_COUNTS, role_usage(G)))
+    assert int(rows["prime32", "default"]["messages"]) == len(rep.messages)
     paths = sorted(map(str, (ROOT / "src" / "eccnoc").glob("*.py")))
     *files, total = [line.split() for line in
                      _tool("code_lines.py", *paths).splitlines()]

@@ -186,7 +186,7 @@ def test_cost_overrides_follow_the_cli_curve(capsys, tmp_path):
     argv = ("simulate", "--curve", "binary33", "--k", "b7a3")
     code, want, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert "makespan: 501 cycles   sequential: 934 " in want
+    assert "makespan: 493 cycles   sequential: 934 " in want
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg_file))
     assert code == 0 and not err
     assert out == want
@@ -667,8 +667,8 @@ def test_compare_ranks_placement_files(capsys, tmp_path):
     assert code == 0 and not err
     ranking = [(row["name"], row["makespan_cycles"], row["total_flit_hops"])
                for row in json.loads(out)["ranking"]]
-    assert ranking == [("corner_first_placement", 529, 770),
-                       ("default_placement", 530, 725)]
+    assert ranking == [("corner_first_placement", 529, 768),
+                       ("default_placement", 530, 670)]
     cm = CostModel.default(preset.curve.field.kind)
     assert ranking == [
         (name, rep.makespan_cycles, rep.total_flit_hops) for name, rep in

@@ -1,6 +1,7 @@
 """Mesh routing, placement construction, and schedule simulation."""
 
 import ast
+import bisect
 import hashlib
 import json
 from pathlib import Path
@@ -395,6 +396,77 @@ result 4 5
     _invariant_check(G, cm, mesh, rep)
 
 
+def test_task_takes_the_earlier_of_two_idle_gaps():
+    # visit order 3, 4, 2, 5, 6, 7 by rank.  MUL 4 waits for INV 3
+    # (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle in
+    # [0,41); MUL 2 runs [0,4) in it, leaving [4,41).  ADD 5 on add0
+    # takes 4's value at 46 and runs [46,47); MUL 6 waits for it until
+    # 48 and runs [48,52), leaving the gap [45,48), too short for a MUL.
+    # MUL 7 reads only 2's value, ready on mul0 at 4: it runs [4,8) in
+    # the earlier gap, not [52,56) after MUL 6.  The results reach IO two
+    # hops away at 54 (6) and 10 (7)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+3 INV convert -1 0 - -
+4 MUL convert -1 3,0 - -
+5 ADD convert -1 4,0 - -
+6 MUL convert -1 5,0 - -
+7 MUL convert -1 2,2 - -
+result 6 7
+""")
+    mesh = MeshConfig(cols=4, rows=1)
+    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                    "add0": (3, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (3, "inv0", 0, 40), (4, "mul0", 41, 45), (2, "mul0", 0, 4),
+        (5, "add0", 46, 47), (6, "mul0", 48, 52), (7, "mul0", 4, 8)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(3, 4, 40, 41), (4, 5, 45, 46),
+                                       (5, 6, 47, 48), (6, -1, 52, 54),
+                                       (7, -1, 8, 10)]
+    assert rep.makespan_cycles == 54
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_task_takes_the_smaller_part_of_a_split_gap():
+    # visit order 2, 4, 3, 5, 6, 7 by rank, ties by id.  MUL 3 waits for
+    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
+    # in [0,41).  MUL 5 waits for SQR 4 (sqr0, [0,29), one hop) and runs
+    # [30,34) inside that gap, which splits into [0,30) and [34,41).
+    # MUL 6 reads 5's value on mul0 at 34: only the smaller, later part
+    # holds it, so it runs [34,38) there, not [45,49) after MUL 3, and
+    # MUL 7 runs [45,49).  The results reach IO two hops away at 40 (6)
+    # and 51 (7)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 INV convert -1 0 - -
+3 MUL convert -1 2,0 - -
+4 SQR convert -1 0 - -
+5 MUL convert -1 4,0 - -
+6 MUL convert -1 5,5 - -
+7 MUL convert -1 3,3 - -
+result 6 7
+""")
+    mesh = MeshConfig(cols=4, rows=1)
+    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                    "sqr0": (3, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=29, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "inv0", 0, 40), (4, "sqr0", 0, 29), (3, "mul0", 41, 45),
+        (5, "mul0", 30, 34), (6, "mul0", 34, 38), (7, "mul0", 45, 49)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 29, 30),
+                                       (6, -1, 38, 40), (7, -1, 49, 51)]
+    assert rep.makespan_cycles == 51
+    _invariant_check(G, cm, mesh, rep)
+
+
 def test_equal_estimates_go_to_the_core_nearer_the_consumers():
     # MUL 2 reads only inputs, so both idle MUL cores estimate [0,4)
     # with no new hops; its consumer is ADD 3, and add0 sits one hop
@@ -562,6 +634,21 @@ def _invariant_check(G, cm, mesh, rep):
         for o in G.tasks[e.task].operands:
             if o in tile and tile[o] != tile[e.task]:
                 assert shipped[(o, tile[e.task])] <= e.start
+    # insertion: in visit order, each task starts at the first cycle, from
+    # its operands' arrival on its tile, at which it fits between the
+    # tasks placed on its core before it
+    placed = {}     # core -> busy intervals so far, sorted and disjoint
+    for e in rep.schedule:
+        here = tile[e.task]
+        t = max((ends[o] if tile[o] == here else shipped[(o, here)]
+                 for o in G.tasks[e.task].operands if o in tile), default=0)
+        busy = placed.setdefault(e.core, [])
+        for a, b in busy[max(bisect.bisect(busy, (t, t)) - 1, 0):]:
+            if t + e.end - e.start <= a:
+                break
+            t = max(t, b)
+        assert e.start == t
+        bisect.insort(busy, (e.start, e.end))
     # the run ends when the last computed result reaches IO
     assert set(delivered) == {r for r in G.result if r in tile}
     assert rep.makespan_cycles == max(delivered.values(), default=0)

@@ -3,9 +3,9 @@
 For each (preset, k) pair below, one row per machine: the default and
 corner_first placements on the default 4x3 mesh, and the default
 placement on a 6x4 mesh with twice the cores of each role.  Each row
-gives the makespan, flit-hops, speedup and critical path, as a Markdown
-table.  Nothing is timed, so two checkouts give comparable tables on
-any host:
+gives the makespan, flit-hops, message count, speedup and critical
+path, as a Markdown table.  Nothing is timed, so two checkouts give
+comparable tables on any host:
 
     python3 tools/model_table.py
 
@@ -48,14 +48,14 @@ def rows() -> list[list[str]]:
         for machine, mesh, counts, place in MACHINES:
             rep = simulate(G, cm, mesh, place(mesh, counts, usage))
             out.append([name, f"{k:x}", machine, str(rep.makespan_cycles),
-                        str(rep.total_flit_hops), f"{rep.speedup:.3f}",
-                        str(cp)])
+                        str(rep.total_flit_hops), str(len(rep.msg_arrival)),
+                        f"{rep.speedup:.3f}", str(cp)])
     return out
 
 
 def main() -> int:
-    head = ["curve", "k", "placement", "makespan", "flit-hops", "speedup",
-            "critical path"]
+    head = ["curve", "k", "placement", "makespan", "flit-hops", "messages",
+            "speedup", "critical path"]
     print("| " + " | ".join(head) + " |")
     print("|" + "---|" * len(head))
     for row in rows():
