@@ -23,20 +23,18 @@ end, its start) free.  Operands ready at or after the core's last end
 give that estimate as it is.  Operands ready before it give the start
 in the first gap that holds the task, max(ready, gap start) with the
 task ending by the gap's end, else the core's last end; this is HEFT's
-insertion-based policy.  The search bisects the gaps' ends, and it
-stops walking past gaps too short once a start could not beat the best
-estimate so far.  Candidates are tried nearest the task's consumers
-first: each kind's cores are ordered once per run by the sum, over the
-plan's edges from that kind, of the hops to the nearest core that runs
-the consumer (the IO core for a result), then by index.  The task goes
-to the first with the lowest (estimate, hops of new transfers), so a
-tie goes to the core nearer where the value goes next.  Only then are
-the missing operands booked on the links, each launched when its
-producer ends, and the same search is made from the real arrivals.  A
-task placed in a gap splits it into the parts before and after it and
-keeps those that are not empty.  Tasks run without preemption.  A value
-shipped to a tile stays resident there, so it never crosses to the same
-tile twice.
+insertion-based policy, and `_slot` is its one search.  Candidates are
+tried nearest the task's consumers first: each kind's cores are ordered
+once per run by the sum, over the plan's edges from that kind, of the
+hops to the nearest core that runs the consumer (the IO core for a
+result), then by index.  The task goes to the first with the lowest
+(estimate, hops of new transfers), so a tie goes to the core nearer
+where the value goes next.  Only then are the missing operands booked
+on the links, each launched when its producer ends, and the same search
+is made from the real arrivals.  A task placed in a gap splits it into
+the parts before and after it and keeps those that are not empty.
+Tasks run without preemption.  A value shipped to a tile stays resident
+there, so it never crosses to the same tile twice.
 
 The visit order, the task costs, each task's computed operands and the
 edge counts between kinds come from the graph's plan (`TaskGraph.plan`),
@@ -389,6 +387,35 @@ class SimReport:
             for t in self.order]
 
 
+def _slot(starts: list[int], ends: list[int], last: int, ready: int,
+          cost: int, limit: float) -> tuple[int, int]:
+    """The start of a task of `cost` cycles whose operands are ready on
+    a core at `ready`, and the index i of the idle gap [starts[i],
+    ends[i]) it runs in: the first gap that holds the task started at
+    max(ready, gap start), else `last`, the core's last end, with
+    i = len(ends).  The gaps are disjoint, sorted and below `last`.
+
+    Gaps ending before ready + cost cannot hold the task, so the
+    search bisects the ends; the first gap left holds the task at
+    `ready` if it is already open then.  Else each later gap starts
+    after `ready`, and the walk takes the first one long enough.  It
+    stops at a start above `limit`, returning that start with a gap
+    that may not hold the task: a caller looking for a start at or
+    below `limit` need not look further."""
+    i = bisect_left(ends, ready + cost)
+    if i == len(ends):
+        return last, i
+    s = starts[i]
+    if s <= ready:
+        return ready, i
+    while s + cost > ends[i] and s <= limit:
+        i += 1
+        if i == len(ends):
+            return last, i
+        s = starts[i]
+    return s, i
+
+
 def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
              placement: Placement) -> SimReport:
     """Run the deterministic schedule simulation; see the module doc."""
@@ -403,7 +430,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     for role in CoreRole:
         if not cores[role] and (role in needed or role is CoreRole.IO):
             raise MissingCoreRole(
-                f"graph needs a {role.name} core but the placement has none")
+                f"placement has no {role.value} core; the graph needs one")
     io = cores[CoreRole.IO][0]
     hop = mesh.hop_cycles
     flits = mesh.flits_per_value or -(-G.field_bits // 32)
@@ -502,24 +529,8 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                 if arr > ready:
                     ready = arr
             if ready < free[c]:
-                # before the core's last end: in the first gap that holds
-                # the task.  Gap i is the first to end at ready + cost or
-                # later, so it holds the task at ready if it is open by
-                # then; else the walk takes the first long enough gap from
-                # i on, and stops at a start that could not beat `best`
-                ends = idle_ends[c]
-                i = bisect_left(ends, ready + cost)
-                if i == len(ends):
-                    ready = free[c]
-                elif idle_starts[c][i] > ready:
-                    starts = idle_starts[c]
-                    for i in range(i, len(ends)):
-                        s = starts[i]
-                        if s + cost <= ends[i] or s > best:
-                            break
-                    else:
-                        s = free[c]
-                    ready = s
+                ready = _slot(idle_starts[c], idle_ends[c], free[c], ready,
+                              cost, best)[0]
             if ready < best or ready == best and new_wire < best_wire:
                 best, best_wire, core = ready, new_wire, c
         # the same rule on the real arrivals
@@ -531,27 +542,21 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
             if arr > start:
                 start = arr
         if start < last:
-            # in the first gap that holds it, keeping the parts before
-            # and after it that are not empty; else appended
             starts, ends = idle_starts[core], idle_ends[core]
-            for i in range(bisect_left(ends, start + cost), len(ends)):
-                gs, ge = starts[i], ends[i]
-                s = gs if gs > start else start
-                e = s + cost
-                if e <= ge:
-                    start = s
-                    if s > gs:
-                        ends[i] = s
-                        if e < ge:
-                            starts.insert(i + 1, e)
-                            ends.insert(i + 1, ge)
-                    elif e < ge:
-                        starts[i] = e
-                    else:
-                        del starts[i], ends[i]
-                    break
-            else:
-                start = last
+            start, i = _slot(starts, ends, last, start, cost, math.inf)
+            if i < len(ends):
+                # gap i keeps its parts before and after the task that
+                # are not empty
+                gs, ge, e = starts[i], ends[i], start + cost
+                if start > gs:
+                    ends[i] = start
+                    if e < ge:
+                        starts.insert(i + 1, e)
+                        ends.insert(i + 1, ge)
+                elif e < ge:
+                    starts[i] = e
+                else:
+                    del starts[i], ends[i]
         if start >= last:
             if start > last:
                 idle_starts[core].append(last)

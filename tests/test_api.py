@@ -120,13 +120,16 @@ def _tool(name: str, *args: str) -> str:
 
 
 def test_tools_agree_with_the_golden_and_with_themselves():
-    """`tools/model_table.py` prints the 4x3 numbers of the large golden
-    and the message count of each run, and the total
-    `tools/code_lines.py` prints is its files' sum."""
+    """`tools/model_table.py` prints its committed golden table, whose
+    4x3 numbers are the large golden's, and the message count of each
+    run, and the total `tools/code_lines.py` prints is its files' sum."""
     golden = json.loads(
         (ROOT / "tests" / "golden" / "simulate_large.json").read_text())
+    table = _tool("model_table.py")
+    assert table == \
+        (ROOT / "tests" / "golden" / "model_table.md").read_text()
     head, _, *lines = [line.strip("| ").split(" | ") for line in
-                       _tool("model_table.py").splitlines()]
+                       table.splitlines()]
     rows = {(row["curve"], row["placement"]): row
             for row in (dict(zip(head, line)) for line in lines)}
     for curve in ("prime64", "binary63"):

@@ -195,6 +195,20 @@ def test_cost_overrides_follow_the_cli_curve(capsys, tmp_path):
         load_run_config(cfg_file)
 
 
+def test_huge_config_costs_schedule_exactly(capsys, tmp_path):
+    # costs far past any fixed-width integer reach the schedule intact
+    cfg_file = tmp_path / "huge.ini"
+    cfg_file.write_text("[curve]\npreset = prime32\n\n[run]\nk = b7a3\n\n"
+                        f"[costs]\nmul = {10**30}\ninv = {10**40}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_file),
+                             "--format", "json")
+    assert code == 0 and not err
+    doc = json.loads(out)
+    assert doc["makespan_cycles"] == \
+        10000000049000000000000000000000000000303
+    assert doc["total_flit_hops"] == 739
+
+
 def test_inline_curve_config(tmp_path, p17):
     cfg_file = tmp_path / "inline.ini"
     cfg_file.write_text("""

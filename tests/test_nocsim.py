@@ -17,7 +17,7 @@ from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MAX_FLITS_PER_VALUE,
                            Placement, centrality, compare_placements,
                            corner_first_placement, default_placement,
                            manhattan, role_for_kind, role_usage,
-                           simulate, xy_route)
+                           simulate, xy_route, _slot)
 from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul, \
     critical_path
 from eccnoc.scalarmul import OpTrace, scalar_mul
@@ -467,6 +467,121 @@ result 6 7
     _invariant_check(G, cm, mesh, rep)
 
 
+def test_task_that_fills_a_gap_deletes_it():
+    # visit order 2, 4, 3, 5, 6, 7 by rank, ties by id.  MUL 3 waits for
+    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
+    # in [0,41).  MUL 5 waits for SQR 4 (sqr0, [0,32), one hop) and runs
+    # [33,37), splitting that gap into [0,33) and [37,41).  MUL 6 reads
+    # 5's value on mul0 at 37 and fills [37,41) exactly, so that gap is
+    # gone, and MUL 7 runs [45,49) after MUL 3.  The results reach IO
+    # two hops away at 43 (6) and 51 (7)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 INV convert -1 0 - -
+3 MUL convert -1 2,0 - -
+4 SQR convert -1 0 - -
+5 MUL convert -1 4,0 - -
+6 MUL convert -1 5,5 - -
+7 MUL convert -1 3,3 - -
+result 6 7
+""")
+    mesh = MeshConfig(cols=4, rows=1)
+    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                    "sqr0": (3, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=32, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "inv0", 0, 40), (4, "sqr0", 0, 32), (3, "mul0", 41, 45),
+        (5, "mul0", 33, 37), (6, "mul0", 37, 41), (7, "mul0", 45, 49)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 32, 33),
+                                       (6, -1, 41, 43), (7, -1, 49, 51)]
+    assert rep.makespan_cycles == 51
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_task_that_ends_a_gap_keeps_the_part_before_it():
+    # visit order 2, 4, 3, 5, 6, 7 by rank, ties by id.  MUL 3 waits for
+    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
+    # in [0,41).  MUL 5 waits for SQR 4 (sqr0, [0,36), one hop) and runs
+    # [37,41), up to the gap's end, so only [0,37) stays.  MUL 6 reads
+    # only inputs and runs [0,4) there; MUL 7 waits for MUL 3 and runs
+    # [45,49).  The results reach IO two hops away at 6 (6) and 51 (7)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 INV convert -1 0 - -
+3 MUL convert -1 2,0 - -
+4 SQR convert -1 0 - -
+5 MUL convert -1 4,0 - -
+6 MUL convert -1 0,1 - -
+7 MUL convert -1 3,5 - -
+result 6 7
+""")
+    mesh = MeshConfig(cols=4, rows=1)
+    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                    "sqr0": (3, 0)})
+    cm = CostModel(add=1, sub=1, mul=4, sqr=36, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "inv0", 0, 40), (4, "sqr0", 0, 36), (3, "mul0", 41, 45),
+        (5, "mul0", 37, 41), (6, "mul0", 0, 4), (7, "mul0", 45, 49)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 36, 37),
+                                       (6, -1, 4, 6), (7, -1, 49, 51)]
+    assert rep.makespan_cycles == 51
+    _invariant_check(G, cm, mesh, rep)
+
+
+@st.composite
+def _gaps(draw):
+    """Sorted, disjoint idle gaps below a core's last end, and a task's
+    ready cycle before that end, cost and start limit."""
+    starts, ends, t = [], [], draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 8))):
+        starts.append(t)
+        t += draw(st.integers(1, 12))
+        ends.append(t)
+        t += draw(st.integers(1, 6))
+    last = max(t, 1)
+    ready = draw(st.integers(0, last - 1))
+    limit = draw(st.just(float("inf")) | st.integers(0, last + 12))
+    return starts, ends, last, ready, draw(st.integers(1, 14)), limit
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=_gaps())
+def test_slot_agrees_with_a_linear_scan(case):
+    """`_slot` gives the first gap that holds the task, found by a
+    plain scan of every gap, unless that start is above the limit,
+    when it may stop early with a start above the limit."""
+    starts, ends, last, ready, cost, limit = case
+    want = last, len(ends)
+    for i, (gs, ge) in enumerate(zip(starts, ends)):
+        if max(gs, ready) + cost <= ge:
+            want = max(gs, ready), i
+            break
+    got = _slot(starts, ends, last, ready, cost, limit)
+    if want[0] <= limit:
+        assert got == want
+    else:
+        assert got[0] > limit
+
+
+def test_huge_costs_schedule_as_exact_integers():
+    """Costs far past any fixed-width integer schedule as the small ones
+    do; the makespan is exact."""
+    preset = PRESETS["prime32"]
+    G = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
+    cm = CostModel(mul=10**30, inv=10**40)
+    pl = default_placement(MESH, DEFAULT_ROLE_COUNTS, role_usage(G))
+    rep = simulate(G, cm, MESH, pl)
+    assert rep.makespan_cycles == 10000000049000000000000000000000000000303
+    assert rep.total_flit_hops == 739
+    _invariant_check(G, cm, MESH, rep)
+
+
 def test_equal_estimates_go_to_the_core_nearer_the_consumers():
     # MUL 2 reads only inputs, so both idle MUL cores estimate [0,4)
     # with no new hops; its consumer is ADD 3, and add0 sits one hop
@@ -497,10 +612,10 @@ result 3 3
 def test_missing_role_detected():
     mesh = MeshConfig(cols=3, rows=1)
     pl = Placement({"io0": (0, 0), "mul0": (2, 0)})  # no ADD core
-    with pytest.raises(MissingCoreRole):
+    with pytest.raises(MissingCoreRole, match="has no add core"):
         simulate(_graph_two_muls_one_add(), CostModel(), mesh, pl)
     pl2 = Placement({"add0": (0, 0), "mul0": (2, 0)})  # no IO core
-    with pytest.raises(MissingCoreRole):
+    with pytest.raises(MissingCoreRole, match="has no io core"):
         simulate(_graph_two_muls_one_add(), CostModel(), mesh, pl2)
 
 
