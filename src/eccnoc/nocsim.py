@@ -17,24 +17,25 @@ rank) first, ties by id.  Every core of the task's role, busy or idle,
 gets an estimated start once its operands are ready on its tile, where
 an operand is ready when its copy on that tile arrived, or else at its
 producer's end plus the contention-free latency
-hops * hop_cycles + flits - 1.  Each core keeps every idle gap below
-its last end, sorted: a task appended after idle cycles leaves [previous
-end, its start) free.  Operands ready at or after the core's last end
-give that estimate as it is.  Operands ready before it give the start
-in the first gap that holds the task, max(ready, gap start) with the
-task ending by the gap's end, else the core's last end; this is HEFT's
-insertion-based policy, and `_slot` is its one search.  Candidates are
-tried nearest the task's consumers first: each kind's cores are ordered
-once per run by the sum, over the plan's edges from that kind, of the
-hops to the nearest core that runs the consumer (the IO core for a
-result), then by index.  The task goes to the first with the lowest
-(estimate, hops of new transfers), so a tie goes to the core nearer
-where the value goes next.  Only then are the missing operands booked
-on the links, each launched when its producer ends, and the same search
-is made from the real arrivals.  A task placed in a gap splits it into
-the parts before and after it and keeps those that are not empty.
-Tasks run without preemption.  A value shipped to a tile stays resident
-there, so it never crosses to the same tile twice.
+hops * hop_cycles + flits - 1.  Each core keeps its free time as one
+sorted list of intervals: the idle gaps between its tasks, then an open
+interval from its last end on.  The start is max(ready, interval start)
+in the first interval that holds the task, ending by the interval's end;
+operands ready at or after the core's last end give that estimate as it
+is.  This is HEFT's insertion-based policy, and `_slot` is its one
+search.  Candidates are tried nearest the task's consumers first: each
+kind's cores are ordered once per run by the sum, over the plan's edges
+from that kind, of the hops to the nearest core that runs the consumer
+(the IO core for a result), then by index.  The task goes to the first
+with the lowest (estimate, hops of new transfers), so a tie goes to the
+core nearer where the value goes next.  Only then are the missing
+operands booked on the links, each launched when its producer ends, and
+the same search is made from the real arrivals.  The task splits its
+interval into the parts before and after it and keeps those that are not
+empty, so a task appended after the last end, idle cycles before it or
+not, is one more such split.  Tasks run without preemption.  A value
+shipped to a tile stays resident there, so it never crosses to the same
+tile twice.
 
 The visit order, the task costs, each task's computed operands and the
 edge counts between kinds come from the graph's plan (`TaskGraph.plan`),
@@ -56,10 +57,10 @@ latency, read from the cores' hops times `hop_cycles`, or a transfer.
 The rows hold one reference per (core, task): about 180 KB for a
 64-bit k on the 11 default cores, about 33 MB for a 4100-task graph on
 1024 cores.  The table of hop cycles and the route table hold one
-reference per core pair, about 8 MB each on 1024 cores.  A core's idle
-gaps are two int lists, their starts and their ends; a core holds at
-most one gap per task placed on it, so the gaps of a run hold at most
-two references per task.
+reference per core pair, about 8 MB each on 1024 cores.  A core's free
+intervals are two lists, their starts and their ends: one open interval
+plus at most one gap per task placed on the core, so the intervals of a
+run hold at most two references per core and two per task.
 
 Each directed link's set of booked cycles is the one record of traffic:
 the report reads a link's flit count as the size of its set, and total
@@ -269,9 +270,12 @@ def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
 def _build_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
                      usage: dict[CoreRole, int], sign: int) -> Placement:
     """Busiest roles first onto tiles ordered by sign * centrality."""
-    n_cores = sum(max(role_counts.get(role, 0), 0) for role in CoreRole)
+    for role, n in role_counts.items():
+        if not isinstance(role, CoreRole) or type(n) is not int or n < 0:
+            raise BadValue("role counts map a CoreRole to an int >= 0")
+    n_cores = sum(role_counts.values())
     if n_cores > mesh.n_tiles:  # before any name is built
-        raise TooManyCores(f"{n_cores} cores will not fit on "
+        raise TooManyCores(f"{_show(n_cores)} cores will not fit on "
                            f"{mesh.n_tiles} tiles")
     roles = sorted(CoreRole, key=lambda r: -usage.get(r, 0))
     names = [f"{role.value}{i}" for role in roles
@@ -387,31 +391,25 @@ class SimReport:
             for t in self.order]
 
 
-def _slot(starts: list[int], ends: list[int], last: int, ready: int,
-          cost: int, limit: float) -> tuple[int, int]:
+def _slot(starts: list[int], ends: list[float], ready: int,
+          cost: int) -> tuple[int, int]:
     """The start of a task of `cost` cycles whose operands are ready on
-    a core at `ready`, and the index i of the idle gap [starts[i],
-    ends[i]) it runs in: the first gap that holds the task started at
-    max(ready, gap start), else `last`, the core's last end, with
-    i = len(ends).  The gaps are disjoint, sorted and below `last`.
+    a core at `ready`, and the index i of the free interval [starts[i],
+    ends[i]) it runs in: the first interval that holds the task started
+    at max(ready, interval start).  The intervals are disjoint and
+    sorted, and the last is open (its end is infinite), so one always
+    holds the task.
 
-    Gaps ending before ready + cost cannot hold the task, so the
-    search bisects the ends; the first gap left holds the task at
-    `ready` if it is already open then.  Else each later gap starts
-    after `ready`, and the walk takes the first one long enough.  It
-    stops at a start above `limit`, returning that start with a gap
-    that may not hold the task: a caller looking for a start at or
-    below `limit` need not look further."""
+    Intervals ending before ready + cost cannot hold the task, so the
+    search bisects the ends; the first interval left holds the task at
+    `ready` if it is already open then.  Else each later interval starts
+    after `ready`, and the walk takes the first one long enough."""
     i = bisect_left(ends, ready + cost)
-    if i == len(ends):
-        return last, i
     s = starts[i]
     if s <= ready:
         return ready, i
-    while s + cost > ends[i] and s <= limit:
+    while s + cost > ends[i]:
         i += 1
-        if i == len(ends):
-            return last, i
         s = starts[i]
     return s, i
 
@@ -458,11 +456,10 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         runs_on[kind] = sorted(cores[role], key=lambda c: (sum(
             n * min(map(wire[c].__getitem__, to)) for n, to in targets), c))
 
-    # per core: the cycle its last task ends, and its idle gaps below
-    # it, [idle_starts[i], idle_ends[i]) in cycle order
-    free = [0] * len(names)
-    idle_starts: list[list[int]] = [[] for _ in names]
-    idle_ends: list[list[int]] = [[] for _ in names]
+    # per core: its free intervals [idle_starts[i], idle_ends[i]) in
+    # cycle order; the last is open and starts where its last task ends
+    idle_starts: list[list[int]] = [[0] for _ in names]
+    idle_ends: list[list[float]] = [[math.inf] for _ in names]
     busy = [0] * len(names)
     # core, start and end cycle of each computed value, by task id
     loc = [-1] * len(kinds)
@@ -528,42 +525,37 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                     new_wire += w
                 if arr > ready:
                     ready = arr
-            if ready < free[c]:
-                ready = _slot(idle_starts[c], idle_ends[c], free[c], ready,
-                              cost, best)[0]
+            if ready < idle_starts[c][-1]:
+                ready = _slot(idle_starts[c], idle_ends[c], ready, cost)[0]
             if ready < best or ready == best and new_wire < best_wire:
                 best, best_wire, core = ready, new_wire, c
         # the same rule on the real arrivals
-        start, here, last = 0, avail[core], free[core]
+        start, here = 0, avail[core]
         for o in operands:
             arr = here[o]
             if arr is None:
                 arr = here[o] = ship(o, tid, core)
             if arr > start:
                 start = arr
-        if start < last:
-            starts, ends = idle_starts[core], idle_ends[core]
-            start, i = _slot(starts, ends, last, start, cost, math.inf)
-            if i < len(ends):
-                # gap i keeps its parts before and after the task that
-                # are not empty
-                gs, ge, e = starts[i], ends[i], start + cost
-                if start > gs:
-                    ends[i] = start
-                    if e < ge:
-                        starts.insert(i + 1, e)
-                        ends.insert(i + 1, ge)
-                elif e < ge:
-                    starts[i] = e
-                else:
-                    del starts[i], ends[i]
-        if start >= last:
-            if start > last:
-                idle_starts[core].append(last)
-                idle_ends[core].append(start)
-            free[core] = start + cost
+        # operands ready at or after the last end need no search: the
+        # open interval holds the task.  Interval i keeps its parts
+        # before and after the task that are not empty
+        starts, ends = idle_starts[core], idle_ends[core]
+        i = len(ends) - 1
+        if start < starts[i]:
+            start, i = _slot(starts, ends, start, cost)
+        gs, ge, e = starts[i], ends[i], start + cost
+        if start > gs:
+            ends[i] = start
+            if e < ge:
+                starts.insert(i + 1, e)
+                ends.insert(i + 1, ge)
+        elif e < ge:
+            starts[i] = e
+        else:
+            del starts[i], ends[i]
         begin[tid] = start
-        end[tid] = here[tid] = start + cost
+        end[tid] = here[tid] = e
         busy[core] += cost
         loc[tid] = core
 

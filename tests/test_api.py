@@ -6,13 +6,15 @@ import importlib
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from eccnoc.errors import EccNocError
-from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
-                           default_placement, role_usage, simulate)
+from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, CoreRole, MeshConfig,
+                           Placement, default_placement, role_usage,
+                           simulate)
 from eccnoc.procmodel import CostModel, compile_scalar_mul
 from eccnoc.presets import get_preset
 from eccnoc.scalarmul import scalar_mul
@@ -26,7 +28,15 @@ def test_bad_values_raise_typed_errors(p17):
              lambda: get_preset("nope"),
              lambda: Placement({"foo0": (0, 0)}),
              # an index past the interpreter's int digit limit
-             lambda: Placement({"mul" + "1" * 5000: (0, 0)}))
+             lambda: Placement({"mul" + "1" * 5000: (0, 0)}),
+             # role counts: a key that is not a CoreRole, a count that is
+             # not an exact int >= 0
+             *(partial(default_placement, MeshConfig(), counts, {})
+               for counts in ({CoreRole.MUL_UNIT: 1.5},
+                              {CoreRole.MUL_UNIT: "2"},
+                              {CoreRole.MUL_UNIT: True},
+                              {CoreRole.MUL_UNIT: -1},
+                              {"mul": 2})))
     for call in calls:
         with pytest.raises(EccNocError) as info:
             call()

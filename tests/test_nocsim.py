@@ -4,6 +4,7 @@ import ast
 import bisect
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -187,12 +188,15 @@ def test_mesh_and_cost_fields_must_be_ints(cls, field, value):
 
 
 def test_core_count_is_checked_before_any_core_is_named():
-    # a count this large could never be named; it is refused at once
+    # a count this large could never be named; it is refused at once,
+    # and one past the interpreter's int digit limit is named by width
     usage = {role: 1 for role in CoreRole}
     for build in (default_placement, corner_first_placement):
-        with pytest.raises(TooManyCores, match="1000000000007 cores"):
-            build(MESH, {**DEFAULT_ROLE_COUNTS, CoreRole.MUL_UNIT: 10**12},
-                  usage)
+        for n, shown in ((10**12, "1000000000007"),
+                         (10**5000, "a 16610-bit int")):
+            with pytest.raises(TooManyCores, match=f"^{shown} cores"):
+                build(MESH, {**DEFAULT_ROLE_COUNTS, CoreRole.MUL_UNIT: n},
+                      usage)
 
 
 # ---------------------------------------------------------------------------
@@ -536,37 +540,28 @@ result 6 7
 
 @st.composite
 def _gaps(draw):
-    """Sorted, disjoint idle gaps below a core's last end, and a task's
-    ready cycle before that end, cost and start limit."""
+    """A core's free intervals: sorted, disjoint idle gaps, then an open
+    one from the core's last end; and a task's ready cycle and cost."""
     starts, ends, t = [], [], draw(st.integers(0, 5))
     for _ in range(draw(st.integers(0, 8))):
         starts.append(t)
         t += draw(st.integers(1, 12))
         ends.append(t)
         t += draw(st.integers(1, 6))
-    last = max(t, 1)
-    ready = draw(st.integers(0, last - 1))
-    limit = draw(st.just(float("inf")) | st.integers(0, last + 12))
-    return starts, ends, last, ready, draw(st.integers(1, 14)), limit
+    starts.append(t)
+    ends.append(math.inf)
+    return starts, ends, draw(st.integers(0, t + 3)), draw(st.integers(1, 14))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(case=_gaps())
 def test_slot_agrees_with_a_linear_scan(case):
-    """`_slot` gives the first gap that holds the task, found by a
-    plain scan of every gap, unless that start is above the limit,
-    when it may stop early with a start above the limit."""
-    starts, ends, last, ready, cost, limit = case
-    want = last, len(ends)
-    for i, (gs, ge) in enumerate(zip(starts, ends)):
-        if max(gs, ready) + cost <= ge:
-            want = max(gs, ready), i
-            break
-    got = _slot(starts, ends, last, ready, cost, limit)
-    if want[0] <= limit:
-        assert got == want
-    else:
-        assert got[0] > limit
+    """`_slot` gives the first free interval that holds the task, found
+    by a plain scan of every interval."""
+    starts, ends, ready, cost = case
+    want = next((max(s, ready), i) for i, (s, e) in
+                enumerate(zip(starts, ends)) if max(s, ready) + cost <= e)
+    assert _slot(starts, ends, ready, cost) == want
 
 
 def test_huge_costs_schedule_as_exact_integers():
@@ -711,6 +706,10 @@ def _invariant_check(G, cm, mesh, rep):
     assert walked == rep.per_link_flits
     assert sum(rep.per_core_busy_cycles.values()) == \
         rep.sequential_baseline_cycles
+    # each core is busy for the summed cost of the tasks placed on it
+    assert rep.per_core_busy_cycles == {
+        name: sum(e - s for s, e in per_core.get(name, ()))
+        for name in rep.placement.entries}
     # tasks the result depends on are done by the makespan; dead side
     # branches (degenerate point-op fallbacks) may overrun it
     anc = G.ancestors_of_result()
