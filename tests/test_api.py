@@ -131,8 +131,8 @@ def _tool(name: str, *args: str) -> str:
 
 def test_tools_agree_with_the_golden_and_with_themselves():
     """`tools/model_table.py` prints its committed golden table, whose
-    4x3 numbers are the large golden's, and the message count of each
-    run, and the total `tools/code_lines.py` prints is its files' sum."""
+    4x3 numbers and schedule digests are the large golden's, and the
+    message count of each run, and the total `tools/code_lines.py` prints is its files' sum."""
     golden = json.loads(
         (ROOT / "tests" / "golden" / "simulate_large.json").read_text())
     table = _tool("model_table.py")
@@ -146,8 +146,10 @@ def test_tools_agree_with_the_golden_and_with_themselves():
         for machine, key in (("default", "4x3-default"),
                              ("corner_first", "4x3-corner-first")):
             doc, row = golden[f"{curve}/{key}"], rows[curve, machine]
-            assert [int(row["makespan"]), int(row["flit-hops"])] == \
-                [doc["makespan_cycles"], doc["total_flit_hops"]]
+            assert [int(row["makespan"]), int(row["flit-hops"]),
+                    row["schedule sha256"]] == \
+                [doc["makespan_cycles"], doc["total_flit_hops"],
+                 doc["schedule_messages_sha256"][:12]]
             # 64-bit values travel as two flits, over one link or more
             assert 0 < 2 * int(row["messages"]) <= int(row["flit-hops"])
     preset = get_preset("prime32")

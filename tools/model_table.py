@@ -3,15 +3,19 @@
 For each (preset, k) pair below, one row per machine: the default and
 corner_first placements on the default 4x3 mesh, and the default
 placement on a 6x4 mesh with twice the cores of each role.  Each row
-gives the makespan, flit-hops, message count, speedup and critical
-path, as a Markdown table.  Nothing is timed, so two checkouts give
-comparable tables on any host:
+gives the makespan, flit-hops, message count, speedup, critical path
+and the first 12 hex digits of a sha256 of the schedule rows and the
+messages, hashed as `tests/test_nocsim.py`'s `simulate_large_doc` hashes
+them, as a Markdown table.  Nothing is timed, so two checkouts give
+comparable tables on any host, and equal digests mean equal schedules:
 
     python3 tools/model_table.py
 
 The package is imported from this checkout's `src/`.
 """
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -47,15 +51,19 @@ def rows() -> list[list[str]]:
         usage = role_usage(G)
         for machine, mesh, counts, place in MACHINES:
             rep = simulate(G, cm, mesh, place(mesh, counts, usage))
+            trail = json.dumps([rep.schedule_rows(), [
+                (m.producer, m.consumer, m.src, m.dst, m.launch, m.arrival)
+                for m in rep.messages]])
             out.append([name, f"{k:x}", machine, str(rep.makespan_cycles),
                         str(rep.total_flit_hops), str(len(rep.msg_arrival)),
-                        f"{rep.speedup:.3f}", str(cp)])
+                        f"{rep.speedup:.3f}", str(cp),
+                        hashlib.sha256(trail.encode()).hexdigest()[:12]])
     return out
 
 
 def main() -> int:
     head = ["curve", "k", "placement", "makespan", "flit-hops", "messages",
-            "speedup", "critical path"]
+            "speedup", "critical path", "schedule sha256"]
     print("| " + " | ".join(head) + " |")
     print("|" + "---|" * len(head))
     for row in rows():
