@@ -28,17 +28,19 @@ kind's cores are ordered once per run by the sum, over the plan's edges
 from that kind, of the hops to the nearest core that runs the consumer
 (the IO core for a result), then by index.  The task goes to the first
 with the lowest (estimate, hops of new transfers), so a tie goes to the
-core nearer where the value goes next.  Only then are the missing
-operands booked on the links, each launched when its producer ends, and
-the same search is made from the real arrivals.  The task splits its
+core nearer where the value goes next.  Only then, in the same step of
+the loop, are the flits of the missing operands booked on the links,
+each launched when its producer ends, and the same search is made from
+the real arrivals.  The task splits its
 interval into the parts before and after it and keeps those that are not
 empty, so a task appended after the last end, idle cycles before it or
 not, is one more such split.  Tasks run without preemption.  A value
 shipped to a tile stays resident there, so it never crosses to the same
 tile twice.
 
-The visit order, the task costs, each task's computed operands and the
-edge counts between kinds come from the graph's plan (`TaskGraph.plan`),
+The visit order, the task costs, the two operand ids each task reads
+and the edge counts between kinds come from the graph's plan
+(`TaskGraph.plan`),
 which is built on first use and memoised per cost model on the
 immutable graph; `simulate` keeps only the placement-dependent work.
 
@@ -47,16 +49,24 @@ cycle 0, so only computed values cross the network.  Control traffic
 (assigning tasks to cores) is not charged.  Each computed coordinate of
 the result pair launches towards the IO core when its task ends; the run
 ends when both have arrived, and that arrival cycle is the makespan.
+The delivery is one more step of the task loop, after the last task:
+the result pair's values are booked to IO as a task's operands are, by
+the same code, and the step's start is the makespan.
 
 A run keeps one availability row per core, indexed by task id: the
-cycle at which a value can be used on that core, which is its end on
-the core that computed it, its arrival on a core it was shipped to, and
-None elsewhere.  Both the estimate and the start of a task read an
-operand's entry there; only a missing one costs the contention-free
-latency, read from the cores' hops times `hop_cycles`, or a transfer.
-The rows hold one reference per (core, task): about 180 KB for a
-64-bit k on the 11 default cores, about 33 MB for a 4100-task graph on
-1024 cores.  The table of hop cycles and the route table hold one
+cycle at which a value can be used on that core.  A row starts at 0 for
+every input (XFER) id, since inputs are preloaded, and None elsewhere; a
+computed value's entry becomes its end on the core that computed it and
+its arrival on each core it is shipped to.  The estimate of a task on a
+candidate reads exactly two entries, the plan's pair for the task: its
+two computed operands, its one computed operand twice, or else its
+inputs.  A missing entry costs the contention-free latency, read from
+the cores' hops times `hop_cycles`, and the start reads the same two
+entries once the transfers are booked.  Reading one operand twice
+doubles its wire cycles on every candidate alike, so no choice or tie
+changes.  The rows hold one reference per (core, task): about 180 KB
+for a 64-bit k on the 11 default cores, about 33 MB for a 4100-task
+graph on 1024 cores.  The table of hop cycles and the route table hold one
 reference per core pair, about 8 MB each on 1024 cores.  A core's free
 intervals are two lists, their starts and their ends: one open interval
 plus at most one gap per task placed on the core, so the intervals of a
@@ -270,9 +280,10 @@ def role_usage(G: TaskGraph) -> dict[CoreRole, int]:
 def _build_placement(mesh: MeshConfig, role_counts: dict[CoreRole, int],
                      usage: dict[CoreRole, int], sign: int) -> Placement:
     """Busiest roles first onto tiles ordered by sign * centrality."""
-    for role, n in role_counts.items():
-        if not isinstance(role, CoreRole) or type(n) is not int or n < 0:
-            raise BadValue("role counts map a CoreRole to an int >= 0")
+    for what, table in (("role counts", role_counts), ("usage", usage)):
+        for role, n in table.items():
+            if not isinstance(role, CoreRole) or type(n) is not int or n < 0:
+                raise BadValue(f"{what} must map a CoreRole to an int >= 0")
     n_cores = sum(role_counts.values())
     if n_cores > mesh.n_tiles:  # before any name is built
         raise TooManyCores(f"{_show(n_cores)} cores will not fit on "
@@ -440,9 +451,10 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     # hop >= 1, sums of these order cores as sums of hops do
     wire = [[manhattan(a, b) * hop for b in tiles] for a in tiles]
     tail = flits - 1
+    flit_range = range(flits)
 
     plan = G.plan(cm)
-    costs, needs = plan.costs, plan.needs
+    costs, pairs = plan.costs, plan.pairs
 
     # each arithmetic kind's candidate cores, nearest its consumers
     # first: by the sum, over the plan's edges from the kind, of the hops
@@ -465,9 +477,12 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     loc = [-1] * len(kinds)
     begin = [0] * len(kinds)
     end = [0] * len(kinds)
-    # per core, by task id: the cycle the value can be used there (its
-    # end on its own core, its arrival where it was shipped), else None
-    avail = [[None] * len(kinds) for _ in names]
+    # per core, by task id: the cycle the value can be used there: 0 for
+    # an input, preloaded everywhere (its cost, 0, is the one key of the
+    # map), its end on its own core, its arrival where it was shipped,
+    # else None
+    row = list(map({0: 0}.get, costs))
+    avail = [row.copy() for _ in names]
 
     # the occupied cycles of each directed link: the only traffic record
     booked: dict[tuple[Tile, Tile], set[int]] = {}
@@ -480,66 +495,80 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
     dsts: list[int] = []
     arrivals: list[int] = []
 
-    def ship(producer: int, consumer: int, dst: int) -> int:
-        """Book one value's flits from its producer's core to core dst,
-        launched when the producer ends; returns the arrival cycle."""
-        src, launch = loc[producer], end[producer]
-        route = routes[src][dst]
-        if route is None:
-            route = routes[src][dst] = [
-                booked.setdefault(link, set())
-                for link in xy_route(mesh, tiles[src], tiles[dst])]
-        # first fit keeps the flits in order on every link: each reaches
-        # a link later than the flit before it, and every cycle from
-        # that flit's reaching it to its booked cycle is taken
-        arrival = launch
-        for _ in range(flits):
-            t = launch
-            for taken in route:
-                while t in taken:
-                    t += 1
-                taken.add(t)
-                t += hop
-            arrival = t
-        producers.append(producer)
-        consumers.append(consumer)
-        dsts.append(dst)
-        arrivals.append(arrival)
-        return arrival
-
-    for tid in plan.order:
-        candidates = runs_on[kinds[tid]]
-        operands, cost = needs[tid], costs[tid]
-        # `ready` is the estimate less the task's cost, which every
-        # candidate shares; only a strictly lower (estimate, wire cycles
-        # of new transfers) displaces the best, so ties go to the
-        # candidate tried first
-        best, best_wire = math.inf, 0
-        for c in candidates:
-            ready, new_wire, here = 0, 0, avail[c]
-            for o in operands:
-                arr = here[o]
-                if arr is None:
-                    w = wire[loc[o]][c]
-                    arr = end[o] + w + tail
+    # after the last task, the result pair's delivery to IO is one more
+    # step (task id -1), whose values are booked as a task's operands are
+    for tid in (*plan.order, -1):
+        if tid < 0:
+            core = io
+            a, b = pair = sorted(G.result)
+        else:
+            a, b = pair = pairs[tid]
+            cost = costs[tid]
+            # the contention-free arrival of a missing operand; an input
+            # is never missing, so its row of `wire` (core -1's) is unread
+            wire_a, end_a = wire[loc[a]], end[a] + tail
+            wire_b, end_b = wire[loc[b]], end[b] + tail
+            # `ready` is the estimate less the task's cost, which every
+            # candidate shares; only a strictly lower (estimate, wire
+            # cycles of new transfers) displaces the best, so ties go to
+            # the candidate tried first, and a start of at least `ready`
+            # above the best cannot win.  A unary task reads its operand
+            # twice, doubling every candidate's wire, so no tie changes
+            best, best_wire = math.inf, 0
+            for c in runs_on[kinds[tid]]:
+                here = avail[c]
+                ready, ready_b, new_wire = here[a], here[b], 0
+                if ready is None:
+                    new_wire = wire_a[c]
+                    ready = end_a + new_wire
+                if ready_b is None:
+                    w = wire_b[c]
                     new_wire += w
-                if arr > ready:
-                    ready = arr
-            if ready < idle_starts[c][-1]:
-                ready = _slot(idle_starts[c], idle_ends[c], ready, cost)[0]
-            if ready < best or ready == best and new_wire < best_wire:
-                best, best_wire, core = ready, new_wire, c
-        # the same rule on the real arrivals
-        start, here = 0, avail[core]
-        for o in operands:
-            arr = here[o]
-            if arr is None:
-                arr = here[o] = ship(o, tid, core)
-            if arr > start:
-                start = arr
-        # operands ready at or after the last end need no search: the
-        # open interval holds the task.  Interval i keeps its parts
-        # before and after the task that are not empty
+                    ready_b = end_b + w
+                if ready_b > ready:
+                    ready = ready_b
+                if ready > best:
+                    continue
+                if ready < idle_starts[c][-1]:
+                    ready = _slot(idle_starts[c], idle_ends[c], ready,
+                                  cost)[0]
+                if ready < best or ready == best and new_wire < best_wire:
+                    best, best_wire, core = ready, new_wire, c
+        # book each missing value's flits from its producer's core,
+        # launched when the producer ends.  First fit keeps the flits in
+        # order on every link: each reaches a link later than the flit
+        # before it, and every cycle from that flit's reaching it to its
+        # booked cycle is taken
+        here = avail[core]
+        for o in pair:
+            if here[o] is None:
+                src, launch = loc[o], end[o]
+                route = routes[src][core]
+                if route is None:
+                    route = routes[src][core] = [
+                        booked.setdefault(link, set())
+                        for link in xy_route(mesh, tiles[src], tiles[core])]
+                for _ in flit_range:
+                    t = launch
+                    for taken in route:
+                        while t in taken:
+                            t += 1
+                        taken.add(t)
+                        t += hop
+                here[o] = t
+                producers.append(o)
+                consumers.append(tid)
+                dsts.append(core)
+                arrivals.append(t)
+        start, start_b = here[a], here[b]
+        if start_b > start:
+            start = start_b
+        if tid < 0:
+            break
+        # the same rule on the real arrivals: operands ready at or after
+        # the last end need no search, as the open interval holds the
+        # task.  Interval i keeps its parts before and after the task
+        # that are not empty
         starts, ends = idle_starts[core], idle_ends[core]
         i = len(ends) - 1
         if start < starts[i]:
@@ -559,9 +588,7 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         busy[core] += cost
         loc[tid] = core
 
-    makespan = 0  # inputs are preloaded everywhere, IO included
-    for r in sorted({r for r in G.result if loc[r] >= 0}):
-        makespan = max(makespan, ship(r, -1, io))
+    makespan = start  # the delivery step's: 0 if both results are inputs
     per_link_flits = {f"{c1},{r1}->{c2},{r2}": len(taken)
                       for ((c1, r1), (c2, r2)), taken in booked.items()}
     baseline = sum(costs)

@@ -27,7 +27,9 @@ and only the result coordinates are wrapped as `FieldElement`s.
 `TaskGraph.plan(cm)` is what scheduling needs of the graph under one
 cost model, none of it placement-dependent: each task's cost, each
 task's distinct computed operands in id order (XFER inputs dropped), the
-arithmetic tasks in decreasing upward rank, ties by id, and the count of
+pair of task ids a schedule estimate reads for it (its two computed
+operands, its one computed operand twice, or else its input operands),
+the arithmetic tasks in decreasing upward rank, ties by id, and the count of
 dependency edges from each op kind to each consumer kind, result
 delivery included.  It is built on first use and memoised per cost
 model on the immutable graph, so `critical_path` and every
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import compress, count
 from typing import Optional
 
 from .curves import AffinePoint, CurveParams
@@ -331,6 +333,10 @@ class Plan:
 
     costs: tuple[int, ...]              # cycles per task, by id; XFER 0
     needs: tuple[tuple[int, ...], ...]  # distinct computed operands, id order
+    # the two ids a schedule estimate reads per task: its two needs, its
+    # one need twice, else its operands, all inputs (a unary task's
+    # twice); none for an XFER, which is never scheduled
+    pairs: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]              # arithmetic tasks, highest upward
                                         # rank first, ties by id
     # (producer kind, consumer kind, edge count) for every pair with an
@@ -345,35 +351,44 @@ class Plan:
         # every arithmetic cost is at least 1 and an XFER's is 0, so a
         # cost says whether its task is computed; inputs are preloaded,
         # so only computed operands are needed.  An operand tuple that
-        # already lists distinct computed ids in order is kept as it is
-        needs = []
-        for ops in G.operands:
-            if len(ops) == 2:
-                a, b = ops
-                if not costs[a]:
-                    ops = (b,) if costs[b] else ()
-                elif not costs[b] or a == b:
-                    ops = (a,)
-                elif a > b:
-                    ops = (b, a)
-            elif ops and not costs[ops[0]]:
-                ops = ()
-            needs.append(ops)
-        arith = [tid for tid, cost in enumerate(costs) if cost]
-        # upward rank: longest remaining cost-weighted path to any sink;
+        # already lists distinct computed ids in order is kept as it is.
+        # Upward rank: longest remaining cost-weighted path to any sink;
         # every cost is >= 1, so decreasing rank is a topological order.
         # Tasks are visited last id first, so a task's entry holds its
         # successors' highest rank until its own cost is added.  The same
-        # walk over the edges counts them by (producer, consumer) kind
-        # code, in a row of one column per consumer kind, then delivery
+        # walk finds each task's needs and pair, and counts the edges by
+        # (producer, consumer) kind code, in a row of one column per
+        # consumer kind, then delivery
+        n = len(costs)
+        arith = list(compress(range(n), costs))
+        needs: list[tuple[int, ...]] = [()] * n
+        pairs: list[tuple[int, ...]] = [()] * n
         code = list(map(_KIND_CODE.__getitem__, G.kinds))
         width = len(_FLOW_ENDS)
         edges = [0] * (len(_KIND_CODE) * width)
-        rank = [0] * len(costs)
+        rank = [0] * n
+        operands = G.operands
         for tid in reversed(arith):
+            ops = pair = operands[tid]
+            if len(ops) == 2:
+                a, b = ops
+                if not costs[a]:
+                    if costs[b]:
+                        ops, pair = (b,), (b, b)
+                    else:
+                        ops = ()
+                elif not costs[b] or a == b:
+                    ops, pair = (a,), (a, a)
+                elif a > b:
+                    ops = pair = (b, a)
+            else:
+                pair = ops * 2
+                if not costs[ops[0]]:
+                    ops = ()
+            needs[tid], pairs[tid] = ops, pair
             r = rank[tid] = rank[tid] + costs[tid]
             to = code[tid]
-            for o in needs[tid]:
+            for o in ops:
                 edges[code[o] * width + to] += 1
                 if r > rank[o]:
                     rank[o] = r
@@ -383,7 +398,7 @@ class Plan:
         flows = tuple((_FLOW_ENDS[i // width], _FLOW_ENDS[i % width], n)
                       for i, n in enumerate(edges) if n)
         # the stable sort keeps equal ranks in id order
-        return cls(costs, tuple(needs),
+        return cls(costs, tuple(needs), tuple(pairs),
                    tuple(sorted(arith, key=rank.__getitem__, reverse=True)),
                    flows)
 

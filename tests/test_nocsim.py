@@ -199,6 +199,21 @@ def test_core_count_is_checked_before_any_core_is_named():
                       usage)
 
 
+@pytest.mark.parametrize("bad", [
+    # unchecked, the first ends in a bare TypeError from the sort key and
+    # the others are taken, which can move roles onto other tiles
+    {CoreRole.MUL_UNIT: "x"},
+    {"mul": 100},
+    {CoreRole.MUL_UNIT: 2.5},
+    {CoreRole.MUL_UNIT: True},
+    {CoreRole.MUL_UNIT: -3},
+], ids=["str count", "str key", "float", "bool", "negative"])
+def test_placement_usage_is_checked(bad):
+    for build in (default_placement, corner_first_placement):
+        with pytest.raises(BadValue, match="^usage must map a CoreRole"):
+            build(MESH, DEFAULT_ROLE_COUNTS, {**_USAGE, **bad})
+
+
 # ---------------------------------------------------------------------------
 # hand-checkable schedules
 
@@ -601,6 +616,125 @@ result 3 3
             for m in rep.messages] == [(2, 3, 4, 5), (3, -1, 6, 7)]
     assert rep.makespan_cycles == 7
     assert rep.total_flit_hops == 2
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_input_only_tasks_take_the_idle_cores():
+    # MULs 2 and 3 read only inputs.  Both feed ADD 4 on add0, one hop
+    # from mul1 and two from mul0, so mul1 is tried first: MUL 2 ties at
+    # [0,3) on both idle cores and takes mul1.  MUL 3 would wait on mul1
+    # until 3 and takes the idle mul0 at 0.  The values reach add0 at 4
+    # and 5 (MUL 3's crosses (2,0)->(1,0) after MUL 2's); ADD 4 runs
+    # [5,6) and the result reaches IO at 7
+    mesh = MeshConfig(cols=4, rows=1)
+    pl = Placement({"io0": (0, 0), "mul0": (3, 0), "mul1": (2, 0),
+                    "add0": (1, 0)})
+    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
+    G = _graph_two_muls_one_add()
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "mul1", 0, 3), (3, "mul0", 0, 3), (4, "add0", 5, 6)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 4, 3, 4), (3, 4, 3, 5),
+                                       (4, -1, 6, 7)]
+    assert rep.makespan_cycles == 7
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_unary_task_with_a_remote_operand_ties_on_its_one_wire():
+    # MULs 2 and 3 run [0,2) and [2,4) on mul0.  sqr0 sits one hop from
+    # IO and is tried first; sqr1 sits one hop from mul0.  SQR 4 reads 2:
+    # it would arrive on sqr0 at 5 and on sqr1 at 3, so sqr1 runs it
+    # [3,7).  SQR 5 reads 3: on sqr0 it arrives at 7 over three hops; on
+    # sqr1 at 5 over one, where the core is free from 7.  Both estimates
+    # are 7, and sqr1, with fewer hops for the new transfer, wins the tie
+    # though it is tried second: [7,11).  The results reach IO three hops
+    # away at 10 (4) and 14 (5)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+3 MUL convert -1 1,1 - -
+4 SQR convert -1 2 - -
+5 SQR convert -1 3 - -
+result 4 5
+""")
+    mesh = MeshConfig(cols=5, rows=1)
+    pl = Placement({"io0": (0, 0), "sqr0": (1, 0), "sqr1": (3, 0),
+                    "mul0": (4, 0)})
+    cm = CostModel(add=1, sub=1, mul=2, sqr=4, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "mul0", 0, 2), (3, "mul0", 2, 4), (4, "sqr1", 3, 7),
+        (5, "sqr1", 7, 11)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 4, 2, 3), (3, 5, 4, 5),
+                                       (4, -1, 7, 10), (5, -1, 11, 14)]
+    assert rep.makespan_cycles == 14
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_operand_already_shipped_costs_no_new_transfer():
+    # MUL 2 runs [0,2) on mul0.  SQR 3 reads it and runs [3,5) on sqr1,
+    # one hop from mul0, where the value arrives at 3; on sqr0, tried
+    # first, it would arrive at 5.  SQR 4 reads 2 too: sqr0 estimates 5
+    # with a new three-hop transfer, sqr1 5 on its resident copy with
+    # none, so sqr1 runs it [5,7) and 2 is shipped once.  The results
+    # reach IO three hops away at 8 (3) and 10 (4)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+3 SQR convert -1 2 - -
+4 SQR convert -1 2 - -
+result 3 4
+""")
+    mesh = MeshConfig(cols=5, rows=1)
+    pl = Placement({"io0": (0, 0), "sqr0": (1, 0), "sqr1": (3, 0),
+                    "mul0": (4, 0)})
+    cm = CostModel(add=1, sub=1, mul=2, sqr=2, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "mul0", 0, 2), (3, "sqr1", 3, 5), (4, "sqr1", 5, 7)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 3, 2, 3), (3, -1, 5, 8),
+                                       (4, -1, 7, 10)]
+    assert rep.makespan_cycles == 10
+    _invariant_check(G, cm, mesh, rep)
+
+
+def test_task_estimated_into_a_gap_is_appended_on_its_real_arrivals():
+    # visit order 2, 5, 4, 3, 6 by rank, ties by id.  MUL 3 waits for
+    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
+    # in [0,41).  MUL 6 reads ADD 4 (add0, [0,35), two hops) and SQR 5
+    # (sqr0, [0,36), one hop): without contention both arrive at 37, and
+    # [37,41) fits the gap.  But 4's value takes link (3,0)->(2,0) at 36,
+    # so 5's crosses it at 37 and arrives at 38, too late for the gap:
+    # MUL 6 runs [45,49) after MUL 3.  The results reach IO two hops away
+    # at 47 (3) and 51 (6)
+    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 INV convert -1 0 - -
+3 MUL convert -1 2,0 - -
+4 ADD convert -1 0,1 - -
+5 SQR convert -1 1 - -
+6 MUL convert -1 4,5 - -
+result 3 6
+""")
+    mesh = MeshConfig(cols=5, rows=1)
+    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                    "sqr0": (3, 0), "add0": (4, 0)})
+    cm = CostModel(add=35, sub=1, mul=4, sqr=36, inv=40)
+    rep = simulate(G, cm, mesh, pl)
+    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
+        (2, "inv0", 0, 40), (5, "sqr0", 0, 36), (4, "add0", 0, 35),
+        (3, "mul0", 41, 45), (6, "mul0", 45, 49)]
+    assert [(m.producer, m.consumer, m.launch, m.arrival)
+            for m in rep.messages] == [(2, 3, 40, 41), (4, 6, 35, 37),
+                                       (5, 6, 36, 38), (3, -1, 45, 47),
+                                       (6, -1, 49, 51)]
+    assert rep.makespan_cycles == 51
     _invariant_check(G, cm, mesh, rep)
 
 

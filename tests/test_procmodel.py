@@ -421,10 +421,15 @@ def _critical_path_oracle(G, cm):
 
 
 def _plan_oracle(G, cm):
-    """Costs, needs and visit order derived with sets and a sort per task."""
+    """Costs, needs, pairs and visit order derived with sets and a sort
+    per task."""
     costs = tuple(cm.cost(kind) for kind in G.kinds)
     inputs = {tid for tid, kind in enumerate(G.kinds) if kind is OpKind.XFER}
     needs = tuple(tuple(sorted(set(ops) - inputs)) for ops in G.operands)
+    # two needs, one need twice, else the operands (an input twice for a
+    # unary task); none for an input
+    pairs = tuple(() if tid in inputs else ((need or ops) * 2)[:2]
+                  for tid, (ops, need) in enumerate(zip(G.operands, needs)))
     rank = {}
     for tid in reversed(range(len(G.kinds))):
         if tid not in inputs:
@@ -432,7 +437,7 @@ def _plan_oracle(G, cm):
                      if tid in needs[u]]
             rank[tid] = costs[tid] + max(users, default=0)
     order = tuple(sorted(rank, key=lambda tid: (-rank[tid], tid)))
-    return costs, needs, order
+    return costs, needs, pairs, order
 
 
 # XFER-only operands (2), a repeated operand (4), descending operands (5),
@@ -456,9 +461,12 @@ def test_plan_of_a_hand_graph():
     plan = G.plan(cm)
     assert plan.costs == (0, 0, 3, 5, 3, 1, 40, 2)
     assert plan.needs == ((), (), (), (2,), (3,), (2, 4), (5,), (5,))
+    assert plan.pairs == ((), (), (0, 1), (2, 2), (3, 3), (2, 4), (5, 5),
+                          (5, 5))
     # upward ranks 52, 49, 44, 41, 40, 2
     assert plan.order == (2, 3, 4, 5, 6, 7)
-    assert (plan.costs, plan.needs, plan.order) == _plan_oracle(G, cm)
+    assert (plan.costs, plan.needs, plan.pairs, plan.order) == \
+        _plan_oracle(G, cm)
     # 3 + 5 + 3 + 1 + 2 through the SUB; the INV feeds nothing
     assert critical_path(G, cm) == _critical_path_oracle(G, cm) == 14
 
@@ -514,8 +522,8 @@ def test_critical_path_and_plan_match_oracles_on_every_preset():
             for cm in cms:
                 assert critical_path(G, cm) == _critical_path_oracle(G, cm)
                 plan = G.plan(cm)
-                assert (plan.costs, plan.needs, plan.order) == \
-                    _plan_oracle(G, cm), (preset.name, k)
+                assert (plan.costs, plan.needs, plan.pairs,
+                        plan.order) == _plan_oracle(G, cm), (preset.name, k)
 
 
 def test_plan_is_memoised_per_cost_model():
