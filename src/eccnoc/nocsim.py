@@ -58,13 +58,13 @@ cycle at which a value can be used on that core.  A row starts at 0 for
 every input (XFER) id, since inputs are preloaded, and None elsewhere; a
 computed value's entry becomes its end on the core that computed it and
 its arrival on each core it is shipped to.  The estimate of a task on a
-candidate reads exactly two entries, the plan's pair for the task: its
-two computed operands, its one computed operand twice, or else its
-inputs.  A missing entry costs the contention-free latency, read from
-the cores' hops times `hop_cycles`, and the start reads the same two
-entries once the transfers are booked.  Reading one operand twice
-doubles its wire cycles on every candidate alike, so no choice or tie
-changes.  The rows hold one reference per (core, task): about 180 KB
+candidate reads exactly two entries, the plan's pair for the task: a
+binary task's operands (in id order when both are computed) or a unary
+task's operand twice.  A missing entry costs the contention-free
+latency, read from the cores' hops times `hop_cycles`, and the start
+reads the same two entries once the transfers are booked.  Reading one
+operand twice doubles its wire cycles on every candidate alike, so no
+choice or tie changes.  The rows hold one reference per (core, task): about 180 KB
 for a 64-bit k on the 11 default cores, about 33 MB for a 4100-task
 graph on 1024 cores.  The table of hop cycles and the route table hold one
 reference per core pair, about 8 MB each on 1024 cores.  A core's free
@@ -512,8 +512,8 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
             # candidate shares; only a strictly lower (estimate, wire
             # cycles of new transfers) displaces the best, so ties go to
             # the candidate tried first, and a start of at least `ready`
-            # above the best cannot win.  A unary task reads its operand
-            # twice, doubling every candidate's wire, so no tie changes
+            # above the best cannot win.  A task that reads one operand
+            # twice doubles every candidate's wire, so no tie changes
             best, best_wire = math.inf, 0
             for c in runs_on[kinds[tid]]:
                 here = avail[c]

@@ -27,8 +27,9 @@ and only the result coordinates are wrapped as `FieldElement`s.
 `TaskGraph.plan(cm)` is what scheduling needs of the graph under one
 cost model, none of it placement-dependent: each task's cost, each
 task's distinct computed operands in id order (XFER inputs dropped), the
-pair of task ids a schedule estimate reads for it (its two computed
-operands, its one computed operand twice, or else its input operands),
+pair of task ids a schedule estimate reads for it (a binary task's
+operands, in id order when both are computed, or a unary task's operand
+twice),
 the arithmetic tasks in decreasing upward rank, ties by id, and the count of
 dependency edges from each op kind to each consumer kind, result
 delivery included.  It is built on first use and memoised per cost
@@ -333,9 +334,9 @@ class Plan:
 
     costs: tuple[int, ...]              # cycles per task, by id; XFER 0
     needs: tuple[tuple[int, ...], ...]  # distinct computed operands, id order
-    # the two ids a schedule estimate reads per task: its two needs, its
-    # one need twice, else its operands, all inputs (a unary task's
-    # twice); none for an XFER, which is never scheduled
+    # the two ids a schedule estimate reads per task: a binary task's
+    # operands, in id order when both are computed, or a unary task's
+    # operand twice; none for an XFER, which is never scheduled
     pairs: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]              # arithmetic tasks, highest upward
                                         # rank first, ties by id
@@ -373,12 +374,9 @@ class Plan:
             if len(ops) == 2:
                 a, b = ops
                 if not costs[a]:
-                    if costs[b]:
-                        ops, pair = (b,), (b, b)
-                    else:
-                        ops = ()
+                    ops = (b,) if costs[b] else ()
                 elif not costs[b] or a == b:
-                    ops, pair = (a,), (a, a)
+                    ops = (a,)
                 elif a > b:
                     ops = pair = (b, a)
             else:

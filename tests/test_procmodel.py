@@ -426,9 +426,10 @@ def _plan_oracle(G, cm):
     costs = tuple(cm.cost(kind) for kind in G.kinds)
     inputs = {tid for tid, kind in enumerate(G.kinds) if kind is OpKind.XFER}
     needs = tuple(tuple(sorted(set(ops) - inputs)) for ops in G.operands)
-    # two needs, one need twice, else the operands (an input twice for a
-    # unary task); none for an input
-    pairs = tuple(() if tid in inputs else ((need or ops) * 2)[:2]
+    # both needs, else a binary task's operands or a unary task's operand
+    # twice; none for an input
+    pairs = tuple(() if tid in inputs else need if len(need) == 2 else
+                  ops if len(ops) == 2 else ops * 2
                   for tid, (ops, need) in enumerate(zip(G.operands, needs)))
     rank = {}
     for tid in reversed(range(len(G.kinds))):
@@ -462,7 +463,7 @@ def test_plan_of_a_hand_graph():
     assert plan.costs == (0, 0, 3, 5, 3, 1, 40, 2)
     assert plan.needs == ((), (), (), (2,), (3,), (2, 4), (5,), (5,))
     assert plan.pairs == ((), (), (0, 1), (2, 2), (3, 3), (2, 4), (5, 5),
-                          (5, 5))
+                          (1, 5))
     # upward ranks 52, 49, 44, 41, 40, 2
     assert plan.order == (2, 3, 4, 5, 6, 7)
     assert (plan.costs, plan.needs, plan.pairs, plan.order) == \
