@@ -31,18 +31,17 @@ with the lowest (estimate, hops of new transfers), so a tie goes to the
 core nearer where the value goes next.  Only then, in the same step of
 the loop, are the flits of the missing operands booked on the links,
 each launched when its producer ends, and the same search is made from
-the real arrivals.  The task splits its
-interval into the parts before and after it and keeps those that are not
-empty, so a task appended after the last end, idle cycles before it or
-not, is one more such split.  Tasks run without preemption.  A value
-shipped to a tile stays resident there, so it never crosses to the same
-tile twice.
+the real arrivals.  The task splits its interval into the parts before
+and after it and keeps those that are not empty, so a task appended
+after the last end, idle cycles before it or not, is one more such
+split.  Tasks run without preemption.  A value shipped to a tile stays
+resident there, so it never crosses to the same tile twice.
 
-The visit order, the task costs, the two operand ids each task reads
-and the edge counts between kinds come from the graph's plan
-(`TaskGraph.plan`),
-which is built on first use and memoised per cost model on the
-immutable graph; `simulate` keeps only the placement-dependent work.
+The visit order, the task costs, the two operand ids each task reads and
+the edge counts between kinds come from the graph's plan
+(`TaskGraph.plan`), which is built on first use and memoised per cost
+model on the immutable graph; `simulate` keeps only the
+placement-dependent work.
 
 Input (XFER) values are preloaded into every core's local store before
 cycle 0, so only computed values cross the network.  Control traffic
@@ -53,9 +52,9 @@ The delivery is one more step of the task loop, after the last task:
 the result pair's values are booked to IO as a task's operands are, by
 the same code, and the step's start is the makespan.
 
-A run keeps one availability row per core, indexed by task id: the
-cycle at which a value can be used on that core.  A row starts at 0 for
-every input (XFER) id, since inputs are preloaded, and None elsewhere; a
+A run keeps one availability row per core, indexed by task id: the cycle
+at which a value can be used on that core.  A row starts at 0 for every
+input (XFER) id, since inputs are preloaded, and None elsewhere; a
 computed value's entry becomes its end on the core that computed it and
 its arrival on each core it is shipped to.  The estimate of a task on a
 candidate reads exactly two entries, the plan's pair for the task: a
@@ -64,13 +63,14 @@ task's operand twice.  A missing entry costs the contention-free
 latency, read from the cores' hops times `hop_cycles`, and the start
 reads the same two entries once the transfers are booked.  Reading one
 operand twice doubles its wire cycles on every candidate alike, so no
-choice or tie changes.  The rows hold one reference per (core, task): about 180 KB
-for a 64-bit k on the 11 default cores, about 33 MB for a 4100-task
-graph on 1024 cores.  The table of hop cycles and the route table hold one
-reference per core pair, about 8 MB each on 1024 cores.  A core's free
-intervals are two lists, their starts and their ends: one open interval
-plus at most one gap per task placed on the core, so the intervals of a
-run hold at most two references per core and two per task.
+choice or tie changes.  The rows hold one reference per (core, task):
+about 180 KB for a 64-bit k on the 11 default cores, about 33 MB for a
+4100-task graph on 1024 cores.  The table of hop cycles and the route
+table hold one reference per core pair, about 8 MB each on 1024 cores.
+A core's free intervals are two lists, their starts and their ends: one
+open interval plus at most one gap per task placed on the core, so the
+intervals of a run hold at most two references per core and two per
+task.
 
 Each directed link's set of booked cycles is the one record of traffic:
 the report reads a link's flit count as the size of its set, and total

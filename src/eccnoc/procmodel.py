@@ -25,15 +25,14 @@ field's raw op (`FieldSpec._add` ... `_inv`, the ones the tape runs),
 and only the result coordinates are wrapped as `FieldElement`s.
 
 `TaskGraph.plan(cm)` is what scheduling needs of the graph under one
-cost model, none of it placement-dependent: each task's cost, each
-task's distinct computed operands in id order (XFER inputs dropped), the
-pair of task ids a schedule estimate reads for it (a binary task's
-operands, in id order when both are computed, or a unary task's operand
-twice),
-the arithmetic tasks in decreasing upward rank, ties by id, and the count of
-dependency edges from each op kind to each consumer kind, result
-delivery included.  It is built on first use and memoised per cost
-model on the immutable graph, so `critical_path` and every
+cost model, none of it placement-dependent: each task's cost, the pair
+of operand ids a schedule estimate and the critical path read for it (a
+binary task's operands, in id order when both are computed, or a unary
+task's operand twice; an input reads as ready at 0), the arithmetic
+tasks in decreasing upward rank, ties by id, and the count of dependency
+edges between computed tasks from each op kind to each consumer kind,
+result delivery included.  It is built on first use and memoised per
+cost model on the immutable graph, so `critical_path` and every
 `nocsim.simulate` call on one graph and cost model share it.
 """
 
@@ -333,7 +332,6 @@ class Plan:
     placement-dependent; `TaskGraph.plan` builds and memoises it."""
 
     costs: tuple[int, ...]              # cycles per task, by id; XFER 0
-    needs: tuple[tuple[int, ...], ...]  # distinct computed operands, id order
     # the two ids a schedule estimate reads per task: a binary task's
     # operands, in id order when both are computed, or a unary task's
     # operand twice; none for an XFER, which is never scheduled
@@ -350,19 +348,17 @@ class Plan:
         table = {kind: cm.cost(kind) for kind in OpKind}
         costs = tuple(map(table.__getitem__, G.kinds))
         # every arithmetic cost is at least 1 and an XFER's is 0, so a
-        # cost says whether its task is computed; inputs are preloaded,
-        # so only computed operands are needed.  An operand tuple that
-        # already lists distinct computed ids in order is kept as it is.
-        # Upward rank: longest remaining cost-weighted path to any sink;
-        # every cost is >= 1, so decreasing rank is a topological order.
-        # Tasks are visited last id first, so a task's entry holds its
-        # successors' highest rank until its own cost is added.  The same
-        # walk finds each task's needs and pair, and counts the edges by
-        # (producer, consumer) kind code, in a row of one column per
-        # consumer kind, then delivery
+        # cost says whether its task is computed.  Upward rank: longest
+        # remaining cost-weighted path to any sink; every cost is >= 1, so
+        # decreasing rank is a topological order.  Tasks are visited last
+        # id first, so a task's entry holds its successors' highest rank
+        # until its own cost is added.  The same walk finds each task's
+        # pair and its distinct computed operands (`ops`, in id order;
+        # inputs are preloaded, so they carry no edge), and counts those
+        # edges by (producer, consumer) kind code, in a row of one column
+        # per consumer kind, then delivery
         n = len(costs)
         arith = list(compress(range(n), costs))
-        needs: list[tuple[int, ...]] = [()] * n
         pairs: list[tuple[int, ...]] = [()] * n
         code = list(map(_KIND_CODE.__getitem__, G.kinds))
         width = len(_FLOW_ENDS)
@@ -383,7 +379,7 @@ class Plan:
                 pair = ops * 2
                 if not costs[ops[0]]:
                     ops = ()
-            needs[tid], pairs[tid] = ops, pair
+            pairs[tid] = pair
             r = rank[tid] = rank[tid] + costs[tid]
             to = code[tid]
             for o in ops:
@@ -396,7 +392,7 @@ class Plan:
         flows = tuple((_FLOW_ENDS[i // width], _FLOW_ENDS[i % width], n)
                       for i, n in enumerate(edges) if n)
         # the stable sort keeps equal ranks in id order
-        return cls(costs, tuple(needs), tuple(pairs),
+        return cls(costs, tuple(pairs),
                    tuple(sorted(arith, key=rank.__getitem__, reverse=True)),
                    flows)
 
@@ -467,11 +463,10 @@ def critical_path(G: TaskGraph, cm: CostModel) -> int:
     bound on any schedule's completion time for the result.
     """
     plan = G.plan(cm)
-    dist = list(plan.costs)
-    for tid, ops in enumerate(plan.needs):
-        longest = 0
-        for o in ops:
-            if dist[o] > longest:
-                longest = dist[o]
-        dist[tid] += longest
+    dist, pairs = list(plan.costs), plan.pairs
+    # the visit order is topological, and an input's chain is 0
+    for tid in plan.order:
+        a, b = pairs[tid]
+        da, db = dist[a], dist[b]
+        dist[tid] += da if da > db else db
     return max(dist[r] for r in G.result)
