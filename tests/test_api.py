@@ -132,7 +132,8 @@ def _tool(name: str, *args: str) -> str:
 def test_tools_agree_with_the_golden_and_with_themselves():
     """`tools/model_table.py` prints its committed golden table, whose
     4x3 numbers and schedule digests are the large golden's, and the
-    message count of each run, and the total `tools/code_lines.py` prints is its files' sum."""
+    message count of each run, and the total `tools/code_lines.py`
+    prints is its files' sum."""
     golden = json.loads(
         (ROOT / "tests" / "golden" / "simulate_large.json").read_text())
     table = _tool("model_table.py")
