@@ -675,30 +675,39 @@ result 4 5
 
 
 def test_operand_already_shipped_costs_no_new_transfer():
-    # MUL 2 runs [0,2) on mul0.  SQR 3 reads it and runs [3,5) on sqr1,
-    # one hop from mul0, where the value arrives at 3; on sqr0, tried
-    # first, it would arrive at 5.  SQR 4 reads 2 too: sqr0 estimates 5
-    # with a new three-hop transfer, sqr1 5 on its resident copy with
-    # none, so sqr1 runs it [5,7) and 2 is shipped once.  The results
-    # reach IO three hops away at 8 (3) and 10 (4)
+    # sqr0 sits one hop from IO and is tried first; sqr1 sits one hop
+    # from mul0 and mul1, sqr0 three.  MULs 2 and 3 run [0,2) on mul0
+    # and mul1.  SQR 4 reads 3 and runs [3,5) on sqr1 (arrival 3, against
+    # 5 on sqr0); SQR 5 reads 3 too and ties at 5 on both, where sqr1
+    # holds 3 and ships nothing: [5,7).  SQR 6 reads 2: 5 on sqr0, 7 on
+    # the busy sqr1, so sqr0 runs it [5,7) and 2 crosses three links.
+    # SQR 7 reads 2: sqr0 holds it and is free from 7; sqr1 is free from
+    # 7 with 2 one hop away.  The estimates tie at 7, and the resident
+    # copy costs no new transfer, so sqr0 keeps it, though its own
+    # transfer of 2 took three hops: [7,9).  The results reach IO at 8
+    # (6) and 10 (7)
     G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
 0 XFER init -1 - Px 3
 1 XFER init -1 - Py 4
 2 MUL convert -1 0,1 - -
-3 SQR convert -1 2 - -
-4 SQR convert -1 2 - -
-result 3 4
+3 MUL convert -1 1,1 - -
+4 SQR convert -1 3 - -
+5 SQR convert -1 3 - -
+6 SQR convert -1 2 - -
+7 SQR convert -1 2 - -
+result 6 7
 """)
-    mesh = MeshConfig(cols=5, rows=1)
-    pl = Placement({"io0": (0, 0), "sqr0": (1, 0), "sqr1": (3, 0),
-                    "mul0": (4, 0)})
+    mesh = MeshConfig(cols=4, rows=2)
+    pl = Placement({"io0": (0, 0), "sqr0": (0, 1), "sqr1": (2, 1),
+                    "mul0": (2, 0), "mul1": (3, 1)})
     cm = CostModel(add=1, sub=1, mul=2, sqr=2, inv=40)
     rep = simulate(G, cm, mesh, pl)
     assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "mul0", 0, 2), (3, "sqr1", 3, 5), (4, "sqr1", 5, 7)]
+        (2, "mul0", 0, 2), (3, "mul1", 0, 2), (4, "sqr1", 3, 5),
+        (5, "sqr1", 5, 7), (6, "sqr0", 5, 7), (7, "sqr0", 7, 9)]
     assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 3, 2, 3), (3, -1, 5, 8),
-                                       (4, -1, 7, 10)]
+            for m in rep.messages] == [(3, 4, 2, 3), (2, 6, 2, 5),
+                                       (6, -1, 7, 8), (7, -1, 9, 10)]
     assert rep.makespan_cycles == 10
     _invariant_check(G, cm, mesh, rep)
 
