@@ -26,9 +26,10 @@ from typing import Optional
 
 from .config import (RunConfig, _parse_dec, load_placement, load_run_config,
                      parse_hex)
+from .curves import _KERNELS
 from .errors import BadValue, EccNocError, EmptyTrace, OracleBoundExceeded
 from .fields import _show
-from .nocsim import (compare_placements, corner_first_placement,
+from .nocsim import (DEFAULT_ROLE_COUNTS, corner_first_placement,
                      default_placement, role_usage, simulate)
 from .presets import PRESETS, get_preset
 from .procmodel import compile_scalar_mul, critical_path
@@ -72,7 +73,7 @@ def cmd_mul(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(_dump_json(doc))
     else:
         print(f"curve: {cfg.curve_name} ({cfg.curve.field.tag}, "
-              f"{cfg.curve.system.value})")
+              f"{_KERNELS[cfg.curve.field.kind][3]})")
         print(f"k: {cfg.k:x}")
         res, t = doc["result"], doc["trace"]
         print("result: " + ("infinity" if res["infinity"]
@@ -128,20 +129,41 @@ def cmd_graph(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _graph_and_machine(cfg: RunConfig):
+# the placements built from the config's mesh and role counts when no
+# file is given; `simulate` runs the first
+_BUILT_INS = (("default", default_placement),
+              ("corner_first", corner_first_placement))
+
+
+def _simulate_each(cfg: RunConfig, files: list[str], built_ins):
+    """Compile the run once and simulate it under each placement: the
+    files, named by their stem, or else `built_ins` on the config's mesh
+    and role counts.  Return the graph, the cost model and a list of
+    (name, report) pairs in the order given."""
+    stems = [Path(f).stem for f in files]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise BadValue(f"placement names must be unique: two files "
+                           f"are named {_show(stem)}")
+    if files and cfg.role_counts is not None:
+        raise BadValue("[roles] sets the cores of the built-in placements "
+                       "and cannot be used with --placement")
     G = compile_scalar_mul(cfg.curve, cfg.k, cfg.base)
-    return G, cfg.cost_model(), cfg.mesh, role_usage(G)
+    if files:
+        named = [(stem, load_placement(f)) for stem, f in zip(stems, files)]
+    else:
+        usage = role_usage(G)
+        counts = cfg.role_counts or DEFAULT_ROLE_COUNTS
+        named = [(name, build(cfg.mesh, counts, usage))
+                 for name, build in built_ins]
+    cm = cfg.cost_model()
+    return G, cm, [(name, simulate(G, cm, cfg.mesh, pl))
+                   for name, pl in named]
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    G, cm, mesh, usage = _graph_and_machine(cfg)
-    if args.placement:
-        pl = load_placement(args.placement)
-        pl_name = Path(args.placement).stem
-    else:
-        pl = default_placement(mesh, cfg.role_counts, usage)
-        pl_name = "default"
-    rep = simulate(G, cm, mesh, pl)
+    G, cm, [(pl_name, rep)] = _simulate_each(
+        cfg, [args.placement] if args.placement else [], _BUILT_INS[:1])
     cp = critical_path(G, cm)
     doc = {
         "curve": cfg.curve_name,
@@ -157,7 +179,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         print(f"curve: {cfg.curve_name}   k: {cfg.k:x}   "
               f"tasks: {len(G.kinds)} ({G.n_arith_tasks()} arithmetic)")
-        print(f"mesh: {mesh.cols}x{mesh.rows}   flits/value: "
+        print(f"mesh: {cfg.mesh.cols}x{cfg.mesh.rows}   flits/value: "
               f"{rep.flits_per_value}   placement: {pl_name}")
         print(f"makespan: {rep.makespan_cycles} cycles   "
               f"sequential: {rep.sequential_baseline_cycles}   "
@@ -178,18 +200,11 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    G, cm, mesh, usage = _graph_and_machine(cfg)
-    if args.placement:
-        if len(args.placement) < 2:
-            raise BadValue("compare needs at least two --placement files")
-        entries = [(Path(p).stem, load_placement(p)) for p in args.placement]
-    else:
-        entries = [
-            ("default", default_placement(mesh, cfg.role_counts, usage)),
-            ("corner_first",
-             corner_first_placement(mesh, cfg.role_counts, usage)),
-        ]
-    ranked = compare_placements(G, cm, mesh, entries)
+    if len(args.placement) == 1:
+        raise BadValue("compare needs at least two --placement files")
+    G, _, ranked = _simulate_each(cfg, args.placement, _BUILT_INS)
+    ranked.sort(key=lambda item: (item[1].makespan_cycles,
+                                  item[1].total_flit_hops, item[0]))
     doc = {
         "curve": cfg.curve_name,
         "k": f"{cfg.k:x}",

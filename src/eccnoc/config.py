@@ -74,8 +74,8 @@ class RunConfig:
     # cost overrides, applied over the default of the curve's field kind
     costs: dict[str, int] = dc_field(default_factory=dict)
     mesh: MeshConfig = dc_field(default_factory=MeshConfig)
-    role_counts: dict[CoreRole, int] = dc_field(
-        default_factory=lambda: dict(DEFAULT_ROLE_COUNTS))
+    # cores per role for the built-in placements; None without [roles]
+    role_counts: Optional[dict[CoreRole, int]] = None
 
     def cost_model(self) -> CostModel:
         base = (CostModel() if self.curve is None
@@ -163,8 +163,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     # the decimal sections: every key is read as `<section>.<key>`, then
     # the section is applied, and checked, as a whole; an absent one
     # applies the defaults
-    for section, what in (("costs", "bad cost model"), ("mesh", "bad mesh"),
-                          ("roles", "bad roles")):
+    for section, what in (("costs", "bad cost model"), ("mesh", "bad mesh")):
         sec = parser[section] if parser.has_section(section) else {}
         values = {key: _parse_dec(text, f"{section}.{key}")
                   for key, text in sec.items()}
@@ -172,13 +171,15 @@ def load_run_config(path: str | Path) -> RunConfig:
             if section == "costs":
                 CostModel(**values)  # rejects a cost below 1 at load
                 cfg.costs = values
-            elif section == "mesh":
+            else:
                 cfg.mesh = MeshConfig(**values)
-            else:  # over the defaults RunConfig starts from
-                cfg.role_counts.update(
-                    (CoreRole(key), n) for key, n in values.items())
         except ValueError as exc:
             raise ConfigError(f"{what}: {exc}") from exc
+    # over the default counts; the placement builders check them
+    if parser.has_section("roles"):
+        cfg.role_counts = {**DEFAULT_ROLE_COUNTS, **{
+            CoreRole(key): _parse_dec(text, f"roles.{key}")
+            for key, text in parser["roles"].items()}}
     return cfg
 
 

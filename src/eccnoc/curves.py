@@ -24,18 +24,12 @@ measured steady state.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadValue, FieldMismatch, NotOnCurve
 from .fields import (FieldElement, FieldKind, FieldSpec, ff_add, ff_inv,
                      ff_mul, ff_neg, ff_sqr, ff_sub)
-
-
-class CoordSystem(enum.Enum):
-    JACOBIAN = "jacobian"
-    LOPEZ_DAHAB = "lopez-dahab"
 
 
 @dataclass(frozen=True)
@@ -61,12 +55,6 @@ class CurveParams:
             if self.b.is_zero():
                 raise BadValue("singular curve: b = 0")
 
-    @property
-    def system(self) -> CoordSystem:
-        if self.field.kind is FieldKind.PRIME:
-            return CoordSystem.JACOBIAN
-        return CoordSystem.LOPEZ_DAHAB
-
 
 @dataclass(frozen=True)
 class AffinePoint:
@@ -90,8 +78,9 @@ INFINITY = AffinePoint(None, None)
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A point as (X, Y, Z) in its curve's coordinate system
-    (`CurveParams.system`, fixed by the field kind); Z = 0 is infinity."""
+    """A point as (X, Y, Z) in its curve's coordinate system, which the
+    field kind fixes: Jacobian over GF(p), Lopez-Dahab over GF(2^m);
+    Z = 0 is infinity."""
 
     X: FieldElement
     Y: FieldElement
@@ -325,11 +314,14 @@ def _ld_to_affine_kernel(ops, curve, X1, Y1, Z1):
     return x, y
 
 
-def kernels_for(curve: CurveParams):
-    """Return (double, madd, to_affine) kernel functions for the curve."""
-    if curve.system is CoordSystem.JACOBIAN:
-        return _jac_double_kernel, _jac_madd_kernel, _jac_to_affine_kernel
-    return _ld_double_kernel, _ld_madd_kernel, _ld_to_affine_kernel
+# per field kind: the double, mixed-add and to-affine kernels of its
+# coordinate system, then the system's name
+_KERNELS = {
+    FieldKind.PRIME: (_jac_double_kernel, _jac_madd_kernel,
+                      _jac_to_affine_kernel, "jacobian"),
+    FieldKind.BINARY: (_ld_double_kernel, _ld_madd_kernel,
+                       _ld_to_affine_kernel, "lopez-dahab"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +336,7 @@ def to_projective(curve: CurveParams, P: AffinePoint) -> ProjectivePoint:
 
 
 def _run_kernel(curve: CurveParams, P: ProjectivePoint, which: int, *args):
-    """Run kernel `which` of `kernels_for(curve)` on P's coordinates,
+    """Run kernel `which` of the curve's `_KERNELS` on P's coordinates,
     loaded onto a fresh tape; return its outputs as elements, or None
     when the kernel reports infinity."""
     if P.X.spec != curve.field:
@@ -352,7 +344,7 @@ def _run_kernel(curve: CurveParams, P: ProjectivePoint, which: int, *args):
     from .scalarmul import _Tape  # scalarmul imports this module
     tape = _Tape(curve.field)
     xyz = [tape.const(c, label) for c, label in zip((P.X, P.Y, P.Z), "XYZ")]
-    out = kernels_for(curve)[which](tape, curve, *xyz, *args)
+    out = _KERNELS[curve.field.kind][which](tape, curve, *xyz, *args)
     return None if out is None else [tape.element(i) for i in out]
 
 

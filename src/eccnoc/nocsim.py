@@ -613,18 +613,3 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
         msg_arrival=arrivals,
     )
 
-
-def compare_placements(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
-                       placements: list[tuple[str, Placement]]
-                       ) -> list[tuple[str, SimReport]]:
-    """Simulate every named placement and rank by makespan, then
-    traffic, then name."""
-    if len(placements) < 2:
-        raise BadValue("placement comparison needs at least two entries")
-    names = [name for name, _ in placements]
-    if len(set(names)) != len(names):
-        raise BadValue("placement names must be unique")
-    results = [(name, simulate(G, cm, mesh, pl)) for name, pl in placements]
-    results.sort(key=lambda item: (item[1].makespan_cycles,
-                                   item[1].total_flit_hops, item[0]))
-    return results

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
-                     _embed_kernel, _require_on_curve, kernels_for)
+                     _KERNELS, _embed_kernel, _require_on_curve)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
 from .fields import (ARITH_KINDS, MAX_FIELD_BITS, FieldElement, FieldSpec,
                      OpKind)
@@ -251,7 +251,7 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     tape = _Tape(curve.field)
     if k == 0 or P.is_infinity:
         return tape
-    double, madd, to_aff = kernels_for(curve)
+    double, madd, to_aff, _ = _KERNELS[curve.field.kind]
     X, Y, Z = _embed_kernel(tape, curve, P.x, P.y)
     for i in range(k.bit_length() - 2, -1, -1):
         tape.begin_step("point_double")

@@ -6,6 +6,7 @@ import pytest
 
 from eccnoc.curves import INFINITY, AffinePoint, _add_affine_raw, is_on_curve
 from eccnoc.errors import OracleBoundExceeded
+from eccnoc.fields import ff_inv, ff_sqr
 from eccnoc.presets import PRESETS
 
 _POINT_SCAN_BOUND = 1 << 16
@@ -23,6 +24,24 @@ def b4():
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def check_field_axioms(spec, triples):
+    """The field axioms on every (a, b, c): commutativity, associativity,
+    distributivity, both identities, the additive inverse, squaring as a
+    product, and the multiplicative inverse of a nonzero a."""
+    zero, one = spec.zero, spec.one
+    for a, b, c in triples:
+        assert (a + b) == (b + a)
+        assert (a * b) == (b * a)
+        assert ((a + b) + c) == (a + (b + c))
+        assert ((a * b) * c) == (a * (b * c))
+        assert (a * (b + c)) == (a * b + a * c)
+        assert (a + zero) == a and (a * one) == a
+        assert (a + (-a)).value == 0
+        assert ff_sqr(a) == a * a
+        if a.value:
+            assert (a * ff_inv(a)) == one
 
 
 # desk-scale enumeration oracles for the toy curves

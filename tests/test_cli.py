@@ -18,8 +18,8 @@ from eccnoc.config import _parse_dec, load_placement, load_run_config, \
 from eccnoc.curves import INFINITY
 from eccnoc.errors import BadValue, ConfigError, EccNocError
 from eccnoc.nocsim import CoreRole, DEFAULT_ROLE_COUNTS, MeshConfig, \
-    Placement, compare_placements, corner_first_placement, \
-    default_placement, role_usage
+    Placement, corner_first_placement, default_placement, role_usage, \
+    simulate
 from eccnoc.presets import get_preset
 from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul, \
     replay
@@ -657,24 +657,76 @@ def test_placement_file_round_trip(capsys, tmp_path):
     assert doc["total_flit_hops"] == default_doc["total_flit_hops"]
 
 
+def _write_placements(tmp_path, G, *names):
+    """The default and corner-first placements of G, written to
+    tmp_path/<name>.ini in turn; return their --placement arguments
+    and the (stem, placement) pairs."""
+    argv, entries = [], []
+    for name, place in zip(names, (default_placement,
+                                   corner_first_placement)):
+        pl = place(MeshConfig(), DEFAULT_ROLE_COUNTS, role_usage(G))
+        path = tmp_path / f"{name}.ini"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("[placement]\n" + "".join(
+            f"{core} = {c},{r}\n" for core, (c, r) in pl.entries.items()))
+        argv += ["--placement", str(path)]
+        entries.append((path.stem, pl))
+    return argv, entries
+
+
 def test_compare_with_placement_files(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compare", "--curve", "p17", "--k", "d",
                            "--placement", str(tmp_path / "only.ini"))
     assert code == 1 and "at least two" in err
 
 
+def test_compare_placement_names_must_be_unique(capsys, p17, tmp_path):
+    # two files with one stem would give two ranking rows of one name
+    G = compile_scalar_mul(p17.curve, 0xd, p17.base)
+    argv, _ = _write_placements(tmp_path, G, "a/x", "b/x")
+    code, out, err = run_cli(capsys, "compare", "--curve", "p17", "--k", "d",
+                             *argv)
+    assert (code, out, err) == (
+        1, "", "error: placement names must be unique: two files are "
+               "named 'x'\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_roles_are_refused_with_placement_files(capsys, p17, tmp_path,
+                                                command):
+    # [roles] sizes the built-in placements only; a placement file names
+    # its own cores, so the two together end in an error, not in a
+    # schedule that ignores the stated counts
+    G = compile_scalar_mul(p17.curve, 0xd, p17.base)
+    argv, _ = _write_placements(tmp_path, G, "p", "q")
+    if command == "simulate":
+        argv = argv[:2]
+    cfg_file = tmp_path / "roles.ini"
+    cfg_file.write_text("[roles]\nmul = 0\n")
+    code, out, err = run_cli(capsys, command, "--curve", "p17", "--k", "d",
+                             "--config", str(cfg_file), *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: [roles] sets the cores of the built-in " \
+        "placements and cannot be used with --placement\n"
+    # without the files the counts size the built-ins: no MUL core
+    code, _, err = run_cli(capsys, command, "--curve", "p17", "--k", "d",
+                           "--config", str(cfg_file))
+    assert (code, err) == (
+        1, "error: placement has no mul core; the graph needs one\n")
+    # a config without [roles] states no counts, and the files run
+    cfg_file.write_text("[mesh]\nhop_cycles = 1\n")
+    assert load_run_config(cfg_file).role_counts is None
+    code, _, err = run_cli(capsys, command, "--curve", "p17", "--k", "d",
+                           "--config", str(cfg_file), *argv)
+    assert code == 0 and not err
+
+
 def test_compare_ranks_placement_files(capsys, tmp_path):
     # the default and corner-first placements of prime32, written out
     preset = get_preset("prime32")
     G = compile_scalar_mul(preset.curve, 0xb7a3, preset.base)
-    argv, entries = [], []
-    for place in (default_placement, corner_first_placement):
-        pl = place(MeshConfig(), DEFAULT_ROLE_COUNTS, role_usage(G))
-        path = tmp_path / f"{place.__name__}.ini"
-        path.write_text("[placement]\n" + "".join(
-            f"{name} = {c},{r}\n" for name, (c, r) in pl.entries.items()))
-        argv += ["--placement", str(path)]
-        entries.append((path.stem, pl))
+    argv, entries = _write_placements(tmp_path, G, "default_placement",
+                                      "corner_first_placement")
     code, out, err = run_cli(capsys, "compare", "--curve", "prime32", "--k",
                              "b7a3", "--format", "json",
                              "--out", str(tmp_path / "out"), *argv)
@@ -683,10 +735,14 @@ def test_compare_ranks_placement_files(capsys, tmp_path):
                for row in json.loads(out)["ranking"]]
     assert ranking == [("corner_first_placement", 529, 768),
                        ("default_placement", 530, 670)]
+    # the library's own reports, ranked by makespan, flit-hops, name
     cm = CostModel.default(preset.curve.field.kind)
-    assert ranking == [
-        (name, rep.makespan_cycles, rep.total_flit_hops) for name, rep in
-        compare_placements(G, cm, MeshConfig(), entries)]
+    rows = []
+    for name, pl in entries:
+        rep = simulate(G, cm, MeshConfig(), pl)
+        rows.append((name, rep.makespan_cycles, rep.total_flit_hops))
+    assert ranking == sorted(rows, key=lambda row: (row[1], row[2], row[0]))
+    assert ranking != rows   # given default first, ranked second
     assert (tmp_path / "out" / "compare.json").read_text() == out
 
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from eccnoc.curves import (AffinePoint, CoordSystem, CurveParams, INFINITY,
+from eccnoc.curves import (AffinePoint, CurveParams, INFINITY,
                            ProjectivePoint, is_on_curve, point_add_affine,
                            point_add_projective, point_double_affine,
                            point_double_projective, point_neg, to_affine,
                            to_projective)
 from eccnoc.errors import BadValue, FieldMismatch, NotOnCurve
-from eccnoc.fields import FieldSpec, ff_mul, ff_sqr
+from eccnoc.fields import FieldKind, FieldSpec, ff_mul, ff_sqr
 from eccnoc.presets import curve_from_ints
 
 from conftest import enumerate_points, point_order, seeded
@@ -95,24 +95,6 @@ def test_membership_errors(p17):
 
 
 @pytest.mark.parametrize("preset_name", ["p17", "b4"])
-def test_projective_matches_affine_everywhere(preset_name, p17, b4):
-    preset = {"p17": p17, "b4": b4}[preset_name]
-    curve = preset.curve
-    pts = _points(preset)
-    finite = [P for P in pts if not P.is_infinity]
-    for P in pts:
-        Pp = to_projective(curve, P)
-        assert to_affine(curve, Pp) == P
-        # doubling
-        D = point_double_projective(curve, Pp)
-        assert to_affine(curve, D) == point_double_affine(curve, P)
-        # mixed addition with every finite affine point
-        for q in finite:
-            S = point_add_projective(curve, Pp, q)
-            assert to_affine(curve, S) == point_add_affine(curve, P, q)
-
-
-@pytest.mark.parametrize("preset_name", ["p17", "b4"])
 def test_projective_scaling_invariance(preset_name, p17, b4):
     preset = {"p17": p17, "b4": b4}[preset_name]
     curve = preset.curve
@@ -125,7 +107,7 @@ def test_projective_scaling_invariance(preset_name, p17, b4):
             lam = f.random_element(rng)
             if lam.value == 0:
                 continue
-            if curve.system is CoordSystem.JACOBIAN:
+            if f.kind is FieldKind.PRIME:
                 scaled = ProjectivePoint(
                     ff_mul(Pp.X, ff_sqr(lam)),
                     ff_mul(Pp.Y, ff_mul(ff_sqr(lam), lam)),

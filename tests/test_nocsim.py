@@ -14,8 +14,7 @@ from eccnoc.errors import (BadValue, EccNocError, MissingCoreRole, OutOfMesh,
                            TooManyCores)
 from eccnoc.fields import OpKind
 from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MAX_FLITS_PER_VALUE,
-                           MAX_TILES, MeshConfig,
-                           Placement, centrality, compare_placements,
+                           MAX_TILES, MeshConfig, Placement, centrality,
                            corner_first_placement, default_placement,
                            manhattan, role_for_kind, role_usage,
                            simulate, xy_route, _slot)
@@ -1011,21 +1010,6 @@ def test_sequential_baseline_sums_costs(p17):
     rep = simulate(G, cm, MESH, default_placement(MESH, DEFAULT_ROLE_COUNTS,
                                                   role_usage(G)))
     assert rep.sequential_baseline_cycles == want
-
-
-def test_compare_placements_ranks_and_validates(p17):
-    G = compile_scalar_mul(p17.curve, 27, p17.base)
-    cm = CostModel.default(p17.curve.field.kind)
-    usage = role_usage(G)
-    d = default_placement(MESH, DEFAULT_ROLE_COUNTS, usage)
-    c = corner_first_placement(MESH, DEFAULT_ROLE_COUNTS, usage)
-    ranked = compare_placements(G, cm, MESH, [("corner", c), ("default", d)])
-    assert len(ranked) == 2
-    assert ranked[0][1].makespan_cycles <= ranked[1][1].makespan_cycles
-    with pytest.raises(ValueError):
-        compare_placements(G, cm, MESH, [("only", d)])
-    with pytest.raises(ValueError):
-        compare_placements(G, cm, MESH, [("x", d), ("x", c)])
 
 
 # full-size runs: both curves on the default and corner-first 4x3
