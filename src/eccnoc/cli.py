@@ -220,10 +220,11 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         print(f"curve: {cfg.curve_name}   k: {cfg.k:x}   "
               f"tasks: {len(G.kinds)}")
-        print(f"{'placement':<16}{'makespan':>10}{'flit-hops':>11}"
+        width = max(16, *(len(name) for name, _ in ranked))
+        print(f"{'placement':<{width}}{'makespan':>10}{'flit-hops':>11}"
               f"{'speedup':>9}")
         for name, rep in ranked:
-            print(f"{name:<16}{rep.makespan_cycles:>10}"
+            print(f"{name:<{width}}{rep.makespan_cycles:>10}"
                   f"{rep.total_flit_hops:>11}{rep.speedup:>9.3f}")
         print(f"best: {ranked[0][0]}")
     if args.out:

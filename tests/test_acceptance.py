@@ -9,8 +9,6 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from eccnoc.curves import (INFINITY, _add_affine_raw, is_on_curve,
                            point_add_affine, point_double_affine,
                            point_add_projective, point_double_projective,
@@ -25,8 +23,8 @@ from eccnoc.procmodel import (CostModel, TaskGraph, compile_scalar_mul,
 from eccnoc.scalarmul import (OpTrace, Phase, count_report, scalar_mul,
                               scalar_mul_reference)
 
-from conftest import check_field_axioms, enumerate_points, seeded
-from test_nocsim import _invariant_check
+from conftest import (check_field_axioms, check_schedule, enumerate_points,
+                      seeded)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -233,7 +231,7 @@ def test_criterion_7_noc_simulation_invariants():
                        corner_first_placement(mesh, DEFAULT_ROLE_COUNTS,
                                               usage)):
                 r = simulate(G, cm, mesh, pl)
-                _invariant_check(G, cm, mesh, r)
+                check_schedule(G, cm, mesh, r)
                 r2 = simulate(G, cm, mesh, pl)
                 assert r.to_json_dict() == r2.to_json_dict()
                 runs += 1

@@ -746,6 +746,20 @@ def test_compare_ranks_placement_files(capsys, tmp_path):
     assert (tmp_path / "out" / "compare.json").read_text() == out
 
 
+def test_compare_column_fits_a_long_name(capsys, p17, tmp_path):
+    # the name column widens to the longest name, so a long stem keeps
+    # its row's numbers under the header
+    G = compile_scalar_mul(p17.curve, 0xd, p17.base)
+    argv, _ = _write_placements(tmp_path, G, "a_rather_long_placement_name",
+                                "b")
+    code, out, err = run_cli(capsys, "compare", "--curve", "p17", "--k", "d",
+                             *argv)
+    assert code == 0 and not err
+    head, *rows = out.splitlines()[1:-1]
+    assert head == f"{'placement':<28}  makespan  flit-hops  speedup"
+    assert len(rows) == 2 and {len(row) for row in rows} == {len(head)}
+
+
 def test_verify_reports_a_disagreeing_scalar(capsys, monkeypatch):
     reference = cli.scalar_mul_reference
 

@@ -1,9 +1,6 @@
 """Mesh routing, placement construction, and schedule simulation."""
 
 import ast
-import bisect
-import hashlib
-import json
 import math
 from pathlib import Path
 
@@ -18,15 +15,13 @@ from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MAX_FLITS_PER_VALUE,
                            corner_first_placement, default_placement,
                            manhattan, role_for_kind, role_usage,
                            simulate, xy_route, _slot)
-from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul, \
-    critical_path
+from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul
 from eccnoc.scalarmul import OpTrace, scalar_mul
 from eccnoc.presets import PRESETS
 
-from conftest import deadline, seeded
+from conftest import check_schedule, deadline, seeded
 
 MESH = MeshConfig()
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_xy_route_frozen_examples():
@@ -353,7 +348,7 @@ result 3 3
             for m in rep.messages] == [(3, -1, 8, 10)]
     assert rep.makespan_cycles == 10
     assert rep.per_link_flits == {"1,0->0,0": 2}
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_shipped_value_stays_resident():
@@ -381,7 +376,7 @@ result 3 4
         (2, 3, 3, 4), (3, -1, 5, 6), (4, -1, 6, 7)]
     assert rep.makespan_cycles == 7
     assert rep.total_flit_hops == 3
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_task_backfills_the_idle_gap_of_its_operand_core():
@@ -411,7 +406,7 @@ result 4 5
             for m in rep.messages] == [(3, 4, 40, 41), (4, -1, 45, 47),
                                        (5, -1, 8, 10)]
     assert rep.makespan_cycles == 47
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_task_takes_the_earlier_of_two_idle_gaps():
@@ -447,7 +442,7 @@ result 6 7
                                        (5, 6, 47, 48), (6, -1, 52, 54),
                                        (7, -1, 8, 10)]
     assert rep.makespan_cycles == 54
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_task_takes_the_smaller_part_of_a_split_gap():
@@ -482,7 +477,7 @@ result 6 7
             for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 29, 30),
                                        (6, -1, 38, 40), (7, -1, 49, 51)]
     assert rep.makespan_cycles == 51
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_task_that_fills_a_gap_deletes_it():
@@ -516,7 +511,7 @@ result 6 7
             for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 32, 33),
                                        (6, -1, 41, 43), (7, -1, 49, 51)]
     assert rep.makespan_cycles == 51
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_task_that_ends_a_gap_keeps_the_part_before_it():
@@ -549,7 +544,7 @@ result 6 7
             for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 36, 37),
                                        (6, -1, 4, 6), (7, -1, 49, 51)]
     assert rep.makespan_cycles == 51
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 @st.composite
@@ -588,7 +583,7 @@ def test_huge_costs_schedule_as_exact_integers():
     rep = simulate(G, cm, MESH, pl)
     assert rep.makespan_cycles == 10000000049000000000000000000000000000303
     assert rep.total_flit_hops == 739
-    _invariant_check(G, cm, MESH, rep)
+    check_schedule(G, cm, MESH, rep)
 
 
 def test_equal_estimates_go_to_the_core_nearer_the_consumers():
@@ -615,7 +610,7 @@ result 3 3
             for m in rep.messages] == [(2, 3, 4, 5), (3, -1, 6, 7)]
     assert rep.makespan_cycles == 7
     assert rep.total_flit_hops == 2
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_input_only_tasks_take_the_idle_cores():
@@ -637,7 +632,7 @@ def test_input_only_tasks_take_the_idle_cores():
             for m in rep.messages] == [(2, 4, 3, 4), (3, 4, 3, 5),
                                        (4, -1, 6, 7)]
     assert rep.makespan_cycles == 7
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_unary_task_with_a_remote_operand_ties_on_its_one_wire():
@@ -670,7 +665,7 @@ result 4 5
             for m in rep.messages] == [(2, 4, 2, 3), (3, 5, 4, 5),
                                        (4, -1, 7, 10), (5, -1, 11, 14)]
     assert rep.makespan_cycles == 14
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_operand_already_shipped_costs_no_new_transfer():
@@ -708,7 +703,7 @@ result 6 7
             for m in rep.messages] == [(3, 4, 2, 3), (2, 6, 2, 5),
                                        (6, -1, 7, 8), (7, -1, 9, 10)]
     assert rep.makespan_cycles == 10
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_task_estimated_into_a_gap_is_appended_on_its_real_arrivals():
@@ -743,7 +738,7 @@ result 3 6
                                        (5, 6, 36, 38), (3, -1, 45, 47),
                                        (6, -1, 49, 51)]
     assert rep.makespan_cycles == 51
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
 
 
 def test_missing_role_detected():
@@ -784,163 +779,6 @@ def test_default_flit_count_follows_field_width(p17):
     for field_bits in (32 * MAX_FLITS_PER_VALUE + 1, 10**400):
         with pytest.raises(BadValue, match="flits"):
             flits(field_bits)
-
-
-def _invariant_check(G, cm, mesh, rep):
-    n_arith = G.n_arith_tasks()
-    assert len(rep.schedule) == n_arith
-    assert len({e.task for e in rep.schedule}) == n_arith
-    ends = {}
-    per_core = {}
-    for e in rep.schedule:
-        assert e.end == e.start + cm.cost(G.tasks[e.task].kind)
-        ends[e.task] = e.end
-        per_core.setdefault(e.core, []).append((e.start, e.end))
-    # no overlap on any core
-    for intervals in per_core.values():
-        intervals.sort()
-        for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
-            assert e1 <= s2
-    # dependencies respected
-    for e in rep.schedule:
-        for o in G.tasks[e.task].operands:
-            if G.tasks[o].kind is not OpKind.XFER:
-                assert ends[o] <= e.start
-    # accounting
-    assert sum(rep.per_link_flits.values()) == rep.total_flit_hops
-    # link traffic, replayed here rather than through xy_route or the
-    # simulator's booking: each message in booking order walks its
-    # column-first route, and each of its flits takes, link by link, the
-    # first cycle at or after the one it reaches that link that is still
-    # free in this replay's own (link, cycle) table, so no link carries
-    # two flits in one cycle.  A simulator that let two flits share a
-    # link-cycle, or timed a hop otherwise, gets other arrival cycles
-    hop = mesh.hop_cycles
-    occupied = set()
-    walked = {}
-    for m in rep.messages:
-        (c, r), (dc, dr) = m.src, m.dst
-        route = []
-        while (c, r) != (dc, dr):
-            if c != dc:
-                nc, nr = c + (1 if dc > c else -1), r
-            else:
-                nc, nr = c, r + (1 if dr > r else -1)
-            route.append(f"{c},{r}->{nc},{nr}")
-            c, r = nc, nr
-        prev = None     # the cycles the message's previous flit crossed at
-        arrival = m.launch
-        for _ in range(rep.flits_per_value):
-            t, crossed = m.launch, []
-            for link in route:
-                while (link, t) in occupied:
-                    t += 1
-                occupied.add((link, t))
-                crossed.append(t)
-                walked[link] = walked.get(link, 0) + 1
-                t += hop
-            # flits of a message stay in order on every link
-            assert prev is None or all(
-                b > a for a, b in zip(prev, crossed))
-            prev, arrival = crossed, t
-        # the message arrives when its last flit clears its last link
-        assert m.arrival == arrival
-    assert walked == rep.per_link_flits
-    assert sum(rep.per_core_busy_cycles.values()) == \
-        rep.sequential_baseline_cycles
-    # each core is busy for the summed cost of the tasks placed on it
-    assert rep.per_core_busy_cycles == {
-        name: sum(e - s for s, e in per_core.get(name, ()))
-        for name in rep.placement.entries}
-    # tasks the result depends on are done by the makespan; dead side
-    # branches (degenerate point-op fallbacks) may overrun it
-    anc = G.ancestors_of_result()
-    for e in rep.schedule:
-        if e.task in anc:
-            assert e.end <= rep.makespan_cycles
-    # bounds
-    cp = critical_path(G, cm)
-    assert cp <= rep.makespan_cycles
-    assert rep.makespan_cycles <= rep.sequential_baseline_cycles + \
-        rep.total_flit_hops * mesh.hop_cycles
-    assert rep.speedup == pytest.approx(
-        rep.sequential_baseline_cycles / rep.makespan_cycles)
-    for m in rep.messages:
-        assert m.arrival >= m.launch + manhattan(m.src, m.dst) * \
-            mesh.hop_cycles
-    # transfers: launched after the producer ends, from its tile, each
-    # value shipped at most once to a tile, and every operand made on
-    # another tile delivered there by its consumer's start
-    tile = {e.task: rep.placement.entries[e.core] for e in rep.schedule}
-    starts = {e.task: e.start for e in rep.schedule}
-    shipped = {}
-    delivered = {}
-    for m in rep.messages:
-        assert m.launch >= ends[m.producer]
-        assert m.src == tile[m.producer]
-        if m.consumer >= 0:
-            assert m.dst == tile[m.consumer]
-            assert m.arrival <= starts[m.consumer]
-            assert (m.producer, m.dst) not in shipped
-            shipped[(m.producer, m.dst)] = m.arrival
-        else:
-            assert m.producer not in delivered
-            delivered[m.producer] = m.arrival
-    for e in rep.schedule:
-        for o in G.tasks[e.task].operands:
-            if o in tile and tile[o] != tile[e.task]:
-                assert shipped[(o, tile[e.task])] <= e.start
-    # insertion: in visit order, each task starts at the first cycle, from
-    # its operands' arrival on its tile, at which it fits between the
-    # tasks placed on its core before it
-    placed = {}     # core -> busy intervals so far, sorted and disjoint
-    for e in rep.schedule:
-        here = tile[e.task]
-        t = max((ends[o] if tile[o] == here else shipped[(o, here)]
-                 for o in G.tasks[e.task].operands if o in tile), default=0)
-        busy = placed.setdefault(e.core, [])
-        for a, b in busy[max(bisect.bisect(busy, (t, t)) - 1, 0):]:
-            if t + e.end - e.start <= a:
-                break
-            t = max(t, b)
-        assert e.start == t
-        bisect.insort(busy, (e.start, e.end))
-    # the run ends when the last computed result reaches IO
-    assert set(delivered) == {r for r in G.result if r in tile}
-    assert rep.makespan_cycles == max(delivered.values(), default=0)
-    # communication-aware critical path: cores of different roles never
-    # share a tile, so a cross-role edge and the delivery of a computed
-    # result to IO each take at least hop_cycles + flits - 1 cycles
-    comm = mesh.hop_cycles + rep.flits_per_value - 1
-    role = {t.id: role_for_kind(t.kind) for t in G.tasks
-            if t.kind is not OpKind.XFER}
-    dist = {}
-    for t in G.tasks:
-        if t.id in anc and t.id in role:
-            dist[t.id] = cm.cost(t.kind) + max(
-                (dist[o] + (comm if role[o] is not role[t.id] else 0)
-                 for o in t.operands if o in role), default=0)
-    assert rep.makespan_cycles >= max(
-        (dist[r] + comm for r in G.result if r in role), default=0)
-
-
-@pytest.mark.parametrize("preset_name,seed",
-                         [("p17", 61), ("b4", 62), ("prime32", 63),
-                          ("binary33", 64)])
-def test_simulation_invariants(preset_name, seed):
-    preset = PRESETS[preset_name]
-    rng = seeded(seed)
-    cm = CostModel.default(preset.curve.field.kind)
-    for _ in range(4):
-        k = rng.randrange(2, 1 << 14)
-        if k % (preset.curve.order or (1 << 62)) == 0:
-            continue
-        G = compile_scalar_mul(preset.curve, k, preset.base)
-        usage = role_usage(G)
-        for pl in (default_placement(MESH, DEFAULT_ROLE_COUNTS, usage),
-                   corner_first_placement(MESH, DEFAULT_ROLE_COUNTS, usage)):
-            rep = simulate(G, cm, MESH, pl)
-            _invariant_check(G, cm, MESH, rep)
 
 
 @st.composite
@@ -986,7 +824,33 @@ def test_simulate_property(setup):
         rep = simulate(G, cm, mesh, pl)
     except EccNocError:
         return
-    _invariant_check(G, cm, mesh, rep)
+    check_schedule(G, cm, mesh, rep)
+
+
+@pytest.mark.parametrize("corrupt", ["start", "cores", "arrival",
+                                     "message", "makespan"])
+def test_check_schedule_fails_a_corrupt_report(p17, corrupt):
+    """The battery passes a real report and fails it once one entry of
+    its columns is corrupted."""
+    G, rep = _report(p17)
+    cm = CostModel.default(p17.curve.field.kind)
+    check_schedule(G, cm, MESH, rep)
+    t = rep.order[-1]
+    if corrupt == "start":
+        rep.start[t] += 1
+    elif corrupt == "cores":
+        u = next(u for u in rep.order if rep.core[u] != rep.core[t])
+        rep.core[t], rep.core[u] = rep.core[u], rep.core[t]
+    elif corrupt == "arrival":
+        rep.msg_arrival[0] -= 1
+    elif corrupt == "message":
+        for column in (rep.msg_producer, rep.msg_consumer, rep.msg_dst,
+                       rep.msg_arrival):
+            column.pop()
+    else:
+        rep.makespan_cycles -= 1
+    with pytest.raises(AssertionError):
+        check_schedule(G, cm, MESH, rep)
 
 
 def test_simulation_is_deterministic(p17):
@@ -1010,52 +874,6 @@ def test_sequential_baseline_sums_costs(p17):
     rep = simulate(G, cm, MESH, default_placement(MESH, DEFAULT_ROLE_COUNTS,
                                                   role_usage(G)))
     assert rep.sequential_baseline_cycles == want
-
-
-# full-size runs: both curves on the default and corner-first 4x3
-# placements, and on a 6x4 mesh with twice the cores, 2-cycle hops and
-# 3-flit values
-_LARGE_RUNS = (("prime64", 0xe3c45e0ad1bbea06), ("binary63", 0xa5942337f65e5924))
-_LARGE_MACHINES = (
-    ("4x3-default", MESH, DEFAULT_ROLE_COUNTS, default_placement),
-    ("4x3-corner-first", MESH, DEFAULT_ROLE_COUNTS, corner_first_placement),
-    ("6x4-hop2-3flit-default",
-     MeshConfig(cols=6, rows=4, hop_cycles=2, flits_per_value=3),
-     {role: 2 * n for role, n in DEFAULT_ROLE_COUNTS.items()},
-     default_placement),
-)
-
-
-def simulate_large_doc() -> dict:
-    """Every field of each full-size report, the schedule and the
-    messages as a digest; dict orders are part of the record."""
-    doc = {}
-    for name, k in _LARGE_RUNS:
-        preset = PRESETS[name]
-        G = compile_scalar_mul(preset.curve, k, preset.base)
-        cm = CostModel.default(preset.curve.field.kind)
-        usage = role_usage(G)
-        for machine, mesh, counts, place in _LARGE_MACHINES:
-            rep = simulate(G, cm, mesh, place(mesh, counts, usage))
-            trail = json.dumps([rep.schedule_rows(), [
-                (m.producer, m.consumer, m.src, m.dst, m.launch, m.arrival)
-                for m in rep.messages]])
-            doc[f"{name}/{machine}"] = {
-                "makespan_cycles": rep.makespan_cycles,
-                "total_flit_hops": rep.total_flit_hops,
-                "per_core_busy_cycles": rep.per_core_busy_cycles,
-                "per_link_flits": list(rep.per_link_flits.items()),
-                "schedule_messages_sha256":
-                    hashlib.sha256(trail.encode()).hexdigest(),
-            }
-    return doc
-
-
-def test_simulate_large_matches_golden():
-    """Regenerate the full-size reports and compare them byte for byte
-    with `golden/simulate_large.json`."""
-    text = json.dumps(simulate_large_doc(), indent=1) + "\n"
-    assert text == (GOLDEN_DIR / "simulate_large.json").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
 """Print the modelled machine's numbers for a fixed list of inputs.
 
-For each (preset, k) pair below, one row per machine: the default and
-corner_first placements on the default 4x3 mesh, and the default
-placement on a 6x4 mesh with twice the cores of each role.  Each row
-gives the makespan, flit-hops, message count, speedup, critical path
-and the first 12 hex digits of a sha256 of the schedule rows and the
-messages, hashed as `tests/test_nocsim.py`'s `simulate_large_doc` hashes
-them, as a Markdown table.  Nothing is timed, so two checkouts give
-comparable tables on any host, and equal digests mean equal schedules:
+For each (preset, k) pair below, one row per machine, all with the
+default role counts unless said otherwise:
+
+- `default`: the default placement on the default 4x3 mesh;
+- `corner_first`: the corner-first placement on that mesh;
+- `default 6x4`: the default placement on a 6x4 mesh with twice the
+  cores of each role;
+- `default 6x4 hop2 3flit`: the same, with 2-cycle hops and 3-flit
+  values.
+
+Each row gives the makespan, flit-hops, message count, speedup,
+critical path and the first 12 hex digits of a sha256 of the schedule
+rows and the messages, as a Markdown table.  Nothing is timed, so two
+checkouts give comparable tables on any host, and equal digests mean
+equal schedules.  `tests/golden/model_table.md` is this table, the one
+pinned record of the full-size schedules:
 
     python3 tools/model_table.py
 
@@ -31,12 +39,14 @@ from eccnoc.procmodel import (CostModel, compile_scalar_mul,  # noqa: E402
 # the README's and the goldens' examples, then the full-size pair
 CASES = (("prime32", 0xb7a3), ("binary33", 0x1b2d3c4e5),
          ("prime64", 0xe3c45e0ad1bbea06), ("binary63", 0xa5942337f65e5924))
+_TWICE = {role: 2 * n for role, n in DEFAULT_ROLE_COUNTS.items()}
 MACHINES = (
     ("default", MeshConfig(), DEFAULT_ROLE_COUNTS, default_placement),
     ("corner_first", MeshConfig(), DEFAULT_ROLE_COUNTS,
      corner_first_placement),
-    ("default 6x4", MeshConfig(cols=6, rows=4),
-     {role: 2 * n for role, n in DEFAULT_ROLE_COUNTS.items()},
+    ("default 6x4", MeshConfig(cols=6, rows=4), _TWICE, default_placement),
+    ("default 6x4 hop2 3flit",
+     MeshConfig(cols=6, rows=4, hop_cycles=2, flits_per_value=3), _TWICE,
      default_placement),
 )
 
