@@ -211,182 +211,16 @@ def test_placement_usage_is_checked(bad):
 # ---------------------------------------------------------------------------
 # hand-checkable schedules
 
-def _graph_single_mul():
-    return TaskGraph.from_text("""taskgraph 1 fieldbits 64
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 MUL convert -1 0,1 - -
-result 2 2
-""")
-
-
-def test_single_task_two_flit_delivery():
-    # one MUL (cost 4) next to the IO core; result is one 2-flit value:
-    # execute [0,4), flits cross at cycles 4 and 5, makespan 6
-    mesh = MeshConfig(cols=2, rows=1, flits_per_value=2)
-    pl = Placement({"mul0": (1, 0), "io0": (0, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
-    rep = simulate(_graph_single_mul(), cm, mesh, pl)
-    assert rep.makespan_cycles == 6
-    assert rep.total_flit_hops == 2
-    assert rep.sequential_baseline_cycles == 4
-    assert rep.speedup == pytest.approx(4 / 6)
-    assert rep.per_core_busy_cycles == {"mul0": 4, "io0": 0}
-    [entry] = rep.schedule
-    assert (entry.task, entry.core, entry.start, entry.end) == (2, "mul0", 0, 4)
-
-
-def test_result_on_io_tile_needs_no_message():
-    mesh = MeshConfig(cols=2, rows=1, flits_per_value=2)
-    pl = Placement({"mul0": (1, 0), "io0": (0, 0)})
-    cm = CostModel(mul=4)
-    G = _graph_single_mul()
-    # same graph, but the MUL core sits on the IO tile's column? no:
-    # swap tiles so the result is produced on the IO tile itself
-    pl2 = Placement({"mul0": (0, 0), "io0": (1, 0)})
-    rep = simulate(G, cm, mesh, pl2)
-    assert rep.makespan_cycles == 4 + 2  # still must cross to io at (1,0)
-    rep_same = simulate(G, cm, MeshConfig(cols=1, rows=2, flits_per_value=2),
-                        Placement({"mul0": (0, 0), "io0": (0, 1)}))
-    assert rep_same.makespan_cycles == 6
-    assert simulate(G, cm, mesh, pl).makespan_cycles == 6
-
-
-def _graph_two_muls_one_add():
-    return TaskGraph.from_text("""taskgraph 1 fieldbits 32
+_TWO_MULS_ONE_ADD = """taskgraph 1 fieldbits 32
 0 XFER init -1 - Px 3
 1 XFER init -1 - Py 4
 2 MUL iterate 0 0,1 - -
 3 MUL iterate 0 0,0 - -
 4 ADD iterate 1 2,3 - -
 result 4 4
-""")
+"""
 
-
-def test_serialized_muls_on_one_core():
-    # one MUL core: 2 then 3 back to back; each value launches when its
-    # producer ends and crosses link (2,0)->(1,0) alone, 2 at cycle 3
-    # (arrives 4) and 3 at cycle 6 (arrives 7); ADD runs [7,8); result
-    # reaches IO at 9
-    mesh = MeshConfig(cols=3, rows=1)  # flits: ceil(32/32) = 1
-    pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)})
-    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
-    rep = simulate(_graph_two_muls_one_add(), cm, mesh, pl)
-    by_task = {e.task: e for e in rep.schedule}
-    assert (by_task[2].start, by_task[2].end) == (0, 3)
-    assert (by_task[3].start, by_task[3].end) == (3, 6)
-    assert (by_task[4].start, by_task[4].end) == (7, 8)
-    assert [(m.producer, m.launch, m.arrival) for m in rep.messages] == [
-        (2, 3, 4), (3, 6, 7), (4, 8, 9)]
-    assert rep.makespan_cycles == 9
-    assert rep.total_flit_hops == 3
-    assert rep.flits_per_value == 1
-
-
-def test_parallel_muls_on_two_cores():
-    # two MUL cores run 2 and 3 in parallel [0,3); the farther value
-    # arrives at cycle 5; ADD [5,6); result at IO at 7
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0),
-                    "mul1": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
-    rep = simulate(_graph_two_muls_one_add(), cm, mesh, pl)
-    by_task = {e.task: e for e in rep.schedule}
-    assert (by_task[2].start, by_task[2].end) == (0, 3)
-    assert by_task[2].core == "mul0"
-    assert (by_task[3].start, by_task[3].end) == (0, 3)
-    assert by_task[3].core == "mul1"
-    assert (by_task[4].start, by_task[4].end) == (5, 6)
-    assert rep.makespan_cycles == 7
-    assert rep.total_flit_hops == 4
-
-
-def test_two_flit_values_contend_for_a_link():
-    # as above with 2-flit values: mul0 and mul1 both run [0,3); mul0's
-    # flits take link (2,0)->(1,0) at cycles 3 and 4 (value arrives 5);
-    # mul1's flits cross (3,0)->(2,0) at 3 and 4, but (2,0)->(1,0) is
-    # taken at 4, so they cross it at 5 and 6 and the value arrives at
-    # 7, one cycle after its contention-free 6; ADD [7,8); the result's
-    # flits cross (1,0)->(0,0) at 8 and 9 and reach IO at 10
-    mesh = MeshConfig(cols=4, rows=1, flits_per_value=2)
-    pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0),
-                    "mul1": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
-    rep = simulate(_graph_two_muls_one_add(), cm, mesh, pl)
-    by_task = {e.task: e for e in rep.schedule}
-    assert (by_task[2].core, by_task[2].start, by_task[2].end) == \
-        ("mul0", 0, 3)
-    assert (by_task[3].core, by_task[3].start, by_task[3].end) == \
-        ("mul1", 0, 3)
-    assert (by_task[4].start, by_task[4].end) == (7, 8)
-    assert [(m.producer, m.launch, m.arrival) for m in rep.messages] == [
-        (2, 3, 5), (3, 3, 7), (4, 8, 10)]
-    assert rep.makespan_cycles == 10
-    assert rep.total_flit_hops == 8
-    assert rep.per_link_flits == {"2,0->1,0": 4, "3,0->2,0": 2,
-                                  "1,0->0,0": 2}
-
-
-def test_chained_muls_on_one_core_send_nothing_between_them():
-    # MUL 3 reads MUL 2's value on the core that made it: 2 runs [0,4),
-    # 3 runs [4,8) with no transfer between them; only the result
-    # travels, its two flits crossing (1,0)->(0,0) at 8 and 9 (IO at 10)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 64
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 MUL iterate 0 0,1 - -
-3 MUL iterate 0 2,0 - -
-result 3 3
-""")
-    mesh = MeshConfig(cols=2, rows=1)  # flits: ceil(64/32) = 2
-    pl = Placement({"io0": (0, 0), "mul0": (1, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "mul0", 0, 4), (3, "mul0", 4, 8)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(3, -1, 8, 10)]
-    assert rep.makespan_cycles == 10
-    assert rep.per_link_flits == {"1,0->0,0": 2}
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_shipped_value_stays_resident():
-    # MUL 2 feeds ADDs 3 and 4, both on the only ADD core: one message
-    # carries 2 to (1,0) (launch 3, arrival 4); ADD 3 runs [4,5) and
-    # ADD 4 runs [5,6) on the resident copy, with no second transfer;
-    # the results reach IO at 6 and 7
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 MUL iterate 0 0,1 - -
-3 ADD iterate 1 2,0 - -
-4 ADD iterate 1 2,1 - -
-result 3 4
-""")
-    mesh = MeshConfig(cols=3, rows=1)
-    pl = Placement({"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)})
-    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    by_task = {e.task: e for e in rep.schedule}
-    assert (by_task[3].start, by_task[3].end) == (4, 5)
-    assert (by_task[4].start, by_task[4].end) == (5, 6)
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [
-        (2, 3, 3, 4), (3, -1, 5, 6), (4, -1, 6, 7)]
-    assert rep.makespan_cycles == 7
-    assert rep.total_flit_hops == 3
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_task_backfills_the_idle_gap_of_its_operand_core():
-    # mul0 runs MUL 2 [0,4), then waits for INV 3 (inv0, [0,40)), whose
-    # value crosses one link to arrive at 41: MUL 4 runs [41,45) and
-    # leaves mul0 idle in [4,41).  MUL 5 is visited last (rank 4, after
-    # MUL 4 by id); its operand 2 sits on mul0 from cycle 4, so it runs
-    # [4,8) in that gap, with no message, not [45,49) after MUL 4.  The
-    # results reach IO two hops away at 47 (4) and 10 (5)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+_BACKFILL = """taskgraph 1 fieldbits 32
 0 XFER init -1 - Px 3
 1 XFER init -1 - Py 4
 2 MUL iterate 0 0,1 - -
@@ -394,22 +228,133 @@ def test_task_backfills_the_idle_gap_of_its_operand_core():
 4 MUL convert -1 3,0 - -
 5 MUL convert -1 2,2 - -
 result 4 5
-""")
-    mesh = MeshConfig(cols=3, rows=1)
-    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (3, "inv0", 0, 40), (2, "mul0", 0, 4), (4, "mul0", 41, 45),
-        (5, "mul0", 4, 8)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(3, 4, 40, 41), (4, -1, 45, 47),
-                                       (5, -1, 8, 10)]
-    assert rep.makespan_cycles == 47
-    check_schedule(G, cm, mesh, rep)
+"""
+
+_SPLIT_GAP = """taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 INV convert -1 0 - -
+3 MUL convert -1 2,0 - -
+4 SQR convert -1 0 - -
+5 MUL convert -1 4,0 - -
+6 MUL convert -1 5,5 - -
+7 MUL convert -1 3,3 - -
+result 6 7
+"""
+
+_IO_INV_MUL_SQR = {"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                   "sqr0": (3, 0)}
 
 
-def test_task_takes_the_earlier_of_two_idle_gaps():
+# Each row: the graph's text, the mesh, the placement, the costs, then the
+# schedule worked out by hand: each task's (id, core, start, end) in visit
+# order, each message's (producer, consumer, launch, arrival) in booking
+# order (consumer -1 is the result's delivery to IO), and the makespan.
+_HAND_TRACES = [
+    # one MUL (cost 4) next to the IO core; result is one 2-flit value:
+    # execute [0,4), flits cross at cycles 4 and 5, makespan 6
+    pytest.param("""taskgraph 1 fieldbits 64
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+result 2 2
+""", MeshConfig(cols=2, rows=1, flits_per_value=2),
+        {"mul0": (1, 0), "io0": (0, 0)},
+        CostModel(add=1, sub=1, mul=4, sqr=1, inv=40),
+        [(2, "mul0", 0, 4)], [(2, -1, 4, 6)], 6,
+        id="single_task_two_flit_delivery"),
+    # one MUL core: 2 then 3 back to back; each value launches when its
+    # producer ends and crosses link (2,0)->(1,0) alone, 2 at cycle 3
+    # (arrives 4) and 3 at cycle 6 (arrives 7); ADD runs [7,8); result
+    # reaches IO at 9.  Flits: ceil(32/32) = 1
+    pytest.param(_TWO_MULS_ONE_ADD, MeshConfig(cols=3, rows=1),
+                 {"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)},
+                 CostModel(add=1, sub=1, mul=3, sqr=1, inv=40),
+                 [(2, "mul0", 0, 3), (3, "mul0", 3, 6), (4, "add0", 7, 8)],
+                 [(2, 4, 3, 4), (3, 4, 6, 7), (4, -1, 8, 9)], 9,
+                 id="serialized_muls_on_one_core"),
+    # two MUL cores run 2 and 3 in parallel [0,3); the farther value
+    # arrives at cycle 5; ADD [5,6); result at IO at 7
+    pytest.param(_TWO_MULS_ONE_ADD, MeshConfig(cols=4, rows=1),
+                 {"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0),
+                  "mul1": (3, 0)},
+                 CostModel(add=1, sub=1, mul=3, sqr=1, inv=40),
+                 [(2, "mul0", 0, 3), (3, "mul1", 0, 3), (4, "add0", 5, 6)],
+                 [(2, 4, 3, 4), (3, 4, 3, 5), (4, -1, 6, 7)], 7,
+                 id="parallel_muls_on_two_cores"),
+    # as above with 2-flit values: mul0 and mul1 both run [0,3); mul0's
+    # flits take link (2,0)->(1,0) at cycles 3 and 4 (value arrives 5);
+    # mul1's flits cross (3,0)->(2,0) at 3 and 4, but (2,0)->(1,0) is
+    # taken at 4, so they cross it at 5 and 6 and the value arrives at
+    # 7, one cycle after its contention-free 6; ADD [7,8); the result's
+    # flits cross (1,0)->(0,0) at 8 and 9 and reach IO at 10
+    pytest.param(_TWO_MULS_ONE_ADD, MeshConfig(cols=4, rows=1,
+                                               flits_per_value=2),
+                 {"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0),
+                  "mul1": (3, 0)},
+                 CostModel(add=1, sub=1, mul=3, sqr=1, inv=40),
+                 [(2, "mul0", 0, 3), (3, "mul1", 0, 3), (4, "add0", 7, 8)],
+                 [(2, 4, 3, 5), (3, 4, 3, 7), (4, -1, 8, 10)], 10,
+                 id="two_flit_values_contend_for_a_link"),
+    # MUL 3 reads MUL 2's value on the core that made it: 2 runs [0,4),
+    # 3 runs [4,8) with no transfer between them; only the result
+    # travels, its two flits crossing (1,0)->(0,0) at 8 and 9 (IO at 10).
+    # Flits: ceil(64/32) = 2
+    pytest.param("""taskgraph 1 fieldbits 64
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 MUL iterate 0 2,0 - -
+result 3 3
+""", MeshConfig(cols=2, rows=1), {"io0": (0, 0), "mul0": (1, 0)},
+        CostModel(add=1, sub=1, mul=4, sqr=1, inv=40),
+        [(2, "mul0", 0, 4), (3, "mul0", 4, 8)], [(3, -1, 8, 10)], 10,
+        id="chained_muls_on_one_core_send_nothing_between_them"),
+    # MUL 2 feeds ADDs 3 and 4, both on the only ADD core: one message
+    # carries 2 to (1,0) (launch 3, arrival 4); ADD 3 runs [4,5) and
+    # ADD 4 runs [5,6) on the resident copy, with no second transfer;
+    # the results reach IO at 6 and 7
+    pytest.param("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 ADD iterate 1 2,0 - -
+4 ADD iterate 1 2,1 - -
+result 3 4
+""", MeshConfig(cols=3, rows=1),
+        {"io0": (0, 0), "add0": (1, 0), "mul0": (2, 0)},
+        CostModel(add=1, sub=1, mul=3, sqr=1, inv=40),
+        [(2, "mul0", 0, 3), (3, "add0", 4, 5), (4, "add0", 5, 6)],
+        [(2, 3, 3, 4), (3, -1, 5, 6), (4, -1, 6, 7)], 7,
+        id="shipped_value_stays_resident"),
+    # mul0 runs MUL 2 [0,4), then waits for INV 3 (inv0, [0,40)), whose
+    # value crosses one link to arrive at 41: MUL 4 runs [41,45) and
+    # leaves mul0 idle in [4,41).  MUL 5 is visited last (rank 4, after
+    # MUL 4 by id); its operand 2 sits on mul0 from cycle 4, so it runs
+    # [4,8) in that gap, with no message, not [45,49) after MUL 4.  The
+    # results reach IO two hops away at 47 (4) and 10 (5)
+    pytest.param(_BACKFILL, MeshConfig(cols=3, rows=1),
+                 {"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0)},
+                 CostModel(add=1, sub=1, mul=4, sqr=1, inv=40),
+                 [(3, "inv0", 0, 40), (2, "mul0", 0, 4),
+                  (4, "mul0", 41, 45), (5, "mul0", 4, 8)],
+                 [(3, 4, 40, 41), (4, -1, 45, 47), (5, -1, 8, 10)], 47,
+                 id="task_backfills_the_idle_gap_of_its_operand_core"),
+    # as above with a second MUL core, mul1, one hop past mul0 and so
+    # tried after it: MUL 2 ties at [0,4) on both idle cores and takes
+    # mul0, and MUL 4 runs [41,45) there as before.  MUL 5's operand 2
+    # is ready on mul0 at 4, in its idle gap [4,41), and would reach the
+    # idle mul1 at 5, so mul0 runs it [4,8).  An estimate that looked
+    # only past mul0's last task would give 45 there and put MUL 5 on
+    # mul1 at [5,9)
+    pytest.param(_BACKFILL, MeshConfig(cols=4, rows=1),
+                 {"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
+                  "mul1": (3, 0)},
+                 CostModel(add=1, sub=1, mul=4, sqr=1, inv=40),
+                 [(3, "inv0", 0, 40), (2, "mul0", 0, 4),
+                  (4, "mul0", 41, 45), (5, "mul0", 4, 8)],
+                 [(3, 4, 40, 41), (4, -1, 45, 47), (5, -1, 8, 10)], 47,
+                 id="estimate_finds_the_gap_before_an_idle_core"),
     # visit order 3, 4, 2, 5, 6, 7 by rank.  MUL 4 waits for INV 3
     # (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle in
     # [0,41); MUL 2 runs [0,4) in it, leaving [4,41).  ADD 5 on add0
@@ -418,7 +363,7 @@ def test_task_takes_the_earlier_of_two_idle_gaps():
     # MUL 7 reads only 2's value, ready on mul0 at 4: it runs [4,8) in
     # the earlier gap, not [52,56) after MUL 6.  The results reach IO two
     # hops away at 54 (6) and 10 (7)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+    pytest.param("""taskgraph 1 fieldbits 32
 0 XFER init -1 - Px 3
 1 XFER init -1 - Py 4
 2 MUL convert -1 0,1 - -
@@ -428,24 +373,14 @@ def test_task_takes_the_earlier_of_two_idle_gaps():
 6 MUL convert -1 5,0 - -
 7 MUL convert -1 2,2 - -
 result 6 7
-""")
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
-                    "add0": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (3, "inv0", 0, 40), (4, "mul0", 41, 45), (2, "mul0", 0, 4),
-        (5, "add0", 46, 47), (6, "mul0", 48, 52), (7, "mul0", 4, 8)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(3, 4, 40, 41), (4, 5, 45, 46),
-                                       (5, 6, 47, 48), (6, -1, 52, 54),
-                                       (7, -1, 8, 10)]
-    assert rep.makespan_cycles == 54
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_task_takes_the_smaller_part_of_a_split_gap():
+""", MeshConfig(cols=4, rows=1),
+        {"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0), "add0": (3, 0)},
+        CostModel(add=1, sub=1, mul=4, sqr=1, inv=40),
+        [(3, "inv0", 0, 40), (4, "mul0", 41, 45), (2, "mul0", 0, 4),
+         (5, "add0", 46, 47), (6, "mul0", 48, 52), (7, "mul0", 4, 8)],
+        [(3, 4, 40, 41), (4, 5, 45, 46), (5, 6, 47, 48), (6, -1, 52, 54),
+         (7, -1, 8, 10)], 54,
+        id="task_takes_the_earlier_of_two_idle_gaps"),
     # visit order 2, 4, 3, 5, 6, 7 by rank, ties by id.  MUL 3 waits for
     # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
     # in [0,41).  MUL 5 waits for SQR 4 (sqr0, [0,29), one hop) and runs
@@ -454,74 +389,34 @@ def test_task_takes_the_smaller_part_of_a_split_gap():
     # holds it, so it runs [34,38) there, not [45,49) after MUL 3, and
     # MUL 7 runs [45,49).  The results reach IO two hops away at 40 (6)
     # and 51 (7)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 INV convert -1 0 - -
-3 MUL convert -1 2,0 - -
-4 SQR convert -1 0 - -
-5 MUL convert -1 4,0 - -
-6 MUL convert -1 5,5 - -
-7 MUL convert -1 3,3 - -
-result 6 7
-""")
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
-                    "sqr0": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=29, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "inv0", 0, 40), (4, "sqr0", 0, 29), (3, "mul0", 41, 45),
-        (5, "mul0", 30, 34), (6, "mul0", 34, 38), (7, "mul0", 45, 49)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 29, 30),
-                                       (6, -1, 38, 40), (7, -1, 49, 51)]
-    assert rep.makespan_cycles == 51
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_task_that_fills_a_gap_deletes_it():
-    # visit order 2, 4, 3, 5, 6, 7 by rank, ties by id.  MUL 3 waits for
-    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
-    # in [0,41).  MUL 5 waits for SQR 4 (sqr0, [0,32), one hop) and runs
-    # [33,37), splitting that gap into [0,33) and [37,41).  MUL 6 reads
-    # 5's value on mul0 at 37 and fills [37,41) exactly, so that gap is
-    # gone, and MUL 7 runs [45,49) after MUL 3.  The results reach IO
-    # two hops away at 43 (6) and 51 (7)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 INV convert -1 0 - -
-3 MUL convert -1 2,0 - -
-4 SQR convert -1 0 - -
-5 MUL convert -1 4,0 - -
-6 MUL convert -1 5,5 - -
-7 MUL convert -1 3,3 - -
-result 6 7
-""")
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
-                    "sqr0": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=32, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "inv0", 0, 40), (4, "sqr0", 0, 32), (3, "mul0", 41, 45),
-        (5, "mul0", 33, 37), (6, "mul0", 37, 41), (7, "mul0", 45, 49)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 32, 33),
-                                       (6, -1, 41, 43), (7, -1, 49, 51)]
-    assert rep.makespan_cycles == 51
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_task_that_ends_a_gap_keeps_the_part_before_it():
+    pytest.param(_SPLIT_GAP, MeshConfig(cols=4, rows=1), _IO_INV_MUL_SQR,
+                 CostModel(add=1, sub=1, mul=4, sqr=29, inv=40),
+                 [(2, "inv0", 0, 40), (4, "sqr0", 0, 29),
+                  (3, "mul0", 41, 45), (5, "mul0", 30, 34),
+                  (6, "mul0", 34, 38), (7, "mul0", 45, 49)],
+                 [(2, 3, 40, 41), (4, 5, 29, 30), (6, -1, 38, 40),
+                  (7, -1, 49, 51)], 51,
+                 id="task_takes_the_smaller_part_of_a_split_gap"),
+    # as above, but SQR 4 runs [0,32): MUL 5 runs [33,37), splitting the
+    # gap into [0,33) and [37,41).  MUL 6 reads 5's value on mul0 at 37
+    # and fills [37,41) exactly, so that gap is gone, and MUL 7 runs
+    # [45,49) after MUL 3.  The results reach IO two hops away at 43 (6)
+    # and 51 (7)
+    pytest.param(_SPLIT_GAP, MeshConfig(cols=4, rows=1), _IO_INV_MUL_SQR,
+                 CostModel(add=1, sub=1, mul=4, sqr=32, inv=40),
+                 [(2, "inv0", 0, 40), (4, "sqr0", 0, 32),
+                  (3, "mul0", 41, 45), (5, "mul0", 33, 37),
+                  (6, "mul0", 37, 41), (7, "mul0", 45, 49)],
+                 [(2, 3, 40, 41), (4, 5, 32, 33), (6, -1, 41, 43),
+                  (7, -1, 49, 51)], 51,
+                 id="task_that_fills_a_gap_deletes_it"),
     # visit order 2, 4, 3, 5, 6, 7 by rank, ties by id.  MUL 3 waits for
     # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
     # in [0,41).  MUL 5 waits for SQR 4 (sqr0, [0,36), one hop) and runs
     # [37,41), up to the gap's end, so only [0,37) stays.  MUL 6 reads
     # only inputs and runs [0,4) there; MUL 7 waits for MUL 3 and runs
     # [45,49).  The results reach IO two hops away at 6 (6) and 51 (7)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
+    pytest.param("""taskgraph 1 fieldbits 32
 0 XFER init -1 - Px 3
 1 XFER init -1 - Py 4
 2 INV convert -1 0 - -
@@ -531,19 +426,136 @@ def test_task_that_ends_a_gap_keeps_the_part_before_it():
 6 MUL convert -1 0,1 - -
 7 MUL convert -1 3,5 - -
 result 6 7
-""")
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
-                    "sqr0": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=36, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "inv0", 0, 40), (4, "sqr0", 0, 36), (3, "mul0", 41, 45),
-        (5, "mul0", 37, 41), (6, "mul0", 0, 4), (7, "mul0", 45, 49)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 3, 40, 41), (4, 5, 36, 37),
-                                       (6, -1, 4, 6), (7, -1, 49, 51)]
-    assert rep.makespan_cycles == 51
+""", MeshConfig(cols=4, rows=1), _IO_INV_MUL_SQR,
+        CostModel(add=1, sub=1, mul=4, sqr=36, inv=40),
+        [(2, "inv0", 0, 40), (4, "sqr0", 0, 36), (3, "mul0", 41, 45),
+         (5, "mul0", 37, 41), (6, "mul0", 0, 4), (7, "mul0", 45, 49)],
+        [(2, 3, 40, 41), (4, 5, 36, 37), (6, -1, 4, 6), (7, -1, 49, 51)],
+        51, id="task_that_ends_a_gap_keeps_the_part_before_it"),
+    # MUL 2 reads only inputs, so both idle MUL cores estimate [0,4)
+    # with no new hops; its consumer is ADD 3, and add0 sits one hop
+    # from mul1 but two from mul0, so mul1 takes it: the value crosses
+    # one link (arrival 5), ADD 3 runs [5,6) and the result reaches IO
+    # at 7.  On mul0 the ADD would start at 6 and the run end at 8
+    pytest.param("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL iterate 0 0,1 - -
+3 ADD iterate 0 2,0 - -
+result 3 3
+""", MeshConfig(cols=4, rows=1),
+        {"mul0": (0, 0), "io0": (1, 0), "add0": (2, 0), "mul1": (3, 0)},
+        CostModel(add=1, sub=1, mul=4, sqr=1, inv=40),
+        [(2, "mul1", 0, 4), (3, "add0", 5, 6)],
+        [(2, 3, 4, 5), (3, -1, 6, 7)], 7,
+        id="equal_estimates_go_to_the_core_nearer_the_consumers"),
+    # MULs 2 and 3 read only inputs.  Both feed ADD 4 on add0, one hop
+    # from mul1 and two from mul0, so mul1 is tried first: MUL 2 ties at
+    # [0,3) on both idle cores and takes mul1.  MUL 3 would wait on mul1
+    # until 3 and takes the idle mul0 at 0.  The values reach add0 at 4
+    # and 5 (MUL 3's crosses (2,0)->(1,0) after MUL 2's); ADD 4 runs
+    # [5,6) and the result reaches IO at 7
+    pytest.param(_TWO_MULS_ONE_ADD, MeshConfig(cols=4, rows=1),
+                 {"io0": (0, 0), "mul0": (3, 0), "mul1": (2, 0),
+                  "add0": (1, 0)},
+                 CostModel(add=1, sub=1, mul=3, sqr=1, inv=40),
+                 [(2, "mul1", 0, 3), (3, "mul0", 0, 3), (4, "add0", 5, 6)],
+                 [(2, 4, 3, 4), (3, 4, 3, 5), (4, -1, 6, 7)], 7,
+                 id="input_only_tasks_take_the_idle_cores"),
+    # MULs 2 and 3 run [0,2) and [2,4) on mul0.  sqr0 sits one hop from
+    # IO and is tried first; sqr1 sits one hop from mul0.  SQR 4 reads 2:
+    # it would arrive on sqr0 at 5 and on sqr1 at 3, so sqr1 runs it
+    # [3,7).  SQR 5 reads 3: on sqr0 it arrives at 7 over three hops; on
+    # sqr1 at 5 over one, where the core is free from 7.  Both estimates
+    # are 7, and sqr1, with fewer hops for the new transfer, wins the tie
+    # though it is tried second: [7,11).  The results reach IO three hops
+    # away at 10 (4) and 14 (5)
+    pytest.param("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+3 MUL convert -1 1,1 - -
+4 SQR convert -1 2 - -
+5 SQR convert -1 3 - -
+result 4 5
+""", MeshConfig(cols=5, rows=1),
+        {"io0": (0, 0), "sqr0": (1, 0), "sqr1": (3, 0), "mul0": (4, 0)},
+        CostModel(add=1, sub=1, mul=2, sqr=4, inv=40),
+        [(2, "mul0", 0, 2), (3, "mul0", 2, 4), (4, "sqr1", 3, 7),
+         (5, "sqr1", 7, 11)],
+        [(2, 4, 2, 3), (3, 5, 4, 5), (4, -1, 7, 10), (5, -1, 11, 14)], 14,
+        id="unary_task_with_a_remote_operand_ties_on_its_one_wire"),
+    # sqr0 sits one hop from IO and is tried first; sqr1 sits one hop
+    # from mul0 and mul1, sqr0 three.  MULs 2 and 3 run [0,2) on mul0
+    # and mul1.  SQR 4 reads 3 and runs [3,5) on sqr1 (arrival 3, against
+    # 5 on sqr0); SQR 5 reads 3 too and ties at 5 on both, where sqr1
+    # holds 3 and ships nothing: [5,7).  SQR 6 reads 2: 5 on sqr0, 7 on
+    # the busy sqr1, so sqr0 runs it [5,7) and 2 crosses three links.
+    # SQR 7 reads 2: sqr0 holds it and is free from 7; sqr1 is free from
+    # 7 with 2 one hop away.  The estimates tie at 7, and the resident
+    # copy costs no new transfer, so sqr0 keeps it, though its own
+    # transfer of 2 took three hops: [7,9).  The results reach IO at 8
+    # (6) and 10 (7)
+    pytest.param("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 MUL convert -1 0,1 - -
+3 MUL convert -1 1,1 - -
+4 SQR convert -1 3 - -
+5 SQR convert -1 3 - -
+6 SQR convert -1 2 - -
+7 SQR convert -1 2 - -
+result 6 7
+""", MeshConfig(cols=4, rows=2),
+        {"io0": (0, 0), "sqr0": (0, 1), "sqr1": (2, 1), "mul0": (2, 0),
+         "mul1": (3, 1)},
+        CostModel(add=1, sub=1, mul=2, sqr=2, inv=40),
+        [(2, "mul0", 0, 2), (3, "mul1", 0, 2), (4, "sqr1", 3, 5),
+         (5, "sqr1", 5, 7), (6, "sqr0", 5, 7), (7, "sqr0", 7, 9)],
+        [(3, 4, 2, 3), (2, 6, 2, 5), (6, -1, 7, 8), (7, -1, 9, 10)], 10,
+        id="operand_already_shipped_costs_no_new_transfer"),
+    # visit order 2, 5, 4, 3, 6 by rank, ties by id.  MUL 3 waits for
+    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
+    # in [0,41).  MUL 6 reads ADD 4 (add0, [0,35), two hops) and SQR 5
+    # (sqr0, [0,36), one hop): without contention both arrive at 37, and
+    # [37,41) fits the gap.  But 4's value takes link (3,0)->(2,0) at 36,
+    # so 5's crosses it at 37 and arrives at 38, too late for the gap:
+    # MUL 6 runs [45,49) after MUL 3.  The results reach IO two hops away
+    # at 47 (3) and 51 (6)
+    pytest.param("""taskgraph 1 fieldbits 32
+0 XFER init -1 - Px 3
+1 XFER init -1 - Py 4
+2 INV convert -1 0 - -
+3 MUL convert -1 2,0 - -
+4 ADD convert -1 0,1 - -
+5 SQR convert -1 1 - -
+6 MUL convert -1 4,5 - -
+result 3 6
+""", MeshConfig(cols=5, rows=1), {**_IO_INV_MUL_SQR, "add0": (4, 0)},
+        CostModel(add=35, sub=1, mul=4, sqr=36, inv=40),
+        [(2, "inv0", 0, 40), (5, "sqr0", 0, 36), (4, "add0", 0, 35),
+         (3, "mul0", 41, 45), (6, "mul0", 45, 49)],
+        [(2, 3, 40, 41), (4, 6, 35, 37), (5, 6, 36, 38), (3, -1, 45, 47),
+         (6, -1, 49, 51)], 51,
+        id="task_estimated_into_a_gap_is_appended_on_its_real_arrivals"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, mesh, tiles, cm, schedule, messages, makespan", _HAND_TRACES)
+def test_hand_traced_schedule(text, mesh, tiles, cm, schedule, messages,
+                              makespan):
+    """`simulate` gives the hand-traced schedule, read from the report's
+    columns, and the report passes every invariant."""
+    G = TaskGraph.from_text(text)
+    rep = simulate(G, cm, mesh, Placement(tiles))
+    names, core, end = rep.placement.names, rep.core, rep.end
+    assert [(t, names[core[t]], rep.start[t], end[t])
+            for t in rep.order] == schedule
+    assert list(zip(rep.msg_producer, rep.msg_consumer,
+                    [end[p] for p in rep.msg_producer],
+                    rep.msg_arrival)) == messages
+    assert rep.makespan_cycles == makespan
     check_schedule(G, cm, mesh, rep)
 
 
@@ -586,169 +598,15 @@ def test_huge_costs_schedule_as_exact_integers():
     check_schedule(G, cm, MESH, rep)
 
 
-def test_equal_estimates_go_to_the_core_nearer_the_consumers():
-    # MUL 2 reads only inputs, so both idle MUL cores estimate [0,4)
-    # with no new hops; its consumer is ADD 3, and add0 sits one hop
-    # from mul1 but two from mul0, so mul1 takes it: the value crosses
-    # one link (arrival 5), ADD 3 runs [5,6) and the result reaches IO
-    # at 7.  On mul0 the ADD would start at 6 and the run end at 8
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 MUL iterate 0 0,1 - -
-3 ADD iterate 0 2,0 - -
-result 3 3
-""")
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"mul0": (0, 0), "io0": (1, 0), "add0": (2, 0),
-                    "mul1": (3, 0)})
-    cm = CostModel(add=1, sub=1, mul=4, sqr=1, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "mul1", 0, 4), (3, "add0", 5, 6)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 3, 4, 5), (3, -1, 6, 7)]
-    assert rep.makespan_cycles == 7
-    assert rep.total_flit_hops == 2
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_input_only_tasks_take_the_idle_cores():
-    # MULs 2 and 3 read only inputs.  Both feed ADD 4 on add0, one hop
-    # from mul1 and two from mul0, so mul1 is tried first: MUL 2 ties at
-    # [0,3) on both idle cores and takes mul1.  MUL 3 would wait on mul1
-    # until 3 and takes the idle mul0 at 0.  The values reach add0 at 4
-    # and 5 (MUL 3's crosses (2,0)->(1,0) after MUL 2's); ADD 4 runs
-    # [5,6) and the result reaches IO at 7
-    mesh = MeshConfig(cols=4, rows=1)
-    pl = Placement({"io0": (0, 0), "mul0": (3, 0), "mul1": (2, 0),
-                    "add0": (1, 0)})
-    cm = CostModel(add=1, sub=1, mul=3, sqr=1, inv=40)
-    G = _graph_two_muls_one_add()
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "mul1", 0, 3), (3, "mul0", 0, 3), (4, "add0", 5, 6)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 4, 3, 4), (3, 4, 3, 5),
-                                       (4, -1, 6, 7)]
-    assert rep.makespan_cycles == 7
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_unary_task_with_a_remote_operand_ties_on_its_one_wire():
-    # MULs 2 and 3 run [0,2) and [2,4) on mul0.  sqr0 sits one hop from
-    # IO and is tried first; sqr1 sits one hop from mul0.  SQR 4 reads 2:
-    # it would arrive on sqr0 at 5 and on sqr1 at 3, so sqr1 runs it
-    # [3,7).  SQR 5 reads 3: on sqr0 it arrives at 7 over three hops; on
-    # sqr1 at 5 over one, where the core is free from 7.  Both estimates
-    # are 7, and sqr1, with fewer hops for the new transfer, wins the tie
-    # though it is tried second: [7,11).  The results reach IO three hops
-    # away at 10 (4) and 14 (5)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 MUL convert -1 0,1 - -
-3 MUL convert -1 1,1 - -
-4 SQR convert -1 2 - -
-5 SQR convert -1 3 - -
-result 4 5
-""")
-    mesh = MeshConfig(cols=5, rows=1)
-    pl = Placement({"io0": (0, 0), "sqr0": (1, 0), "sqr1": (3, 0),
-                    "mul0": (4, 0)})
-    cm = CostModel(add=1, sub=1, mul=2, sqr=4, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "mul0", 0, 2), (3, "mul0", 2, 4), (4, "sqr1", 3, 7),
-        (5, "sqr1", 7, 11)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 4, 2, 3), (3, 5, 4, 5),
-                                       (4, -1, 7, 10), (5, -1, 11, 14)]
-    assert rep.makespan_cycles == 14
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_operand_already_shipped_costs_no_new_transfer():
-    # sqr0 sits one hop from IO and is tried first; sqr1 sits one hop
-    # from mul0 and mul1, sqr0 three.  MULs 2 and 3 run [0,2) on mul0
-    # and mul1.  SQR 4 reads 3 and runs [3,5) on sqr1 (arrival 3, against
-    # 5 on sqr0); SQR 5 reads 3 too and ties at 5 on both, where sqr1
-    # holds 3 and ships nothing: [5,7).  SQR 6 reads 2: 5 on sqr0, 7 on
-    # the busy sqr1, so sqr0 runs it [5,7) and 2 crosses three links.
-    # SQR 7 reads 2: sqr0 holds it and is free from 7; sqr1 is free from
-    # 7 with 2 one hop away.  The estimates tie at 7, and the resident
-    # copy costs no new transfer, so sqr0 keeps it, though its own
-    # transfer of 2 took three hops: [7,9).  The results reach IO at 8
-    # (6) and 10 (7)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 MUL convert -1 0,1 - -
-3 MUL convert -1 1,1 - -
-4 SQR convert -1 3 - -
-5 SQR convert -1 3 - -
-6 SQR convert -1 2 - -
-7 SQR convert -1 2 - -
-result 6 7
-""")
-    mesh = MeshConfig(cols=4, rows=2)
-    pl = Placement({"io0": (0, 0), "sqr0": (0, 1), "sqr1": (2, 1),
-                    "mul0": (2, 0), "mul1": (3, 1)})
-    cm = CostModel(add=1, sub=1, mul=2, sqr=2, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "mul0", 0, 2), (3, "mul1", 0, 2), (4, "sqr1", 3, 5),
-        (5, "sqr1", 5, 7), (6, "sqr0", 5, 7), (7, "sqr0", 7, 9)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(3, 4, 2, 3), (2, 6, 2, 5),
-                                       (6, -1, 7, 8), (7, -1, 9, 10)]
-    assert rep.makespan_cycles == 10
-    check_schedule(G, cm, mesh, rep)
-
-
-def test_task_estimated_into_a_gap_is_appended_on_its_real_arrivals():
-    # visit order 2, 5, 4, 3, 6 by rank, ties by id.  MUL 3 waits for
-    # INV 2 (inv0, [0,40), one hop) and runs [41,45), leaving mul0 idle
-    # in [0,41).  MUL 6 reads ADD 4 (add0, [0,35), two hops) and SQR 5
-    # (sqr0, [0,36), one hop): without contention both arrive at 37, and
-    # [37,41) fits the gap.  But 4's value takes link (3,0)->(2,0) at 36,
-    # so 5's crosses it at 37 and arrives at 38, too late for the gap:
-    # MUL 6 runs [45,49) after MUL 3.  The results reach IO two hops away
-    # at 47 (3) and 51 (6)
-    G = TaskGraph.from_text("""taskgraph 1 fieldbits 32
-0 XFER init -1 - Px 3
-1 XFER init -1 - Py 4
-2 INV convert -1 0 - -
-3 MUL convert -1 2,0 - -
-4 ADD convert -1 0,1 - -
-5 SQR convert -1 1 - -
-6 MUL convert -1 4,5 - -
-result 3 6
-""")
-    mesh = MeshConfig(cols=5, rows=1)
-    pl = Placement({"io0": (0, 0), "inv0": (1, 0), "mul0": (2, 0),
-                    "sqr0": (3, 0), "add0": (4, 0)})
-    cm = CostModel(add=35, sub=1, mul=4, sqr=36, inv=40)
-    rep = simulate(G, cm, mesh, pl)
-    assert [(e.task, e.core, e.start, e.end) for e in rep.schedule] == [
-        (2, "inv0", 0, 40), (5, "sqr0", 0, 36), (4, "add0", 0, 35),
-        (3, "mul0", 41, 45), (6, "mul0", 45, 49)]
-    assert [(m.producer, m.consumer, m.launch, m.arrival)
-            for m in rep.messages] == [(2, 3, 40, 41), (4, 6, 35, 37),
-                                       (5, 6, 36, 38), (3, -1, 45, 47),
-                                       (6, -1, 49, 51)]
-    assert rep.makespan_cycles == 51
-    check_schedule(G, cm, mesh, rep)
-
-
 def test_missing_role_detected():
+    G = TaskGraph.from_text(_TWO_MULS_ONE_ADD)
     mesh = MeshConfig(cols=3, rows=1)
     pl = Placement({"io0": (0, 0), "mul0": (2, 0)})  # no ADD core
     with pytest.raises(MissingCoreRole, match="has no add core"):
-        simulate(_graph_two_muls_one_add(), CostModel(), mesh, pl)
+        simulate(G, CostModel(), mesh, pl)
     pl2 = Placement({"add0": (0, 0), "mul0": (2, 0)})  # no IO core
     with pytest.raises(MissingCoreRole, match="has no io core"):
-        simulate(_graph_two_muls_one_add(), CostModel(), mesh, pl2)
+        simulate(G, CostModel(), mesh, pl2)
 
 
 def test_default_flit_count_follows_field_width(p17):
@@ -860,8 +718,9 @@ def test_simulation_is_deterministic(p17):
     a = simulate(G, cm, MESH, pl)
     b = simulate(G, cm, MESH, pl)
     assert a.to_json_dict() == b.to_json_dict()
-    assert [(e.task, e.core, e.start, e.end) for e in a.schedule] == \
-        [(e.task, e.core, e.start, e.end) for e in b.schedule]
+    assert a.schedule_rows() == b.schedule_rows()
+    for column in ("msg_producer", "msg_consumer", "msg_dst", "msg_arrival"):
+        assert getattr(a, column) == getattr(b, column)
 
 
 def test_sequential_baseline_sums_costs(p17):

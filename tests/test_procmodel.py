@@ -31,22 +31,20 @@ def _compile(preset, k):
 def test_compiled_graph_shape(p17):
     G = _compile(p17, 13)
     # ids are a topological order
-    for pos, t in enumerate(G.tasks):
-        assert t.id == pos
-        for o in t.operands:
-            assert o < t.id
+    for tid, ops in enumerate(G.operands):
+        assert all(o < tid for o in ops)
     # inputs appear once per (label, value)
-    xfers = [t for t in G.tasks if t.kind is OpKind.XFER]
-    assert len({(t.label, t.value) for t in xfers}) == len(xfers)
-    labels = {t.label for t in xfers}
-    assert {"Px", "Py", "one", "a"} <= labels
+    xfers = [(G.labels[t], G.values[t]) for t, kind in enumerate(G.kinds)
+             if kind is OpKind.XFER]
+    assert len(set(xfers)) == len(xfers)
+    assert {"Px", "Py", "one", "a"} <= {label for label, _ in xfers}
     # the single inversion lives in the convert phase
-    invs = [t for t in G.tasks if t.kind is OpKind.INV]
-    assert len(invs) == 1 and invs[0].phase is Phase.CONVERT
+    invs = [t for t, kind in enumerate(G.kinds) if kind is OpKind.INV]
+    assert len(invs) == 1 and G.phases[invs[0]] is Phase.CONVERT
     # both result coordinates come from convert-phase multiplies
     for r in G.result:
-        assert G.tasks[r].kind is OpKind.MUL
-        assert G.tasks[r].phase is Phase.CONVERT
+        assert G.kinds[r] is OpKind.MUL
+        assert G.phases[r] is Phase.CONVERT
 
 
 def test_replay_matches_direct_run(p17, b4):
@@ -71,8 +69,9 @@ def test_graph_counts_equal_trace_counts(p17, b4):
             G = _compile(preset, k)
             tr = OpTrace()
             scalar_mul(preset.curve, k, preset.base, tr)
-            by_phase = Counter((t.phase, t.kind) for t in G.tasks
-                               if t.kind is not OpKind.XFER)
+            by_phase = Counter((phase, kind) for phase, kind
+                               in zip(G.phases, G.kinds)
+                               if kind is not OpKind.XFER)
             for ph in Phase:
                 want = {kk: n for kk, n in tr.phase_counts(ph).items() if n}
                 got = {kk: n for (p, kk), n in by_phase.items() if p is ph}
@@ -81,9 +80,8 @@ def test_graph_counts_equal_trace_counts(p17, b4):
 
 def test_k_one_has_only_convert_arithmetic(p17):
     G = _compile(p17, 1)
-    for t in G.tasks:
-        if t.kind is not OpKind.XFER:
-            assert t.phase is Phase.CONVERT
+    assert all(phase is Phase.CONVERT for phase, kind
+               in zip(G.phases, G.kinds) if kind is not OpKind.XFER)
 
 
 def test_infinite_results_refuse_to_compile(p17):
@@ -577,8 +575,7 @@ def test_ancestor_set(p17):
     G = _compile(p17, 13)
     anc = G.ancestors_of_result()
     assert set(G.result) <= anc
-    assert anc <= {t.id for t in G.tasks}
+    assert anc <= set(range(len(G.kinds)))
     # every ancestor's operands are ancestors too
     for tid in anc:
-        for o in G.tasks[tid].operands:
-            assert o in anc
+        assert set(G.operands[tid]) <= anc

@@ -61,9 +61,11 @@ def rows() -> list[list[str]]:
         usage = role_usage(G)
         for machine, mesh, counts, place in MACHINES:
             rep = simulate(G, cm, mesh, place(mesh, counts, usage))
+            tiles, core, end = rep.placement.tiles, rep.core, rep.end
             trail = json.dumps([rep.schedule_rows(), [
-                (m.producer, m.consumer, m.src, m.dst, m.launch, m.arrival)
-                for m in rep.messages]])
+                (p, c, tiles[core[p]], tiles[d], end[p], a)
+                for p, c, d, a in zip(rep.msg_producer, rep.msg_consumer,
+                                      rep.msg_dst, rep.msg_arrival)]])
             out.append([name, f"{k:x}", machine, str(rep.makespan_cycles),
                         str(rep.total_flit_hops), str(len(rep.msg_arrival)),
                         f"{rep.speedup:.3f}", str(cp),
