@@ -79,6 +79,9 @@ PRESETS: dict[str, CurvePreset] = {p.name: p for p in _ALL}
 
 
 def get_preset(name: str) -> CurvePreset:
+    if not isinstance(name, str):
+        raise BadValue(f"curve preset name must be a str, got "
+                       f"{type(name).__name__}")
     try:
         return PRESETS[name]
     except KeyError:

@@ -279,6 +279,8 @@ def scalar_mul(curve: CurveParams, k: int, P: AffinePoint,
 def scalar_mul_reference(curve: CurveParams, k: int,
                          P: AffinePoint) -> AffinePoint:
     """Independent oracle: literal k-fold repeated affine addition."""
+    if type(k) is not int:
+        raise BadValue(f"scalar must be an int, got {type(k).__name__}")
     if k < 0:
         raise BadValue("scalar must be nonnegative")
     if k > ORACLE_BOUND:

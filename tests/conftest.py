@@ -1,16 +1,20 @@
 import bisect
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
-from eccnoc.curves import INFINITY, AffinePoint, _add_affine_raw, is_on_curve
-from eccnoc.errors import OracleBoundExceeded
+from eccnoc.curves import (INFINITY, AffinePoint, _add_affine_raw,
+                           is_on_curve, point_add_affine, point_double_affine)
+from eccnoc.errors import OracleBoundExceeded, ResultAtInfinity
 from eccnoc.fields import OpKind, ff_inv, ff_sqr
 from eccnoc.nocsim import role_for_kind
 from eccnoc.presets import PRESETS
-from eccnoc.procmodel import critical_path
+from eccnoc.procmodel import (TaskGraph, compile_scalar_mul, critical_path,
+                              replay)
+from eccnoc.scalarmul import OpTrace, Phase, scalar_mul
 
 _POINT_SCAN_BOUND = 1 << 16
 
@@ -45,6 +49,63 @@ def check_field_axioms(spec, triples):
         assert ff_sqr(a) == a * a
         if a.value:
             assert (a * ff_inv(a)) == one
+
+
+def double_and_add(curve, k, P):
+    """k*P by left-to-right double-and-add over the affine group law."""
+    acc = INFINITY
+    for bit in bin(k)[2:]:
+        acc = point_double_affine(curve, acc)
+        if bit == "1":
+            acc = point_add_affine(curve, acc, P)
+    return acc
+
+
+def check_scalar_mul(curve, k, P, want):
+    """The whole scalar-multiplication pipeline on one input: `scalar_mul`
+    gives the oracle's `want`, its trace has the binary method's shape
+    and one inversion, in the conversion, for a finite result; a finite
+    result compiles to a graph that agrees with the trace, writes the
+    same text after a round trip and replays, before and after, to
+    `want`, and an infinite one refuses to compile."""
+    trace = OpTrace()
+    assert scalar_mul(curve, k, P, trace) == want, (k, P)
+    phases = [trace.phase_counts(phase) for phase in Phase]
+    totals = trace.totals()
+    # l-1 doublings and HW(k)-1 additions; k = 0 or P at infinity does
+    # no work at all
+    if k == 0 or P.is_infinity:
+        assert not any(totals.values()), (k, P)
+        shape = (0, 0)
+    else:
+        shape = (k.bit_length() - 1, bin(k).count("1") - 1)
+    assert (trace.n_point_doubles, trace.n_point_adds) == shape, (k, P)
+    assert totals == {kind: sum(c[kind] for c in phases) for kind in totals}
+    # INV by phase: init, iterate, convert
+    assert tuple(c[OpKind.INV] for c in phases) == \
+        ((0, 0, 0) if want.is_infinity else (0, 0, 1)), (k, P)
+    if want.is_infinity:
+        with pytest.raises(ResultAtInfinity):
+            compile_scalar_mul(curve, k, P)
+        return
+    G = compile_scalar_mul(curve, k, P)
+    # ids are a topological order, and each input appears once
+    assert all(o < t for t, ops in enumerate(G.operands) for o in ops)
+    inputs = [(label, value) for kind, label, value
+              in zip(G.kinds, G.labels, G.values) if kind is OpKind.XFER]
+    assert len(set(inputs)) == len(inputs), (k, P)
+    # both result coordinates come from convert-phase multiplies
+    assert all(G.kinds[r] is OpKind.MUL and G.phases[r] is Phase.CONVERT
+               for r in G.result), (k, P)
+    # the graph's kinds by phase are the trace's counts
+    assert Counter((phase, kind) for phase, kind in zip(G.phases, G.kinds)
+                   if kind is not OpKind.XFER) == {
+        (phase, kind): n for phase, c in zip(Phase, phases)
+        for kind, n in c.items() if n}, (k, P)
+    text = G.to_text()
+    G2 = TaskGraph.from_text(text)
+    assert G2.to_text() == text
+    assert replay(G, curve) == replay(G2, curve) == want, (k, P)
 
 
 def check_schedule(G, cm, mesh, rep):
@@ -191,19 +252,17 @@ def enumerate_points(curve):
     return pts
 
 
-def point_order(curve, P):
-    """Additive order of P by repeated addition (bounded)."""
-    if P.is_infinity:
-        return 1
-    acc = P
-    n = 1
-    while not acc.is_infinity:
-        acc = _add_affine_raw(curve, acc, P)
-        n += 1
-        if n > _POINT_SCAN_BOUND:
+def multiples(curve, P):
+    """The repeated-addition chain infinity, P, 2P, ... up to its return
+    to infinity (bounded).  The chain is a recurrence, so it repeats from
+    there: k*P is chain[k % len(chain)], and len(chain) is P's order."""
+    chain = [INFINITY]
+    while not (acc := _add_affine_raw(curve, chain[-1], P)).is_infinity:
+        chain.append(acc)
+        if len(chain) > _POINT_SCAN_BOUND:
             raise OracleBoundExceeded(
                 f"point order exceeds the scan bound {_POINT_SCAN_BOUND}")
-    return n
+    return chain
 
 
 @contextmanager

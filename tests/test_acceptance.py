@@ -9,29 +9,27 @@ import json
 import time
 from pathlib import Path
 
-from eccnoc.curves import (INFINITY, _add_affine_raw, is_on_curve,
-                           point_add_affine, point_double_affine,
-                           point_add_projective, point_double_projective,
-                           point_neg, to_affine, to_projective)
-from eccnoc.fields import FieldSpec, OpKind, ff_sqr
+from eccnoc.curves import (INFINITY, is_on_curve, point_add_affine,
+                           point_add_projective, point_double_affine,
+                           point_double_projective, point_neg, to_affine,
+                           to_projective)
+from eccnoc.fields import FieldSpec, ff_sqr
 from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig, Placement,
                            corner_first_placement, default_placement,
                            role_usage, simulate)
 from eccnoc.presets import PRESETS
-from eccnoc.procmodel import (CostModel, TaskGraph, compile_scalar_mul,
-                              replay)
-from eccnoc.scalarmul import (OpTrace, Phase, count_report, scalar_mul,
-                              scalar_mul_reference)
+from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul
+from eccnoc.scalarmul import OpTrace, count_report, scalar_mul
 
-from conftest import (check_field_axioms, check_schedule, enumerate_points,
-                      seeded)
+from conftest import (check_field_axioms, check_scalar_mul, check_schedule,
+                      double_and_add, enumerate_points, multiples, seeded)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # pinned tolerances and bounds
 AXIOM_TIME_BUDGET_S = 10.0       # criterion 1 must finish within this
 PLACEMENT_TIME_BUDGET_S = 60.0   # criterion 8 must finish within this
-ORACLE_SCALAR_CAP = 1 << 16      # largest scalar any brute-force oracle runs
+ORACLE_SCALAR_CAP = 1 << 16      # largest random scalar (criterion 3)
 RANDOM_ORACLE_SAMPLES = 200      # random scalars per toy curve (criterion 3)
 SPEEDUP_FLOOR = 1.0              # criterion 8: strictly above this
 # everything else is exact integer / point equality
@@ -97,54 +95,52 @@ def test_criterion_2_group_law_exhaustive():
 
 
 def test_criterion_3_scalar_mul_oracle_equivalence():
+    runs = 0
     for name in TOYS:
         preset = PRESETS[name]
         curve = preset.curve
-        # every scalar in [0, 64] times every point on the curve
+        # every point on the curve, infinity included, times every scalar
+        # in [0, 64], against its repeated-addition chain: the whole
+        # pipeline up to twice the base point's order, `scalar_mul` past it
         for P in enumerate_points(curve):
+            chain = multiples(curve, P)
             for k in range(65):
-                assert scalar_mul(curve, k, P) == \
-                    scalar_mul_reference(curve, k, P), (name, k, P)
-        # 200 seeded random scalars up to the oracle cap, against an
-        # incremental repeated-addition chain
+                want = chain[k % len(chain)]
+                if k <= 2 * curve.order:
+                    check_scalar_mul(curve, k, P, want)
+                    runs += 1
+                else:
+                    assert scalar_mul(curve, k, P) == want, (name, k, P)
+        # 200 seeded random scalars up to the oracle cap, against the
+        # base point's chain
+        chain = multiples(curve, preset.base)
         rng = seeded(30000 + len(name))
-        ks = sorted(rng.randrange(0, ORACLE_SCALAR_CAP + 1)
-                    for _ in range(RANDOM_ORACLE_SAMPLES))
-        acc, i = INFINITY, 0
-        for k in ks:
-            while i < k:
-                acc = _add_affine_raw(curve, acc, preset.base)
-                i += 1
-            assert scalar_mul(curve, k, preset.base) == acc, (name, k)
+        for _ in range(RANDOM_ORACLE_SAMPLES):
+            k = rng.randrange(0, ORACLE_SCALAR_CAP + 1)
+            assert scalar_mul(curve, k, preset.base) == \
+                chain[k % len(chain)], (name, k)
         # the base-point order annihilates
         assert scalar_mul(curve, curve.order, preset.base) == INFINITY
-    print(f"\nCRITERION 3 PASS: binary method equals repeated addition on "
-          f"all toy points (k<=64) and {RANDOM_ORACLE_SAMPLES} random "
-          f"k<=2^16 per curve; order*P = infinity")
+    print(f"\nCRITERION 3 PASS: scalar_mul, its trace, graph, graph text "
+          f"and replay equal repeated addition on all toy points for "
+          f"k<=2*order ({runs} runs); scalar_mul does for k<=64 and "
+          f"{RANDOM_ORACLE_SAMPLES} random k<=2^16 per curve; "
+          f"order*P = infinity")
 
 
 def test_criterion_4_single_inversion_discipline():
     checked = 0
     for name in TOYS + ("prime32", "binary33"):
         preset = PRESETS[name]
-        order = preset.curve.order
+        curve, P = preset.curve, preset.base
         rng = seeded(500 + len(name))
         for _ in range(25):
             k = rng.randrange(2, 1 << 14)
-            t = OpTrace()
-            R = scalar_mul(preset.curve, k, preset.base, t)
-            if R.is_infinity:
-                assert t.totals()[OpKind.INV] == 0
-                continue
-            assert t.phase_counts(Phase.INIT)[OpKind.INV] == 0
-            assert t.phase_counts(Phase.ITERATE)[OpKind.INV] == 0
-            assert t.phase_counts(Phase.CONVERT)[OpKind.INV] == 1
-            assert t.totals()[OpKind.INV] == 1
-            checked += 1
-        if order is not None:
-            t = OpTrace()
-            assert scalar_mul(preset.curve, order, preset.base, t).is_infinity
-            assert t.totals()[OpKind.INV] == 0
+            want = double_and_add(curve, k, P)
+            check_scalar_mul(curve, k, P, want)
+            checked += not want.is_infinity
+        if curve.order is not None:
+            check_scalar_mul(curve, curve.order, P, INFINITY)
     assert checked >= 80
     print(f"\nCRITERION 4 PASS: exactly one inversion, always in the "
           f"convert phase, across {checked} finite runs; infinite results "
@@ -185,21 +181,12 @@ def test_criterion_6_task_graph_replay_fidelity():
     n = 0
     for name, preset in PRESETS.items():
         bits = preset.curve.field.bits
-        order = preset.curve.order
         ks = [rng.randrange(2, 1 << min(bits + 4, 16)) for _ in range(3)]
         ks.append(rng.randrange(1 << (bits - 1), 1 << bits))
         for k in ks:
-            if order is not None and k % order == 0:
-                continue
-            G = compile_scalar_mul(preset.curve, k, preset.base)
-            want = scalar_mul(preset.curve, k, preset.base)
-            assert replay(G, preset.curve) == want, (name, k)
-            again = TaskGraph.from_text(G.to_text())
-            assert replay(again, preset.curve) == want, (name, k)
-            if k <= 1 << 10:
-                assert want == scalar_mul_reference(preset.curve, k,
-                                                    preset.base)
-            n += 1
+            want = double_and_add(preset.curve, k, preset.base)
+            check_scalar_mul(preset.curve, k, preset.base, want)
+            n += not want.is_infinity
     assert n >= 35
     print(f"\nCRITERION 6 PASS: {n} compiled graphs replay to the direct "
           f"result, including after a text round trip")

@@ -22,6 +22,8 @@ def test_bad_values_raise_typed_errors(p17):
     calls = (lambda: scalar_mul(p17.curve, -1, p17.base),
              lambda: MeshConfig(cols=0),
              lambda: get_preset("nope"),
+             lambda: get_preset(None),
+             lambda: get_preset([]),
              lambda: Placement({"foo0": (0, 0)}),
              # an index past the interpreter's int digit limit
              lambda: Placement({"mul" + "1" * 5000: (0, 0)}),

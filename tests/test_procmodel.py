@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eccnoc.cli import main
-from eccnoc.curves import INFINITY
 from eccnoc.errors import (DivisionByZero, FieldMismatch, MalformedGraph,
                            ResultAtInfinity)
 from eccnoc.fields import OpKind, ff_add, ff_inv, ff_mul, ff_sqr, ff_sub
 from eccnoc.procmodel import (CostModel, Plan, TaskGraph,
                               compile_scalar_mul, critical_path, replay)
-from eccnoc.scalarmul import (OpTrace, Phase, scalar_mul,
-                              scalar_mul_reference)
+from eccnoc.scalarmul import scalar_mul
 from eccnoc.fields import FieldKind
 from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig,
                            default_placement, role_usage, simulate)
@@ -26,93 +24,6 @@ from conftest import seeded
 
 def _compile(preset, k):
     return compile_scalar_mul(preset.curve, k, preset.base)
-
-
-def test_compiled_graph_shape(p17):
-    G = _compile(p17, 13)
-    # ids are a topological order
-    for tid, ops in enumerate(G.operands):
-        assert all(o < tid for o in ops)
-    # inputs appear once per (label, value)
-    xfers = [(G.labels[t], G.values[t]) for t, kind in enumerate(G.kinds)
-             if kind is OpKind.XFER]
-    assert len(set(xfers)) == len(xfers)
-    assert {"Px", "Py", "one", "a"} <= {label for label, _ in xfers}
-    # the single inversion lives in the convert phase
-    invs = [t for t, kind in enumerate(G.kinds) if kind is OpKind.INV]
-    assert len(invs) == 1 and G.phases[invs[0]] is Phase.CONVERT
-    # both result coordinates come from convert-phase multiplies
-    for r in G.result:
-        assert G.kinds[r] is OpKind.MUL
-        assert G.phases[r] is Phase.CONVERT
-
-
-def test_replay_matches_direct_run(p17, b4):
-    rng = seeded(23)
-    for preset in (p17, b4):
-        for _ in range(25):
-            k = rng.randrange(2, 1 << 12)
-            if k % preset.curve.order == 0:
-                continue
-            G = _compile(preset, k)
-            want = scalar_mul(preset.curve, k, preset.base)
-            assert replay(G, preset.curve) == want
-
-
-def test_graph_counts_equal_trace_counts(p17, b4):
-    rng = seeded(31)
-    for preset in (p17, b4):
-        for _ in range(10):
-            k = rng.randrange(2, 1 << 10)
-            if k % preset.curve.order == 0:
-                continue
-            G = _compile(preset, k)
-            tr = OpTrace()
-            scalar_mul(preset.curve, k, preset.base, tr)
-            by_phase = Counter((phase, kind) for phase, kind
-                               in zip(G.phases, G.kinds)
-                               if kind is not OpKind.XFER)
-            for ph in Phase:
-                want = {kk: n for kk, n in tr.phase_counts(ph).items() if n}
-                got = {kk: n for (p, kk), n in by_phase.items() if p is ph}
-                assert want == got, (preset.curve.field.tag, k, ph)
-
-
-def test_k_one_has_only_convert_arithmetic(p17):
-    G = _compile(p17, 1)
-    assert all(phase is Phase.CONVERT for phase, kind
-               in zip(G.phases, G.kinds) if kind is not OpKind.XFER)
-
-
-def test_infinite_results_refuse_to_compile(p17):
-    with pytest.raises(ResultAtInfinity):
-        _compile(p17, 0)
-    with pytest.raises(ResultAtInfinity):
-        _compile(p17, 19)   # order of the base point
-    with pytest.raises(ResultAtInfinity):
-        _compile(p17, 38)   # hits infinity mid-loop and stays there
-    with pytest.raises(ResultAtInfinity):
-        compile_scalar_mul(p17.curve, 3, INFINITY)
-
-
-def test_degenerate_equal_point_fallback_still_replays(p17):
-    # 42 = 0b101010 walks through the accumulator equalling the base
-    # point at a mixed addition, taking the doubling fallback
-    G = _compile(p17, 42)
-    want = scalar_mul_reference(p17.curve, 42, p17.base)
-    assert replay(G, p17.curve) == want
-    assert want == scalar_mul(p17.curve, 42, p17.base)
-
-
-def test_text_round_trip_is_identical(p17, b4):
-    for preset, k in ((p17, 13), (b4, 0b100101)):
-        G = _compile(preset, k)
-        text = G.to_text()
-        G2 = TaskGraph.from_text(text)
-        assert G2.to_text() == text
-        assert G2.result == G.result
-        assert G2.field_bits == G.field_bits
-        assert replay(G2, preset.curve) == replay(G, preset.curve)
 
 
 # two parallel MULs feed one ADD, which is both result coordinates
