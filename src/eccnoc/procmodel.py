@@ -20,6 +20,17 @@ emission order, so they are a topological order of the DAG.
 whose `__post_init__` is the one validator.  `tasks` is a row view of
 `Task` objects, built only on request; hand-written graphs are text.
 
+Graph text (`to_text`, `from_text`) gives every number one spelling.
+Task ids, point-op indices and operands are spelled and read through
+one module-level table of the decimal spellings of -1 .. n - 1, both
+ways: int -> str for writing, str -> int for reading.  It is built on
+first use, not at import.  Each way grows in one step when a graph
+longer than any before is written or read, and never shrinks, so it is
+as long as the longest graph the process has handled; a text that does
+not read as a graph leaves it as it was.  A number past it is spelled
+by `str` and read by `_number`, so no text or error depends on what
+the process handled before.
+
 `replay` re-executes a graph on raw ints: each task runs the curve
 field's raw op (`FieldSpec._add` ... `_inv`, the ones the tape runs),
 and only the result coordinates are wrapped as `FieldElement`s.
@@ -78,26 +89,43 @@ class _Numbers(dict):
     __missing__ = staticmethod(_number)
 
 
+class _Texts(dict):
+    """A table of spellings that spells its misses with `str`."""
+
+    __missing__ = staticmethod(str)
+
+
+# the shared spelling table (see the module docstring): int -> str,
+# grown by `to_text`, and str -> int, replaced by a longer one by
+# `from_text`; both empty at import
+_SPELLINGS: list[dict] = [_Texts(), {}]
+
+
 def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
     """The six task columns of the task lines `rows`; ids, point-op
     indices and operands are read by lookup in `num`."""
     kinds, operands, phases, pidxs, labels, values = \
         columns = [], [], [], [], [], []
+    read = num.__getitem__
     for pos, ln in enumerate(rows):
-        parts = ln.split()
-        if len(parts) != 7:
-            raise MalformedGraph(f"task line needs 7 fields: {_show(ln)}")
-        sid, skind, sphase, spidx, sops, slabel, svalue = parts
+        try:
+            sid, skind, sphase, spidx, sops, slabel, svalue = ln.split()
+        except ValueError:
+            raise MalformedGraph(
+                f"task line needs 7 fields: {_show(ln)}") from None
         try:
             kinds.append(_KIND_OF[skind])
             phases.append(_PHASE_OF[sphase])
             tid = num[sid]
             pidxs.append(num[spidx])
             operands.append(() if sops == "-" else tuple(
-                map(num.__getitem__, sops.split(","))))
-            values.append(None if svalue == "-" else int(svalue, 16))
-            if svalue != "-" and format(values[-1], "x") != svalue:
-                raise ValueError(svalue)
+                map(read, sops.split(","))))
+            if svalue == "-":
+                values.append(None)
+            else:
+                values.append(int(svalue, 16))
+                if values[-1] < 0 or format(values[-1], "x") != svalue:
+                    raise ValueError(svalue)
         except (KeyError, ValueError) as exc:
             raise MalformedGraph(
                 f"unparseable task line: {_show(ln)}") from exc
@@ -184,8 +212,10 @@ class TaskGraph:
         for _ in range(n_xfers):
             tid = self.kinds.index(xfer, tid + 1)
             value = self.values[tid]
-            if value is None or value < 0:
+            if value is None:
                 raise MalformedGraph(f"XFER task {tid} has no value")
+            if value < 0:
+                raise MalformedGraph(f"XFER task {tid} value is negative")
             if value.bit_length() > self.field_bits:
                 raise MalformedGraph(f"XFER task {tid} value is wider "
                                      f"than {self.field_bits} bits")
@@ -239,11 +269,17 @@ class TaskGraph:
 
     def to_text(self) -> str:
         # one task line per id, joined from the columns' texts
+        n = len(self.kinds)
+        texts = _SPELLINGS[0]
+        if len(texts) <= n:
+            new = range(len(texts) - 1, n)
+            texts.update(zip(new, map(str, new)))
+        spell = texts.__getitem__
         rows = map(" ".join, zip(
-            map(str, range(len(self.kinds))),
+            map(spell, range(n)),
             map(_KIND_TEXT.__getitem__, self.kinds),
             map(_PHASE_TEXT.__getitem__, self.phases),
-            map(str, self.point_op_index),
+            map(spell, self.point_op_index),
             [_OPERANDS_TEXT[len(ops)] % ops for ops in self.operands],
             [label or "-" for label in self.labels],
             ["-" if value is None else format(value, "x")
@@ -257,13 +293,13 @@ class TaskGraph:
         """Parse `to_text`'s format.  Every number has one spelling, the
         one `to_text` writes: decimal without a sign (but for a point-op
         index of -1) or a leading zero, and XFER values in lowercase hex
-        without a prefix or a leading zero."""
+        without a prefix, a sign or a leading zero."""
         # whole-text checks, at C speed: `int` would read a fullwidth 5,
         # `+5` and `0_5` as 5, and no recorded label holds a `_` or `+`
         if not text.isascii() or "_" in text or "+" in text:
             raise MalformedGraph(
                 "graph text must be ASCII without '_' or '+'")
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+        lines = list(filter(None, map(str.strip, text.splitlines())))
         if len(lines) < 3:
             raise MalformedGraph("graph text needs a header, tasks, and a result")
         head = lines[0].split()
@@ -279,20 +315,27 @@ class TaskGraph:
         if len(tail) != 3 or tail[0] != "result":
             raise MalformedGraph(f"last line must name the result pair: "
                                  f"{_show(lines[-1])}")
-        # an exact dict of the spellings of -1 .. len(lines) - 1 is the
-        # fastest lookup; text it cannot read is read again, with
-        # canonical numbers past the table, so the validator names them
-        table = {str(i): i for i in range(-1, len(lines))}
+        # an exact dict of the spellings of -1 .. len(lines) - 1 or more
+        # is the fastest lookup: the shared one, or for a longer text one
+        # of its own, shared once the text reads as a graph; text it
+        # cannot read is read again, with canonical numbers past the
+        # table, so the validator names them
+        numbers = _SPELLINGS[1]
+        if len(numbers) <= len(lines):
+            numbers = {str(i): i for i in range(-1, len(lines))}
         try:
-            columns = _task_columns(lines[1:-1], table)
+            columns = _task_columns(lines[1:-1], numbers)
         except MalformedGraph:
-            columns = _task_columns(lines[1:-1], _Numbers(table))
+            columns = _task_columns(lines[1:-1], _Numbers(numbers))
         try:
             result = (_number(tail[1]), _number(tail[2]))
         except (KeyError, ValueError) as exc:
             raise MalformedGraph(
                 f"bad result ids: {_show(lines[-1])}") from exc
-        return cls(*map(tuple, columns), result, field_bits)
+        graph = cls(*map(tuple, columns), result, field_bits)
+        if len(numbers) > len(_SPELLINGS[1]):
+            _SPELLINGS[1] = numbers
+        return graph
 
 
 # ---------------------------------------------------------------------------

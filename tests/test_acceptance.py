@@ -101,12 +101,14 @@ def test_criterion_3_scalar_mul_oracle_equivalence():
         curve = preset.curve
         # every point on the curve, infinity included, times every scalar
         # in [0, 64], against its repeated-addition chain: the whole
-        # pipeline up to twice the base point's order, `scalar_mul` past it
+        # pipeline up to twice the base point's order plus one (on p17,
+        # k = 39 is the first to add into an accumulator at infinity),
+        # `scalar_mul` past it
         for P in enumerate_points(curve):
             chain = multiples(curve, P)
             for k in range(65):
                 want = chain[k % len(chain)]
-                if k <= 2 * curve.order:
+                if k <= 2 * curve.order + 1:
                     check_scalar_mul(curve, k, P, want)
                     runs += 1
                 else:
@@ -123,7 +125,7 @@ def test_criterion_3_scalar_mul_oracle_equivalence():
         assert scalar_mul(curve, curve.order, preset.base) == INFINITY
     print(f"\nCRITERION 3 PASS: scalar_mul, its trace, graph, graph text "
           f"and replay equal repeated addition on all toy points for "
-          f"k<=2*order ({runs} runs); scalar_mul does for k<=64 and "
+          f"k<=2*order+1 ({runs} runs); scalar_mul does for k<=64 and "
           f"{RANDOM_ORACLE_SAMPLES} random k<=2^16 per curve; "
           f"order*P = infinity")
 

@@ -3,10 +3,12 @@
 import dataclasses
 import pickle
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eccnoc import procmodel
 from eccnoc.cli import main
 from eccnoc.errors import (DivisionByZero, FieldMismatch, MalformedGraph,
                            ResultAtInfinity)
@@ -37,7 +39,39 @@ result 4 4
 """
 
 
-def test_malformed_graphs_rejected():
+@cache
+def _long_spellings():
+    """The spelling tables as a 128-bit prime64 round trip leaves them,
+    from empty ones."""
+    tables = [procmodel._Texts(), {}]
+    preset = PRESETS["prime64"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(procmodel, "_SPELLINGS", tables)
+        TaskGraph.from_text(compile_scalar_mul(
+            preset.curve, (1 << 127) | 0xe3c45e0ad1bbea06, preset.base
+        ).to_text())
+    assert min(map(len, tables)) > 3000
+    return tables
+
+
+def _with_each_table(monkeypatch, run):
+    """`run()` against empty spelling tables, then against tables a long
+    round trip extended: a text or message that depended on what the
+    process handled before would differ."""
+    outs = []
+    for texts, numbers in (({}, {}), _long_spellings()):
+        monkeypatch.setattr(procmodel, "_SPELLINGS",
+                            [procmodel._Texts(texts), dict(numbers)])
+        outs.append(run())
+    assert outs[0] == outs[1]
+
+
+def test_malformed_graphs_rejected(monkeypatch):
+    _with_each_table(monkeypatch, _malformed_graph_messages)
+
+
+def _malformed_graph_messages():
+    messages, numbers = [], dict(procmodel._SPELLINGS[1])
     px = "0 XFER init -1 - Px 3\n"
     for body, reason in (
             ("result 0 0", "needs a header, tasks"),
@@ -49,6 +83,8 @@ def test_malformed_graphs_rejected():
              "references 99, which is not an earlier task"),
             (px + "1 MUL iterate 0 0 - -\nresult 1 1", "takes 2 operands"),
             ("0 XFER init -1 - Px -\nresult 0 0", "has no value"),
+            # a value's one spelling has no sign
+            ("0 XFER init -1 - Px -3\nresult 0 0", "unparseable task line"),
             ("0 XFER init -1 - - 3\nresult 0 0", "XFER task 0 has no label"),
             (px + "1 SQR iterate 0 0 - 9\nresult 1 1", "not an XFER"),
             (px + "result 0 7", "result id 7"),
@@ -56,20 +92,34 @@ def test_malformed_graphs_rejected():
             ("0 XFER init -1 - Px 20\nresult 0 0", "wider than 5 bits"),
             ("0 XFER init -1 - Px " + "f" * 40 + "\nresult 0 0",
              "wider than 5 bits")):
-        with pytest.raises(MalformedGraph, match=reason):
+        with pytest.raises(MalformedGraph, match=reason) as exc:
             TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{body}\n")
-    # the constructor rejects an empty graph, which text cannot spell
+        messages.append(str(exc.value))
+    # a refused text leaves the shared table as it was
+    assert procmodel._SPELLINGS[1] == numbers
+    for text, reason in (
+            (_TINY_TEXT.replace("fieldbits 5", "fieldbits 0"),
+             "field width must be positive"),
+            ("nonsense\n" + _TINY_TEXT, "unrecognised header"),
+            (_TINY_TEXT.replace("result 4 4", "result 4"),
+             "must name the result pair"),
+            (_TINY_TEXT.replace("MUL", "MULL"), "unparseable task line")):
+        with pytest.raises(MalformedGraph, match=reason) as exc:
+            TaskGraph.from_text(text)
+        messages.append(str(exc.value))
+    # the constructor rejects an empty graph and a negative value, which
+    # text cannot spell
     with pytest.raises(MalformedGraph, match="no tasks"):
         TaskGraph((), (), (), (), (), (), (0, 0), 5)
-    with pytest.raises(MalformedGraph, match="field width must be positive"):
-        TaskGraph.from_text(_TINY_TEXT.replace("fieldbits 5", "fieldbits 0"))
-    with pytest.raises(MalformedGraph):
-        TaskGraph.from_text("nonsense\n" + _TINY_TEXT)
-    with pytest.raises(MalformedGraph):
-        TaskGraph.from_text(_TINY_TEXT.replace("result 4 4", "result 4"))
-    with pytest.raises(MalformedGraph):
-        TaskGraph.from_text(_TINY_TEXT.replace("MUL", "MULL"))
-
+    tiny = TaskGraph.from_text(_TINY_TEXT)
+    with pytest.raises(MalformedGraph, match="XFER task 0 value is negative"):
+        dataclasses.replace(tiny, values=(-3, *tiny.values[1:]))
+    # small round trips, one with a point-op index past the text's
+    # line count, are byte-identical whatever the tables hold
+    texts = [_TINY_TEXT, _TINY_TEXT.replace("ADD iterate 1", "ADD iterate 99"),
+             _compile(PRESETS["p17"], 13).to_text()]
+    assert [TaskGraph.from_text(text).to_text() for text in texts] == texts
+    return messages, texts
 
 
 @pytest.mark.parametrize("old,new", [
@@ -91,14 +141,19 @@ def test_malformed_graphs_rejected():
     ("Px 3", "Px 03"),
     ("Py 4", "Py A"),
 ])
-def test_lenient_graph_spellings_are_refused(old, new):
+def test_lenient_graph_spellings_are_refused(monkeypatch, old, new):
     # `int` read each as the graph without its odd spelling (`A` as `a`)
     text = _TINY_TEXT.replace(old, new, 1)
     assert text != _TINY_TEXT
     why = "ASCII without '_' or '[+]'" if {"_", "+", "\uff15"} & set(new) \
         else "unparseable|bad field width|bad result ids"
-    with pytest.raises(MalformedGraph, match=why):
-        TaskGraph.from_text(text)
+
+    def message():
+        with pytest.raises(MalformedGraph, match=why) as exc:
+            TaskGraph.from_text(text)
+        return str(exc.value)
+
+    _with_each_table(monkeypatch, message)
 
 def test_built_graph_cannot_be_mutated(p17):
     G = _compile(p17, 13)
@@ -199,16 +254,19 @@ def test_pipeline_never_builds_the_row_view(monkeypatch, capsys):
     capsys.readouterr()
 
 
-_FUZZ_TEXTS = [compile_scalar_mul(PRESETS[name].curve, k,
-                                  PRESETS[name].base).to_text()
-               for name, k in (("p17", 13), ("b4", 0b100101))]
+@cache
+def _fuzz_texts():
+    """The compiled texts the fuzz mutates, built on first draw, so that
+    a fault in compiling fails the fuzz test alone."""
+    return [_compile(PRESETS[name], k).to_text()
+            for name, k in (("p17", 13), ("b4", 0b100101))]
 
 
 @st.composite
 def _mutated_graph_text(draw):
     """A compiled graph text with a few character insertions, deletions
     or substitutions, or task lines swapped or duplicated."""
-    text = draw(st.sampled_from(_FUZZ_TEXTS))
+    text = draw(st.sampled_from(_fuzz_texts()))
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(
             ("insert", "delete", "substitute", "swap", "duplicate")))
