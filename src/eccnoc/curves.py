@@ -12,14 +12,17 @@ Z = 0 encodes the point at infinity; its canonical triple is (1, 1, 0).
 The projective kernels are written against the op recorder of
 `scalarmul` (the tape): their values are tape indices, and each add,
 sub, mul, sqr and inv is computed and recorded there, so one run of the
-formulas yields the point, its op counts and its task graph alike.  The
-public projective functions below run a kernel on a fresh tape.  A
-`ProjectivePoint` is a bare (X, Y, Z): its coordinate system is the
-curve's, which the field kind fixes, so only the field is checked.
-Doubling is branch-free: the formulas send Z to 0 exactly when the true
-result is infinity.  Mixed addition branches on concrete zero tests
-(infinity input, equal or inverse points); only the general path is the
-measured steady state.
+formulas yields the point, its op counts and its task graph alike.
+`scalarmul` also compiles each doubling and mixed addition, once, into
+a straight-line function of its general path, traced from the kernel;
+a loop step runs that, and the kernel itself only when a zero test of
+the general path fails.  The public projective functions below run a
+kernel on a fresh tape.  A `ProjectivePoint` is a bare (X, Y, Z): its
+coordinate system is the curve's, which the field kind fixes, so only
+the field is checked.  Doubling is branch-free: the formulas send Z to
+0 exactly when the true result is infinity.  Mixed addition branches on
+concrete zero tests (infinity input, equal or inverse points); only the
+general path is the measured steady state.
 """
 
 from __future__ import annotations

@@ -318,15 +318,16 @@ class TaskGraph:
         # an exact dict of the spellings of -1 .. len(lines) - 1 or more
         # is the fastest lookup: the shared one, or for a longer text one
         # of its own, shared once the text reads as a graph; text it
-        # cannot read is read again, with canonical numbers past the
-        # table, so the validator names them
+        # cannot read is read again with `_number`, which reads exactly
+        # the spellings the table holds but -1, and reads canonical
+        # numbers past it, so the validator names them
         numbers = _SPELLINGS[1]
         if len(numbers) <= len(lines):
             numbers = {str(i): i for i in range(-1, len(lines))}
         try:
             columns = _task_columns(lines[1:-1], numbers)
         except MalformedGraph:
-            columns = _task_columns(lines[1:-1], _Numbers(numbers))
+            columns = _task_columns(lines[1:-1], _Numbers({"-1": -1}))
         try:
             result = (_number(tail[1]), _number(tail[2]))
         except (KeyError, ValueError) as exc:

@@ -13,9 +13,22 @@ tape also keeps one list of segments: where each loop step and the
 conversion begin, each named by the audit column it counts under
 (`point_double`, `point_add` or `convert`); an op's phase and step
 follow from its segment, not from the op.  A run that does no work
-(k = 0 or P at infinity) is an empty tape with no result.  The tape is
-the one program both consumers read.  `scalar_mul` counts it into an
-`OpTrace` by column and phase:
+(k = 0 or P at infinity) is an empty tape with no result.
+
+Each loop step is recorded by a compiled step first (`_COMPILED`).  At
+import, the doubling and the mixed-addition kernel of each field kind
+run once on a tape of stand-ins, taking the general branch at every
+zero test and logging the value tested as a guard; the ops they record
+become one straight-line function, compiled once per field kind, that
+computes them with the field's raw ops and appends the whole step to
+the columns at once.  When a guard's value is 0 (an accumulator at
+infinity, equal or inverse points) it returns None having recorded no
+op, and the interpreted kernel records the step instead, op by op, so
+the tape is the one the kernels alone record.  The kernels stay the one
+statement of the formulas.
+
+The tape is the one program both consumers read.  `scalar_mul` counts
+it into an `OpTrace` by column and phase:
 
   Init     embedding the base point (no arithmetic)
   Iterate  every doubling and mixed addition in the loop
@@ -35,13 +48,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
                      _KERNELS, _embed_kernel, _require_on_curve)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
-from .fields import (ARITH_KINDS, MAX_FIELD_BITS, FieldElement, FieldSpec,
-                     OpKind)
+from .fields import (ARITH_KINDS, MAX_FIELD_BITS, FieldElement, FieldKind,
+                     FieldSpec, OpKind)
 
 ORACLE_BOUND = 1 << 16
 # twice the widest field: a 4096-bit k compiles in a fraction of a second,
@@ -155,6 +169,95 @@ class _Tape:
                 yield column, a, b
 
 
+# ---------------------------------------------------------------------------
+# the compiled steps
+
+def _stand_in(source: str) -> SimpleNamespace:
+    """An opaque element for tracing, its value the source that names it."""
+    return SimpleNamespace(value=source)
+
+
+# the field and curve a kernel is traced on: raw ops that compute
+# nothing, and the coefficients named by their source
+_TRACE_FIELD = SimpleNamespace(**dict.fromkeys(
+    ("_add", "_sub", "_mul", "_sqr", "_inv"), lambda *_: None))
+_TRACE_CURVE = SimpleNamespace(a=_stand_in("curve.a"),
+                               b=_stand_in("curve.b"))
+
+
+def _step_source(name: str, kernel, points: tuple[str, ...]) -> str:
+    """The source of `name`, `kernel`'s general path as one straight-line
+    function of (tape, curve, X1, Y1, Z1, *points).
+
+    The kernel runs once on a tape of stand-ins whose `is_zero` logs the
+    index it tests and answers False.  The function reads its inputs'
+    values, computes every op into a local with the tape's raw ops,
+    returns None as soon as a logged value is 0, and records all its ops
+    at once.  Only its input requests may write to the tape before a
+    guard fails, and in the loop each is on the tape already (the
+    embedding asks for Px and Py, each doubling for the constants a
+    later addition asks for); `const` never records an input twice, so
+    the kernel then run in its place records the step as if it ran
+    alone.
+    """
+    tape = _Tape(_TRACE_FIELD)
+    guards = []
+    tape.is_zero = guards.append
+    xyz = ("X1", "Y1", "Z1")
+    out = kernel(tape, _TRACE_CURVE, *[tape.const(_stand_in(c), c)
+                                       for c in xyz],
+                 *map(_stand_in, points))
+    n_in = len(tape.inputs)
+    assert _XFER not in tape.kinds[n_in:], "an input asked for after an op"
+    lines = [f"def {name}({', '.join(('tape', 'curve', *xyz, *points))}):",
+             "values = tape.values",
+             "add, sub, mul, sqr, inv = tape._ops"]
+    refs = []       # each tape index as an index of the real tape
+    for i, (label, source) in enumerate(tape.inputs):
+        if i < len(xyz):
+            refs.append(label)
+        else:
+            refs.append(f"i{i}")
+            lines.append(f"i{i} = tape.const({source}, {label!r})")
+        lines.append(f"v{i} = values[{refs[i]}]")
+        if i in guards:
+            lines.append(f"if v{i} == 0: return None")
+    lines.append("n = len(values)")
+    for i in range(n_in, len(tape.values)):
+        refs.append(f"n + {i - n_in}")
+        args = ", ".join(f"v{a}" for a in tape.operands[i])
+        lines.append(f"v{i} = {_KINDS[tape.kinds[i]].name.lower()}({args})")
+        if i in guards:
+            lines.append(f"if v{i} == 0: return None")
+    def tuple_of(items):
+        return "(" + "".join(f"{item}, " for item in items) + ")"
+    ops = range(n_in, len(tape.values))
+    lines += [f"values += {tuple_of(f'v{i}' for i in ops)}",
+              f"tape.kinds += {bytes(tape.kinds[n_in:])!r}",
+              "tape.operands += " + tuple_of(
+                  tuple_of(refs[a] for a in tape.operands[i]) for i in ops),
+              f"return {', '.join(refs[i] for i in out)}"]
+    return "\n    ".join(lines) + "\n"
+
+
+def _compile_steps(kind: FieldKind):
+    """The compiled doubling and mixed addition of field kind `kind`'s
+    kernels, from one `compile`."""
+    double, madd, _, system = _KERNELS[kind]
+    source = (_step_source("double", double, ())
+              + _step_source("madd", madd, ("qx", "qy")))
+    namespace: dict = {}
+    exec(compile(source, f"<{system} steps>", "exec"), namespace)
+    # popped, so no cycle runs through the functions' globals
+    return namespace.pop("double"), namespace.pop("madd")
+
+
+# per field kind, its compiled doubling and mixed addition: each records
+# a general step and returns its outputs, or returns None, having
+# recorded no op, for a step its kernel must run
+_COMPILED = {kind: _compile_steps(kind) for kind in _KERNELS}
+
+
 # every count column: its phase and, for the audit's columns (in the
 # audit's order), the idealised field-op cost of one of its point
 # operations by row, where the ADD row covers additions and subtractions
@@ -252,13 +355,16 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     if k == 0 or P.is_infinity:
         return tape
     double, madd, to_aff, _ = _KERNELS[curve.field.kind]
+    fast_double, fast_madd = _COMPILED[curve.field.kind]
     X, Y, Z = _embed_kernel(tape, curve, P.x, P.y)
     for i in range(k.bit_length() - 2, -1, -1):
         tape.begin_step("point_double")
-        X, Y, Z = double(tape, curve, X, Y, Z)
+        X, Y, Z = (fast_double(tape, curve, X, Y, Z)
+                   or double(tape, curve, X, Y, Z))
         if (k >> i) & 1:
             tape.begin_step("point_add")
-            X, Y, Z = madd(tape, curve, X, Y, Z, P.x, P.y)
+            X, Y, Z = (fast_madd(tape, curve, X, Y, Z, P.x, P.y)
+                       or madd(tape, curve, X, Y, Z, P.x, P.y))
     tape.begin_step("convert")
     tape.result = to_aff(tape, curve, X, Y, Z)
     return tape

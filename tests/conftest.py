@@ -9,9 +9,9 @@ import pytest
 from eccnoc.curves import (INFINITY, AffinePoint, _add_affine_raw,
                            is_on_curve, point_add_affine, point_double_affine)
 from eccnoc.errors import OracleBoundExceeded, ResultAtInfinity
-from eccnoc.fields import OpKind, ff_inv, ff_sqr
+from eccnoc.fields import FieldSpec, OpKind, ff_inv, ff_sqr
 from eccnoc.nocsim import role_for_kind
-from eccnoc.presets import PRESETS
+from eccnoc.presets import PRESETS, curve_from_ints
 from eccnoc.procmodel import (TaskGraph, compile_scalar_mul, critical_path,
                               replay)
 from eccnoc.scalarmul import OpTrace, Phase, scalar_mul
@@ -27,6 +27,13 @@ def p17():
 @pytest.fixture
 def b4():
     return PRESETS["b4"]
+
+
+def even_order_toy():
+    """(curve, G) of a prime toy curve of even order, kept out of
+    `PRESETS`: y^2 = x^3 + x + 1 over GF(13), whose 18 points G = (1, 4)
+    generates (found by enumeration), so 9*G = (7, 0) has y = 0."""
+    return curve_from_ints(FieldSpec.prime(13), 1, 1, 1, 4, order=18)
 
 
 def seeded(seed: int) -> random.Random:

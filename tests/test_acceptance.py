@@ -22,7 +22,8 @@ from eccnoc.procmodel import CostModel, TaskGraph, compile_scalar_mul
 from eccnoc.scalarmul import OpTrace, count_report, scalar_mul
 
 from conftest import (check_field_axioms, check_scalar_mul, check_schedule,
-                      double_and_add, enumerate_points, multiples, seeded)
+                      double_and_add, enumerate_points, even_order_toy,
+                      multiples, seeded)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -37,6 +38,14 @@ SPEEDUP_FLOOR = 1.0              # criterion 8: strictly above this
 TOYS = ("p17", "b4")
 MIDSIZE = ("prime17", "prime32", "prime48", "prime64",
            "binary17", "binary33", "binary47", "binary63")
+
+
+def toy_curves():
+    """(name, curve, base) of each toy preset, then of the even-order
+    prime curve, whose point of order 2 neither preset has: doubling it
+    takes the affine y = 0 branch and a Jacobian doubling to Z = 0."""
+    return [(name, PRESETS[name].curve, PRESETS[name].base)
+            for name in TOYS] + [("p13", *even_order_toy())]
 
 
 def test_criterion_1_field_axioms():
@@ -63,9 +72,7 @@ def test_criterion_1_field_axioms():
 
 
 def test_criterion_2_group_law_exhaustive():
-    for name in TOYS:
-        preset = PRESETS[name]
-        curve = preset.curve
+    for _, curve, _ in toy_curves():
         pts = enumerate_points(curve)
         finite = [P for P in pts if not P.is_infinity]
         for P in pts:
@@ -90,20 +97,19 @@ def test_criterion_2_group_law_exhaustive():
                 for R in pts:
                     assert point_add_affine(curve, PQ, R) == \
                         point_add_affine(curve, P, point_add_affine(curve, Q, R))
-    print("\nCRITERION 2 PASS: exhaustive group law on both toy curves, "
+    print("\nCRITERION 2 PASS: exhaustive group law on the three toy curves, "
           "affine and projective agree everywhere")
 
 
 def test_criterion_3_scalar_mul_oracle_equivalence():
     runs = 0
-    for name in TOYS:
-        preset = PRESETS[name]
-        curve = preset.curve
+    for name, curve, base in toy_curves():
         # every point on the curve, infinity included, times every scalar
         # in [0, 64], against its repeated-addition chain: the whole
         # pipeline up to twice the base point's order plus one (on p17,
-        # k = 39 is the first to add into an accumulator at infinity),
-        # `scalar_mul` past it
+        # k = 39 is the first to add into an accumulator at infinity; on
+        # p13, k = 18 doubles 9*G to Z = 0 in the loop), `scalar_mul`
+        # past it
         for P in enumerate_points(curve):
             chain = multiples(curve, P)
             for k in range(65):
@@ -115,14 +121,14 @@ def test_criterion_3_scalar_mul_oracle_equivalence():
                     assert scalar_mul(curve, k, P) == want, (name, k, P)
         # 200 seeded random scalars up to the oracle cap, against the
         # base point's chain
-        chain = multiples(curve, preset.base)
+        chain = multiples(curve, base)
         rng = seeded(30000 + len(name))
         for _ in range(RANDOM_ORACLE_SAMPLES):
             k = rng.randrange(0, ORACLE_SCALAR_CAP + 1)
-            assert scalar_mul(curve, k, preset.base) == \
+            assert scalar_mul(curve, k, base) == \
                 chain[k % len(chain)], (name, k)
         # the base-point order annihilates
-        assert scalar_mul(curve, curve.order, preset.base) == INFINITY
+        assert scalar_mul(curve, curve.order, base) == INFINITY
     print(f"\nCRITERION 3 PASS: scalar_mul, its trace, graph, graph text "
           f"and replay equal repeated addition on all toy points for "
           f"k<=2*order+1 ({runs} runs); scalar_mul does for k<=64 and "

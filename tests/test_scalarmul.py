@@ -2,17 +2,22 @@
 checks, audit.  The whole pipeline on each toy input is checked by
 `conftest.check_scalar_mul`, in acceptance criteria 3, 4 and 6."""
 
+from collections import Counter
+
 import pytest
 
 from eccnoc import procmodel, scalarmul
-from eccnoc.curves import AffinePoint, INFINITY, point_add_affine
+from eccnoc.curves import (_KERNELS, AffinePoint, INFINITY, ProjectivePoint,
+                           point_add_affine, point_neg, to_affine)
 from eccnoc.errors import (BadValue, EmptyTrace, NotOnCurve,
                            OracleBoundExceeded)
-from eccnoc.fields import OpKind
-from eccnoc.presets import get_preset
+from eccnoc.fields import FieldKind, OpKind
+from eccnoc.presets import PRESETS, get_preset
 from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
                               run_binary_method, scalar_mul,
                               scalar_mul_reference)
+
+from conftest import enumerate_points, even_order_toy, seeded
 
 
 def test_frozen_multiples_p17(p17):
@@ -76,13 +81,24 @@ class _StampingTape(scalarmul._Tape):
             self.step_columns.append(column)
 
 
+def _interpreted(monkeypatch):
+    """Run every loop step on its interpreted kernel, which records
+    through the tape's recorders, as for a step no compiled one takes."""
+    def declined(*args):
+        return None
+    monkeypatch.setattr(scalarmul, "_COMPILED", dict.fromkeys(
+        scalarmul._COMPILED, (declined, declined)))
+
+
 def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
     """The column counts sliced at the tape's boundaries, and the phases,
     steps, labels and values compile stamps from them, agree with a
     tape that stamps every op as it is recorded; k up to twice the order
     reaches the doubling-only, madd-to-double and infinite-result
-    branches."""
+    branches.  The stamps need the interpreted kernels: a compiled step
+    records its ops without the tape's recorders."""
     monkeypatch.setattr(scalarmul, "_Tape", _StampingTape)
+    _interpreted(monkeypatch)
     for preset in (p17, b4):
         curve, P = preset.curve, preset.base
         for k in range(1, 2 * curve.order + 1):
@@ -109,6 +125,47 @@ def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
             G = procmodel.compile_scalar_mul(curve, k, P)
             assert (G.kinds, G.phases, G.point_op_index, G.labels,
                     G.values) == tuple(zip(*tape.stamps)), k
+
+
+def _tape_columns(tape):
+    return (tape.values, bytes(tape.kinds), tape.operands, tape.inputs,
+            tape.starts, tape.result)
+
+
+def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
+    """The compiled doubling and mixed addition leave every column of
+    the tape as the interpreted kernels do, on every input criterion 3
+    runs through the pipeline, on the even-order toy curve and on sampled
+    64-bit inputs; each degenerate mixed addition declines to its
+    kernel, on both field kinds, and no general one does."""
+    toys = [(PRESETS[name].curve, PRESETS[name].base)
+            for name in ("p17", "b4")] + [even_order_toy()]
+    inputs = [(curve, k, P) for curve, _ in toys
+              for P in enumerate_points(curve)
+              for k in range(2 * curve.order + 2)]
+    for name in ("prime64", "binary63"):
+        rng = seeded(3100 + len(name))
+        preset = PRESETS[name]
+        inputs += [(preset.curve, (1 << 63) | rng.getrandbits(63),
+                    preset.base) for _ in range(8)]
+    declined = Counter()
+    for kind, (double, madd, *rest) in list(_KERNELS.items()):
+        def counted(ops, curve, X1, Y1, Z1, qx, qy, madd=madd):
+            acc = to_affine(curve, ProjectivePoint(
+                *map(ops.element, (X1, Y1, Z1))))
+            Q = AffinePoint(qx, qy)
+            declined[curve.field.kind, "at infinity" if acc.is_infinity
+                     else "equal" if acc == Q
+                     else "inverse" if acc == point_neg(curve, Q)
+                     else "general"] += 1
+            return madd(ops, curve, X1, Y1, Z1, qx, qy)
+        monkeypatch.setitem(_KERNELS, kind, (double, counted, *rest))
+    compiled = [_tape_columns(run_binary_method(*args)) for args in inputs]
+    assert set(declined) == {(kind, case) for kind in FieldKind
+                             for case in ("at infinity", "equal", "inverse")}
+    _interpreted(monkeypatch)
+    for args, columns in zip(inputs, compiled, strict=True):
+        assert _tape_columns(run_binary_method(*args)) == columns, args
 
 
 def test_a_run_without_work_is_an_empty_tape(p17):
