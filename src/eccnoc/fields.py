@@ -10,7 +10,11 @@ canonical value, so equality is plain int equality.  Fields wider than
 Each `FieldSpec` binds six raw int ops (`_add`, `_sub`, `_mul`, `_sqr`,
 `_inv` and `_reduce`) once, when it is built, as closures over the
 modulus or the polynomial, so no call branches on the field kind or
-reads the spec's fields.  Negation is subtraction from zero.
+reads the spec's fields.  Negation is subtraction from zero.  Code
+generated per field kind (`scalarmul`'s compiled steps) writes the
+cheap raw ops inline instead of calling them: `INLINE_OPS` states the
+expression of each GF(p) add, sub, mul and sqr and each GF(2^m) add and
+sub, next to the closures it must equal.
 
 GF(2^m) products use the comb method of Lopez and Dahab with a 4-bit
 window: a 16-entry table of multiples of one operand, indexed by the
@@ -391,6 +395,21 @@ def _binary_ops(m: int, f: int, tag: str) -> RawOps:
 class FieldKind(enum.Enum):
     PRIME = "prime"
     BINARY = "binary"
+
+
+# Per field kind, the raw ops that generated straight-line code
+# (`scalarmul._step_source`) writes inline rather than calling, each as a
+# format string over its operands' names whose value equals the op's.
+# The first dict binds each name the expressions read to the FieldSpec
+# attribute it is read from, once per generated function.  An op missing
+# from the second (a GF(2^m) product or square, an inversion) stays a
+# call to the field's closure.
+INLINE_OPS = {
+    FieldKind.PRIME: ({"p": "modulus"},
+                      {"_add": "({0} + {1}) % p", "_sub": "({0} - {1}) % p",
+                       "_mul": "{0} * {1} % p", "_sqr": "{0} * {0} % p"}),
+    FieldKind.BINARY: ({}, {"_add": "{0} ^ {1}", "_sub": "{0} ^ {1}"}),
+}
 
 
 # the raw int ops on canonical values that __post_init__ binds on each

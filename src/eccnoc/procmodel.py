@@ -27,9 +27,11 @@ ways: int -> str for writing, str -> int for reading.  It is built on
 first use, not at import.  Each way grows in one step when a graph
 longer than any before is written or read, and never shrinks, so it is
 as long as the longest graph the process has handled; a text that does
-not read as a graph leaves it as it was.  A number past it is spelled
-by `str` and read by `_number`, so no text or error depends on what
-the process handled before.
+not read as a graph leaves it as it was.  The str -> int way reuses the
+strings of the int -> str way as far as that reaches, so both ways hold
+one str per number.  A number past the table is spelled by `str` and
+read by `_number`, so no text or error depends on what the process
+handled before.
 
 `replay` re-executes a graph on raw ints: each task runs the curve
 field's raw op (`FieldSpec._add` ... `_inv`, the ones the tape runs),
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Optional
 
 from .curves import AffinePoint, CurveParams
@@ -323,7 +325,13 @@ class TaskGraph:
         # numbers past it, so the validator names them
         numbers = _SPELLINGS[1]
         if len(numbers) <= len(lines):
-            numbers = {str(i): i for i in range(-1, len(lines))}
+            # int -> str is filled in order from -1: its first entries
+            # are the spellings of -1 .. len(lines) - 1, as far as it goes
+            texts = _SPELLINGS[0]
+            numbers = dict(islice(zip(texts.values(), texts),
+                                  len(lines) + 1))
+            numbers.update((str(i), i)
+                           for i in range(len(texts) - 1, len(lines)))
         try:
             columns = _task_columns(lines[1:-1], numbers)
         except MalformedGraph:
@@ -466,7 +474,7 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
         phases[i] = Phase.INIT
         pidxs[i] = -1
     return TaskGraph(tuple(map(_KINDS.__getitem__, tape.kinds)),
-                     tuple(tape.operands), tuple(phases), tuple(pidxs),
+                     tape.operands, tuple(phases), tuple(pidxs),
                      tuple(labels), tuple(values), tape.result,
                      curve.field.bits)
 

@@ -19,13 +19,20 @@ Each loop step is recorded by a compiled step first (`_COMPILED`).  At
 import, the doubling and the mixed-addition kernel of each field kind
 run once on a tape of stand-ins, taking the general branch at every
 zero test and logging the value tested as a guard; the ops they record
-become one straight-line function, compiled once per field kind, that
-computes them with the field's raw ops and appends the whole step to
-the columns at once.  When a guard's value is 0 (an accumulator at
-infinity, equal or inverse points) it returns None having recorded no
-op, and the interpreted kernel records the step instead, op by op, so
-the tape is the one the kernels alone record.  The kernels stay the one
-statement of the formulas.
+become one straight-line function, compiled once per field kind.  It
+computes each op inline where the field kind has an expression for it
+(`fields.INLINE_OPS`: every GF(p) add, sub, mul and sqr, every GF(2^m)
+add and sub) and by the field's closure otherwise, and appends the
+step's values and kind codes to the columns at once.  Its operand
+indices are built on read: the step appends one frame for them, which
+`_Tape.operands` expands only when `compile_scalar_mul` or a test reads
+it, so `scalar_mul` never builds them.  The inputs a step reads (curve
+constants, the base point) are asked for once per run, in the first
+doubling, where its kernel asks for them.  When a guard's value is 0
+(an accumulator at infinity, equal or inverse points) the compiled step
+returns None having recorded nothing, and the interpreted kernel records
+the step instead, op by op, so the tape is the one the kernels alone
+record.  The kernels stay the one statement of the formulas.
 
 The tape is the one program both consumers read.  `scalar_mul` counts
 it into an `OpTrace` by column and phase:
@@ -47,6 +54,7 @@ and are exactly what the report is for.
 from __future__ import annotations
 
 import enum
+import linecache
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -54,8 +62,8 @@ from typing import Optional
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
                      _KERNELS, _embed_kernel, _require_on_curve)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
-from .fields import (ARITH_KINDS, MAX_FIELD_BITS, FieldElement, FieldKind,
-                     FieldSpec, OpKind)
+from .fields import (ARITH_KINDS, INLINE_OPS, MAX_FIELD_BITS, FieldElement,
+                     FieldKind, FieldSpec, OpKind)
 
 ORACLE_BOUND = 1 << 16
 # twice the widest field: a 4096-bit k compiles in a fraction of a second,
@@ -84,7 +92,7 @@ def _binary(code: int):
         values = self.values
         values.append(self._ops[code](values[a], values[b]))
         self.kinds.append(code)
-        self.operands.append((a, b))
+        self._operands.append((a, b))
         return len(values) - 1
     return record
 
@@ -94,7 +102,7 @@ def _unary(code: int):
         values = self.values
         values.append(self._ops[code](values[a]))
         self.kinds.append(code)
-        self.operands.append((a,))
+        self._operands.append((a,))
         return len(values) - 1
     return record
 
@@ -108,7 +116,10 @@ class _Tape:
     `_KINDS`): it computes the raw int with the field's raw op for that
     code (bound once per tape in `_ops`) and appends its value to
     `values`, the code to the `kinds` bytearray and its operand indices
-    to `operands`, and returns the new index.  `const` appends an input
+    to `_operands`, and returns the new index.  A compiled step appends
+    one frame to `_operands` for all its ops instead (`_step_source`);
+    `operands` is the read-only view of every op's operand indices in
+    tape order, built from both on each read.  `const` appends an input
     value (XFER) once per (label, value) and files its index in `inputs`
     under that pair, in the order the inputs were first asked for.
     `is_zero` reads the computed value, so the kernels branch exactly as
@@ -129,7 +140,9 @@ class _Tape:
         self.spec = spec
         self.values: list[int] = []
         self.kinds = bytearray()
-        self.operands: list[tuple[int, ...]] = []
+        # in tape order, the operand tuple of each op recorded one by one
+        # and one frame (a list) for each compiled step's ops
+        self._operands: list = []
         self.inputs: dict[tuple[str, int], int] = {}
         self.starts: list[tuple[str, int]] = []
         self.result: Optional[tuple[int, int]] = None
@@ -146,8 +159,21 @@ class _Tape:
             idx = self.inputs[key] = len(self.values)
             self.values.append(elem.value)
             self.kinds.append(_XFER)
-            self.operands.append(())
+            self._operands.append(())
         return idx
+
+    @property
+    def operands(self) -> tuple[tuple[int, ...], ...]:
+        """Each op's operand indices, by index, built on every read: a
+        compiled step's frame [writer, n, *inputs] expands to its ops'
+        operand tuples by calling its writer on it."""
+        out = []
+        for entry in self._operands:
+            if type(entry) is tuple:
+                out.append(entry)
+            else:
+                out += entry[0](entry)
+        return tuple(out)
 
     def is_zero(self, a: int) -> bool:
         return self.values[a] == 0
@@ -185,20 +211,37 @@ _TRACE_CURVE = SimpleNamespace(a=_stand_in("curve.a"),
                                b=_stand_in("curve.b"))
 
 
-def _step_source(name: str, kernel, points: tuple[str, ...]) -> str:
-    """The source of `name`, `kernel`'s general path as one straight-line
-    function of (tape, curve, X1, Y1, Z1, *points).
+# the FieldSpec attribute of each kind code's raw op
+_RAW_NAMES = tuple(f"_{kind.name.lower()}" for kind in _KINDS[:_XFER])
+
+
+def _tuple_of(items) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _function(lines: list[str]) -> str:
+    return "\n    ".join(lines) + "\n"
+
+
+def _step_source(name: str, kernel, points: tuple[str, ...],
+                 kind: FieldKind) -> tuple[str, list[tuple[str, str]]]:
+    """The source of `name`'s operand writer `name_operands` and of
+    `name`, `kernel`'s general path over a field of kind `kind` as one
+    straight-line function of (tape, X1, Y1, Z1, ins) that holds the
+    writer as a default; and the (label, source) of each input the
+    kernel asks for besides X1, Y1 and Z1, in the order `ins` holds
+    their tape indices.
 
     The kernel runs once on a tape of stand-ins whose `is_zero` logs the
     index it tests and answers False.  The function reads its inputs'
-    values, computes every op into a local with the tape's raw ops,
-    returns None as soon as a logged value is 0, and records all its ops
-    at once.  Only its input requests may write to the tape before a
-    guard fails, and in the loop each is on the tape already (the
-    embedding asks for Px and Py, each doubling for the constants a
-    later addition asks for); `const` never records an input twice, so
-    the kernel then run in its place records the step as if it ran
-    alone.
+    values and computes every op into a local, inline where `INLINE_OPS`
+    gives the op an expression and by the field's closure otherwise.  It
+    returns None as soon as a logged value is 0, having written nothing.
+    Otherwise it appends the values and kind codes of all its ops at
+    once, and for their operands one frame, [writer, n, X1, Y1, Z1,
+    *ins] with n the index of its first op, from which the writer
+    returns the operand tuples the kernel records; so they are built
+    only when `_Tape.operands` is read.
     """
     tape = _Tape(_TRACE_FIELD)
     guards = []
@@ -209,52 +252,77 @@ def _step_source(name: str, kernel, points: tuple[str, ...]) -> str:
                  *map(_stand_in, points))
     n_in = len(tape.inputs)
     assert _XFER not in tape.kinds[n_in:], "an input asked for after an op"
-    lines = [f"def {name}({', '.join(('tape', 'curve', *xyz, *points))}):",
-             "values = tape.values",
-             "add, sub, mul, sqr, inv = tape._ops"]
-    refs = []       # each tape index as an index of the real tape
-    for i, (label, source) in enumerate(tape.inputs):
-        if i < len(xyz):
-            refs.append(label)
-        else:
-            refs.append(f"i{i}")
-            lines.append(f"i{i} = tape.const({source}, {label!r})")
-        lines.append(f"v{i} = values[{refs[i]}]")
+    inputs = list(tape.inputs)[len(xyz):]
+    refs = [*xyz, *(f"i{i}" for i in range(len(xyz), n_in))]
+    frame = ", ".join(("n", *refs))
+    names, inline = INLINE_OPS[kind]
+    ops, operands = range(n_in, len(tape.values)), tape.operands
+    step = [f"def {name}(tape, X1, Y1, Z1, ins, _writer={name}_operands):",
+            "values = tape.values",
+            *(f"{var} = tape.spec.{attr}" for var, attr in names.items())]
+    if inputs:
+        step.append(f"{', '.join(refs[len(xyz):])}, = ins")
+    for i in range(n_in):
+        step.append(f"v{i} = values[{refs[i]}]")
         if i in guards:
-            lines.append(f"if v{i} == 0: return None")
-    lines.append("n = len(values)")
-    for i in range(n_in, len(tape.values)):
-        refs.append(f"n + {i - n_in}")
-        args = ", ".join(f"v{a}" for a in tape.operands[i])
-        lines.append(f"v{i} = {_KINDS[tape.kinds[i]].name.lower()}({args})")
+            step.append(f"if v{i} == 0: return None")
+    called = {_RAW_NAMES[tape.kinds[i]] for i in ops} - inline.keys()
+    step += [f"{op} = tape.spec.{op}" for op in sorted(called)]
+    step.append("n = len(values)")
+    for i in ops:
+        refs.append(f"n + {i - n_in}" if i > n_in else "n")
+        op, args = _RAW_NAMES[tape.kinds[i]], [f"v{a}" for a in operands[i]]
+        step.append(f"v{i} = " + (inline[op].format(*args) if op in inline
+                                  else f"{op}({', '.join(args)})"))
         if i in guards:
-            lines.append(f"if v{i} == 0: return None")
-    def tuple_of(items):
-        return "(" + "".join(f"{item}, " for item in items) + ")"
-    ops = range(n_in, len(tape.values))
-    lines += [f"values += {tuple_of(f'v{i}' for i in ops)}",
-              f"tape.kinds += {bytes(tape.kinds[n_in:])!r}",
-              "tape.operands += " + tuple_of(
-                  tuple_of(refs[a] for a in tape.operands[i]) for i in ops),
-              f"return {', '.join(refs[i] for i in out)}"]
-    return "\n    ".join(lines) + "\n"
+            step.append(f"if v{i} == 0: return None")
+    step += [f"values += {_tuple_of(f'v{i}' for i in ops)}",
+             f"tape.kinds += {bytes(tape.kinds[n_in:])!r}",
+             f"tape._operands.append([_writer, {frame}])",
+             f"return {', '.join(refs[i] for i in out)}"]
+    writer = [f"def {name}_operands(frame):",
+              f"_, {frame} = frame",
+              "return " + _tuple_of(_tuple_of(refs[a] for a in operands[i])
+                                    for i in ops)]
+    return _function(writer) + _function(step), inputs
 
 
 def _compile_steps(kind: FieldKind):
     """The compiled doubling and mixed addition of field kind `kind`'s
-    kernels, from one `compile`."""
+    kernels and `inputs`, which asks for both steps' inputs, from one
+    `compile`; the source is kept in `linecache` under its file name, so
+    tracebacks and `inspect` show it."""
     double, madd, _, system = _KERNELS[kind]
-    source = (_step_source("double", double, ())
-              + _step_source("madd", madd, ("qx", "qy")))
+    double_source, double_inputs = _step_source("double", double, (), kind)
+    madd_source, madd_inputs = _step_source("madd", madd, ("qx", "qy"), kind)
+    # every input a mixed addition reads is on the tape from the
+    # embedding or the first doubling, so asking for it there moves no
+    # XFER (see `run_binary_method`)
+    assert set(madd_inputs) <= {("Px", "qx"), ("Py", "qy"), *double_inputs}, \
+        "a mixed addition asks for an input no doubling asks for"
+
+    def asks(inputs):
+        return _tuple_of(f"tape.const({source}, {label!r})"
+                         for label, source in inputs)
+    source = double_source + madd_source + _function([
+        "def inputs(tape, curve, qx, qy):",
+        f"return {asks(double_inputs)}, {asks(madd_inputs)}"])
+    filename = f"<{system} steps>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
     namespace: dict = {}
-    exec(compile(source, f"<{system} steps>", "exec"), namespace)
-    # popped, so no cycle runs through the functions' globals
-    return namespace.pop("double"), namespace.pop("madd")
+    exec(compile(source, filename, "exec"), namespace)
+    # popped, so that no cycle runs through the functions' globals; each
+    # step holds its writer as a default
+    steps = tuple(map(namespace.pop, ("double", "madd", "inputs")))
+    del namespace["double_operands"], namespace["madd_operands"]
+    return steps
 
 
-# per field kind, its compiled doubling and mixed addition: each records
-# a general step and returns its outputs, or returns None, having
-# recorded no op, for a step its kernel must run
+# per field kind, its compiled doubling and mixed addition, each of which
+# records a general step and returns its outputs, or returns None, having
+# recorded nothing, for a step its kernel must run; and `inputs`, which
+# asks for their inputs (see `run_binary_method`)
 _COMPILED = {kind: _compile_steps(kind) for kind in _KERNELS}
 
 
@@ -355,15 +423,21 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     if k == 0 or P.is_infinity:
         return tape
     double, madd, to_aff, _ = _KERNELS[curve.field.kind]
-    fast_double, fast_madd = _COMPILED[curve.field.kind]
+    fast_double, fast_madd, inputs = _COMPILED[curve.field.kind]
     X, Y, Z = _embed_kernel(tape, curve, P.x, P.y)
+    ins = None
     for i in range(k.bit_length() - 2, -1, -1):
         tape.begin_step("point_double")
-        X, Y, Z = (fast_double(tape, curve, X, Y, Z)
+        if ins is None:
+            # the first doubling asks for both steps' inputs where its
+            # kernel asks for its own; the embedding and this doubling
+            # have asked for every one a mixed addition asks for
+            double_ins, madd_ins = ins = inputs(tape, curve, P.x, P.y)
+        X, Y, Z = (fast_double(tape, X, Y, Z, double_ins)
                    or double(tape, curve, X, Y, Z))
         if (k >> i) & 1:
             tape.begin_step("point_add")
-            X, Y, Z = (fast_madd(tape, curve, X, Y, Z, P.x, P.y)
+            X, Y, Z = (fast_madd(tape, X, Y, Z, madd_ins)
                        or madd(tape, curve, X, Y, Z, P.x, P.y))
     tape.begin_step("convert")
     tape.result = to_aff(tape, curve, X, Y, Z)

@@ -363,6 +363,35 @@ def test_descriptors():
     assert ff_sub(GF17.element(3), GF17.element(3)).value == 0
 
 
+def _check_inline_ops(spec, pairs):
+    names, inline = fields.INLINE_OPS[spec.kind]
+    env = {name: getattr(spec, attr) for name, attr in names.items()}
+    assert set(inline) <= set(fields._RAW_OPS)
+    for op, expr in inline.items():
+        code = compile(expr.format("a", "b"), op, "eval")
+        raw = getattr(spec, op)
+        unary = op == "_sqr"
+        for a, b in pairs:
+            want = raw(a) if unary else raw(a, b)
+            assert eval(code, {**env, "a": a, "b": b}) == want, \
+                (spec.tag, op, a, b)
+
+
+@pytest.mark.parametrize("spec", [GF17, FieldSpec.prime(13), GF16],
+                         ids=lambda spec: spec.tag)
+def test_inline_ops_equal_the_raw_ops_on_every_pair(spec):
+    everything = range(spec.order)
+    _check_inline_ops(spec, [(a, b) for a in everything for b in everything])
+
+
+@pytest.mark.parametrize("name", ["prime64", "binary63"])
+def test_inline_ops_equal_the_raw_ops_on_random_pairs(name):
+    spec, rng = PRESETS[name].curve.field, seeded(32)
+    _check_inline_ops(spec, [(rng.randrange(spec.order),
+                              rng.randrange(spec.order))
+                             for _ in range(1000)])
+
+
 # ---------------------------------------------------------------------------
 # GF(2^m) arithmetic against a bit-serial oracle
 

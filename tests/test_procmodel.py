@@ -155,6 +155,31 @@ def test_lenient_graph_spellings_are_refused(monkeypatch, old, new):
 
     _with_each_table(monkeypatch, message)
 
+
+def test_both_spelling_tables_hold_one_str_per_number(monkeypatch):
+    """The str -> int table a text builds takes its strings from the
+    int -> str table as far as that reaches, and no more entries than
+    the text needs; a refused text, even one longer than any read
+    before, leaves both tables as they were."""
+    monkeypatch.setattr(procmodel, "_SPELLINGS", [procmodel._Texts(), {}])
+    G = _compile(PRESETS["prime64"], 0xe3c45e0ad1bbea06)
+    text = G.to_text()
+    texts = procmodel._SPELLINGS[0]
+    before = dict(texts)
+    with pytest.raises(MalformedGraph, match="bad result ids"):
+        TaskGraph.from_text(text.replace("\nresult ", "\nresult -"))
+    assert procmodel._SPELLINGS == [before, {}]
+    short = _compile(PRESETS["p17"], 13).to_text()
+    TaskGraph.from_text(short)
+    assert len(procmodel._SPELLINGS[1]) == len(short.splitlines()) + 1
+    assert TaskGraph.from_text(text) == G
+    numbers = procmodel._SPELLINGS[1]
+    assert procmodel._SPELLINGS[0] == before
+    assert len(numbers) > len(texts) > 2000
+    assert all(numbers[s] == i for i, s in texts.items())
+    assert all(s is texts[i] for s, i in numbers.items() if i in texts)
+
+
 def test_built_graph_cannot_be_mutated(p17):
     G = _compile(p17, 13)
     text = G.to_text()

@@ -2,6 +2,7 @@
 checks, audit.  The whole pipeline on each toy input is checked by
 `conftest.check_scalar_mul`, in acceptance criteria 3, 4 and 6."""
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -83,11 +84,15 @@ class _StampingTape(scalarmul._Tape):
 
 def _interpreted(monkeypatch):
     """Run every loop step on its interpreted kernel, which records
-    through the tape's recorders, as for a step no compiled one takes."""
+    through the tape's recorders, as for a step no compiled one takes;
+    each kernel asks for its own inputs, no resolver asks for them."""
     def declined(*args):
         return None
+
+    def no_inputs(*args):
+        return (), ()
     monkeypatch.setattr(scalarmul, "_COMPILED", dict.fromkeys(
-        scalarmul._COMPILED, (declined, declined)))
+        scalarmul._COMPILED, (declined, declined, no_inputs)))
 
 
 def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
@@ -146,8 +151,9 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
     for name in ("prime64", "binary63"):
         rng = seeded(3100 + len(name))
         preset = PRESETS[name]
-        inputs += [(preset.curve, (1 << 63) | rng.getrandbits(63),
-                    preset.base) for _ in range(8)]
+        inputs += [(preset.curve, k, preset.base)
+                   for k in [1, 1 << 63, *((1 << 63) | rng.getrandbits(63)
+                                           for _ in range(8))]]
     declined = Counter()
     for kind, (double, madd, *rest) in list(_KERNELS.items()):
         def counted(ops, curve, X1, Y1, Z1, qx, qy, madd=madd):
@@ -166,13 +172,64 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
     _interpreted(monkeypatch)
     for args, columns in zip(inputs, compiled, strict=True):
         assert _tape_columns(run_binary_method(*args)) == columns, args
+        # k = 1 runs no loop step, so no step's input is asked for
+        if args[1] == 1 and not args[2].is_infinity:
+            assert [label for label, _ in columns[3]] == ["Px", "Py", "one"]
+
+
+def test_operands_are_built_only_when_read(monkeypatch):
+    """`scalar_mul` builds no operand tuple of a compiled step; compiling
+    a run expands each compiled step once; each read of the column
+    expands it again, to the same tuples.  Each step holds its operand
+    writer as a default, where the calls are counted."""
+    calls = Counter()
+    for kind, (double, madd, _) in scalarmul._COMPILED.items():
+        for step in (double, madd):
+            name = f"{step.__name__}_operands"
+            def counted(frame, write=step.__defaults__[0], key=(kind, name)):
+                calls[key] += 1
+                return write(frame)
+            monkeypatch.setattr(step, "__defaults__", (counted,))
+    for name, k in (("prime64", 0xe3c45e0ad1bbea06),
+                    ("binary63", 0xa5942337f65e5924)):
+        preset = PRESETS[name]
+        curve, P, kind = preset.curve, preset.base, preset.curve.field.kind
+        trace = OpTrace()
+        scalar_mul(curve, k, P, trace)
+        count_report(trace, trace.n_point_doubles, trace.n_point_adds)
+        assert not calls
+        procmodel.compile_scalar_mul(curve, k, P)
+        steps = {(kind, "double_operands"): k.bit_length() - 1,
+                 (kind, "madd_operands"): k.bit_count() - 1}
+        assert calls == steps
+        calls.clear()
+        tape = run_binary_method(curve, k, P)
+        assert tape.operands == tape.operands
+        assert calls == {key: 2 * n for key, n in steps.items()}
+        calls.clear()
+
+
+def test_compiled_steps_show_their_source():
+    """Each compiled step's source is in `linecache` under its file name,
+    so `inspect.getsource` returns the straight-line code."""
+    for kind, (double, madd, inputs) in scalarmul._COMPILED.items():
+        kernels = _KERNELS[kind]
+        for step, kernel, points in ((double, kernels[0], ()),
+                                     (madd, kernels[1], ("qx", "qy"))):
+            assert step.__code__.co_filename == f"<{kernels[3]} steps>"
+            writer = step.__defaults__[0]
+            assert inspect.getsource(writer) + inspect.getsource(step) == \
+                scalarmul._step_source(step.__name__, kernel, points,
+                                       kind)[0]
+        assert inspect.getsource(inputs).startswith(
+            "def inputs(tape, curve, qx, qy):\n")
 
 
 def test_a_run_without_work_is_an_empty_tape(p17):
     for k, P in ((0, p17.base), (5, INFINITY)):
         tape = run_binary_method(p17.curve, k, P)
         assert (tape.values, bytes(tape.kinds), tape.operands, tape.inputs,
-                tape.starts, tape.result) == ([], b"", [], {}, [], None)
+                tape.starts, tape.result) == ([], b"", (), {}, [], None)
         t = OpTrace()
         t._count(tape)
         assert t.to_dict() == OpTrace().to_dict()
