@@ -12,12 +12,17 @@ Z = 0 encodes the point at infinity; its canonical triple is (1, 1, 0).
 The projective kernels are written against the op recorder of
 `scalarmul` (the tape): their values are tape indices, and each add,
 sub, mul, sqr and inv is computed and recorded there, so one run of the
-formulas yields the point, its op counts and its task graph alike.
+formulas yields the point, its op counts and its task graph alike.  A
+kernel takes the tape and the accumulator's X, Y and Z, and asks the
+tape for every other input by its label alone: the affine addend `Px`
+and `Py`, the coefficients `a` and `b`, and the constants `one` and
+`zero`, whose raw values `_run_table` gives, one table per run.
 `scalarmul` also compiles each doubling and mixed addition, once, into
 a straight-line function of its general path, traced from the kernel;
 a loop step runs that, and the kernel itself only when a zero test of
 the general path fails.  The public projective functions below run a
-kernel on a fresh tape.  A `ProjectivePoint` is a bare (X, Y, Z): its
+kernel on a fresh tape, with the point's coordinates as the inputs
+`X`, `Y` and `Z`.  A `ProjectivePoint` is a bare (X, Y, Z): its
 coordinate system is the curve's, which the field kind fixes, so only
 the field is checked.  Doubling is branch-free: the formulas send Z to
 0 exactly when the true result is infinity.  Mixed addition branches on
@@ -195,21 +200,29 @@ def point_double_affine(curve: CurveParams, P: AffinePoint) -> AffinePoint:
 # ---------------------------------------------------------------------------
 # projective kernels, run on a tape (`ops`)
 
-def _inf_triple(ops, curve: CurveParams):
-    one = ops.const(curve.field.one, "one")
-    zero = ops.const(curve.field.zero, "zero")
-    return one, one, zero
+def _run_table(curve: CurveParams, q: AffinePoint) -> dict[str, int]:
+    """A run's table: the raw value of each input a kernel asks for by
+    label, the affine addend q (`Px`, `Py`; none when q is infinity),
+    the curve's `a` and `b`, and the constants `one` and `zero`."""
+    table = {"a": curve.a.value, "b": curve.b.value, "one": 1, "zero": 0}
+    if not q.is_infinity:
+        table.update(Px=q.x.value, Py=q.y.value)
+    return table
 
 
-def _embed_kernel(ops, curve: CurveParams, qx: FieldElement, qy: FieldElement):
-    """Lift an affine point to projective without arithmetic."""
-    return (ops.const(qx, "Px"), ops.const(qy, "Py"),
-            ops.const(curve.field.one, "one"))
+def _inf_triple(ops):
+    one = ops.input("one")
+    return one, one, ops.input("zero")
 
 
-def _jac_double_kernel(ops, curve, X1, Y1, Z1):
+def _embed_kernel(ops):
+    """Lift the affine addend to projective without arithmetic."""
+    return ops.input("Px"), ops.input("Py"), ops.input("one")
+
+
+def _jac_double_kernel(ops, X1, Y1, Z1):
     """Jacobian doubling; branch-free, Z3 = 0 iff the result is infinity."""
-    a = ops.const(curve.a, "a")
+    a = ops.input("a")
     xx = ops.sqr(X1)
     yy = ops.sqr(Y1)
     yyyy = ops.sqr(yy)
@@ -230,12 +243,12 @@ def _jac_double_kernel(ops, curve, X1, Y1, Z1):
     return x3, y3, z3
 
 
-def _jac_madd_kernel(ops, curve, X1, Y1, Z1, qx, qy):
+def _jac_madd_kernel(ops, X1, Y1, Z1):
     """Jacobian mixed addition (projective + affine)."""
     if ops.is_zero(Z1):
-        return _embed_kernel(ops, curve, qx, qy)
-    x2 = ops.const(qx, "Px")
-    y2 = ops.const(qy, "Py")
+        return _embed_kernel(ops)
+    x2 = ops.input("Px")
+    y2 = ops.input("Py")
     zz = ops.sqr(Z1)
     u2 = ops.mul(x2, zz)
     zzz = ops.mul(Z1, zz)
@@ -244,8 +257,8 @@ def _jac_madd_kernel(ops, curve, X1, Y1, Z1, qx, qy):
     r = ops.sub(s2, Y1)
     if ops.is_zero(h):
         if ops.is_zero(r):
-            return _jac_double_kernel(ops, curve, X1, Y1, Z1)
-        return _inf_triple(ops, curve)
+            return _jac_double_kernel(ops, X1, Y1, Z1)
+        return _inf_triple(ops)
     hh = ops.sqr(h)
     hhh = ops.mul(h, hh)
     v = ops.mul(X1, hh)
@@ -255,7 +268,7 @@ def _jac_madd_kernel(ops, curve, X1, Y1, Z1, qx, qy):
     return x3, y3, z3
 
 
-def _jac_to_affine_kernel(ops, curve, X1, Y1, Z1):
+def _jac_to_affine_kernel(ops, X1, Y1, Z1):
     if ops.is_zero(Z1):
         return None
     zi = ops.inv(Z1)
@@ -265,10 +278,10 @@ def _jac_to_affine_kernel(ops, curve, X1, Y1, Z1):
     return x, y
 
 
-def _ld_double_kernel(ops, curve, X1, Y1, Z1):
+def _ld_double_kernel(ops, X1, Y1, Z1):
     """Lopez-Dahab doubling; branch-free, Z3 = 0 iff infinity."""
-    a = ops.const(curve.a, "a")
-    b = ops.const(curve.b, "b")
+    a = ops.input("a")
+    b = ops.input("b")
     t1 = ops.sqr(Z1)                       # Z1^2
     t2 = ops.sqr(X1)                       # X1^2
     z3 = ops.mul(t1, t2)                   # Z3 = X1^2*Z1^2
@@ -283,20 +296,20 @@ def _ld_double_kernel(ops, curve, X1, Y1, Z1):
     return x3, y3, z3
 
 
-def _ld_madd_kernel(ops, curve, X1, Y1, Z1, qx, qy):
+def _ld_madd_kernel(ops, X1, Y1, Z1):
     """Lopez-Dahab mixed addition (projective + affine)."""
     if ops.is_zero(Z1):
-        return _embed_kernel(ops, curve, qx, qy)
-    x2 = ops.const(qx, "Px")
-    y2 = ops.const(qy, "Py")
-    a_c = ops.const(curve.a, "a")
+        return _embed_kernel(ops)
+    x2 = ops.input("Px")
+    y2 = ops.input("Py")
+    a_c = ops.input("a")
     t1 = ops.sqr(Z1)                       # Z1^2
     aa = ops.add(ops.mul(y2, t1), Y1)      # A = y2*Z1^2 + Y1
     bb = ops.add(ops.mul(x2, Z1), X1)      # B = x2*Z1 + X1
     if ops.is_zero(bb):
         if ops.is_zero(aa):
-            return _ld_double_kernel(ops, curve, X1, Y1, Z1)
-        return _inf_triple(ops, curve)
+            return _ld_double_kernel(ops, X1, Y1, Z1)
+        return _inf_triple(ops)
     c = ops.mul(Z1, bb)                    # C = Z1*B
     z3 = ops.sqr(c)                        # Z3 = C^2
     d = ops.mul(ops.sqr(bb), ops.add(c, ops.mul(a_c, t1)))
@@ -308,7 +321,7 @@ def _ld_madd_kernel(ops, curve, X1, Y1, Z1, qx, qy):
     return x3, y3, z3
 
 
-def _ld_to_affine_kernel(ops, curve, X1, Y1, Z1):
+def _ld_to_affine_kernel(ops, X1, Y1, Z1):
     if ops.is_zero(Z1):
         return None
     zi = ops.inv(Z1)
@@ -338,16 +351,18 @@ def to_projective(curve: CurveParams, P: AffinePoint) -> ProjectivePoint:
     return ProjectivePoint(P.x, P.y, f.one)
 
 
-def _run_kernel(curve: CurveParams, P: ProjectivePoint, which: int, *args):
+def _run_kernel(curve: CurveParams, P: ProjectivePoint, which: int,
+                q: AffinePoint = INFINITY):
     """Run kernel `which` of the curve's `_KERNELS` on P's coordinates,
-    loaded onto a fresh tape; return its outputs as elements, or None
-    when the kernel reports infinity."""
+    loaded onto a fresh tape as the inputs `X`, `Y` and `Z` beside the
+    run's table for the addend q; return its outputs as elements, or
+    None when the kernel reports infinity."""
     if P.X.spec != curve.field:
         raise FieldMismatch("point coordinates live outside the curve field")
     from .scalarmul import _Tape  # scalarmul imports this module
-    tape = _Tape(curve.field)
-    xyz = [tape.const(c, label) for c, label in zip((P.X, P.Y, P.Z), "XYZ")]
-    out = _KERNELS[curve.field.kind][which](tape, curve, *xyz, *args)
+    tape = _Tape(curve.field, {**_run_table(curve, q), "X": P.X.value,
+                               "Y": P.Y.value, "Z": P.Z.value})
+    out = _KERNELS[curve.field.kind][which](tape, *map(tape.input, "XYZ"))
     return None if out is None else [tape.element(i) for i in out]
 
 
@@ -368,5 +383,5 @@ def point_add_projective(curve: CurveParams, P: ProjectivePoint,
     _require_on_curve(curve, q)
     if q.is_infinity:
         raise NotOnCurve("mixed addition needs a finite affine addend")
-    return ProjectivePoint(*_run_kernel(curve, P, 1, q.x, q.y))
+    return ProjectivePoint(*_run_kernel(curve, P, 1, q))
 

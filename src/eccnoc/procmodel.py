@@ -7,9 +7,9 @@ the graph is exactly the executed op sequence: the same tape
 `scalar_mul` counts.  It decodes the tape's kind codes and stamps each
 task with the phase of its tape segment's column (`scalarmul._COLUMNS`)
 and, in a loop step, that step's index.  Input values (base-point
-coordinates, curve constants) are XFER source tasks, one per distinct
-(label, value), in the init phase wherever the run first asked for
-them; no other common subexpression is merged.
+coordinates, curve constants) are XFER source tasks, one per label, in
+the init phase wherever the run first asked for them; no other common
+subexpression is merged.
 
 A `TaskGraph` is a frozen dataclass of one tuple per task attribute,
 indexed by task id (`kinds`, `operands`, `phases`, `point_op_index`,
@@ -59,7 +59,8 @@ from typing import Optional
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import FieldElement, FieldKind, OpKind, _require_ints, _show
-from .scalarmul import _COLUMNS, _KINDS, Phase, run_binary_method
+from .scalarmul import (_COLUMNS, _KINDS, Phase, _raw_ops,
+                        run_binary_method)
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
@@ -74,7 +75,7 @@ _OPERANDS_TEXT = ("-", "%d", "%d,%d")
 # a plan counts edges by the position of each end here; the last
 # consumer, None, is the delivery of a result value to IO
 _FLOW_ENDS = (*OpKind, None)
-_KIND_CODE = {kind: code for code, kind in enumerate(OpKind)}
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 def _number(text: str) -> int:
@@ -100,7 +101,7 @@ class _Texts(dict):
 # the shared spelling table (see the module docstring): int -> str,
 # grown by `to_text`, and str -> int, replaced by a longer one by
 # `from_text`; both empty at import
-_SPELLINGS: list[dict] = [_Texts(), {}]
+_SPELLINGS: list[dict] = [_Texts(), _Numbers()]
 
 
 def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
@@ -317,25 +318,21 @@ class TaskGraph:
         if len(tail) != 3 or tail[0] != "result":
             raise MalformedGraph(f"last line must name the result pair: "
                                  f"{_show(lines[-1])}")
-        # an exact dict of the spellings of -1 .. len(lines) - 1 or more
-        # is the fastest lookup: the shared one, or for a longer text one
-        # of its own, shared once the text reads as a graph; text it
-        # cannot read is read again with `_number`, which reads exactly
-        # the spellings the table holds but -1, and reads canonical
-        # numbers past it, so the validator names them
+        # a table of the spellings of -1 .. len(lines) - 1 or more: the
+        # shared one, or for a longer text one of its own, shared once
+        # the text reads as a graph; a spelling past it is read by
+        # `_number`, which reads canonical numbers, so the validator
+        # names them, and refuses any other spelling
         numbers = _SPELLINGS[1]
         if len(numbers) <= len(lines):
             # int -> str is filled in order from -1: its first entries
             # are the spellings of -1 .. len(lines) - 1, as far as it goes
             texts = _SPELLINGS[0]
-            numbers = dict(islice(zip(texts.values(), texts),
-                                  len(lines) + 1))
+            numbers = _Numbers(islice(zip(texts.values(), texts),
+                                      len(lines) + 1))
             numbers.update((str(i), i)
                            for i in range(len(texts) - 1, len(lines)))
-        try:
-            columns = _task_columns(lines[1:-1], numbers)
-        except MalformedGraph:
-            columns = _task_columns(lines[1:-1], _Numbers({"-1": -1}))
+        columns = _task_columns(lines[1:-1], numbers)
         try:
             result = (_number(tail[1]), _number(tail[2]))
         except (KeyError, ValueError) as exc:
@@ -468,9 +465,9 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     labels: list[str] = [""] * n
     values: list[Optional[int]] = [None] * n
     # an XFER is an input of the whole run, wherever a kernel asked for it
-    for (label, value), i in tape.inputs.items():
+    for label, i in tape.inputs.items():
         labels[i] = label
-        values[i] = value
+        values[i] = tape.values[i]
         phases[i] = Phase.INIT
         pidxs[i] = -1
     return TaskGraph(tuple(map(_KINDS.__getitem__, tape.kinds)),
@@ -491,8 +488,7 @@ def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
         raise FieldMismatch(
             f"graph was compiled for a {G.field_bits}-bit field, curve "
             f"field has {spec.bits} bits")
-    run = {OpKind.ADD: spec._add, OpKind.SUB: spec._sub,
-           OpKind.MUL: spec._mul, OpKind.SQR: spec._sqr, OpKind.INV: spec._inv}
+    run = dict(zip(_KINDS, _raw_ops(spec)))
     xfer = OpKind.XFER
     values: list[int] = []
     for kind, ops, value in zip(G.kinds, G.operands, G.values):

@@ -17,18 +17,22 @@ follow from its segment, not from the op.  A run that does no work
 
 Each loop step is recorded by a compiled step first (`_COMPILED`).  At
 import, the doubling and the mixed-addition kernel of each field kind
-run once on a tape of stand-ins, taking the general branch at every
-zero test and logging the value tested as a guard; the ops they record
-become one straight-line function, compiled once per field kind.  It
-computes each op inline where the field kind has an expression for it
-(`fields.INLINE_OPS`: every GF(p) add, sub, mul and sqr, every GF(2^m)
-add and sub) and by the field's closure otherwise, and appends the
-step's values and kind codes to the columns at once.  Its operand
-indices are built on read: the step appends one frame for them, which
-`_Tape.operands` expands only when `compile_scalar_mul` or a test reads
-it, so `scalar_mul` never builds them.  The inputs a step reads (curve
-constants, the base point) are asked for once per run, in the first
-doubling, where its kernel asks for them.  When a guard's value is 0
+run once on a tape whose every input's value is its label (`_Labels`),
+taking the general branch at every zero test and logging the value
+tested as a guard; the ops they record become one straight-line
+function, compiled once per field kind, and the labels they ask for are
+kept beside it.  The function computes each op inline where the field
+kind has an expression for it (`fields.INLINE_OPS`: every GF(p) add,
+sub, mul and sqr, every GF(2^m) add and sub) and by the field's closure
+otherwise, and appends the step's values and kind codes to the columns
+at once.  Its operand indices are built on read: the step appends one
+frame for them, which `_Tape.operands` expands only when
+`compile_scalar_mul` or a test reads it, so `scalar_mul` never builds
+them.  A tape input is named by its label alone, its value read from the
+run's table (`curves._run_table`).  The inputs a step reads (curve
+constants, the base point) are asked for once per run, right after the
+embedding and in the order the first doubling's kernel asks for them, so
+each keeps the id the kernels alone give it.  When a guard's value is 0
 (an accumulator at infinity, equal or inverse points) the compiled step
 returns None having recorded nothing, and the interpreted kernel records
 the step instead, op by op, so the tape is the one the kernels alone
@@ -56,11 +60,13 @@ from __future__ import annotations
 import enum
 import linecache
 from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Optional
 
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
-                     _KERNELS, _embed_kernel, _require_on_curve)
+                     _KERNELS, _embed_kernel, _require_on_curve,
+                     _run_table)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
 from .fields import (ARITH_KINDS, INLINE_OPS, MAX_FIELD_BITS, FieldElement,
                      FieldKind, FieldSpec, OpKind)
@@ -72,10 +78,13 @@ MAX_SCALAR_BITS = 2 * MAX_FIELD_BITS
 
 # one-byte kind codes, indices into _KINDS: the tape records each op's
 # kind as its code, so counting a column is `bytes.count`
-_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV,
-          OpKind.XFER)
+_KINDS = tuple(OpKind)
 _ADD, _SUB, _MUL, _SQR, _INV, _XFER = range(len(_KINDS))
 _ARITH_CODES = tuple((kind, _KINDS.index(kind)) for kind in ARITH_KINDS)
+# the FieldSpec attribute of each arithmetic kind code's raw op, and the
+# getter of those ops as a tuple indexed by code
+_RAW_NAMES = tuple(f"_{kind.name.lower()}" for kind in _KINDS[:_XFER])
+_raw_ops = attrgetter(*_RAW_NAMES)
 
 
 class Phase(enum.Enum):
@@ -119,9 +128,10 @@ class _Tape:
     to `_operands`, and returns the new index.  A compiled step appends
     one frame to `_operands` for all its ops instead (`_step_source`);
     `operands` is the read-only view of every op's operand indices in
-    tape order, built from both on each read.  `const` appends an input
-    value (XFER) once per (label, value) and files its index in `inputs`
-    under that pair, in the order the inputs were first asked for.
+    tape order, built from both on each read.  `input` appends an input
+    (XFER) once per label, its value read from the run's table of raw
+    values by label, and files its index in `inputs` under the label, in
+    the order the inputs were first asked for.
     `is_zero` reads the computed value, so the kernels branch exactly as
     the real run does.
 
@@ -136,28 +146,28 @@ class _Tape:
     for it.
     """
 
-    def __init__(self, spec: FieldSpec):
+    def __init__(self, spec: FieldSpec, table: dict[str, int]):
         self.spec = spec
+        self.table = table
         self.values: list[int] = []
         self.kinds = bytearray()
         # in tape order, the operand tuple of each op recorded one by one
         # and one frame (a list) for each compiled step's ops
         self._operands: list = []
-        self.inputs: dict[tuple[str, int], int] = {}
+        self.inputs: dict[str, int] = {}
         self.starts: list[tuple[str, int]] = []
         self.result: Optional[tuple[int, int]] = None
         # the field's raw ops, indexed by kind code
-        self._ops = (spec._add, spec._sub, spec._mul, spec._sqr, spec._inv)
+        self._ops = _raw_ops(spec)
 
     add, sub, mul = _binary(_ADD), _binary(_SUB), _binary(_MUL)
     sqr, inv = _unary(_SQR), _unary(_INV)
 
-    def const(self, elem: FieldElement, label: str) -> int:
-        key = (label, elem.value)
-        idx = self.inputs.get(key)
+    def input(self, label: str) -> int:
+        idx = self.inputs.get(label)
         if idx is None:
-            idx = self.inputs[key] = len(self.values)
-            self.values.append(elem.value)
+            idx = self.inputs[label] = len(self.values)
+            self.values.append(self.table[label])
             self.kinds.append(_XFER)
             self._operands.append(())
         return idx
@@ -198,21 +208,14 @@ class _Tape:
 # ---------------------------------------------------------------------------
 # the compiled steps
 
-def _stand_in(source: str) -> SimpleNamespace:
-    """An opaque element for tracing, its value the source that names it."""
-    return SimpleNamespace(value=source)
+# the field a kernel is traced on: raw ops that compute nothing
+_TRACE_FIELD = SimpleNamespace(**dict.fromkeys(_RAW_NAMES, lambda *_: None))
 
 
-# the field and curve a kernel is traced on: raw ops that compute
-# nothing, and the coefficients named by their source
-_TRACE_FIELD = SimpleNamespace(**dict.fromkeys(
-    ("_add", "_sub", "_mul", "_sqr", "_inv"), lambda *_: None))
-_TRACE_CURVE = SimpleNamespace(a=_stand_in("curve.a"),
-                               b=_stand_in("curve.b"))
+class _Labels(dict):
+    """The table a kernel is traced on: each input's value is its label."""
 
-
-# the FieldSpec attribute of each kind code's raw op
-_RAW_NAMES = tuple(f"_{kind.name.lower()}" for kind in _KINDS[:_XFER])
+    __missing__ = staticmethod(str)
 
 
 def _tuple_of(items) -> str:
@@ -223,16 +226,16 @@ def _function(lines: list[str]) -> str:
     return "\n    ".join(lines) + "\n"
 
 
-def _step_source(name: str, kernel, points: tuple[str, ...],
-                 kind: FieldKind) -> tuple[str, list[tuple[str, str]]]:
+def _step_source(name: str, kernel,
+                 kind: FieldKind) -> tuple[str, tuple[str, ...]]:
     """The source of `name`'s operand writer `name_operands` and of
     `name`, `kernel`'s general path over a field of kind `kind` as one
     straight-line function of (tape, X1, Y1, Z1, ins) that holds the
-    writer as a default; and the (label, source) of each input the
-    kernel asks for besides X1, Y1 and Z1, in the order `ins` holds
-    their tape indices.
+    writer as a default; and the label of each input the kernel asks
+    for besides X1, Y1 and Z1, in the order `ins` holds their tape
+    indices.
 
-    The kernel runs once on a tape of stand-ins whose `is_zero` logs the
+    The kernel runs once on a tape of `_Labels` whose `is_zero` logs the
     index it tests and answers False.  The function reads its inputs'
     values and computes every op into a local, inline where `INLINE_OPS`
     gives the op an expression and by the field's closure otherwise.  It
@@ -243,16 +246,14 @@ def _step_source(name: str, kernel, points: tuple[str, ...],
     returns the operand tuples the kernel records; so they are built
     only when `_Tape.operands` is read.
     """
-    tape = _Tape(_TRACE_FIELD)
+    tape = _Tape(_TRACE_FIELD, _Labels())
     guards = []
     tape.is_zero = guards.append
     xyz = ("X1", "Y1", "Z1")
-    out = kernel(tape, _TRACE_CURVE, *[tape.const(_stand_in(c), c)
-                                       for c in xyz],
-                 *map(_stand_in, points))
+    out = kernel(tape, *map(tape.input, xyz))
     n_in = len(tape.inputs)
     assert _XFER not in tape.kinds[n_in:], "an input asked for after an op"
-    inputs = list(tape.inputs)[len(xyz):]
+    labels = tuple(tape.inputs)[len(xyz):]
     refs = [*xyz, *(f"i{i}" for i in range(len(xyz), n_in))]
     frame = ", ".join(("n", *refs))
     names, inline = INLINE_OPS[kind]
@@ -260,7 +261,7 @@ def _step_source(name: str, kernel, points: tuple[str, ...],
     step = [f"def {name}(tape, X1, Y1, Z1, ins, _writer={name}_operands):",
             "values = tape.values",
             *(f"{var} = tape.spec.{attr}" for var, attr in names.items())]
-    if inputs:
+    if labels:
         step.append(f"{', '.join(refs[len(xyz):])}, = ins")
     for i in range(n_in):
         step.append(f"v{i} = values[{refs[i]}]")
@@ -284,29 +285,23 @@ def _step_source(name: str, kernel, points: tuple[str, ...],
               f"_, {frame} = frame",
               "return " + _tuple_of(_tuple_of(refs[a] for a in operands[i])
                                     for i in ops)]
-    return _function(writer) + _function(step), inputs
+    return _function(writer) + _function(step), labels
 
 
 def _compile_steps(kind: FieldKind):
     """The compiled doubling and mixed addition of field kind `kind`'s
-    kernels and `inputs`, which asks for both steps' inputs, from one
-    `compile`; the source is kept in `linecache` under its file name, so
-    tracebacks and `inspect` show it."""
+    kernels from one `compile`, each with the labels of its inputs; the
+    source is kept in `linecache` under its file name, so tracebacks and
+    `inspect` show it."""
     double, madd, _, system = _KERNELS[kind]
-    double_source, double_inputs = _step_source("double", double, (), kind)
-    madd_source, madd_inputs = _step_source("madd", madd, ("qx", "qy"), kind)
-    # every input a mixed addition reads is on the tape from the
-    # embedding or the first doubling, so asking for it there moves no
-    # XFER (see `run_binary_method`)
-    assert set(madd_inputs) <= {("Px", "qx"), ("Py", "qy"), *double_inputs}, \
+    double_source, double_labels = _step_source("double", double, kind)
+    madd_source, madd_labels = _step_source("madd", madd, kind)
+    # every input a mixed addition asks for is on the tape from the
+    # embedding or the first doubling, so asking for it before the
+    # first doubling moves no XFER (see `run_binary_method`)
+    assert set(madd_labels) <= {"Px", "Py", *double_labels}, \
         "a mixed addition asks for an input no doubling asks for"
-
-    def asks(inputs):
-        return _tuple_of(f"tape.const({source}, {label!r})"
-                         for label, source in inputs)
-    source = double_source + madd_source + _function([
-        "def inputs(tape, curve, qx, qy):",
-        f"return {asks(double_inputs)}, {asks(madd_inputs)}"])
+    source = double_source + madd_source
     filename = f"<{system} steps>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
@@ -314,15 +309,15 @@ def _compile_steps(kind: FieldKind):
     exec(compile(source, filename, "exec"), namespace)
     # popped, so that no cycle runs through the functions' globals; each
     # step holds its writer as a default
-    steps = tuple(map(namespace.pop, ("double", "madd", "inputs")))
+    double, madd = map(namespace.pop, ("double", "madd"))
     del namespace["double_operands"], namespace["madd_operands"]
-    return steps
+    return (double, double_labels), (madd, madd_labels)
 
 
 # per field kind, its compiled doubling and mixed addition, each of which
 # records a general step and returns its outputs, or returns None, having
-# recorded nothing, for a step its kernel must run; and `inputs`, which
-# asks for their inputs (see `run_binary_method`)
+# recorded nothing, for a step its kernel must run; each with the labels
+# of the inputs whose tape indices it reads as `ins`
 _COMPILED = {kind: _compile_steps(kind) for kind in _KERNELS}
 
 
@@ -419,28 +414,30 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     _require_on_curve(curve, P)
     if k < 0:
         raise BadValue("scalar must be nonnegative")
-    tape = _Tape(curve.field)
+    tape = _Tape(curve.field, _run_table(curve, P))
     if k == 0 or P.is_infinity:
         return tape
     double, madd, to_aff, _ = _KERNELS[curve.field.kind]
-    fast_double, fast_madd, inputs = _COMPILED[curve.field.kind]
-    X, Y, Z = _embed_kernel(tape, curve, P.x, P.y)
-    ins = None
+    (fast_double, double_labels), (fast_madd, madd_labels) = \
+        _COMPILED[curve.field.kind]
+    X, Y, Z = _embed_kernel(tape)
+    if k > 1:
+        # both steps' inputs, asked for once in the order the first
+        # doubling's kernel would ask for its own; the embedding and that
+        # doubling ask for every one a mixed addition asks for, so each
+        # XFER keeps the id the kernels alone give it
+        double_ins = tuple(map(tape.input, double_labels))
+        madd_ins = tuple(map(tape.input, madd_labels))
     for i in range(k.bit_length() - 2, -1, -1):
         tape.begin_step("point_double")
-        if ins is None:
-            # the first doubling asks for both steps' inputs where its
-            # kernel asks for its own; the embedding and this doubling
-            # have asked for every one a mixed addition asks for
-            double_ins, madd_ins = ins = inputs(tape, curve, P.x, P.y)
         X, Y, Z = (fast_double(tape, X, Y, Z, double_ins)
-                   or double(tape, curve, X, Y, Z))
+                   or double(tape, X, Y, Z))
         if (k >> i) & 1:
             tape.begin_step("point_add")
             X, Y, Z = (fast_madd(tape, X, Y, Z, madd_ins)
-                       or madd(tape, curve, X, Y, Z, P.x, P.y))
+                       or madd(tape, X, Y, Z))
     tape.begin_step("convert")
-    tape.result = to_aff(tape, curve, X, Y, Z)
+    tape.result = to_aff(tape, X, Y, Z)
     return tape
 
 

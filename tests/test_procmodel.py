@@ -1,6 +1,7 @@
 """Task-graph compilation, validation, text round trip, critical path."""
 
 import dataclasses
+import hashlib
 import pickle
 from collections import Counter
 from functools import cache
@@ -21,7 +22,7 @@ from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig,
                            default_placement, role_usage, simulate)
 from eccnoc.presets import PRESETS
 
-from conftest import seeded
+from conftest import enumerate_points, even_order_toy, seeded
 
 
 def _compile(preset, k):
@@ -43,7 +44,7 @@ result 4 4
 def _long_spellings():
     """The spelling tables as a 128-bit prime64 round trip leaves them,
     from empty ones."""
-    tables = [procmodel._Texts(), {}]
+    tables = [procmodel._Texts(), procmodel._Numbers()]
     preset = PRESETS["prime64"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(procmodel, "_SPELLINGS", tables)
@@ -61,7 +62,8 @@ def _with_each_table(monkeypatch, run):
     outs = []
     for texts, numbers in (({}, {}), _long_spellings()):
         monkeypatch.setattr(procmodel, "_SPELLINGS",
-                            [procmodel._Texts(texts), dict(numbers)])
+                            [procmodel._Texts(texts),
+                             procmodel._Numbers(numbers)])
         outs.append(run())
     assert outs[0] == outs[1]
 
@@ -238,6 +240,41 @@ def test_column_entry_types_are_checked(p17):
             ({"field_bits": True}, "an int field width")):
         with pytest.raises(MalformedGraph, match=reason):
             dataclasses.replace(G, **bad)
+
+
+# the sha256 of `_graph_texts()`, as the code wrote them before the
+# curve kernels named their inputs by label alone
+_GRAPH_TEXTS_SHA256 = (
+    "3aebcb13be0f7ba95d746863911860d873326ea1a432355e0b8705cbdb56d987")
+
+
+def _graph_texts():
+    """The `taskgraph 1` text of every toy input, every point of p17, b4
+    and the even-order toy curve for every k up to 64, and of ten seeded
+    128-bit k on each mid-size preset; `infinity` where k*P is."""
+    toys = (PRESETS["p17"].curve, PRESETS["b4"].curve, even_order_toy()[0])
+    inputs = [(curve, k, P) for curve in toys
+              for P in enumerate_points(curve) for k in range(65)]
+    for name in ("prime17", "prime32", "prime48", "prime64",
+                 "binary17", "binary33", "binary47", "binary63"):
+        rng, preset = seeded(3300 + len(inputs)), PRESETS[name]
+        inputs += [(preset.curve, (1 << 127) | rng.getrandbits(127),
+                    preset.base) for _ in range(10)]
+    for args in inputs:
+        try:
+            yield compile_scalar_mul(*args).to_text()
+        except ResultAtInfinity:
+            yield "infinity\n"
+
+
+def test_graph_texts_are_pinned_by_digest():
+    """Every graph text of the toy inputs and of sampled 128-bit runs
+    hashes to the digest the code gave before its inputs were named by
+    label: no XFER, op or operand moved."""
+    digest = hashlib.sha256()
+    for text in _graph_texts():
+        digest.update(text.encode())
+    assert digest.hexdigest() == _GRAPH_TEXTS_SHA256
 
 
 @pytest.mark.parametrize("name,k", [("p17", 13), ("b4", 0b100101),

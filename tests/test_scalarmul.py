@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from eccnoc import procmodel, scalarmul
-from eccnoc.curves import (_KERNELS, AffinePoint, INFINITY, ProjectivePoint,
-                           point_add_affine, point_neg, to_affine)
+from eccnoc.curves import (_KERNELS, AffinePoint, CurveParams, INFINITY,
+                           ProjectivePoint, point_add_affine, point_neg,
+                           to_affine)
 from eccnoc.errors import (BadValue, EmptyTrace, NotOnCurve,
                            OracleBoundExceeded)
 from eccnoc.fields import FieldKind, OpKind
@@ -50,8 +51,8 @@ class _StampingTape(scalarmul._Tape):
     reads the tape's segment list; an XFER is stamped init and -1
     wherever a kernel first asks for it."""
 
-    def __init__(self, spec):
-        super().__init__(spec)
+    def __init__(self, spec, table):
+        super().__init__(spec, table)
         self.stamps = []            # (kind, phase, step, label, value)
         self.step_columns = []
         self.phase, self.step = Phase.INIT, -1
@@ -65,12 +66,12 @@ class _StampingTape(scalarmul._Tape):
             return record(*args)
         return stamped
 
-    def const(self, elem, label):
+    def input(self, label):
         n = len(self.stamps)
-        idx = super().const(elem, label)
+        idx = super().input(label)
         if idx == n:  # a new input, not one already on the tape
             self.stamps.append(
-                (OpKind.XFER, Phase.INIT, -1, label, elem.value))
+                (OpKind.XFER, Phase.INIT, -1, label, self.table[label]))
         return idx
 
     def begin_step(self, column):
@@ -85,14 +86,12 @@ class _StampingTape(scalarmul._Tape):
 def _interpreted(monkeypatch):
     """Run every loop step on its interpreted kernel, which records
     through the tape's recorders, as for a step no compiled one takes;
-    each kernel asks for its own inputs, no resolver asks for them."""
+    each kernel asks for its own inputs, the run asks for none of them
+    beforehand."""
     def declined(*args):
         return None
-
-    def no_inputs(*args):
-        return (), ()
     monkeypatch.setattr(scalarmul, "_COMPILED", dict.fromkeys(
-        scalarmul._COMPILED, (declined, declined, no_inputs)))
+        scalarmul._COMPILED, ((declined, ()), (declined, ()))))
 
 
 def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
@@ -133,8 +132,17 @@ def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
 
 
 def _tape_columns(tape):
+    """The tape's columns, its first segment opened past any inputs at
+    its start: a run asks for its steps' inputs before its first step,
+    while the interpreted kernels ask for them inside it."""
+    starts = list(tape.starts)
+    if starts:
+        column, a = starts[0]
+        while a < len(tape.kinds) and tape.kinds[a] == scalarmul._XFER:
+            a += 1
+        starts[0] = (column, a)
     return (tape.values, bytes(tape.kinds), tape.operands, tape.inputs,
-            tape.starts, tape.result)
+            starts, tape.result)
 
 
 def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
@@ -156,15 +164,18 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
                                            for _ in range(8))]]
     declined = Counter()
     for kind, (double, madd, *rest) in list(_KERNELS.items()):
-        def counted(ops, curve, X1, Y1, Z1, qx, qy, madd=madd):
+        def counted(ops, X1, Y1, Z1, madd=madd):
+            # the curve and the addend, read from the run's table
+            e, table = ops.spec.element, ops.table
+            curve = CurveParams(ops.spec, e(table["a"]), e(table["b"]))
+            Q = AffinePoint(e(table["Px"]), e(table["Py"]))
             acc = to_affine(curve, ProjectivePoint(
                 *map(ops.element, (X1, Y1, Z1))))
-            Q = AffinePoint(qx, qy)
-            declined[curve.field.kind, "at infinity" if acc.is_infinity
+            declined[ops.spec.kind, "at infinity" if acc.is_infinity
                      else "equal" if acc == Q
                      else "inverse" if acc == point_neg(curve, Q)
                      else "general"] += 1
-            return madd(ops, curve, X1, Y1, Z1, qx, qy)
+            return madd(ops, X1, Y1, Z1)
         monkeypatch.setitem(_KERNELS, kind, (double, counted, *rest))
     compiled = [_tape_columns(run_binary_method(*args)) for args in inputs]
     assert set(declined) == {(kind, case) for kind in FieldKind
@@ -174,7 +185,40 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
         assert _tape_columns(run_binary_method(*args)) == columns, args
         # k = 1 runs no loop step, so no step's input is asked for
         if args[1] == 1 and not args[2].is_infinity:
-            assert [label for label, _ in columns[3]] == ["Px", "Py", "one"]
+            assert list(columns[3]) == ["Px", "Py", "one"]
+
+
+def test_a_run_asks_for_its_inputs_before_its_first_step():
+    """For k >= 2 the embedding's and both steps' inputs are on the tape
+    before the first step's segment opens, and `inputs` names every XFER
+    of the run by one label and holds that label's value from the run's
+    table.  The only input a loop step may add is `zero`, which a mixed
+    addition of inverse points asks for; on both field kinds."""
+    toys = [(PRESETS[name].curve, PRESETS[name].base)
+            for name in ("p17", "b4")] + [even_order_toy()]
+    # every finite point: the list starts with infinity
+    inputs = [(curve, k, P) for curve, _ in toys
+              for P in enumerate_points(curve)[1:]
+              for k in range(2, 2 * curve.order + 2)]
+    for name in ("prime64", "binary63"):
+        rng = seeded(3300 + len(name))
+        preset = PRESETS[name]
+        inputs += [(preset.curve, (1 << 63) | rng.getrandbits(63),
+                    preset.base) for _ in range(8)]
+    later = set()
+    for curve, k, P in inputs:
+        tape = run_binary_method(curve, k, P)
+        (_, double_labels), _ = scalarmul._COMPILED[curve.field.kind]
+        first = ["Px", "Py", "one", *double_labels]
+        assert tape.starts[0] == ("point_double", len(first))
+        assert list(tape.inputs)[:len(first)] == first
+        assert sorted(tape.inputs.values()) == [
+            i for i, code in enumerate(tape.kinds) if code == scalarmul._XFER]
+        assert [tape.values[i] for i in tape.inputs.values()] == \
+            list(map(tape.table.__getitem__, tape.inputs))
+        later.add((curve.field.kind, *list(tape.inputs)[len(first):]))
+    assert later == {(kind, *zero) for kind in FieldKind
+                     for zero in ((), ("zero",))}
 
 
 def test_operands_are_built_only_when_read(monkeypatch):
@@ -183,8 +227,8 @@ def test_operands_are_built_only_when_read(monkeypatch):
     expands it again, to the same tuples.  Each step holds its operand
     writer as a default, where the calls are counted."""
     calls = Counter()
-    for kind, (double, madd, _) in scalarmul._COMPILED.items():
-        for step in (double, madd):
+    for kind, steps in scalarmul._COMPILED.items():
+        for step, _ in steps:
             name = f"{step.__name__}_operands"
             def counted(frame, write=step.__defaults__[0], key=(kind, name)):
                 calls[key] += 1
@@ -212,17 +256,14 @@ def test_operands_are_built_only_when_read(monkeypatch):
 def test_compiled_steps_show_their_source():
     """Each compiled step's source is in `linecache` under its file name,
     so `inspect.getsource` returns the straight-line code."""
-    for kind, (double, madd, inputs) in scalarmul._COMPILED.items():
+    for kind, steps in scalarmul._COMPILED.items():
         kernels = _KERNELS[kind]
-        for step, kernel, points in ((double, kernels[0], ()),
-                                     (madd, kernels[1], ("qx", "qy"))):
+        for (step, labels), kernel in zip(steps, kernels):
             assert step.__code__.co_filename == f"<{kernels[3]} steps>"
             writer = step.__defaults__[0]
-            assert inspect.getsource(writer) + inspect.getsource(step) == \
-                scalarmul._step_source(step.__name__, kernel, points,
-                                       kind)[0]
-        assert inspect.getsource(inputs).startswith(
-            "def inputs(tape, curve, qx, qy):\n")
+            assert (inspect.getsource(writer) + inspect.getsource(step),
+                    labels) == scalarmul._step_source(step.__name__, kernel,
+                                                      kind)
 
 
 def test_a_run_without_work_is_an_empty_tape(p17):
@@ -238,8 +279,8 @@ def test_a_run_without_work_is_an_empty_tape(p17):
 def test_a_tape_without_segments_is_all_init(p17):
     # the tape one kernel runs on (`curves`) opens no segment, so none of
     # its ops counts as a conversion
-    tape = scalarmul._Tape(p17.curve.field)
-    tape.sqr(tape.const(p17.base.x, "x"))
+    tape = scalarmul._Tape(p17.curve.field, {"x": p17.base.x.value})
+    tape.sqr(tape.input("x"))
     assert list(tape.segments()) == [("init", 0, 2)]
 
 
