@@ -415,6 +415,7 @@ INLINE_OPS = {
 # the raw int ops on canonical values that __post_init__ binds on each
 # FieldSpec, in the order `_prime_ops` and `_binary_ops` return them;
 # plain attributes, not fields, so equality, hashing and repr ignore them
+# (as they do `bits`, `order` and `tag`, bound with them)
 _RAW_OPS = ("_add", "_sub", "_mul", "_sqr", "_inv", "_reduce")
 
 
@@ -426,7 +427,8 @@ class FieldSpec:
     generated constructor, `dataclasses.replace`, unpickling) runs
     `__post_init__`, which rejects composite moduli and reducible
     polynomials up front so arithmetic can assume a field, then binds
-    the raw ops named in `_RAW_OPS` as attributes.
+    the width in bits, the element count, the `GF(...)` tag and the raw
+    ops named in `_RAW_OPS` as attributes, in one branch per kind.
     """
 
     kind: FieldKind
@@ -453,7 +455,8 @@ class FieldSpec:
                                "bits are refused")
             if not _is_prime(p):
                 raise BadValue(f"modulus {p} is not prime")
-            ops = _prime_ops(p, self.tag)
+            bits, order, tag = p.bit_length(), p, f"GF({p})"
+            ops = _prime_ops(p, tag)
         else:
             if p:
                 raise BadValue("a binary field takes no modulus")
@@ -472,9 +475,11 @@ class FieldSpec:
                 raise BadValue("reduction polynomial has zero constant term")
             if not is_irreducible(poly):
                 raise BadValue(f"reduction polynomial {poly:#x} is reducible")
-            ops = _binary_ops(m, poly, self.tag)
-        for name, op in zip(_RAW_OPS, ops):
-            object.__setattr__(self, name, op)
+            bits, order, tag = m, 1 << m, f"GF(2^{m})"
+            ops = _binary_ops(m, poly, tag)
+        for name, value in zip(("bits", "order", "tag", *_RAW_OPS),
+                               (bits, order, tag, *ops)):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # closures do not pickle: rebuild from the defining fields, which
@@ -489,26 +494,6 @@ class FieldSpec:
     @classmethod
     def binary(cls, m: int, poly: int) -> "FieldSpec":
         return cls(kind=FieldKind.BINARY, degree=m, reduction_poly=poly)
-
-    # -- descriptive helpers ------------------------------------------------
-
-    @property
-    def bits(self) -> int:
-        if self.kind is FieldKind.PRIME:
-            return self.modulus.bit_length()
-        return self.degree
-
-    @property
-    def order(self) -> int:
-        if self.kind is FieldKind.PRIME:
-            return self.modulus
-        return 1 << self.degree
-
-    @property
-    def tag(self) -> str:
-        if self.kind is FieldKind.PRIME:
-            return f"GF({self.modulus})"
-        return f"GF(2^{self.degree})"
 
     # -- element construction ----------------------------------------------
 

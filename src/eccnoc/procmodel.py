@@ -59,7 +59,7 @@ from typing import Optional
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import FieldElement, FieldKind, OpKind, _require_ints, _show
-from .scalarmul import (_COLUMNS, _KINDS, Phase, _raw_ops,
+from .scalarmul import (_COLUMNS, _KINDS, Phase, _raw_ops, _Texts,
                         run_binary_method)
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
@@ -90,12 +90,6 @@ class _Numbers(dict):
     """A table of spellings that reads its misses with `_number`."""
 
     __missing__ = staticmethod(_number)
-
-
-class _Texts(dict):
-    """A table of spellings that spells its misses with `str`."""
-
-    __missing__ = staticmethod(str)
 
 
 # the shared spelling table (see the module docstring): int -> str,
@@ -139,6 +133,17 @@ def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
     return columns
 
 
+# the one message for a graph whose columns, operand tuples, result pair
+# or field width are not of the shape a graph is built from
+_SHAPE = ("a graph needs tuple columns of one length, tuple operands, "
+          "two int result ids and an int field width")
+
+
+def _stray(column: str, entry) -> MalformedGraph:
+    return MalformedGraph(
+        f"{column} column holds a {type(entry).__name__} entry")
+
+
 @dataclass(frozen=True)
 class Task:
     """One field operation (or one XFER input value) in the DAG."""
@@ -155,7 +160,10 @@ class Task:
 @dataclass(frozen=True)
 class TaskGraph:
     """A field-op dependency DAG with a designated result pair, held as
-    columns indexed by task id; checked when built, immutable after."""
+    columns indexed by task id; immutable, and checked when built: the
+    shapes of the columns and the result pair, then one pass over the
+    tasks, each task's entries in column order, then the result ids.
+    The first fault in that order is the one reported."""
 
     kinds: tuple[OpKind, ...]
     operands: tuple[tuple[int, ...], ...]
@@ -170,66 +178,66 @@ class TaskGraph:
         if any(type(c) is not tuple or len(c) != len(self.kinds) for c in (
                 self.kinds, self.operands, self.phases, self.point_op_index,
                 self.labels, self.values)) \
-                or set(map(type, self.operands)) - {tuple} \
                 or type(self.result) is not tuple or len(self.result) != 2 \
                 or not all(type(i) is int
                            for i in (*self.result, self.field_bits)):
-            raise MalformedGraph(
-                "a graph needs tuple columns of one length, tuple operands, "
-                "two int result ids and an int field width")
-        # checked in bulk: each column's set of entry types (operand ids
-        # are checked with their range below)
-        for name, entries, types in (
-                ("kinds", self.kinds, {OpKind}),
-                ("phases", self.phases, {Phase}),
-                ("point_op_index", self.point_op_index, {int}),
-                ("labels", self.labels, {str}),
-                ("values", self.values, {int, type(None)})):
-            stray = set(map(type, entries)) - types
-            if stray:
-                raise MalformedGraph(
-                    f"{name} column holds a "
-                    f"{min(t.__name__ for t in stray)} entry")
+            raise MalformedGraph(_SHAPE)
         if not self.kinds:
             raise MalformedGraph("graph has no tasks")
         if self.field_bits < 1:
             raise MalformedGraph("field width must be positive")
-        n_operands = list(map(len, self.operands))
-        if n_operands != list(map(_ARITY.__getitem__, self.kinds)):
-            tid = next(tid for tid, (kind, n) in enumerate(
-                zip(self.kinds, n_operands)) if n != _ARITY[kind])
-            kind = self.kinds[tid]
-            raise MalformedGraph(
-                f"task {tid}: {kind.value} takes {_ARITY[kind]} "
-                f"operands, got {n_operands[tid]}")
-        for tid, ops in enumerate(self.operands):
+        bits, xfer, init, iterate = \
+            self.field_bits, OpKind.XFER, Phase.INIT, Phase.ITERATE
+        # one pass over the tasks: each task's entries in column order,
+        # each entry's type before any rule reads it
+        for tid, (kind, ops, phase, pidx, label, value) in enumerate(zip(
+                self.kinds, self.operands, self.phases, self.point_op_index,
+                self.labels, self.values)):
+            if type(kind) is not OpKind:
+                raise _stray("kinds", kind)
+            if type(phase) is not Phase:
+                raise _stray("phases", phase)
+            if type(pidx) is not int:
+                raise _stray("point_op_index", pidx)
+            if (pidx >= 0) is not (phase is iterate) or pidx < -1:
+                raise MalformedGraph(
+                    f"task {tid} has point-op index {pidx} in the "
+                    f"{phase.value} phase; an iterate task's is 0 or more, "
+                    f"any other's is -1")
+            if type(label) is not str:
+                raise _stray("labels", label)
+            if type(ops) is not tuple:
+                raise MalformedGraph(_SHAPE)
+            if len(ops) != _ARITY[kind]:
+                raise MalformedGraph(
+                    f"task {tid}: {kind.value} takes {_ARITY[kind]} "
+                    f"operands, got {len(ops)}")
             for o in ops:
                 if type(o) is not int or not 0 <= o < tid:
                     raise MalformedGraph(
                         f"task {tid} references {o!r}, which is not an "
                         f"earlier task")
-        # the XFERs are found by scanning the kinds column; once each has
-        # a value, one count shows whether any other task carries one
-        xfer, tid = OpKind.XFER, -1
-        n_xfers = self.kinds.count(xfer)
-        for _ in range(n_xfers):
-            tid = self.kinds.index(xfer, tid + 1)
-            value = self.values[tid]
-            if value is None:
-                raise MalformedGraph(f"XFER task {tid} has no value")
-            if value < 0:
-                raise MalformedGraph(f"XFER task {tid} value is negative")
-            if value.bit_length() > self.field_bits:
-                raise MalformedGraph(f"XFER task {tid} value is wider "
-                                     f"than {self.field_bits} bits")
-            if not self.labels[tid]:
-                raise MalformedGraph(f"XFER task {tid} has no label")
-        if len(self.values) - self.values.count(None) != n_xfers:
-            tid = next(tid for tid, (kind, value) in enumerate(
-                zip(self.kinds, self.values))
-                if value is not None and kind is not xfer)
-            raise MalformedGraph(
-                f"task {tid} carries a value but is not an XFER")
+            if value is not None and type(value) is not int:
+                raise _stray("values", value)
+            if kind is xfer:
+                if value is None:
+                    raise MalformedGraph(f"XFER task {tid} has no value")
+                if value < 0:
+                    raise MalformedGraph(f"XFER task {tid} value is negative")
+                if value.bit_length() > bits:
+                    raise MalformedGraph(f"XFER task {tid} value is wider "
+                                         f"than {bits} bits")
+                if not label:
+                    raise MalformedGraph(f"XFER task {tid} has no label")
+                if phase is not init:
+                    raise MalformedGraph(
+                        f"XFER task {tid} is not in the init phase")
+            elif value is not None:
+                raise MalformedGraph(
+                    f"task {tid} carries a value but is not an XFER")
+            elif label:
+                raise MalformedGraph(
+                    f"task {tid} carries a label but is not an XFER")
         for r in self.result:
             if not 0 <= r < len(self.kinds):
                 raise MalformedGraph(f"result id {r} does not exist")

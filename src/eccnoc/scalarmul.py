@@ -17,7 +17,7 @@ follow from its segment, not from the op.  A run that does no work
 
 Each loop step is recorded by a compiled step first (`_COMPILED`).  At
 import, the doubling and the mixed-addition kernel of each field kind
-run once on a tape whose every input's value is its label (`_Labels`),
+run once on a tape whose every input's value is its label (`_Texts`),
 taking the general branch at every zero test and logging the value
 tested as a guard; the ops they record become one straight-line
 function, compiled once per field kind, and the labels they ask for are
@@ -212,8 +212,10 @@ class _Tape:
 _TRACE_FIELD = SimpleNamespace(**dict.fromkeys(_RAW_NAMES, lambda *_: None))
 
 
-class _Labels(dict):
-    """The table a kernel is traced on: each input's value is its label."""
+class _Texts(dict):
+    """A table that answers a missing key with its `str`: the table a
+    kernel is traced on, where each input's value is its label, and
+    `procmodel`'s int -> str spelling table."""
 
     __missing__ = staticmethod(str)
 
@@ -235,7 +237,7 @@ def _step_source(name: str, kernel,
     for besides X1, Y1 and Z1, in the order `ins` holds their tape
     indices.
 
-    The kernel runs once on a tape of `_Labels` whose `is_zero` logs the
+    The kernel runs once on a tape of `_Texts` whose `is_zero` logs the
     index it tests and answers False.  The function reads its inputs'
     values and computes every op into a local, inline where `INLINE_OPS`
     gives the op an expression and by the field's closure otherwise.  It
@@ -246,7 +248,7 @@ def _step_source(name: str, kernel,
     returns the operand tuples the kernel records; so they are built
     only when `_Tape.operands` is read.
     """
-    tape = _Tape(_TRACE_FIELD, _Labels())
+    tape = _Tape(_TRACE_FIELD, _Texts())
     guards = []
     tape.is_zero = guards.append
     xyz = ("X1", "Y1", "Z1")

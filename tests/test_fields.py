@@ -282,12 +282,18 @@ def test_every_constructor_validates(build, match):
 
 
 def test_direct_constructor_and_replace_build_valid_specs():
-    assert dataclasses.replace(GF17, modulus=19) == FieldSpec.prime(19)
+    nineteen = dataclasses.replace(GF17, modulus=19)
+    assert nineteen == FieldSpec.prime(19)
     assert FieldSpec(FieldKind.BINARY, degree=4, reduction_poly=0b10011) \
         == GF16
     twin = dataclasses.replace(B33)
     assert twin == B33 and ff_mul(twin.element(5), twin.element(7)) \
         == ff_mul(B33.element(5), B33.element(7))
+    # the width, element count and tag are bound afresh, as the ops are
+    assert (nineteen.bits, nineteen.order, nineteen.tag) == (5, 19, "GF(19)")
+    assert (twin.bits, twin.order, twin.tag) == (33, 1 << 33, "GF(2^33)")
+    clone = pickle.loads(pickle.dumps(twin))
+    assert (clone.bits, clone.order, clone.tag) == (33, 1 << 33, "GF(2^33)")
 
 
 class _Forged:

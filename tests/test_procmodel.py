@@ -9,14 +9,14 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eccnoc import procmodel
+from eccnoc import procmodel, scalarmul
 from eccnoc.cli import main
 from eccnoc.errors import (DivisionByZero, FieldMismatch, MalformedGraph,
                            ResultAtInfinity)
 from eccnoc.fields import OpKind, ff_add, ff_inv, ff_mul, ff_sqr, ff_sub
 from eccnoc.procmodel import (CostModel, Plan, TaskGraph,
                               compile_scalar_mul, critical_path, replay)
-from eccnoc.scalarmul import scalar_mul
+from eccnoc.scalarmul import Phase, scalar_mul
 from eccnoc.fields import FieldKind
 from eccnoc.nocsim import (DEFAULT_ROLE_COUNTS, MeshConfig,
                            default_placement, role_usage, simulate)
@@ -44,7 +44,7 @@ result 4 4
 def _long_spellings():
     """The spelling tables as a 128-bit prime64 round trip leaves them,
     from empty ones."""
-    tables = [procmodel._Texts(), procmodel._Numbers()]
+    tables = [scalarmul._Texts(), procmodel._Numbers()]
     preset = PRESETS["prime64"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(procmodel, "_SPELLINGS", tables)
@@ -62,7 +62,7 @@ def _with_each_table(monkeypatch, run):
     outs = []
     for texts, numbers in (({}, {}), _long_spellings()):
         monkeypatch.setattr(procmodel, "_SPELLINGS",
-                            [procmodel._Texts(texts),
+                            [scalarmul._Texts(texts),
                              procmodel._Numbers(numbers)])
         outs.append(run())
     assert outs[0] == outs[1]
@@ -93,7 +93,15 @@ def _malformed_graph_messages():
             # 6 and 160 bits of Px in a 5-bit graph: too few flits each
             ("0 XFER init -1 - Px 20\nresult 0 0", "wider than 5 bits"),
             ("0 XFER init -1 - Px " + "f" * 40 + "\nresult 0 0",
-             "wider than 5 bits")):
+             "wider than 5 bits"),
+            # a point-op index outside the iterate phase, an XFER outside
+            # the init phase, a label on an arithmetic task
+            (px + "1 SQR init 7 0 - -\nresult 1 1",
+             "task 1 has point-op index 7 in the init phase"),
+            ("0 XFER convert -1 - Px 3\nresult 0 0",
+             "XFER task 0 is not in the init phase"),
+            (px + "1 SQR iterate 0 0 Qx -\nresult 1 1",
+             "task 1 carries a label but is not an XFER")):
         with pytest.raises(MalformedGraph, match=reason) as exc:
             TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{body}\n")
         messages.append(str(exc.value))
@@ -163,7 +171,7 @@ def test_both_spelling_tables_hold_one_str_per_number(monkeypatch):
     int -> str table as far as that reaches, and no more entries than
     the text needs; a refused text, even one longer than any read
     before, leaves both tables as they were."""
-    monkeypatch.setattr(procmodel, "_SPELLINGS", [procmodel._Texts(), {}])
+    monkeypatch.setattr(procmodel, "_SPELLINGS", [scalarmul._Texts(), {}])
     G = _compile(PRESETS["prime64"], 0xe3c45e0ad1bbea06)
     text = G.to_text()
     texts = procmodel._SPELLINGS[0]
@@ -214,32 +222,77 @@ def test_built_graph_cannot_be_mutated(p17):
     assert G.to_text() == text
 
 
+def _put(G, column, tid, entry):
+    """The `dataclasses.replace` change that puts `entry` at task `tid`
+    of `G`'s column `column`."""
+    col = getattr(G, column)
+    return {column: (*col[:tid], entry, *col[tid + 1:])}
+
+
 def test_column_entry_types_are_checked(p17):
     """A library caller's graph with a wrongly typed entry in any column
     ends in MalformedGraph, never in a KeyError or TypeError."""
     G = _compile(p17, 13)
     arith = G.kinds.index(OpKind.MUL)
-
-    def put(column, tid, entry):
-        col = getattr(G, column)
-        return {column: (*col[:tid], entry, *col[tid + 1:])}
-
     for bad, reason in (
-            (put("kinds", 0, "XFER"), "kinds column holds a str"),
-            (put("operands", arith, ("0", "0")), "references '0'"),
-            (put("operands", arith, (0.0, 0)), "references 0.0"),
-            (put("phases", 0, "init"), "phases column holds a str"),
-            (put("point_op_index", arith, 0.0),
+            (_put(G, "kinds", 0, "XFER"), "kinds column holds a str"),
+            (_put(G, "operands", arith, ("0", "0")), "references '0'"),
+            (_put(G, "operands", arith, (0.0, 0)), "references 0.0"),
+            (_put(G, "phases", 0, "init"), "phases column holds a str"),
+            (_put(G, "point_op_index", arith, 0.0),
              "point_op_index column holds a float"),
-            (put("labels", 0, None), "labels column holds a NoneType"),
-            (put("values", 0, "3"), "values column holds a str"),
-            (put("values", 0, True), "values column holds a bool"),
+            (_put(G, "labels", 0, None), "labels column holds a NoneType"),
+            (_put(G, "values", 0, "3"), "values column holds a str"),
+            (_put(G, "values", 0, True), "values column holds a bool"),
             # bools are ints to isinstance, and would be written as text
             # that from_text rejects
             ({"result": (True, False)}, "two int result ids"),
             ({"field_bits": True}, "an int field width")):
         with pytest.raises(MalformedGraph, match=reason):
             dataclasses.replace(G, **bad)
+
+
+def test_phase_index_and_label_rules_are_checked(p17):
+    """An iterate task's point-op index is 0 or more and any other
+    task's is -1, an XFER is in the init phase, and only an XFER carries
+    a label; an index of -2, which text cannot spell, is refused too."""
+    G = _compile(p17, 13)
+    arith = G.kinds.index(OpKind.MUL)
+    convert = G.phases.index(Phase.CONVERT)
+    for bad, reason in (
+            (_put(G, "point_op_index", 0, -2),
+             "task 0 has point-op index -2 in the init phase"),
+            (_put(G, "point_op_index", convert, 0),
+             f"task {convert} has point-op index 0 in the convert phase"),
+            (_put(G, "point_op_index", arith, -1),
+             f"task {arith} has point-op index -1 in the iterate phase"),
+            (_put(G, "phases", 0, Phase.CONVERT),
+             "XFER task 0 is not in the init phase"),
+            (_put(G, "labels", arith, "Px"),
+             f"task {arith} carries a label but is not an XFER")):
+        with pytest.raises(MalformedGraph, match=reason):
+            dataclasses.replace(G, **bad)
+
+
+def test_each_entry_is_typed_before_it_is_read(p17):
+    """Any of these entries in any column, at an XFER and at an
+    arithmetic task, or as the result, a result id or the field width,
+    builds a graph or ends in MalformedGraph: the one pass checks each
+    entry's type before a rule reads it (a kind before its arity)."""
+    G = _compile(p17, 13)
+    entries = (None, "0", 0.5, True, -2, (), (0,), (0, 0), OpKind.XFER,
+               Phase.ITERATE, 2**40)
+    columns = [field.name for field in dataclasses.fields(G)][:6]
+    edits = [_put(G, column, tid, entry) for column in columns
+             for tid in (0, G.kinds.index(OpKind.MUL)) for entry in entries]
+    for entry in entries:
+        edits += [{"result": entry}, {"result": (entry, G.result[1])},
+                  {"field_bits": entry}]
+    for edit in edits:
+        try:
+            dataclasses.replace(G, **edit)
+        except MalformedGraph:
+            pass
 
 
 # the sha256 of `_graph_texts()`, as the code wrote them before the
