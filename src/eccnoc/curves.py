@@ -17,10 +17,11 @@ kernel takes the tape and the accumulator's X, Y and Z, and asks the
 tape for every other input by its label alone: the affine addend `Px`
 and `Py`, the coefficients `a` and `b`, and the constants `one` and
 `zero`, whose raw values `_run_table` gives, one table per run.
-`scalarmul` also compiles each doubling and mixed addition, once, into
-a straight-line function of its general path, traced from the kernel;
-a loop step runs that, and the kernel itself only when a zero test of
-the general path fails.  The public projective functions below run a
+`scalarmul` also compiles the doubling, and the doubling followed by
+the mixed addition, once per field kind, into straight-line functions
+of their general paths, traced from the kernels; a loop step runs
+those, and a kernel itself only when a zero test of its general path
+fails.  The public projective functions below run a
 kernel on a fresh tape, with the point's coordinates as the inputs
 `X`, `Y` and `Z`.  A `ProjectivePoint` is a bare (X, Y, Z): its
 coordinate system is the curve's, which the field kind fixes, so only
@@ -114,15 +115,14 @@ def is_on_curve(curve: CurveParams, P: AffinePoint) -> bool:
     _check_field(curve, P)
     if P.is_infinity:
         return True
-    x, y = P.x, P.y
-    if curve.field.kind is FieldKind.PRIME:
-        lhs = ff_sqr(y)
-        rhs = ff_add(ff_add(ff_mul(ff_sqr(x), x), ff_mul(curve.a, x)), curve.b)
-    else:
-        lhs = ff_add(ff_sqr(y), ff_mul(x, y))
-        rhs = ff_add(ff_add(ff_mul(ff_sqr(x), x), ff_mul(curve.a, ff_sqr(x))),
-                     curve.b)
-    return lhs == rhs
+    # on the raw values: every element in sight lives in the curve field
+    spec = curve.field
+    add, mul, sqr = spec._add, spec._mul, spec._sqr
+    x, y, a, b = P.x.value, P.y.value, curve.a.value, curve.b.value
+    xx = sqr(x)
+    if spec.kind is FieldKind.PRIME:
+        return sqr(y) == add(add(mul(xx, x), mul(a, x)), b)
+    return add(sqr(y), mul(x, y)) == add(add(mul(xx, x), mul(a, xx)), b)
 
 
 def _require_on_curve(curve: CurveParams, P: AffinePoint) -> None:

@@ -4,9 +4,10 @@
 (`scalarmul.run_binary_method`) into tasks, one per recorded field
 operation, so data-dependent branches are decided by the real run and
 the graph is exactly the executed op sequence: the same tape
-`scalar_mul` counts.  It decodes the tape's kind codes and stamps each
-task with the phase of its tape segment's column (`scalarmul._COLUMNS`)
-and, in a loop step, that step's index.  Input values (base-point
+`scalar_mul` counts.  It decodes the tape's tagged kind codes through
+one table (`scalarmul._CODE_KINDS`) and stamps each task with the phase
+of its tape segment's column (`scalarmul._COLUMNS`) and, in a loop
+step, that step's index.  Input values (base-point
 coordinates, curve constants) are XFER source tasks, one per label, in
 the init phase wherever the run first asked for them; no other common
 subexpression is merged.
@@ -59,8 +60,8 @@ from typing import Optional
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
 from .fields import FieldElement, FieldKind, OpKind, _require_ints, _show
-from .scalarmul import (_COLUMNS, _KINDS, Phase, _raw_ops, _Texts,
-                        run_binary_method)
+from .scalarmul import (_CODE_KINDS, _COLUMNS, _KINDS, Phase, _raw_ops,
+                        _Texts, run_binary_method)
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
@@ -86,21 +87,28 @@ def _number(text: str) -> int:
     return int(text)
 
 
-class _Numbers(dict):
-    """A table of spellings that reads its misses with `_number`."""
-
-    __missing__ = staticmethod(_number)
+def _numbers_of(num: dict[str, int], sid: str, spidx: str,
+                sops: str) -> tuple:
+    """A task line's id, point-op index and operands, each read by
+    lookup in `num` or, past it, by `_number`."""
+    def read(text: str) -> int:
+        value = num.get(text)
+        return _number(text) if value is None else value
+    return read(sid), read(spidx), () if sops == "-" else tuple(
+        map(read, sops.split(",")))
 
 
 # the shared spelling table (see the module docstring): int -> str,
 # grown by `to_text`, and str -> int, replaced by a longer one by
 # `from_text`; both empty at import
-_SPELLINGS: list[dict] = [_Texts(), _Numbers()]
+_SPELLINGS: list[dict] = [_Texts(), {}]
 
 
 def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
     """The six task columns of the task lines `rows`; ids, point-op
-    indices and operands are read by lookup in `num`."""
+    indices and operands are read by lookup in `num`, an exact dict,
+    which CPython reads faster than a subclass, and on a line with a
+    spelling past it by `_numbers_of`."""
     kinds, operands, phases, pidxs, labels, values = \
         columns = [], [], [], [], [], []
     read = num.__getitem__
@@ -113,10 +121,13 @@ def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
         try:
             kinds.append(_KIND_OF[skind])
             phases.append(_PHASE_OF[sphase])
-            tid = num[sid]
-            pidxs.append(num[spidx])
-            operands.append(() if sops == "-" else tuple(
-                map(read, sops.split(","))))
+            try:
+                tid, pidx = num[sid], num[spidx]
+                ops = () if sops == "-" else tuple(map(read, sops.split(",")))
+            except KeyError:
+                tid, pidx, ops = _numbers_of(num, sid, spidx, sops)
+            pidxs.append(pidx)
+            operands.append(ops)
             if svalue == "-":
                 values.append(None)
             else:
@@ -336,8 +347,8 @@ class TaskGraph:
             # int -> str is filled in order from -1: its first entries
             # are the spellings of -1 .. len(lines) - 1, as far as it goes
             texts = _SPELLINGS[0]
-            numbers = _Numbers(islice(zip(texts.values(), texts),
-                                      len(lines) + 1))
+            numbers = dict(islice(zip(texts.values(), texts),
+                                  len(lines) + 1))
             numbers.update((str(i), i)
                            for i in range(len(texts) - 1, len(lines)))
         columns = _task_columns(lines[1:-1], numbers)
@@ -478,7 +489,7 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
         values[i] = tape.values[i]
         phases[i] = Phase.INIT
         pidxs[i] = -1
-    return TaskGraph(tuple(map(_KINDS.__getitem__, tape.kinds)),
+    return TaskGraph(tuple(map(_CODE_KINDS.__getitem__, tape.kinds)),
                      tape.operands, tuple(phases), tuple(pidxs),
                      tuple(labels), tuple(values), tape.result,
                      curve.field.bits)

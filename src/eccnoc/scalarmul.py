@@ -12,31 +12,41 @@ ints and appends it, its kind as a one-byte code and its operands.  The
 tape also keeps one list of segments: where each loop step and the
 conversion begin, each named by the audit column it counts under
 (`point_double`, `point_add` or `convert`); an op's phase and step
-follow from its segment, not from the op.  A run that does no work
-(k = 0 or P at infinity) is an empty tape with no result.
+follow from its segment, not from the op.  Each op's code also carries
+its segment's column in bits 3-4 (`_TAGS`), and an XFER the init
+column's.  A run that does no work (k = 0 or P at infinity) is an empty
+tape with no result.
 
 Each loop step is recorded by a compiled step first (`_COMPILED`).  At
-import, the doubling and the mixed-addition kernel of each field kind
-run once on a tape whose every input's value is its label (`_Texts`),
+import, the doubling and the doubling followed by mixed addition of
+each field kind (`_STEPS`) each run once on a tape whose every input's
+value is its label (`_Texts`), each kernel in a segment of its column,
 taking the general branch at every zero test and logging the value
 tested as a guard; the ops they record become one straight-line
-function, compiled once per field kind, and the labels they ask for are
-kept beside it.  The function computes each op inline where the field
-kind has an expression for it (`fields.INLINE_OPS`: every GF(p) add,
-sub, mul and sqr, every GF(2^m) add and sub) and by the field's closure
-otherwise, and appends the step's values and kind codes to the columns
-at once.  Its operand indices are built on read: the step appends one
-frame for them, which `_Tape.operands` expands only when
-`compile_scalar_mul` or a test reads it, so `scalar_mul` never builds
-them.  A tape input is named by its label alone, its value read from the
-run's table (`curves._run_table`).  The inputs a step reads (curve
-constants, the base point) are asked for once per run, right after the
-embedding and in the order the first doubling's kernel asks for them, so
-each keeps the id the kernels alone give it.  When a guard's value is 0
-(an accumulator at infinity, equal or inverse points) the compiled step
-returns None having recorded nothing, and the interpreted kernel records
-the step instead, op by op, so the tape is the one the kernels alone
-record.  The kernels stay the one statement of the formulas.
+function, compiled once per field kind, and the labels they ask for
+are kept beside it.  The function computes each op inline where the
+field kind has an expression for it (`fields.INLINE_OPS`: every GF(p)
+add, sub, mul and sqr, every GF(2^m) add and sub) and by the field's
+closure otherwise, and appends the step's values and tagged kind codes
+to the columns and its segments' starts to `starts` at once.
+Its operand indices are built on read: the step appends one frame for
+them, which `_Tape.operands` expands only when `compile_scalar_mul` or
+a test reads it, so `scalar_mul` never builds them.  A tape input is
+named by its label alone, its value read from the run's table
+(`curves._run_table`).  The inputs a step reads (curve constants, the
+base point) are asked for once per run, right after the embedding and
+in the order the first doubling's kernel asks for them, so each keeps
+the id the kernels alone give it.  A clear bit of k runs the compiled
+doubling, a set bit the compiled doubling followed by mixed addition.
+When a guard's value is 0 (an accumulator at infinity, equal or inverse
+points) the compiled step returns None having recorded nothing, and the
+loop records the step by its interpreted kernel instead, op by op, in a
+segment it opens for it (`begin_step`).  A set bit whose compiled step
+declines runs the doubling, compiled or interpreted as for a clear bit,
+then the interpreted mixed addition: the doubling tests no value, so
+only the addition can have failed its test, and a compiled mixed
+addition would fail it too.  Either way the tape is the one the kernels
+alone record.  The kernels stay the one statement of the formulas.
 
 The tape is the one program both consumers read.  `scalar_mul` counts
 it into an `OpTrace` by column and phase:
@@ -45,9 +55,9 @@ it into an `OpTrace` by column and phase:
   Iterate  every doubling and mixed addition in the loop
   Convert  the one projective-to-affine conversion
 
-slicing the kind codes at the boundaries and counting each slice with
-`bytes.count`, and `procmodel.compile_scalar_mul` turns the same columns
-into tasks.
+counting each column's ops as `bytearray.count` of their tagged codes
+over the whole tape and its point operations by its segments, and
+`procmodel.compile_scalar_mul` turns the same columns into tasks.
 
 `count_report` compares the measured per-point-op averages against a
 fixed baseline cost table and reports the deviations; the baseline is an
@@ -77,7 +87,7 @@ ORACLE_BOUND = 1 << 16
 MAX_SCALAR_BITS = 2 * MAX_FIELD_BITS
 
 # one-byte kind codes, indices into _KINDS: the tape records each op's
-# kind as its code, so counting a column is `bytes.count`
+# kind as its code, tagged with its column (`_TAGS`)
 _KINDS = tuple(OpKind)
 _ADD, _SUB, _MUL, _SQR, _INV, _XFER = range(len(_KINDS))
 _ARITH_CODES = tuple((kind, _KINDS.index(kind)) for kind in ARITH_KINDS)
@@ -95,12 +105,35 @@ class Phase(enum.Enum):
     __hash__ = object.__hash__   # identity, as for OpKind
 
 
+# every count column: its phase and, for the audit's columns (in the
+# audit's order), the idealised field-op cost of one of its point
+# operations by row, where the ADD row covers additions and subtractions
+# together; a loop op counts under the column its step is named by
+_ROWS = ("ADD", "MUL", "INV", "SQR")
+_COLUMNS = {
+    "init": (Phase.INIT, None),
+    "point_double": (Phase.ITERATE, (1, 2, 0, 4)),
+    "point_add": (Phase.ITERATE, (2, 4, 0, 1)),
+    "convert": (Phase.CONVERT, (6, 10, 1, 1)),
+}
+AUDIT_BASELINE = {col: dict(zip(_ROWS, base))
+                  for col, (_, base) in _COLUMNS.items() if base}
+
+# a kind code on the tape carries its segment's column in bits 3-4, the
+# column's tag; an XFER carries the init column's, 0, wherever it is
+# recorded.  A column's ops count as `bytearray.count` of their tagged
+# codes, and `_CODE_KINDS` decodes every tagged code, None where no op
+# has it
+_TAGS = {col: i << 3 for i, col in enumerate(_COLUMNS)}
+_CODE_KINDS = (*_KINDS, *(None,) * (8 - len(_KINDS))) * len(_COLUMNS)
+
+
 # the one recorder per arity, made once per kind code (see `_Tape`)
 def _binary(code: int):
     def record(self, a: int, b: int) -> int:
         values = self.values
         values.append(self._ops[code](values[a], values[b]))
-        self.kinds.append(code)
+        self.kinds.append(code | self._tag)
         self._operands.append((a, b))
         return len(values) - 1
     return record
@@ -110,7 +143,7 @@ def _unary(code: int):
     def record(self, a: int) -> int:
         values = self.values
         values.append(self._ops[code](values[a]))
-        self.kinds.append(code)
+        self.kinds.append(code | self._tag)
         self._operands.append((a,))
         return len(values) - 1
     return record
@@ -124,21 +157,23 @@ class _Tape:
     recorder, each made once for its kind's code (an index into
     `_KINDS`): it computes the raw int with the field's raw op for that
     code (bound once per tape in `_ops`) and appends its value to
-    `values`, the code to the `kinds` bytearray and its operand indices
-    to `_operands`, and returns the new index.  A compiled step appends
-    one frame to `_operands` for all its ops instead (`_step_source`);
-    `operands` is the read-only view of every op's operand indices in
-    tape order, built from both on each read.  `input` appends an input
-    (XFER) once per label, its value read from the run's table of raw
-    values by label, and files its index in `inputs` under the label, in
-    the order the inputs were first asked for.
+    `values`, the code tagged with the open segment's column to the
+    `kinds` bytearray and its operand indices to `_operands`, and
+    returns the new index.  A compiled step appends one frame to
+    `_operands` for all its ops instead (`_step_source`); `operands` is
+    the read-only view of every op's operand indices in tape order,
+    built from both on each read.  `input` appends an input (XFER, its
+    code untagged) once per label, its value read from the run's table
+    of raw values by label, and files its index in `inputs` under the
+    label, in the order the inputs were first asked for.
     `is_zero` reads the computed value, so the kernels branch exactly as
     the real run does.
 
     No op carries its phase or step.  `starts` holds one (column, index)
     pair per segment after the init ops: the audit column the segment
-    counts under and the index where it begins, appended by
-    `begin_step`; the conversion is the segment named `convert`.
+    counts under and the index where it begins, appended by a compiled
+    step for each step it records, and by `begin_step` before an
+    interpreted one; the conversion is the segment named `convert`.
     `segments` reads them as (column, start, end) ranges: the init ops,
     then each segment in tape order.  An op's phase follows from its
     segment's column (`_COLUMNS`) and its step from its segment, except
@@ -157,6 +192,9 @@ class _Tape:
         self.inputs: dict[str, int] = {}
         self.starts: list[tuple[str, int]] = []
         self.result: Optional[tuple[int, int]] = None
+        # the tag of the open segment's column, which each op's code
+        # carries; the init column's until a segment opens
+        self._tag = 0
         # the field's raw ops, indexed by kind code
         self._ops = _raw_ops(spec)
 
@@ -193,8 +231,9 @@ class _Tape:
 
     def begin_step(self, column: str) -> None:
         """Open the next segment at the current end of the tape; its ops
-        count under column `column`."""
+        count under column `column`, their codes tagged with its tag."""
         self.starts.append((column, len(self.values)))
+        self._tag = _TAGS[column]
 
     def segments(self):
         """(column, start, end) of the init ops and each segment, in tape
@@ -228,34 +267,62 @@ def _function(lines: list[str]) -> str:
     return "\n    ".join(lines) + "\n"
 
 
-def _step_source(name: str, kernel,
-                 kind: FieldKind) -> tuple[str, tuple[str, ...]]:
-    """The source of `name`'s operand writer `name_operands` and of
-    `name`, `kernel`'s general path over a field of kind `kind` as one
-    straight-line function of (tape, X1, Y1, Z1, ins) that holds the
-    writer as a default; and the label of each input the kernel asks
-    for besides X1, Y1 and Z1, in the order `ins` holds their tape
-    indices.
+# each compiled step by name: the column of each segment it opens, in
+# order, where a segment of column `point_double` runs the doubling
+# kernel and one of `point_add` the mixed addition
+_STEPS = {"double": ("point_double",),
+          "double_madd": ("point_double", "point_add")}
+_LOOP_KERNELS = {"point_double": 0, "point_add": 1}   # index in _KERNELS
 
-    The kernel runs once on a tape of `_Texts` whose `is_zero` logs the
-    index it tests and answers False.  The function reads its inputs'
-    values and computes every op into a local, inline where `INLINE_OPS`
-    gives the op an expression and by the field's closure otherwise.  It
-    returns None as soon as a logged value is 0, having written nothing.
-    Otherwise it appends the values and kind codes of all its ops at
-    once, and for their operands one frame, [writer, n, X1, Y1, Z1,
-    *ins] with n the index of its first op, from which the writer
-    returns the operand tuples the kernel records; so they are built
-    only when `_Tape.operands` is read.
-    """
+
+def _trace(kind: FieldKind, columns: tuple[str, ...], labels=()):
+    """A tape of `_Texts` on which the loop kernels of field kind `kind`
+    for `columns` ran in turn from the inputs X1, Y1 and Z1, each in a
+    segment of its column, after the inputs `labels` were asked for;
+    the indices its `is_zero` logged, answering False to each; and the
+    indices the last kernel returned."""
     tape = _Tape(_TRACE_FIELD, _Texts())
-    guards = []
+    guards: list[int] = []
     tape.is_zero = guards.append
+    out = tuple(map(tape.input, ("X1", "Y1", "Z1")))
+    for label in labels:
+        tape.input(label)
+    for column in columns:
+        tape.begin_step(column)
+        out = _KERNELS[kind][_LOOP_KERNELS[column]](tape, *out)
+    return tape, guards, out
+
+
+def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
+    """The source of the compiled step `name`'s operand writer
+    `name_operands` and of `name`, the general path of its kernels over
+    a field of kind `kind` (`_STEPS`) as one straight-line function of
+    (tape, X1, Y1, Z1, ins) that holds the writer as a default; and the
+    label of each input its kernels ask for besides X1, Y1 and Z1, in
+    the order `ins` holds their tape indices.
+
+    The kernels are traced twice (`_trace`): once to learn which inputs
+    they ask for, then asking for all of those first, so the function
+    reads its inputs before any op.  It computes every op into a local,
+    inline where `INLINE_OPS` gives the op an expression and by the
+    field's closure otherwise.  It returns None as soon as a logged
+    value is 0, having written nothing.  Otherwise it appends the values
+    and tagged kind codes of all its ops at once, its segments' (column,
+    start) pairs to `starts`, and for their operands one frame, [writer,
+    n, X1, Y1, Z1, *ins] with n the index of its first op, from which
+    the writer returns the operand tuples the kernels record; so they
+    are built only when `_Tape.operands` is read.
+    """
+    columns = _STEPS[name]
     xyz = ("X1", "Y1", "Z1")
-    out = kernel(tape, *map(tape.input, xyz))
+    labels = tuple(_trace(kind, columns)[0].inputs)[len(xyz):]
+    tape, guards, out = _trace(kind, columns, labels)
     n_in = len(tape.inputs)
     assert _XFER not in tape.kinds[n_in:], "an input asked for after an op"
-    labels = tuple(tape.inputs)[len(xyz):]
+
+    def at(i: int) -> str:
+        return f"n + {i - n_in}" if i > n_in else "n"
+
     refs = [*xyz, *(f"i{i}" for i in range(len(xyz), n_in))]
     frame = ", ".join(("n", *refs))
     names, inline = INLINE_OPS[kind]
@@ -269,18 +336,23 @@ def _step_source(name: str, kernel,
         step.append(f"v{i} = values[{refs[i]}]")
         if i in guards:
             step.append(f"if v{i} == 0: return None")
-    called = {_RAW_NAMES[tape.kinds[i]] for i in ops} - inline.keys()
+    # each op's raw op, by its kind code with the tag cleared
+    raw = {i: _RAW_NAMES[tape.kinds[i] & 7] for i in ops}
+    called = {raw[i] for i in ops} - inline.keys()
     step += [f"{op} = tape.spec.{op}" for op in sorted(called)]
     step.append("n = len(values)")
     for i in ops:
-        refs.append(f"n + {i - n_in}" if i > n_in else "n")
-        op, args = _RAW_NAMES[tape.kinds[i]], [f"v{a}" for a in operands[i]]
-        step.append(f"v{i} = " + (inline[op].format(*args) if op in inline
-                                  else f"{op}({', '.join(args)})"))
+        refs.append(at(i))
+        args = [f"v{a}" for a in operands[i]]
+        step.append(f"v{i} = " + (inline[raw[i]].format(*args)
+                                  if raw[i] in inline
+                                  else f"{raw[i]}({', '.join(args)})"))
         if i in guards:
             step.append(f"if v{i} == 0: return None")
     step += [f"values += {_tuple_of(f'v{i}' for i in ops)}",
              f"tape.kinds += {bytes(tape.kinds[n_in:])!r}",
+             "tape.starts += " + _tuple_of(f"({column!r}, {at(i)})"
+                                           for column, i in tape.starts),
              f"tape._operands.append([_writer, {frame}])",
              f"return {', '.join(refs[i] for i in out)}"]
     writer = [f"def {name}_operands(frame):",
@@ -291,51 +363,37 @@ def _step_source(name: str, kernel,
 
 
 def _compile_steps(kind: FieldKind):
-    """The compiled doubling and mixed addition of field kind `kind`'s
-    kernels from one `compile`, each with the labels of its inputs; the
+    """The compiled steps of field kind `kind`'s kernels in `_STEPS`'
+    order from one `compile`, each with the labels of its inputs; the
     source is kept in `linecache` under its file name, so tracebacks and
     `inspect` show it."""
-    double, madd, _, system = _KERNELS[kind]
-    double_source, double_labels = _step_source("double", double, kind)
-    madd_source, madd_labels = _step_source("madd", madd, kind)
+    sources, labels = zip(*(_step_source(name, kind) for name in _STEPS))
     # every input a mixed addition asks for is on the tape from the
     # embedding or the first doubling, so asking for it before the
     # first doubling moves no XFER (see `run_binary_method`)
-    assert set(madd_labels) <= {"Px", "Py", *double_labels}, \
+    assert set(labels[1]) <= {"Px", "Py", *labels[0]}, \
         "a mixed addition asks for an input no doubling asks for"
-    source = double_source + madd_source
-    filename = f"<{system} steps>"
+    source = "".join(sources)
+    filename = f"<{_KERNELS[kind][3]} steps>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
     # popped, so that no cycle runs through the functions' globals; each
     # step holds its writer as a default
-    double, madd = map(namespace.pop, ("double", "madd"))
-    del namespace["double_operands"], namespace["madd_operands"]
-    return (double, double_labels), (madd, madd_labels)
+    steps = tuple(map(namespace.pop, _STEPS))
+    for name in _STEPS:
+        del namespace[f"{name}_operands"]
+    return tuple(zip(steps, labels))
 
 
-# per field kind, its compiled doubling and mixed addition, each of which
-# records a general step and returns its outputs, or returns None, having
-# recorded nothing, for a step its kernel must run; each with the labels
-# of the inputs whose tape indices it reads as `ins`
+# per field kind, its compiled doubling and doubling followed by mixed
+# addition, each of which records its general path and returns its
+# outputs, or returns None, having recorded nothing, when a zero test of
+# that path fails; each with the labels of the inputs whose tape indices
+# it reads as `ins`
 _COMPILED = {kind: _compile_steps(kind) for kind in _KERNELS}
 
-
-# every count column: its phase and, for the audit's columns (in the
-# audit's order), the idealised field-op cost of one of its point
-# operations by row, where the ADD row covers additions and subtractions
-# together; a loop op counts under the column its step is named by
-_ROWS = ("ADD", "MUL", "INV", "SQR")
-_COLUMNS = {
-    "init": (Phase.INIT, None),
-    "point_double": (Phase.ITERATE, (1, 2, 0, 4)),
-    "point_add": (Phase.ITERATE, (2, 4, 0, 1)),
-    "convert": (Phase.CONVERT, (6, 10, 1, 1)),
-}
-AUDIT_BASELINE = {col: dict(zip(_ROWS, base))
-                  for col, (_, base) in _COLUMNS.items() if base}
 
 
 class OpTrace:
@@ -355,20 +413,18 @@ class OpTrace:
         self.n_conversions = 0
 
     def _count(self, tape: _Tape) -> None:
-        # each column's kind codes and its number of segments; XFERs
-        # (inputs, wherever recorded) are never counted
-        cols = {col: bytearray() for col in _COLUMNS}
-        runs = dict.fromkeys(_COLUMNS, 0)
-        for col, a, b in tape.segments():
-            cols[col] += tape.kinds[a:b]
-            runs[col] += 1
-        self.n_point_doubles += runs["point_double"]
-        self.n_point_adds += runs["point_add"]
-        self.n_conversions += runs["convert"]
-        for col, codes in cols.items():
+        # each column's ops by their tagged codes over the whole tape, and
+        # its point operations by its segments; XFERs (inputs, wherever
+        # recorded) are never counted
+        kinds = tape.kinds
+        for col, tag in _TAGS.items():
             counters = self._columns[col]
             for kind, code in _ARITH_CODES:
-                counters[kind] += codes.count(code)
+                counters[kind] += kinds.count(code | tag)
+        columns = [col for col, _ in tape.starts]
+        self.n_point_doubles += columns.count("point_double")
+        self.n_point_adds += columns.count("point_add")
+        self.n_conversions += columns.count("convert")
 
     def _sum(self, columns) -> dict[OpKind, int]:
         out = dict.fromkeys(ARITH_KINDS, 0)
@@ -399,6 +455,13 @@ class OpTrace:
         }
 
 
+def _kernel_step(tape: _Tape, column: str, kernel, X, Y, Z):
+    """Record one loop step op by op: `kernel` in a segment opened for
+    it, counted under `column`."""
+    tape.begin_step(column)
+    return kernel(tape, X, Y, Z)
+
+
 def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     """Record one double-and-add run of k*P on a fresh tape.
 
@@ -420,24 +483,27 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     if k == 0 or P.is_infinity:
         return tape
     double, madd, to_aff, _ = _KERNELS[curve.field.kind]
-    (fast_double, double_labels), (fast_madd, madd_labels) = \
-        _COMPILED[curve.field.kind]
     X, Y, Z = _embed_kernel(tape)
     if k > 1:
-        # both steps' inputs, asked for once in the order the first
-        # doubling's kernel would ask for its own; the embedding and that
+        # every step's inputs, asked for once, the doubling's first in the
+        # order its kernel would ask for them; the embedding and that
         # doubling ask for every one a mixed addition asks for, so each
         # XFER keeps the id the kernels alone give it
-        double_ins = tuple(map(tape.input, double_labels))
-        madd_ins = tuple(map(tape.input, madd_labels))
-    for i in range(k.bit_length() - 2, -1, -1):
-        tape.begin_step("point_double")
+        (fast_double, double_ins), (fast_both, both_ins) = [
+            (step, tuple(map(tape.input, labels)))
+            for step, labels in _COMPILED[curve.field.kind]]
+    # the bits of k after its leading one: each doubles, a set one then
+    # adds, both in one compiled step unless it declines
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            out = fast_both(tape, X, Y, Z, both_ins)
+            if out is not None:
+                X, Y, Z = out
+                continue
         X, Y, Z = (fast_double(tape, X, Y, Z, double_ins)
-                   or double(tape, X, Y, Z))
-        if (k >> i) & 1:
-            tape.begin_step("point_add")
-            X, Y, Z = (fast_madd(tape, X, Y, Z, madd_ins)
-                       or madd(tape, X, Y, Z))
+                   or _kernel_step(tape, "point_double", double, X, Y, Z))
+        if bit == "1":
+            X, Y, Z = _kernel_step(tape, "point_add", madd, X, Y, Z)
     tape.begin_step("convert")
     tape.result = to_aff(tape, X, Y, Z)
     return tape

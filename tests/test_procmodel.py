@@ -44,7 +44,7 @@ result 4 4
 def _long_spellings():
     """The spelling tables as a 128-bit prime64 round trip leaves them,
     from empty ones."""
-    tables = [scalarmul._Texts(), procmodel._Numbers()]
+    tables = [scalarmul._Texts(), {}]
     preset = PRESETS["prime64"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(procmodel, "_SPELLINGS", tables)
@@ -62,8 +62,7 @@ def _with_each_table(monkeypatch, run):
     outs = []
     for texts, numbers in (({}, {}), _long_spellings()):
         monkeypatch.setattr(procmodel, "_SPELLINGS",
-                            [scalarmul._Texts(texts),
-                             procmodel._Numbers(numbers)])
+                            [scalarmul._Texts(texts), dict(numbers)])
         outs.append(run())
     assert outs[0] == outs[1]
 

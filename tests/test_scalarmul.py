@@ -91,7 +91,7 @@ def _interpreted(monkeypatch):
     def declined(*args):
         return None
     monkeypatch.setattr(scalarmul, "_COMPILED", dict.fromkeys(
-        scalarmul._COMPILED, ((declined, ()), (declined, ()))))
+        scalarmul._COMPILED, ((declined, ()),) * len(scalarmul._STEPS)))
 
 
 def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
@@ -146,11 +146,12 @@ def _tape_columns(tape):
 
 
 def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
-    """The compiled doubling and mixed addition leave every column of
-    the tape as the interpreted kernels do, on every input criterion 3
-    runs through the pipeline, on the even-order toy curve and on sampled
-    64-bit inputs; each degenerate mixed addition declines to its
-    kernel, on both field kinds, and no general one does."""
+    """The compiled doubling and doubling followed by mixed addition
+    leave every column of the tape as the interpreted kernels do, on
+    every input criterion 3 runs through the pipeline, on the even-order
+    toy curve and on sampled 64-bit inputs; each degenerate mixed
+    addition declines to its kernel, on both field kinds, and no general
+    one does."""
     toys = [(PRESETS[name].curve, PRESETS[name].base)
             for name in ("p17", "b4")] + [even_order_toy()]
     inputs = [(curve, k, P) for curve, _ in toys
@@ -188,6 +189,36 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
             assert list(columns[3]) == ["Px", "Py", "one"]
 
 
+def test_a_fused_step_that_declines_records_nothing(p17, monkeypatch):
+    """On p17 (order 19), k = 39 = 0b100111 runs three set bits after two
+    clear ones: 8P + P is general; 18P + P adds inverse points, and the
+    last bit doubles infinity, then adds P to it.  The doubling half of
+    the fused step is general each time; its addition half is not in
+    the last two, where the fused step declines having recorded nothing,
+    and the tape is the one the interpreted kernels record."""
+    curve, P = p17.curve, p17.base
+    double, (both, labels) = scalarmul._COMPILED[curve.field.kind]
+    calls = []
+
+    def watched(tape, X1, Y1, Z1, ins):
+        # the columns only grow, so their lengths show what was recorded
+        def lengths():
+            return [len(column) for column in (
+                tape.values, tape.kinds, tape.starts, tape._operands)]
+        before = lengths()
+        out = both(tape, X1, Y1, Z1, ins)
+        calls.append((tape.values[Z1] == 0, out is None, lengths() == before))
+        return out
+    monkeypatch.setitem(scalarmul._COMPILED, curve.field.kind,
+                        (double, (watched, labels)))
+    compiled = _tape_columns(run_binary_method(curve, 39, P))
+    assert calls == [(False, False, False), (False, True, True),
+                     (True, True, True)]
+    _interpreted(monkeypatch)
+    assert _tape_columns(run_binary_method(curve, 39, P)) == compiled
+    assert scalar_mul(curve, 39, P) == P
+
+
 def test_a_run_asks_for_its_inputs_before_its_first_step():
     """For k >= 2 the embedding's and both steps' inputs are on the tape
     before the first step's segment opens, and `inputs` names every XFER
@@ -208,8 +239,9 @@ def test_a_run_asks_for_its_inputs_before_its_first_step():
     later = set()
     for curve, k, P in inputs:
         tape = run_binary_method(curve, k, P)
-        (_, double_labels), _ = scalarmul._COMPILED[curve.field.kind]
-        first = ["Px", "Py", "one", *double_labels]
+        steps = scalarmul._COMPILED[curve.field.kind]
+        first = ["Px", "Py", "one", *steps[0][1]]
+        assert all(set(labels) <= set(first) for _, labels in steps)
         assert tape.starts[0] == ("point_double", len(first))
         assert list(tape.inputs)[:len(first)] == first
         assert sorted(tape.inputs.values()) == [
@@ -223,9 +255,10 @@ def test_a_run_asks_for_its_inputs_before_its_first_step():
 
 def test_operands_are_built_only_when_read(monkeypatch):
     """`scalar_mul` builds no operand tuple of a compiled step; compiling
-    a run expands each compiled step once; each read of the column
-    expands it again, to the same tuples.  Each step holds its operand
-    writer as a default, where the calls are counted."""
+    a run expands each compiled step once, a clear bit's doubling and a
+    set bit's doubling followed by mixed addition; each read of the
+    column expands it again, to the same tuples.  Each step holds its
+    operand writer as a default, where the calls are counted."""
     calls = Counter()
     for kind, steps in scalarmul._COMPILED.items():
         for step, _ in steps:
@@ -243,8 +276,8 @@ def test_operands_are_built_only_when_read(monkeypatch):
         count_report(trace, trace.n_point_doubles, trace.n_point_adds)
         assert not calls
         procmodel.compile_scalar_mul(curve, k, P)
-        steps = {(kind, "double_operands"): k.bit_length() - 1,
-                 (kind, "madd_operands"): k.bit_count() - 1}
+        steps = {(kind, "double_operands"): k.bit_length() - k.bit_count(),
+                 (kind, "double_madd_operands"): k.bit_count() - 1}
         assert calls == steps
         calls.clear()
         tape = run_binary_method(curve, k, P)
@@ -257,13 +290,12 @@ def test_compiled_steps_show_their_source():
     """Each compiled step's source is in `linecache` under its file name,
     so `inspect.getsource` returns the straight-line code."""
     for kind, steps in scalarmul._COMPILED.items():
-        kernels = _KERNELS[kind]
-        for (step, labels), kernel in zip(steps, kernels):
-            assert step.__code__.co_filename == f"<{kernels[3]} steps>"
+        assert [step.__name__ for step, _ in steps] == list(scalarmul._STEPS)
+        for step, labels in steps:
+            assert step.__code__.co_filename == f"<{_KERNELS[kind][3]} steps>"
             writer = step.__defaults__[0]
             assert (inspect.getsource(writer) + inspect.getsource(step),
-                    labels) == scalarmul._step_source(step.__name__, kernel,
-                                                      kind)
+                    labels) == scalarmul._step_source(step.__name__, kind)
 
 
 def test_a_run_without_work_is_an_empty_tape(p17):
@@ -282,6 +314,11 @@ def test_a_tape_without_segments_is_all_init(p17):
     tape = scalarmul._Tape(p17.curve.field, {"x": p17.base.x.value})
     tape.sqr(tape.input("x"))
     assert list(tape.segments()) == [("init", 0, 2)]
+    t = OpTrace()
+    t._count(tape)
+    want = {kind: 0 for kind in OpKind if kind is not OpKind.XFER}
+    want[OpKind.SQR] = 1
+    assert t.column_counts("init") == t.totals() == want
 
 
 def test_input_validation(p17):
