@@ -4,13 +4,13 @@
 (`scalarmul.run_binary_method`) into tasks, one per recorded field
 operation, so data-dependent branches are decided by the real run and
 the graph is exactly the executed op sequence: the same tape
-`scalar_mul` counts.  It decodes the tape's tagged kind codes through
-one table (`scalarmul._CODE_KINDS`) and stamps each task with the phase
-of its tape segment's column (`scalarmul._COLUMNS`) and, in a loop
-step, that step's index.  Input values (base-point
+`scalar_mul` counts.  It decodes each tagged kind code on the tape into
+the op's kind and its column's phase (`scalarmul._CODE_KINDS` and
+`_CODE_PHASES`), and stamps each task of a loop step with that step's
+index, numbered by tape segment.  Input values (base-point
 coordinates, curve constants) are XFER source tasks, one per label, in
-the init phase wherever the run first asked for them; no other common
-subexpression is merged.
+the init phase wherever the run first asked for them, since their codes
+carry the init column's tag; no other common subexpression is merged.
 
 A `TaskGraph` is a frozen dataclass of one tuple per task attribute,
 indexed by task id (`kinds`, `operands`, `phases`, `point_op_index`,
@@ -30,13 +30,21 @@ longer than any before is written or read, and never shrinks, so it is
 as long as the longest graph the process has handled; a text that does
 not read as a graph leaves it as it was.  The str -> int way reuses the
 strings of the int -> str way as far as that reaches, so both ways hold
-one str per number.  A number past the table is spelled by `str` and
-read by `_number`, so no text or error depends on what the process
-handled before.
+one str per number.  A task line's operand field is `-` or is split
+once, at its first comma, into one or two spellings, each looked up in
+the table.  A line with a spelling past the table, or an operand field
+of any other shape (`1,2,3`, `1,`), is read again by `_numbers_of`,
+which splits the field at every comma and reads a number past the table
+by `_number`; `to_text` spells a number past the table by `str`.  So no
+text or error depends on what the process handled before.
 
-`replay` re-executes a graph on raw ints: each task runs the curve
-field's raw op (`FieldSpec._add` ... `_inv`, the ones the tape runs),
-and only the result coordinates are wrapped as `FieldElement`s.
+`replay` re-executes a graph on raw ints through one loop per field
+kind, generated from `fields.INLINE_OPS` on first use and cached: each
+task computes its op inline where that table gives the op an
+expression (GF(p) add, sub, mul and sqr, GF(2^m) add and sub) and by
+the field's raw closure otherwise (`FieldSpec._mul` ... `_inv`, the
+ones the tape runs), an XFER's value is reduced by `element`, and only
+the result coordinates are wrapped as `FieldElement`s.
 
 `TaskGraph.plan(cm)` is what scheduling needs of the graph under one
 cost model, none of it placement-dependent: each task's cost, the pair
@@ -55,13 +63,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
-from .fields import FieldElement, FieldKind, OpKind, _require_ints, _show
-from .scalarmul import (_CODE_KINDS, _COLUMNS, _KINDS, Phase, _raw_ops,
-                        _Texts, run_binary_method)
+from .fields import (INLINE_OPS, FieldElement, FieldKind, OpKind,
+                     _require_ints, _show)
+from .scalarmul import (_CODE_KINDS, _CODE_PHASES, _COLUMNS, _KINDS,
+                        _RAW_NAMES, Phase, _define, _Texts, run_binary_method)
 
 _ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
           OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
@@ -107,11 +117,11 @@ _SPELLINGS: list[dict] = [_Texts(), {}]
 def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
     """The six task columns of the task lines `rows`; ids, point-op
     indices and operands are read by lookup in `num`, an exact dict,
-    which CPython reads faster than a subclass, and on a line with a
-    spelling past it by `_numbers_of`."""
+    which CPython reads faster than a subclass, the operand field split
+    once at its first comma, and on a line with a spelling past `num`
+    or a field of any other shape by `_numbers_of`."""
     kinds, operands, phases, pidxs, labels, values = \
         columns = [], [], [], [], [], []
-    read = num.__getitem__
     for pos, ln in enumerate(rows):
         try:
             sid, skind, sphase, spidx, sops, slabel, svalue = ln.split()
@@ -123,7 +133,11 @@ def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
             phases.append(_PHASE_OF[sphase])
             try:
                 tid, pidx = num[sid], num[spidx]
-                ops = () if sops == "-" else tuple(map(read, sops.split(",")))
+                if sops == "-":
+                    ops = ()
+                else:
+                    sa, comma, sb = sops.partition(",")
+                    ops = (num[sa], num[sb]) if comma else (num[sa],)
             except KeyError:
                 tid, pidx, ops = _numbers_of(num, sid, spidx, sops)
             pidxs.append(pidx)
@@ -474,12 +488,15 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     if tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
-    # each segment's phase is its column's; loop steps are numbered
-    phases, pidxs, steps = [], [], count()
+    # each task's kind and phase from its tagged code (an XFER's names
+    # the init column); a tape with a result holds at least the base
+    # point's two inputs, so the getter of its codes returns tuples
+    decode = itemgetter(*tape.kinds)
+    # each loop step's tasks carry its index, numbered by segment
+    pidxs, steps = [], count()
     for col, a, b in tape.segments():
-        phase = _COLUMNS[col][0]
-        phases += [phase] * (b - a)
-        pidxs += [next(steps) if phase is Phase.ITERATE else -1] * (b - a)
+        pidxs += [next(steps) if _COLUMNS[col][0] is Phase.ITERATE
+                  else -1] * (b - a)
     n = len(tape.values)
     labels: list[str] = [""] * n
     values: list[Optional[int]] = [None] * n
@@ -487,36 +504,70 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     for label, i in tape.inputs.items():
         labels[i] = label
         values[i] = tape.values[i]
-        phases[i] = Phase.INIT
         pidxs[i] = -1
-    return TaskGraph(tuple(map(_CODE_KINDS.__getitem__, tape.kinds)),
-                     tape.operands, tuple(phases), tuple(pidxs),
-                     tuple(labels), tuple(values), tape.result,
+    return TaskGraph(decode(_CODE_KINDS), tape.operands, decode(_CODE_PHASES),
+                     tuple(pidxs), tuple(labels), tuple(values), tape.result,
                      curve.field.bits)
+
+
+def _replay_source(kind: FieldKind) -> str:
+    """The source of `replay(spec, kinds, operands, xfers)`, the loop
+    that runs a graph's columns over a field `spec` of kind `kind` and
+    returns every task's raw value: one branch per arithmetic kind, in
+    `_KINDS`' order, each computing its op inline where `INLINE_OPS`
+    gives the op an expression and by the field's closure otherwise,
+    then the XFER's, which reduces its value through `spec.element`."""
+    names, inline = INLINE_OPS[kind]
+    loop = ["def replay(spec, kinds, operands, xfers):",
+            f"{', '.join(op.name for op in _KINDS)} = _KINDS",
+            *(f"{var} = spec.{attr}" for var, attr in names.items()),
+            *(f"{raw} = spec.{raw}" for raw in _RAW_NAMES
+              if raw not in inline),
+            "element = spec.element",
+            "values = []",
+            "append = values.append",
+            "for kind, ops, value in zip(kinds, operands, xfers):"]
+    for code, (op, raw) in enumerate(zip(_KINDS, _RAW_NAMES)):
+        if _ARITY[op] == 2:
+            read, args = "a, b = ops", ("values[a]", "values[b]")
+        else:
+            read, args = "a = values[ops[0]]", ("a",)
+        loop += [f"    {'elif' if code else 'if'} kind is {op.name}:",
+                 f"        {read}",
+                 "        append(" + (inline[raw].format(*args)
+                                      if raw in inline
+                                      else f"{raw}({', '.join(args)})") + ")"]
+    # XFER, last in `_KINDS`, is the one kind left: the graph's validator
+    # admits only OpKind members
+    loop += ["    else:", "        append(element(value).value)",
+             "return values"]
+    return "\n    ".join(loop) + "\n"
+
+
+# per field kind, its generated replay loop (`_replay_source`), built on
+# first use
+_REPLAY_LOOPS: dict[FieldKind, Callable] = {}
 
 
 def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
     """Re-execute a graph task by task and return the result point.
 
     Each task runs the curve field's raw op on the raw ints of its
-    operands; only an XFER's value is reduced (`element`), since the
-    graph text may spell it non-canonically, and only the two result
-    coordinates become `FieldElement`s."""
+    operands, through the generated loop of the field's kind; only an
+    XFER's value is reduced (`element`), since the graph text may spell
+    it non-canonically, and only the two result coordinates become
+    `FieldElement`s."""
     spec = curve.field
     if G.field_bits != spec.bits:
         raise FieldMismatch(
             f"graph was compiled for a {G.field_bits}-bit field, curve "
             f"field has {spec.bits} bits")
-    run = dict(zip(_KINDS, _raw_ops(spec)))
-    xfer = OpKind.XFER
-    values: list[int] = []
-    for kind, ops, value in zip(G.kinds, G.operands, G.values):
-        if kind is xfer:
-            values.append(spec.element(value).value)
-        elif len(ops) == 2:
-            values.append(run[kind](values[ops[0]], values[ops[1]]))
-        else:
-            values.append(run[kind](values[ops[0]]))
+    loop = _REPLAY_LOOPS.get(spec.kind)
+    if loop is None:
+        loop = _REPLAY_LOOPS[spec.kind] = _define(
+            _replay_source(spec.kind), f"<{spec.kind.value} replay>",
+            _KINDS=_KINDS)["replay"]
+    values = loop(spec, G.kinds, G.operands, G.values)
     x, y = G.result
     return AffinePoint(FieldElement(spec, values[x]),
                        FieldElement(spec, values[y]))

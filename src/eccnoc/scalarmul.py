@@ -122,10 +122,12 @@ AUDIT_BASELINE = {col: dict(zip(_ROWS, base))
 # a kind code on the tape carries its segment's column in bits 3-4, the
 # column's tag; an XFER carries the init column's, 0, wherever it is
 # recorded.  A column's ops count as `bytearray.count` of their tagged
-# codes, and `_CODE_KINDS` decodes every tagged code, None where no op
-# has it
+# codes, `_CODE_KINDS` decodes every tagged code, None where no op
+# has it, and `_CODE_PHASES` gives every tagged code its column's phase
 _TAGS = {col: i << 3 for i, col in enumerate(_COLUMNS)}
 _CODE_KINDS = (*_KINDS, *(None,) * (8 - len(_KINDS))) * len(_COLUMNS)
+_CODE_PHASES = tuple(phase for phase, _ in _COLUMNS.values()
+                     for _ in range(8))
 
 
 # the one recorder per arity, made once per kind code (see `_Tape`)
@@ -362,29 +364,31 @@ def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
     return _function(writer) + _function(step), labels
 
 
+def _define(source: str, filename: str, **names) -> dict:
+    """The functions `source` defines, by name, from one `compile` with
+    `names` as their globals; the source is kept in `linecache` under
+    `filename`, so tracebacks and `inspect` show it."""
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = dict(names)
+    exec(compile(source, filename, "exec"), namespace)
+    # popped, so that no cycle runs through the functions' globals
+    return {name: namespace.pop(name) for name in [*namespace]
+            if name not in names and name != "__builtins__"}
+
+
 def _compile_steps(kind: FieldKind):
     """The compiled steps of field kind `kind`'s kernels in `_STEPS`'
-    order from one `compile`, each with the labels of its inputs; the
-    source is kept in `linecache` under its file name, so tracebacks and
-    `inspect` show it."""
+    order from one `_define`, each with the labels of its inputs."""
     sources, labels = zip(*(_step_source(name, kind) for name in _STEPS))
     # every input a mixed addition asks for is on the tape from the
     # embedding or the first doubling, so asking for it before the
     # first doubling moves no XFER (see `run_binary_method`)
     assert set(labels[1]) <= {"Px", "Py", *labels[0]}, \
         "a mixed addition asks for an input no doubling asks for"
-    source = "".join(sources)
-    filename = f"<{_KERNELS[kind][3]} steps>"
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), namespace)
-    # popped, so that no cycle runs through the functions' globals; each
-    # step holds its writer as a default
-    steps = tuple(map(namespace.pop, _STEPS))
-    for name in _STEPS:
-        del namespace[f"{name}_operands"]
-    return tuple(zip(steps, labels))
+    # each step holds its writer as a default
+    steps = _define("".join(sources), f"<{_KERNELS[kind][3]} steps>")
+    return tuple((steps[name], names) for name, names in zip(_STEPS, labels))
 
 
 # per field kind, its compiled doubling and doubling followed by mixed

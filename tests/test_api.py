@@ -137,3 +137,10 @@ def test_tools_agree_with_the_golden_and_with_themselves():
                      _tool("code_lines.py", *paths).splitlines()]
     assert [path for _, path in files] == paths
     assert total == [str(sum(int(n) for n, _ in files)), "total"]
+
+
+def test_every_mutant_text_occurs_once():
+    """Each mutant in `tools/mutants.py` still finds the one text it
+    replaces, so the table cannot drift from the code between runs of
+    the tool."""
+    assert _tool("mutants.py", "--check") == ""

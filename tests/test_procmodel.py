@@ -2,9 +2,15 @@
 
 import dataclasses
 import hashlib
+import inspect
+import os
 import pickle
+import re
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +73,23 @@ def _with_each_table(monkeypatch, run):
     assert outs[0] == outs[1]
 
 
+# odd operand fields, each with the exact message the parser gave when
+# it split the field at every comma: as a SQR's (task 1, after an XFER)
+# and as a MUL's (task 2 of `_TINY_TEXT`)
+_ODD_OPERANDS = {
+    "1,2,3": ("task 1: SQR takes 1 operands, got 3",
+              "task 2: MUL takes 2 operands, got 3"),
+    "0,-1": ("task 1: SQR takes 1 operands, got 2",
+             "task 2 references -1, which is not an earlier task"),
+    "4,99": ("task 1: SQR takes 1 operands, got 2",
+             "task 2 references 4, which is not an earlier task"),
+    # the rest name the whole line
+    **{ops: (f"unparseable task line: '1 SQR iterate 0 {ops} - -'",
+             f"unparseable task line: '2 MUL iterate 0 {ops} - -'")
+       for ops in ("1,", ",1", "1,,2", "01,2", "-,1")},
+}
+
+
 def test_malformed_graphs_rejected(monkeypatch):
     _with_each_table(monkeypatch, _malformed_graph_messages)
 
@@ -82,6 +105,8 @@ def _malformed_graph_messages():
             # an id past the text's line count is still read
             (px + "1 SQR iterate 0 99 - -\nresult 1 1",
              "references 99, which is not an earlier task"),
+            (px + "1 SQR iterate 0 1 - -\nresult 1 1",
+             "task 1 references 1, which is not an earlier task"),
             (px + "1 MUL iterate 0 0 - -\nresult 1 1", "takes 2 operands"),
             ("0 XFER init -1 - Px -\nresult 0 0", "has no value"),
             # a value's one spelling has no sign
@@ -104,6 +129,12 @@ def _malformed_graph_messages():
         with pytest.raises(MalformedGraph, match=reason) as exc:
             TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{body}\n")
         messages.append(str(exc.value))
+    for ops, (message, _) in _ODD_OPERANDS.items():
+        with pytest.raises(MalformedGraph) as exc:
+            TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{px}"
+                                f"1 SQR iterate 0 {ops} - -\nresult 1 1\n")
+        assert str(exc.value) == message
+        messages.append(message)
     # a refused text leaves the shared table as it was
     assert procmodel._SPELLINGS[1] == numbers
     for text, reason in (
@@ -149,12 +180,16 @@ def _malformed_graph_messages():
     ("Px 3", "Px 0X3"),
     ("Px 3", "Px 03"),
     ("Py 4", "Py A"),
+    *(("MUL iterate 0 0,1", f"MUL iterate 0 {ops}") for ops in _ODD_OPERANDS),
 ])
 def test_lenient_graph_spellings_are_refused(monkeypatch, old, new):
-    # `int` read each as the graph without its odd spelling (`A` as `a`)
+    # `int` read each as the graph without its odd spelling (`A` as `a`);
+    # an odd operand field is refused with its message as before
     text = _TINY_TEXT.replace(old, new, 1)
     assert text != _TINY_TEXT
-    why = "ASCII without '_' or '[+]'" if {"_", "+", "\uff15"} & set(new) \
+    odd = _ODD_OPERANDS.get(new.rpartition(" ")[2])
+    why = f"^{re.escape(odd[1])}$" if odd \
+        else "ASCII without '_' or '[+]'" if {"_", "+", "\uff15"} & set(new) \
         else "unparseable|bad field width|bad result ids"
 
     def message():
@@ -452,7 +487,7 @@ def test_replay_equals_element_interpreter(name):
         assert (R.x, R.y) == _replay_by_elements(G, curve), k
 
 
-def test_replay_hand_graphs_agree_with_element_interpreter(p17):
+def test_replay_hand_graphs_agree_with_element_interpreter(p17, b4):
     zero_inverse = TaskGraph.from_text(
         "taskgraph 1 fieldbits 5\n0 XFER init -1 - zero 0\n"
         "1 INV convert -1 0 - -\nresult 1 1\n")
@@ -468,6 +503,41 @@ def test_replay_hand_graphs_agree_with_element_interpreter(p17):
         R = replay(G, p17.curve)
         assert (R.x, R.y) == _replay_by_elements(G, p17.curve)
         assert R.x.value == value - 17
+    # every op kind over GF(2^4), a MUL that reads one operand twice
+    G = TaskGraph.from_text(
+        "taskgraph 1 fieldbits 4\n0 XFER init -1 - Px 9\n"
+        "1 XFER init -1 - Py 6\n2 ADD iterate 0 0,1 - -\n"
+        "3 SUB iterate 0 2,1 - -\n4 MUL iterate 0 3,3 - -\n"
+        "5 SQR iterate 1 4 - -\n6 MUL iterate 1 5,1 - -\n"
+        "7 INV convert -1 6 - -\n8 MUL convert -1 7,2 - -\nresult 8 7\n")
+    assert set(G.kinds) == set(OpKind)
+    R = replay(G, b4.curve)
+    assert (R.x, R.y) == _replay_by_elements(G, b4.curve)
+
+
+def test_replay_loops_are_built_once_per_field_kind_on_first_use(
+        monkeypatch, p17, b4):
+    # importing the package builds none
+    path = os.pathsep.join(filter(None, (
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", "import eccnoc, eccnoc.procmodel as pm; "
+         "print(len(pm._REPLAY_LOOPS))"], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "0\n"
+    monkeypatch.setattr(procmodel, "_REPLAY_LOOPS", {})
+    graphs = [(_compile(p17, 13), p17.curve), (_compile(b4, 37), b4.curve)]
+    for G, curve in graphs:
+        replay(G, curve)
+    loops = dict(procmodel._REPLAY_LOOPS)
+    assert set(loops) == {FieldKind.PRIME, FieldKind.BINARY}
+    for G, curve in graphs:
+        replay(G, curve)
+    assert all(loops[kind] is procmodel._REPLAY_LOOPS[kind] for kind in loops)
+    # each loop's source is in `linecache`, so tracebacks show it
+    for kind, loop in loops.items():
+        assert inspect.getsource(loop) == procmodel._replay_source(kind)
 
 
 def test_replay_checks_field_width(p17, b4):
