@@ -10,11 +10,17 @@ canonical value, so equality is plain int equality.  Fields wider than
 Each `FieldSpec` binds six raw int ops (`_add`, `_sub`, `_mul`, `_sqr`,
 `_inv` and `_reduce`) once, when it is built, as closures over the
 modulus or the polynomial, so no call branches on the field kind or
-reads the spec's fields.  Negation is subtraction from zero.  Code
-generated per field kind (`scalarmul`'s compiled steps) writes the
-cheap raw ops inline instead of calling them: `INLINE_OPS` states the
-expression of each GF(p) add, sub, mul and sqr and each GF(2^m) add and
-sub, next to the closures it must equal.
+reads the spec's fields.  Negation is subtraction from zero.
+
+The op-kind facts the rest of the package shares are stated here once:
+`OpKind`, each kind's one-byte code on a tape (`KIND_CODES`), its arity
+(`ARITY`) and its raw op (`_RAW_OPS`).  Code generated per field kind
+(`scalarmul`'s compiled steps, `procmodel`'s replay loops, both
+compiled by `_define`) writes the cheap raw ops inline instead of
+calling them: `INLINE_OPS` states the expression of each GF(p) add,
+sub, mul and sqr and each GF(2^m) add and sub, next to the closures it
+must equal, and `op_locals` and `op_expression` are the one writer of
+an op and of the locals it binds.
 
 GF(2^m) products use the comb method of Lopez and Dahab with a 4-bit
 window: a 16-entry table of multiples of one operand, indexed by the
@@ -39,6 +45,7 @@ the product is reduced:
 from __future__ import annotations
 
 import enum
+import linecache
 from dataclasses import dataclass
 from math import isqrt
 from operator import xor
@@ -397,13 +404,46 @@ class FieldKind(enum.Enum):
     BINARY = "binary"
 
 
-# Per field kind, the raw ops that generated straight-line code
-# (`scalarmul._step_source`) writes inline rather than calling, each as a
-# format string over its operands' names whose value equals the op's.
-# The first dict binds each name the expressions read to the FieldSpec
-# attribute it is read from, once per generated function.  An op missing
-# from the second (a GF(2^m) product or square, an inversion) stays a
-# call to the field's closure.
+class OpKind(enum.Enum):
+    """The field-operation vocabulary tracked everywhere downstream."""
+
+    ADD = "ADD"
+    SUB = "SUB"
+    MUL = "MUL"
+    SQR = "SQR"
+    INV = "INV"
+    XFER = "XFER"
+
+    # members are singletons and Enum's == is identity, so an identity
+    # hash agrees with it and dict lookups skip Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
+
+ARITH_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV)
+# every op kind in the order of its one-byte code on a tape, a kind's
+# code being its index here: the arithmetic kinds in `ARITH_KINDS`
+# order, then XFER
+KIND_CODES = (*ARITH_KINDS, OpKind.XFER)
+# the operands each op kind takes
+ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2, OpKind.SQR: 1,
+         OpKind.INV: 1, OpKind.XFER: 0}
+
+
+# the raw int ops on canonical values that __post_init__ binds on each
+# FieldSpec, in the order `_prime_ops` and `_binary_ops` return them: the
+# raw op of each arithmetic kind at its kind code, then `_reduce`; plain
+# attributes, not fields, so equality, hashing and repr ignore them (as
+# they do `bits`, `order` and `tag`, bound with them)
+_RAW_OPS = ("_add", "_sub", "_mul", "_sqr", "_inv", "_reduce")
+
+
+# Per field kind, the raw ops that generated code writes inline rather
+# than calling, each as a format string over its operands' names whose
+# value equals the op's.  The first dict binds each name the expressions
+# read to the FieldSpec attribute it is read from, once per generated
+# function.  An op missing from the second (a GF(2^m) product or square,
+# an inversion) stays a call to the field's closure.  Only `op_locals`
+# and `op_expression` read it.
 INLINE_OPS = {
     FieldKind.PRIME: ({"p": "modulus"},
                       {"_add": "({0} + {1}) % p", "_sub": "({0} - {1}) % p",
@@ -412,11 +452,51 @@ INLINE_OPS = {
 }
 
 
-# the raw int ops on canonical values that __post_init__ binds on each
-# FieldSpec, in the order `_prime_ops` and `_binary_ops` return them;
-# plain attributes, not fields, so equality, hashing and repr ignore them
-# (as they do `bits`, `order` and `tag`, bound with them)
-_RAW_OPS = ("_add", "_sub", "_mul", "_sqr", "_inv", "_reduce")
+def op_locals(kind: FieldKind, spec: str, codes) -> tuple[list, list]:
+    """The lines of a function generated for field kind `kind` that bind
+    its locals from the FieldSpec it names `spec`: each name the kind's
+    inline expressions read, then, in the order of `codes`, the raw op
+    of each kind code there that `op_expression` writes as a call."""
+    names, inline = INLINE_OPS[kind]
+    raws = [_RAW_OPS[code] for code in codes]
+    return ([f"{var} = {spec}.{attr}" for var, attr in names.items()],
+            [f"{raw} = {spec}.{raw}" for raw in raws if raw not in inline])
+
+
+def op_expression(kind: FieldKind, code: int, args) -> str:
+    """The expression generated code for field kind `kind` writes for an
+    op of kind code `code` on the operand expressions `args`: the op's
+    inline expression, or a call of its raw op as `op_locals` binds it."""
+    raw, inline = _RAW_OPS[code], INLINE_OPS[kind][1]
+    return (inline[raw].format(*args) if raw in inline
+            else f"{raw}({', '.join(args)})")
+
+
+def _function(lines: list[str]) -> str:
+    """The source of a generated function from its lines: the `def`
+    line, then each body line indented once."""
+    return "\n    ".join(lines) + "\n"
+
+
+class _Texts(dict):
+    """A table that answers a missing key with its `str`: the table a
+    kernel is traced on, where each input's value is its label, and
+    `procmodel`'s int -> str spelling table."""
+
+    __missing__ = staticmethod(str)
+
+
+def _define(source: str, filename: str, **names) -> dict:
+    """The functions `source` defines, by name, from one `compile` with
+    `names` as their globals; the source is kept in `linecache` under
+    `filename`, so tracebacks and `inspect` show it."""
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = dict(names)
+    exec(compile(source, filename, "exec"), namespace)
+    # popped, so that no cycle runs through the functions' globals
+    return {name: namespace.pop(name) for name in [*namespace]
+            if name not in names and name != "__builtins__"}
 
 
 @dataclass(frozen=True)
@@ -585,22 +665,3 @@ def ff_inv(a: FieldElement) -> FieldElement:
 
 def ff_neg(a: FieldElement) -> FieldElement:
     return FieldElement(a.spec, a.spec._sub(0, a.value))
-
-
-class OpKind(enum.Enum):
-    """The field-operation vocabulary tracked everywhere downstream."""
-
-    ADD = "ADD"
-    SUB = "SUB"
-    MUL = "MUL"
-    SQR = "SQR"
-    INV = "INV"
-    XFER = "XFER"
-
-    # members are singletons and Enum's == is identity, so an identity
-    # hash agrees with it and dict lookups skip Python-level Enum.__hash__
-    __hash__ = object.__hash__
-
-
-ARITH_KINDS = (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.SQR, OpKind.INV)
-

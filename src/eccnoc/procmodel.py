@@ -4,10 +4,10 @@
 (`scalarmul.run_binary_method`) into tasks, one per recorded field
 operation, so data-dependent branches are decided by the real run and
 the graph is exactly the executed op sequence: the same tape
-`scalar_mul` counts.  It decodes each tagged kind code on the tape into
-the op's kind and its column's phase (`scalarmul._CODE_KINDS` and
-`_CODE_PHASES`), and stamps each task of a loop step with that step's
-index, numbered by tape segment.  Input values (base-point
+`scalar_mul` counts.  The tape reads itself as the graph's columns
+(`_Tape.columns`): each op's kind and its column's phase, decoded from
+its tagged kind code, and each loop step's tasks stamped with that
+step's index, numbered by tape segment.  Input values (base-point
 coordinates, curve constants) are XFER source tasks, one per label, in
 the init phase wherever the run first asked for them, since their codes
 carry the init column's tag; no other common subexpression is merged.
@@ -39,12 +39,13 @@ by `_number`; `to_text` spells a number past the table by `str`.  So no
 text or error depends on what the process handled before.
 
 `replay` re-executes a graph on raw ints through one loop per field
-kind, generated from `fields.INLINE_OPS` on first use and cached: each
-task computes its op inline where that table gives the op an
-expression (GF(p) add, sub, mul and sqr, GF(2^m) add and sub) and by
-the field's raw closure otherwise (`FieldSpec._mul` ... `_inv`, the
-ones the tape runs), an XFER's value is reduced by `element`, and only
-the result coordinates are wrapped as `FieldElement`s.
+kind, generated on first use and cached: each task computes its op as
+`fields.op_expression` writes it, inline where the field kind has an
+expression for the op (GF(p) add, sub, mul and sqr, GF(2^m) add and
+sub) and by the field's raw closure otherwise (`FieldSpec._mul` ...
+`_inv`, the ones the tape runs), an XFER's value is reduced by
+`element`, and only the result coordinates are wrapped as
+`FieldElement`s.
 
 `TaskGraph.plan(cm)` is what scheduling needs of the graph under one
 cost model, none of it placement-dependent: each task's cost, the pair
@@ -60,21 +61,18 @@ cost model on the immutable graph, so `critical_path` and every
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
-from operator import itemgetter
+from itertools import compress, islice
 from typing import Callable, Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
-from .fields import (INLINE_OPS, FieldElement, FieldKind, OpKind,
-                     _require_ints, _show)
-from .scalarmul import (_CODE_KINDS, _CODE_PHASES, _COLUMNS, _KINDS,
-                        _RAW_NAMES, Phase, _define, _Texts, run_binary_method)
-
-_ARITY = {OpKind.ADD: 2, OpKind.SUB: 2, OpKind.MUL: 2,
-          OpKind.SQR: 1, OpKind.INV: 1, OpKind.XFER: 0}
+from .fields import (ARITH_KINDS, ARITY, KIND_CODES, FieldElement,
+                     FieldKind, OpKind, _define, _function, _require_ints,
+                     _show, _Texts, op_expression, op_locals)
+from .scalarmul import Phase, run_binary_method
 
 _FORMAT_HEADER = "taskgraph 1"
 # task lines name kinds and phases by value and write operands by arity
@@ -85,8 +83,8 @@ _PHASE_OF = {text: phase for phase, text in _PHASE_TEXT.items()}
 _OPERANDS_TEXT = ("-", "%d", "%d,%d")
 # a plan counts edges by the position of each end here; the last
 # consumer, None, is the delivery of a result value to IO
-_FLOW_ENDS = (*OpKind, None)
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_FLOW_ENDS = (*KIND_CODES, None)
+_KIND_CODE = {kind: code for code, kind in enumerate(KIND_CODES)}
 
 
 def _number(text: str) -> int:
@@ -152,8 +150,8 @@ def _task_columns(rows: list[str], num: dict[str, int]) -> list[list]:
             raise MalformedGraph(
                 f"unparseable task line: {_show(ln)}") from exc
         if tid != pos:
-            raise MalformedGraph(
-                f"task ids must be consecutive from 0; saw {tid} at {pos}")
+            raise MalformedGraph(f"task ids must be consecutive from 0; "
+                                 f"saw {_show(tid)} at {pos}")
         labels.append("" if slabel == "-" else slabel)
     return columns
 
@@ -226,21 +224,22 @@ class TaskGraph:
                 raise _stray("point_op_index", pidx)
             if (pidx >= 0) is not (phase is iterate) or pidx < -1:
                 raise MalformedGraph(
-                    f"task {tid} has point-op index {pidx} in the "
+                    f"task {tid} has point-op index {_show(pidx)} in the "
                     f"{phase.value} phase; an iterate task's is 0 or more, "
                     f"any other's is -1")
             if type(label) is not str:
                 raise _stray("labels", label)
             if type(ops) is not tuple:
                 raise MalformedGraph(_SHAPE)
-            if len(ops) != _ARITY[kind]:
+            if len(ops) != ARITY[kind]:
                 raise MalformedGraph(
-                    f"task {tid}: {kind.value} takes {_ARITY[kind]} "
+                    f"task {tid}: {kind.value} takes {ARITY[kind]} "
                     f"operands, got {len(ops)}")
             for o in ops:
                 if type(o) is not int or not 0 <= o < tid:
+                    shown = _show(o) if type(o) is int else reprlib.repr(o)
                     raise MalformedGraph(
-                        f"task {tid} references {o!r}, which is not an "
+                        f"task {tid} references {shown}, which is not an "
                         f"earlier task")
             if value is not None and type(value) is not int:
                 raise _stray("values", value)
@@ -265,7 +264,7 @@ class TaskGraph:
                     f"task {tid} carries a label but is not an XFER")
         for r in self.result:
             if not 0 <= r < len(self.kinds):
-                raise MalformedGraph(f"result id {r} does not exist")
+                raise MalformedGraph(f"result id {_show(r)} does not exist")
 
     @cached_property
     def tasks(self) -> tuple[Task, ...]:
@@ -488,60 +487,38 @@ def compile_scalar_mul(curve: CurveParams, k: int, P: AffinePoint) -> TaskGraph:
     if tape.result is None:
         raise ResultAtInfinity(
             "k*P is the point at infinity, which has no coordinate tasks")
-    # each task's kind and phase from its tagged code (an XFER's names
-    # the init column); a tape with a result holds at least the base
-    # point's two inputs, so the getter of its codes returns tuples
-    decode = itemgetter(*tape.kinds)
-    # each loop step's tasks carry its index, numbered by segment
-    pidxs, steps = [], count()
-    for col, a, b in tape.segments():
-        pidxs += [next(steps) if _COLUMNS[col][0] is Phase.ITERATE
-                  else -1] * (b - a)
-    n = len(tape.values)
-    labels: list[str] = [""] * n
-    values: list[Optional[int]] = [None] * n
-    # an XFER is an input of the whole run, wherever a kernel asked for it
-    for label, i in tape.inputs.items():
-        labels[i] = label
-        values[i] = tape.values[i]
-        pidxs[i] = -1
-    return TaskGraph(decode(_CODE_KINDS), tape.operands, decode(_CODE_PHASES),
-                     tuple(pidxs), tuple(labels), tuple(values), tape.result,
-                     curve.field.bits)
+    return TaskGraph(*tape.columns(), tape.result, curve.field.bits)
 
 
 def _replay_source(kind: FieldKind) -> str:
     """The source of `replay(spec, kinds, operands, xfers)`, the loop
     that runs a graph's columns over a field `spec` of kind `kind` and
     returns every task's raw value: one branch per arithmetic kind, in
-    `_KINDS`' order, each computing its op inline where `INLINE_OPS`
-    gives the op an expression and by the field's closure otherwise,
-    then the XFER's, which reduces its value through `spec.element`."""
-    names, inline = INLINE_OPS[kind]
+    kind-code order, each computing its op as `fields.op_expression`
+    writes it, inline where the field kind has an expression for the op
+    and by the field's closure otherwise, then the XFER's, which reduces
+    its value through `spec.element`."""
+    names, closures = op_locals(kind, "spec", range(len(ARITH_KINDS)))
     loop = ["def replay(spec, kinds, operands, xfers):",
-            f"{', '.join(op.name for op in _KINDS)} = _KINDS",
-            *(f"{var} = spec.{attr}" for var, attr in names.items()),
-            *(f"{raw} = spec.{raw}" for raw in _RAW_NAMES
-              if raw not in inline),
+            f"{', '.join(op.name for op in KIND_CODES)} = _KINDS",
+            *names, *closures,
             "element = spec.element",
             "values = []",
             "append = values.append",
             "for kind, ops, value in zip(kinds, operands, xfers):"]
-    for code, (op, raw) in enumerate(zip(_KINDS, _RAW_NAMES)):
-        if _ARITY[op] == 2:
+    for code, op in enumerate(ARITH_KINDS):
+        if ARITY[op] == 2:
             read, args = "a, b = ops", ("values[a]", "values[b]")
         else:
             read, args = "a = values[ops[0]]", ("a",)
         loop += [f"    {'elif' if code else 'if'} kind is {op.name}:",
                  f"        {read}",
-                 "        append(" + (inline[raw].format(*args)
-                                      if raw in inline
-                                      else f"{raw}({', '.join(args)})") + ")"]
-    # XFER, last in `_KINDS`, is the one kind left: the graph's validator
-    # admits only OpKind members
+                 f"        append({op_expression(kind, code, args)})"]
+    # XFER, last in kind-code order, is the one kind left: the graph's
+    # validator admits only OpKind members
     loop += ["    else:", "        append(element(value).value)",
              "return values"]
-    return "\n    ".join(loop) + "\n"
+    return _function(loop)
 
 
 # per field kind, its generated replay loop (`_replay_source`), built on
@@ -566,7 +543,7 @@ def replay(G: TaskGraph, curve: CurveParams) -> AffinePoint:
     if loop is None:
         loop = _REPLAY_LOOPS[spec.kind] = _define(
             _replay_source(spec.kind), f"<{spec.kind.value} replay>",
-            _KINDS=_KINDS)["replay"]
+            _KINDS=KIND_CODES)["replay"]
     values = loop(spec, G.kinds, G.operands, G.values)
     x, y = G.result
     return AffinePoint(FieldElement(spec, values[x]),

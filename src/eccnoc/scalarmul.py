@@ -24,11 +24,12 @@ value is its label (`_Texts`), each kernel in a segment of its column,
 taking the general branch at every zero test and logging the value
 tested as a guard; the ops they record become one straight-line
 function, compiled once per field kind, and the labels they ask for
-are kept beside it.  The function computes each op inline where the
-field kind has an expression for it (`fields.INLINE_OPS`: every GF(p)
-add, sub, mul and sqr, every GF(2^m) add and sub) and by the field's
-closure otherwise, and appends the step's values and tagged kind codes
-to the columns and its segments' starts to `starts` at once.
+are kept beside it.  The function computes each op as
+`fields.op_expression` writes it, inline where the field kind has an
+expression for it (every GF(p) add, sub, mul and sqr, every GF(2^m)
+add and sub) and by the field's closure otherwise, and appends the
+step's values and tagged kind codes to the columns and its segments'
+starts to `starts` at once.
 Its operand indices are built on read: the step appends one frame for
 them, which `_Tape.operands` expands only when `compile_scalar_mul` or
 a test reads it, so `scalar_mul` never builds them.  A tape input is
@@ -57,7 +58,10 @@ it into an `OpTrace` by column and phase:
 
 counting each column's ops as `bytearray.count` of their tagged codes
 over the whole tape and its point operations by its segments, and
-`procmodel.compile_scalar_mul` turns the same columns into tasks.
+`procmodel.compile_scalar_mul` builds a task graph from the columns
+the tape decodes for it (`_Tape.columns`).  The op-kind facts the tape
+shares with `procmodel` (each kind's code, arity and raw op) are
+stated once, in `fields`.
 
 `count_report` compares the measured per-point-op averages against a
 fixed baseline cost table and reports the deviations; the baseline is an
@@ -68,9 +72,9 @@ and are exactly what the report is for.
 from __future__ import annotations
 
 import enum
-import linecache
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import count
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Optional
 
@@ -78,23 +82,20 @@ from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
                      _KERNELS, _embed_kernel, _require_on_curve,
                      _run_table)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
-from .fields import (ARITH_KINDS, INLINE_OPS, MAX_FIELD_BITS, FieldElement,
-                     FieldKind, FieldSpec, OpKind)
+from .fields import (ARITH_KINDS, ARITY, KIND_CODES, MAX_FIELD_BITS,
+                     FieldElement, FieldKind, FieldSpec, OpKind, _RAW_OPS,
+                     _define, _function, _Texts, op_expression, op_locals)
 
 ORACLE_BOUND = 1 << 16
 # twice the widest field: a 4096-bit k compiles in a fraction of a second,
 # and the tape grows linearly with the width past it
 MAX_SCALAR_BITS = 2 * MAX_FIELD_BITS
 
-# one-byte kind codes, indices into _KINDS: the tape records each op's
-# kind as its code, tagged with its column (`_TAGS`)
-_KINDS = tuple(OpKind)
-_ADD, _SUB, _MUL, _SQR, _INV, _XFER = range(len(_KINDS))
-_ARITH_CODES = tuple((kind, _KINDS.index(kind)) for kind in ARITH_KINDS)
-# the FieldSpec attribute of each arithmetic kind code's raw op, and the
-# getter of those ops as a tuple indexed by code
-_RAW_NAMES = tuple(f"_{kind.name.lower()}" for kind in _KINDS[:_XFER])
-_raw_ops = attrgetter(*_RAW_NAMES)
+# the tape records each op's kind as its code (`fields.KIND_CODES`),
+# tagged with its column (`_TAGS`); the getter of a field's raw ops as a
+# tuple indexed by code
+_XFER = KIND_CODES.index(OpKind.XFER)
+_raw_ops = attrgetter(*_RAW_OPS)
 
 
 class Phase(enum.Enum):
@@ -125,29 +126,28 @@ AUDIT_BASELINE = {col: dict(zip(_ROWS, base))
 # codes, `_CODE_KINDS` decodes every tagged code, None where no op
 # has it, and `_CODE_PHASES` gives every tagged code its column's phase
 _TAGS = {col: i << 3 for i, col in enumerate(_COLUMNS)}
-_CODE_KINDS = (*_KINDS, *(None,) * (8 - len(_KINDS))) * len(_COLUMNS)
+_CODE_KINDS = (*KIND_CODES, *(None,) * (8 - len(KIND_CODES))) * len(_TAGS)
 _CODE_PHASES = tuple(phase for phase, _ in _COLUMNS.values()
                      for _ in range(8))
 
 
-# the one recorder per arity, made once per kind code (see `_Tape`)
-def _binary(code: int):
-    def record(self, a: int, b: int) -> int:
-        values = self.values
-        values.append(self._ops[code](values[a], values[b]))
-        self.kinds.append(code | self._tag)
-        self._operands.append((a, b))
-        return len(values) - 1
-    return record
-
-
-def _unary(code: int):
-    def record(self, a: int) -> int:
-        values = self.values
-        values.append(self._ops[code](values[a]))
-        self.kinds.append(code | self._tag)
-        self._operands.append((a,))
-        return len(values) - 1
+# the tape's recorder of an arithmetic kind code, binary or unary by its
+# kind's arity (see `_Tape`)
+def _recorder(code: int):
+    if ARITY[KIND_CODES[code]] == 2:
+        def record(self, a: int, b: int) -> int:
+            values = self.values
+            values.append(self._ops[code](values[a], values[b]))
+            self.kinds.append(code | self._tag)
+            self._operands.append((a, b))
+            return len(values) - 1
+    else:
+        def record(self, a: int) -> int:
+            values = self.values
+            values.append(self._ops[code](values[a]))
+            self.kinds.append(code | self._tag)
+            self._operands.append((a,))
+            return len(values) - 1
     return record
 
 
@@ -156,18 +156,18 @@ class _Tape:
 
     A kernel value is an index into the tape.  `add`, `sub` and `mul`
     are the one binary recorder and `sqr` and `inv` the one unary
-    recorder, each made once for its kind's code (an index into
-    `_KINDS`): it computes the raw int with the field's raw op for that
-    code (bound once per tape in `_ops`) and appends its value to
-    `values`, the code tagged with the open segment's column to the
-    `kinds` bytearray and its operand indices to `_operands`, and
-    returns the new index.  A compiled step appends one frame to
-    `_operands` for all its ops instead (`_step_source`); `operands` is
-    the read-only view of every op's operand indices in tape order,
-    built from both on each read.  `input` appends an input (XFER, its
-    code untagged) once per label, its value read from the run's table
-    of raw values by label, and files its index in `inputs` under the
-    label, in the order the inputs were first asked for.
+    recorder, by their kinds' `fields.ARITY`, each made once for its
+    kind's code (`fields.KIND_CODES`): it computes the raw int with the
+    field's raw op for that code (bound once per tape in `_ops`) and
+    appends its value to `values`, the code tagged with the open
+    segment's column to the `kinds` bytearray and its operand indices to
+    `_operands`, and returns the new index.  A compiled step appends one
+    frame to `_operands` for all its ops instead (`_step_source`);
+    `operands` is the read-only view of every op's operand indices in
+    tape order, built from both on each read.  `input` appends an input
+    (XFER, its code untagged) once per label, its value read from the
+    run's table of raw values by label, and files its index in `inputs`
+    under the label, in the order the inputs were first asked for.
     `is_zero` reads the computed value, so the kernels branch exactly as
     the real run does.
 
@@ -180,7 +180,7 @@ class _Tape:
     then each segment in tape order.  An op's phase follows from its
     segment's column (`_COLUMNS`) and its step from its segment, except
     that an XFER belongs to the init phase wherever a kernel first asks
-    for it.
+    for it; `columns` reads the tape as a task graph's columns.
     """
 
     def __init__(self, spec: FieldSpec, table: dict[str, int]):
@@ -200,8 +200,7 @@ class _Tape:
         # the field's raw ops, indexed by kind code
         self._ops = _raw_ops(spec)
 
-    add, sub, mul = _binary(_ADD), _binary(_SUB), _binary(_MUL)
-    sqr, inv = _unary(_SQR), _unary(_INV)
+    add, sub, mul, sqr, inv = map(_recorder, range(len(ARITH_KINDS)))
 
     def input(self, label: str) -> int:
         idx = self.inputs.get(label)
@@ -245,28 +244,38 @@ class _Tape:
             for (column, a), (_, b) in zip(bounds, bounds[1:]):
                 yield column, a, b
 
+    def columns(self) -> tuple[tuple, ...]:
+        """The six `procmodel.TaskGraph` columns of a tape with a result,
+        one entry per op: its kind and phase, decoded from its tagged
+        code (an XFER's names the init column); its operands; its loop
+        step's index, numbered by segment, or -1 outside the loop; and
+        an input's label and value, "" and None for any other op."""
+        # a tape with a result holds at least the base point's two
+        # inputs, so the getter of its codes returns tuples
+        decode = itemgetter(*self.kinds)
+        pidxs, steps = [], count()
+        for col, a, b in self.segments():
+            pidxs += [next(steps) if _COLUMNS[col][0] is Phase.ITERATE
+                      else -1] * (b - a)
+        labels, values = [""] * len(pidxs), [None] * len(pidxs)
+        # an input belongs to the whole run, wherever a kernel asked for it
+        for label, i in self.inputs.items():
+            labels[i] = label
+            values[i] = self.values[i]
+            pidxs[i] = -1
+        return (decode(_CODE_KINDS), self.operands, decode(_CODE_PHASES),
+                tuple(pidxs), tuple(labels), tuple(values))
+
 
 # ---------------------------------------------------------------------------
 # the compiled steps
 
 # the field a kernel is traced on: raw ops that compute nothing
-_TRACE_FIELD = SimpleNamespace(**dict.fromkeys(_RAW_NAMES, lambda *_: None))
-
-
-class _Texts(dict):
-    """A table that answers a missing key with its `str`: the table a
-    kernel is traced on, where each input's value is its label, and
-    `procmodel`'s int -> str spelling table."""
-
-    __missing__ = staticmethod(str)
+_TRACE_FIELD = SimpleNamespace(**dict.fromkeys(_RAW_OPS, lambda *_: None))
 
 
 def _tuple_of(items) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
-
-
-def _function(lines: list[str]) -> str:
-    return "\n    ".join(lines) + "\n"
 
 
 # each compiled step by name: the column of each segment it opens, in
@@ -305,10 +314,11 @@ def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
 
     The kernels are traced twice (`_trace`): once to learn which inputs
     they ask for, then asking for all of those first, so the function
-    reads its inputs before any op.  It computes every op into a local,
-    inline where `INLINE_OPS` gives the op an expression and by the
-    field's closure otherwise.  It returns None as soon as a logged
-    value is 0, having written nothing.  Otherwise it appends the values
+    reads its inputs before any op.  It computes every op into a local
+    as `fields.op_expression` writes it, inline where the field kind
+    has an expression for the op and by the field's closure otherwise.
+    It returns None as soon as a logged value is 0, having written
+    nothing.  Otherwise it appends the values
     and tagged kind codes of all its ops at once, its segments' (column,
     start) pairs to `starts`, and for their operands one frame, [writer,
     n, X1, Y1, Z1, *ins] with n the index of its first op, from which
@@ -327,28 +337,23 @@ def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
 
     refs = [*xyz, *(f"i{i}" for i in range(len(xyz), n_in))]
     frame = ", ".join(("n", *refs))
-    names, inline = INLINE_OPS[kind]
     ops, operands = range(n_in, len(tape.values)), tape.operands
+    # each op's kind code, with the tag cleared
+    codes = {i: tape.kinds[i] & 7 for i in ops}
+    names, closures = op_locals(kind, "tape.spec", sorted({*codes.values()}))
     step = [f"def {name}(tape, X1, Y1, Z1, ins, _writer={name}_operands):",
-            "values = tape.values",
-            *(f"{var} = tape.spec.{attr}" for var, attr in names.items())]
+            "values = tape.values", *names]
     if labels:
         step.append(f"{', '.join(refs[len(xyz):])}, = ins")
     for i in range(n_in):
         step.append(f"v{i} = values[{refs[i]}]")
         if i in guards:
             step.append(f"if v{i} == 0: return None")
-    # each op's raw op, by its kind code with the tag cleared
-    raw = {i: _RAW_NAMES[tape.kinds[i] & 7] for i in ops}
-    called = {raw[i] for i in ops} - inline.keys()
-    step += [f"{op} = tape.spec.{op}" for op in sorted(called)]
-    step.append("n = len(values)")
+    step += [*closures, "n = len(values)"]
     for i in ops:
         refs.append(at(i))
-        args = [f"v{a}" for a in operands[i]]
-        step.append(f"v{i} = " + (inline[raw[i]].format(*args)
-                                  if raw[i] in inline
-                                  else f"{raw[i]}({', '.join(args)})"))
+        step.append(f"v{i} = " + op_expression(
+            kind, codes[i], [f"v{a}" for a in operands[i]]))
         if i in guards:
             step.append(f"if v{i} == 0: return None")
     step += [f"values += {_tuple_of(f'v{i}' for i in ops)}",
@@ -362,19 +367,6 @@ def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
               "return " + _tuple_of(_tuple_of(refs[a] for a in operands[i])
                                     for i in ops)]
     return _function(writer) + _function(step), labels
-
-
-def _define(source: str, filename: str, **names) -> dict:
-    """The functions `source` defines, by name, from one `compile` with
-    `names` as their globals; the source is kept in `linecache` under
-    `filename`, so tracebacks and `inspect` show it."""
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    namespace = dict(names)
-    exec(compile(source, filename, "exec"), namespace)
-    # popped, so that no cycle runs through the functions' globals
-    return {name: namespace.pop(name) for name in [*namespace]
-            if name not in names and name != "__builtins__"}
 
 
 def _compile_steps(kind: FieldKind):
@@ -423,7 +415,7 @@ class OpTrace:
         kinds = tape.kinds
         for col, tag in _TAGS.items():
             counters = self._columns[col]
-            for kind, code in _ARITH_CODES:
+            for code, kind in enumerate(ARITH_KINDS):
                 counters[kind] += kinds.count(code | tag)
         columns = [col for col, _ in tape.starts]
         self.n_point_doubles += columns.count("point_double")

@@ -74,6 +74,32 @@ def test_bench_imports_resolve():
     assert not missing
 
 
+def test_op_facts_are_read_from_their_one_home():
+    """`procmodel` reads no `_`-prefixed name of `scalarmul`, and no
+    module but `fields` reads `INLINE_OPS`: the tape decodes its own
+    columns, and `fields` holds the op-kind facts and the one writer of
+    a field op into generated code."""
+    private, readers = [], []
+    for path in sorted((ROOT / "src" / "eccnoc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                if path.stem == "procmodel" and \
+                        (node.module or "").split(".")[-1] == "scalarmul":
+                    private += [name for name in names if name[0] == "_"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+                if path.stem == "procmodel" and node.attr[0] == "_" and \
+                        getattr(node.value, "id", None) == "scalarmul":
+                    private.append(node.attr)
+            else:
+                names = [getattr(node, "id", None)]
+            if "INLINE_OPS" in names and path.stem != "fields":
+                readers.append(path.name)
+    assert private == []
+    assert readers == []
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """The benchmark's `harness` and `workloads` modules."""

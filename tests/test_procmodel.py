@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eccnoc import procmodel, scalarmul
+from eccnoc import fields, procmodel
 from eccnoc.cli import main
 from eccnoc.errors import (DivisionByZero, FieldMismatch, MalformedGraph,
                            ResultAtInfinity)
@@ -50,7 +50,7 @@ result 4 4
 def _long_spellings():
     """The spelling tables as a 128-bit prime64 round trip leaves them,
     from empty ones."""
-    tables = [scalarmul._Texts(), {}]
+    tables = [fields._Texts(), {}]
     preset = PRESETS["prime64"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(procmodel, "_SPELLINGS", tables)
@@ -68,7 +68,7 @@ def _with_each_table(monkeypatch, run):
     outs = []
     for texts, numbers in (({}, {}), _long_spellings()):
         monkeypatch.setattr(procmodel, "_SPELLINGS",
-                            [scalarmul._Texts(texts), dict(numbers)])
+                            [fields._Texts(texts), dict(numbers)])
         outs.append(run())
     assert outs[0] == outs[1]
 
@@ -133,6 +133,24 @@ def _malformed_graph_messages():
         with pytest.raises(MalformedGraph) as exc:
             TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{px}"
                                 f"1 SQR iterate 0 {ops} - -\nresult 1 1\n")
+        assert str(exc.value) == message
+        messages.append(message)
+    # a 4000-digit operand, point-op index, task id or result id is named
+    # by its width, so the message stays short
+    huge = "9" * 4000
+    for body, message in (
+            (f"{px}1 SQR iterate 0 {huge} - -\nresult 1 1",
+             "task 1 references a 13288-bit int, which is not an earlier "
+             "task"),
+            (f"{px}1 SQR init {huge} 0 - -\nresult 1 1",
+             "task 1 has point-op index a 13288-bit int in the init phase; "
+             "an iterate task's is 0 or more, any other's is -1"),
+            (f"{px}{huge} SQR iterate 0 0 - -\nresult 1 1",
+             "task ids must be consecutive from 0; saw a 13288-bit int at 1"),
+            (f"{px}result 0 {huge}",
+             "result id a 13288-bit int does not exist")):
+        with pytest.raises(MalformedGraph) as exc:
+            TaskGraph.from_text(f"taskgraph 1 fieldbits 5\n{body}\n")
         assert str(exc.value) == message
         messages.append(message)
     # a refused text leaves the shared table as it was
@@ -205,7 +223,7 @@ def test_both_spelling_tables_hold_one_str_per_number(monkeypatch):
     int -> str table as far as that reaches, and no more entries than
     the text needs; a refused text, even one longer than any read
     before, leaves both tables as they were."""
-    monkeypatch.setattr(procmodel, "_SPELLINGS", [scalarmul._Texts(), {}])
+    monkeypatch.setattr(procmodel, "_SPELLINGS", [fields._Texts(), {}])
     G = _compile(PRESETS["prime64"], 0xe3c45e0ad1bbea06)
     text = G.to_text()
     texts = procmodel._SPELLINGS[0]
@@ -284,6 +302,25 @@ def test_column_entry_types_are_checked(p17):
             ({"field_bits": True}, "an int field width")):
         with pytest.raises(MalformedGraph, match=reason):
             dataclasses.replace(G, **bad)
+    # an int past the interpreter's digit limit for `str` is named by its
+    # width and any other operand by a repr cut short, so each message
+    # stays short
+    huge = 10**5000
+    for bad, message in (
+            (_put(G, "point_op_index", 0, -huge),
+             "task 0 has point-op index a negative 16610-bit int in the init "
+             "phase; an iterate task's is 0 or more, any other's is -1"),
+            (_put(G, "operands", arith, (huge, 0)),
+             f"task {arith} references a 16610-bit int, which is not an "
+             f"earlier task"),
+            (_put(G, "operands", arith, ("7" * 5000, 0)),
+             f"task {arith} references '{'7' * 12}...{'7' * 13}', which is "
+             f"not an earlier task"),
+            ({"result": (G.result[0], huge)},
+             "result id a 16610-bit int does not exist")):
+        with pytest.raises(MalformedGraph) as exc:
+            dataclasses.replace(G, **bad)
+        assert str(exc.value) == message
 
 
 def test_phase_index_and_label_rules_are_checked(p17):
@@ -315,7 +352,7 @@ def test_each_entry_is_typed_before_it_is_read(p17):
     entry's type before a rule reads it (a kind before its arity)."""
     G = _compile(p17, 13)
     entries = (None, "0", 0.5, True, -2, (), (0,), (0, 0), OpKind.XFER,
-               Phase.ITERATE, 2**40)
+               Phase.ITERATE, 2**40, 10**5000, -10**5000, (10**5000, 0))
     columns = [field.name for field in dataclasses.fields(G)][:6]
     edits = [_put(G, column, tid, entry) for column in columns
              for tid in (0, G.kinds.index(OpKind.MUL)) for entry in entries]

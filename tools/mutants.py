@@ -81,6 +81,18 @@ MUTANTS = (
            "not 0 <= o < tid:",
            "not 0 <= o <= tid:",
            "the validator lets a task read itself"),
+    Mutant("src/eccnoc/fields.py",
+           "raw, inline = _RAW_OPS[code], INLINE_OPS[kind][1]",
+           "raw, inline = _RAW_OPS[code or 1], INLINE_OPS[kind][1]",
+           "the shared op writer writes ADD as SUB"),
+    Mutant("src/eccnoc/fields.py",
+           "OpKind.SUB: 2",
+           "OpKind.SUB: 1",
+           "SUB takes one operand"),
+    Mutant("src/eccnoc/scalarmul.py",
+           "pidxs, steps = [], count()",
+           "pidxs, steps = [], count(1)",
+           "the tape numbers its loop steps from 1"),
 )
 
 
