@@ -26,7 +26,7 @@ from typing import Optional
 
 from .config import (RunConfig, _parse_dec, load_placement, load_run_config,
                      parse_hex)
-from .curves import _KERNELS
+from .curves import _COORDINATES
 from .errors import BadValue, EccNocError, EmptyTrace, OracleBoundExceeded
 from .fields import _show
 from .nocsim import (DEFAULT_ROLE_COUNTS, corner_first_placement,
@@ -73,7 +73,7 @@ def cmd_mul(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(_dump_json(doc))
     else:
         print(f"curve: {cfg.curve_name} ({cfg.curve.field.tag}, "
-              f"{_KERNELS[cfg.curve.field.kind][3]})")
+              f"{_COORDINATES[cfg.curve.field.kind]})")
         print(f"k: {cfg.k:x}")
         res, t = doc["result"], doc["trace"]
         print("result: " + ("infinity" if res["infinity"]

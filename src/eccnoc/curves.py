@@ -17,18 +17,22 @@ kernel takes the tape and the accumulator's X, Y and Z, and asks the
 tape for every other input by its label alone: the affine addend `Px`
 and `Py`, the coefficients `a` and `b`, and the constants `one` and
 `zero`, whose raw values `_run_table` gives, one table per run.
-`scalarmul` also compiles the doubling, and the doubling followed by
-the mixed addition, once per field kind, into straight-line functions
-of their general paths, traced from the kernels; a loop step runs
-those, and a kernel itself only when a zero test of its general path
-fails.  The public projective functions below run a
-kernel on a fresh tape, with the point's coordinates as the inputs
-`X`, `Y` and `Z`.  A `ProjectivePoint` is a bare (X, Y, Z): its
-coordinate system is the curve's, which the field kind fixes, so only
-the field is checked.  Doubling is branch-free: the formulas send Z to
-0 exactly when the true result is infinity.  Mixed addition branches on
-concrete zero tests (infinity input, equal or inverse points); only the
-general path is the measured steady state.
+`_KERNELS` holds each field kind's kernels by the audit column they
+count under (`point_double`, `point_add`, `convert`), and
+`_COORDINATES` the name of its coordinate system.  `scalarmul` names
+each loop step by its columns and compiles it, once per field kind,
+into a straight-line function of the general path of those columns'
+kernels, traced from them.  A loop step runs that function; when a
+zero test of the general path fails, the function records nothing and
+the step is recorded by its columns' kernels instead.  The public
+projective functions below run one column's kernel on a fresh tape,
+with the point's coordinates as the inputs `X`, `Y` and `Z`.  A
+`ProjectivePoint` is a bare (X, Y, Z): its coordinate system is the
+curve's, which the field kind fixes, so only the field is checked.
+Doubling is branch-free: the formulas send Z to 0 exactly when the true
+result is infinity.  Mixed addition branches on concrete zero tests
+(infinity input, equal or inverse points); only the general path is
+the measured steady state.
 """
 
 from __future__ import annotations
@@ -330,14 +334,18 @@ def _ld_to_affine_kernel(ops, X1, Y1, Z1):
     return x, y
 
 
-# per field kind: the double, mixed-add and to-affine kernels of its
-# coordinate system, then the system's name
+# per field kind, the kernel of its coordinate system that each audit
+# column counts: the doubling, the mixed addition and the conversion to
+# affine; and the name of that coordinate system
 _KERNELS = {
-    FieldKind.PRIME: (_jac_double_kernel, _jac_madd_kernel,
-                      _jac_to_affine_kernel, "jacobian"),
-    FieldKind.BINARY: (_ld_double_kernel, _ld_madd_kernel,
-                       _ld_to_affine_kernel, "lopez-dahab"),
+    FieldKind.PRIME: {"point_double": _jac_double_kernel,
+                      "point_add": _jac_madd_kernel,
+                      "convert": _jac_to_affine_kernel},
+    FieldKind.BINARY: {"point_double": _ld_double_kernel,
+                       "point_add": _ld_madd_kernel,
+                       "convert": _ld_to_affine_kernel},
 }
+_COORDINATES = {FieldKind.PRIME: "jacobian", FieldKind.BINARY: "lopez-dahab"}
 
 
 # ---------------------------------------------------------------------------
@@ -351,30 +359,30 @@ def to_projective(curve: CurveParams, P: AffinePoint) -> ProjectivePoint:
     return ProjectivePoint(P.x, P.y, f.one)
 
 
-def _run_kernel(curve: CurveParams, P: ProjectivePoint, which: int,
+def _run_kernel(curve: CurveParams, P: ProjectivePoint, column: str,
                 q: AffinePoint = INFINITY):
-    """Run kernel `which` of the curve's `_KERNELS` on P's coordinates,
-    loaded onto a fresh tape as the inputs `X`, `Y` and `Z` beside the
-    run's table for the addend q; return its outputs as elements, or
-    None when the kernel reports infinity."""
+    """Run the curve's kernel of audit column `column` (`_KERNELS`) on
+    P's coordinates, loaded onto a fresh tape as the inputs `X`, `Y` and
+    `Z` beside the run's table for the addend q; return its outputs as
+    elements, or None when the kernel reports infinity."""
     if P.X.spec != curve.field:
         raise FieldMismatch("point coordinates live outside the curve field")
     from .scalarmul import _Tape  # scalarmul imports this module
     tape = _Tape(curve.field, {**_run_table(curve, q), "X": P.X.value,
                                "Y": P.Y.value, "Z": P.Z.value})
-    out = _KERNELS[curve.field.kind][which](tape, *map(tape.input, "XYZ"))
+    out = _KERNELS[curve.field.kind][column](tape, *map(tape.input, "XYZ"))
     return None if out is None else [tape.element(i) for i in out]
 
 
 def to_affine(curve: CurveParams, P: ProjectivePoint) -> AffinePoint:
     """Convert back to affine with exactly one field inversion."""
-    out = _run_kernel(curve, P, 2)
+    out = _run_kernel(curve, P, "convert")
     return INFINITY if out is None else AffinePoint(*out)
 
 
 def point_double_projective(curve: CurveParams,
                             P: ProjectivePoint) -> ProjectivePoint:
-    return ProjectivePoint(*_run_kernel(curve, P, 0))
+    return ProjectivePoint(*_run_kernel(curve, P, "point_double"))
 
 
 def point_add_projective(curve: CurveParams, P: ProjectivePoint,
@@ -383,5 +391,5 @@ def point_add_projective(curve: CurveParams, P: ProjectivePoint,
     _require_on_curve(curve, q)
     if q.is_infinity:
         raise NotOnCurve("mixed addition needs a finite affine addend")
-    return ProjectivePoint(*_run_kernel(curve, P, 1, q))
+    return ProjectivePoint(*_run_kernel(curve, P, "point_add", q))
 

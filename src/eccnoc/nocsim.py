@@ -442,10 +442,9 @@ def simulate(G: TaskGraph, cm: CostModel, mesh: MeshConfig,
                 f"placement has no {role.value} core; the graph needs one")
     io = cores[CoreRole.IO][0]
     hop = mesh.hop_cycles
+    # a graph is at most MAX_FIELD_BITS wide, so at most
+    # MAX_FLITS_PER_VALUE flits carry one of its values
     flits = mesh.flits_per_value or -(-G.field_bits // 32)
-    if flits > MAX_FLITS_PER_VALUE:
-        raise BadValue(f"values wider than {MAX_FIELD_BITS} bits "
-                       f"need more than {MAX_FLITS_PER_VALUE} flits")
     # the cycles a value's head flit takes from core a's tile to core b's,
     # its contention-free latency less the `tail` flits behind it; since
     # hop >= 1, sums of these order cores as sums of hops do

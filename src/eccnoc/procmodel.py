@@ -15,8 +15,9 @@ carry the init column's tag; no other common subexpression is merged.
 A `TaskGraph` is a frozen dataclass of one tuple per task attribute,
 indexed by task id (`kinds`, `operands`, `phases`, `point_op_index`,
 `labels`, and `values`: an XFER's raw value, None for the others), the
-`result` pair and the field width, which sizes value transfers.  Ids are
-emission order, so they are a topological order of the DAG.
+`result` pair and the field width, at most `fields.MAX_FIELD_BITS`,
+which sizes value transfers.  Ids are emission order, so they are a
+topological order of the DAG.
 `compile_scalar_mul` and `from_text` call the generated constructor,
 whose `__post_init__` is the one validator.  `tasks` is a row view of
 `Task` objects, built only on request; hand-written graphs are text.
@@ -69,9 +70,9 @@ from typing import Callable, Optional
 
 from .curves import AffinePoint, CurveParams
 from .errors import BadValue, FieldMismatch, MalformedGraph, ResultAtInfinity
-from .fields import (ARITH_KINDS, ARITY, KIND_CODES, FieldElement,
-                     FieldKind, OpKind, _define, _function, _require_ints,
-                     _show, _Texts, op_expression, op_locals)
+from .fields import (ARITH_KINDS, ARITY, KIND_CODES, MAX_FIELD_BITS,
+                     FieldElement, FieldKind, OpKind, _define, _function,
+                     _require_ints, _show, _Texts, op_expression, op_locals)
 from .scalarmul import Phase, run_binary_method
 
 _FORMAT_HEADER = "taskgraph 1"
@@ -209,6 +210,10 @@ class TaskGraph:
             raise MalformedGraph("graph has no tasks")
         if self.field_bits < 1:
             raise MalformedGraph("field width must be positive")
+        if self.field_bits > MAX_FIELD_BITS:
+            raise MalformedGraph(
+                f"field width {_show(self.field_bits)} is wider than the "
+                f"widest field, {MAX_FIELD_BITS} bits")
         bits, xfer, init, iterate = \
             self.field_bits, OpKind.XFER, Phase.INIT, Phase.ITERATE
         # one pass over the tasks: each task's entries in column order,

@@ -9,22 +9,25 @@ Every run is recorded on a tape (`run_binary_method`) held as columns.
 The tape has one recorder per arity, a binary one for add, sub and mul
 and a unary one for sqr and inv; each computes the op's value on raw
 ints and appends it, its kind as a one-byte code and its operands.  The
-tape also keeps one list of segments: where each loop step and the
-conversion begin, each named by the audit column it counts under
-(`point_double`, `point_add` or `convert`); an op's phase and step
-follow from its segment, not from the op.  Each op's code also carries
-its segment's column in bits 3-4 (`_TAGS`), and an XFER the init
-column's.  A run that does no work (k = 0 or P at infinity) is an empty
-tape with no result.
+tape also keeps one list of segments: where each point operation and
+the conversion begin, each named by the audit column it counts under
+(`point_double`, `point_add` or `convert`) and recorded by that
+column's kernel (`curves._KERNELS`); an op's phase and step follow
+from its segment, not from the op.  Each op's code also carries its
+segment's column in bits 3-4 (`_TAGS`), and an XFER the init column's.
+A run that does no work (k = 0 or P at infinity) is an empty tape with
+no result.
 
-Each loop step is recorded by a compiled step first (`_COMPILED`).  At
-import, the doubling and the doubling followed by mixed addition of
-each field kind (`_STEPS`) each run once on a tape whose every input's
-value is its label (`_Texts`), each kernel in a segment of its column,
-taking the general branch at every zero test and logging the value
-tested as a guard; the ops they record become one straight-line
-function, compiled once per field kind, and the labels they ask for
-are kept beside it.  The function computes each op as
+A loop step is named in `_STEPS` by the columns of the segments it
+opens, in order: `double` is a doubling, `double_madd` a doubling then
+a mixed addition.  It is recorded by a compiled step first
+(`_COMPILED`).  At import, each step of each field kind is interpreted
+once (`_interpret`: the kernel of each of its columns in turn, each in
+a segment it opens) on a tape whose every input's value is its label
+(`_Texts`), taking the general branch at every zero test and logging
+the value tested as a guard; the ops it records become one
+straight-line function, compiled once per field kind, and the labels
+it asks for are kept beside it.  The function computes each op as
 `fields.op_expression` writes it, inline where the field kind has an
 expression for it (every GF(p) add, sub, mul and sqr, every GF(2^m)
 add and sub) and by the field's closure otherwise, and appends the
@@ -38,16 +41,13 @@ named by its label alone, its value read from the run's table
 base point) are asked for once per run, right after the embedding and
 in the order the first doubling's kernel asks for them, so each keeps
 the id the kernels alone give it.  A clear bit of k runs the compiled
-doubling, a set bit the compiled doubling followed by mixed addition.
-When a guard's value is 0 (an accumulator at infinity, equal or inverse
-points) the compiled step returns None having recorded nothing, and the
-loop records the step by its interpreted kernel instead, op by op, in a
-segment it opens for it (`begin_step`).  A set bit whose compiled step
-declines runs the doubling, compiled or interpreted as for a clear bit,
-then the interpreted mixed addition: the doubling tests no value, so
-only the addition can have failed its test, and a compiled mixed
-addition would fail it too.  Either way the tape is the one the kernels
-alone record.  The kernels stay the one statement of the formulas.
+`double`, a set bit the compiled `double_madd`.  One rule covers every
+step that declines: when a guard's value is 0 (an accumulator at
+infinity, equal or inverse points) the compiled step returns None
+having recorded nothing, and the loop interprets the step as it was
+traced, op by op, its columns' kernels each in a segment it opens
+(`begin_step`).  Either way the tape is the one the kernels alone
+record.  The kernels stay the one statement of the formulas.
 
 The tape is the one program both consumers read.  `scalar_mul` counts
 it into an `OpTrace` by column and phase:
@@ -79,8 +79,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .curves import (AffinePoint, CurveParams, INFINITY, _add_affine_raw,
-                     _KERNELS, _embed_kernel, _require_on_curve,
-                     _run_table)
+                     _COORDINATES, _KERNELS, _embed_kernel,
+                     _require_on_curve, _run_table)
 from .errors import BadValue, EmptyTrace, OracleBoundExceeded
 from .fields import (ARITH_KINDS, ARITY, KIND_CODES, MAX_FIELD_BITS,
                      FieldElement, FieldKind, FieldSpec, OpKind, _RAW_OPS,
@@ -174,13 +174,14 @@ class _Tape:
     No op carries its phase or step.  `starts` holds one (column, index)
     pair per segment after the init ops: the audit column the segment
     counts under and the index where it begins, appended by a compiled
-    step for each step it records, and by `begin_step` before an
-    interpreted one; the conversion is the segment named `convert`.
-    `segments` reads them as (column, start, end) ranges: the init ops,
-    then each segment in tape order.  An op's phase follows from its
-    segment's column (`_COLUMNS`) and its step from its segment, except
-    that an XFER belongs to the init phase wherever a kernel first asks
-    for it; `columns` reads the tape as a task graph's columns.
+    step for each segment it opens, and by `begin_step` before each
+    kernel run op by op (`_interpret`); the conversion is the segment
+    named `convert`.
+    An op's phase follows from its segment's column (`_COLUMNS`) and its
+    step from its segment, the init ops being those before the first,
+    except that an XFER belongs to the init phase wherever a kernel
+    first asks for it; `columns` reads the tape as a task graph's
+    columns.
     """
 
     def __init__(self, spec: FieldSpec, table: dict[str, int]):
@@ -236,14 +237,6 @@ class _Tape:
         self.starts.append((column, len(self.values)))
         self._tag = _TAGS[column]
 
-    def segments(self):
-        """(column, start, end) of the init ops and each segment, in tape
-        order; an empty tape has none."""
-        if self.values:
-            bounds = [("init", 0), *self.starts, ("", len(self.values))]
-            for (column, a), (_, b) in zip(bounds, bounds[1:]):
-                yield column, a, b
-
     def columns(self) -> tuple[tuple, ...]:
         """The six `procmodel.TaskGraph` columns of a tape with a result,
         one entry per op: its kind and phase, decoded from its tagged
@@ -253,8 +246,10 @@ class _Tape:
         # a tape with a result holds at least the base point's two
         # inputs, so the getter of its codes returns tuples
         decode = itemgetter(*self.kinds)
+        # the init ops, then each segment, as (column, start) pairs
+        bounds = [("init", 0), *self.starts, ("", len(self.values))]
         pidxs, steps = [], count()
-        for col, a, b in self.segments():
+        for (col, a), (_, b) in zip(bounds, bounds[1:]):
             pidxs += [next(steps) if _COLUMNS[col][0] is Phase.ITERATE
                       else -1] * (b - a)
         labels, values = [""] * len(pidxs), [None] * len(pidxs)
@@ -278,30 +273,33 @@ def _tuple_of(items) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-# each compiled step by name: the column of each segment it opens, in
-# order, where a segment of column `point_double` runs the doubling
-# kernel and one of `point_add` the mixed addition
+# each loop step by name: the column of each segment it opens, in order
 _STEPS = {"double": ("point_double",),
           "double_madd": ("point_double", "point_add")}
-_LOOP_KERNELS = {"point_double": 0, "point_add": 1}   # index in _KERNELS
+
+
+def _interpret(tape: _Tape, kernels: dict, columns: tuple[str, ...], out):
+    """Record a loop step op by op from the accumulator `out`: the kernel
+    of each of its `columns` (`curves._KERNELS`) in turn, each in a
+    segment it opens; return the last kernel's outputs."""
+    for column in columns:
+        tape.begin_step(column)
+        out = kernels[column](tape, *out)
+    return out
 
 
 def _trace(kind: FieldKind, columns: tuple[str, ...], labels=()):
-    """A tape of `_Texts` on which the loop kernels of field kind `kind`
-    for `columns` ran in turn from the inputs X1, Y1 and Z1, each in a
-    segment of its column, after the inputs `labels` were asked for;
-    the indices its `is_zero` logged, answering False to each; and the
-    indices the last kernel returned."""
+    """A tape of `_Texts` on which the step of `columns` was interpreted
+    over field kind `kind` from the inputs X1, Y1 and Z1, after the
+    inputs `labels` were asked for; the indices its `is_zero` logged,
+    answering False to each; and the indices the last kernel returned."""
     tape = _Tape(_TRACE_FIELD, _Texts())
     guards: list[int] = []
     tape.is_zero = guards.append
-    out = tuple(map(tape.input, ("X1", "Y1", "Z1")))
+    xyz = tuple(map(tape.input, ("X1", "Y1", "Z1")))
     for label in labels:
         tape.input(label)
-    for column in columns:
-        tape.begin_step(column)
-        out = _KERNELS[kind][_LOOP_KERNELS[column]](tape, *out)
-    return tape, guards, out
+    return tape, guards, _interpret(tape, _KERNELS[kind], columns, xyz)
 
 
 def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
@@ -370,24 +368,24 @@ def _step_source(name: str, kind: FieldKind) -> tuple[str, tuple[str, ...]]:
 
 
 def _compile_steps(kind: FieldKind):
-    """The compiled steps of field kind `kind`'s kernels in `_STEPS`'
-    order from one `_define`, each with the labels of its inputs."""
+    """The compiled steps of field kind `kind`'s kernels by name, in
+    `_STEPS`' order, from one `_define`, each with the labels of its
+    inputs."""
     sources, labels = zip(*(_step_source(name, kind) for name in _STEPS))
-    # every input a mixed addition asks for is on the tape from the
-    # embedding or the first doubling, so asking for it before the
-    # first doubling moves no XFER (see `run_binary_method`)
-    assert set(labels[1]) <= {"Px", "Py", *labels[0]}, \
-        "a mixed addition asks for an input no doubling asks for"
+    # every input a step asks for is on the tape from the embedding or
+    # the first step, the doubling, so asking for it before the first
+    # doubling moves no XFER (see `run_binary_method`)
+    assert all(set(names) <= {"Px", "Py", *labels[0]} for names in labels), \
+        "a step asks for an input no doubling asks for"
     # each step holds its writer as a default
-    steps = _define("".join(sources), f"<{_KERNELS[kind][3]} steps>")
-    return tuple((steps[name], names) for name, names in zip(_STEPS, labels))
+    steps = _define("".join(sources), f"<{_COORDINATES[kind]} steps>")
+    return {name: (steps[name], names) for name, names in zip(_STEPS, labels)}
 
 
-# per field kind, its compiled doubling and doubling followed by mixed
-# addition, each of which records its general path and returns its
-# outputs, or returns None, having recorded nothing, when a zero test of
-# that path fails; each with the labels of the inputs whose tape indices
-# it reads as `ins`
+# per field kind, each compiled step by name, which records its general
+# path and returns its outputs, or returns None, having recorded
+# nothing, when a zero test of that path fails; each with the labels of
+# the inputs whose tape indices it reads as `ins`
 _COMPILED = {kind: _compile_steps(kind) for kind in _KERNELS}
 
 
@@ -451,13 +449,6 @@ class OpTrace:
         }
 
 
-def _kernel_step(tape: _Tape, column: str, kernel, X, Y, Z):
-    """Record one loop step op by op: `kernel` in a segment opened for
-    it, counted under `column`."""
-    tape.begin_step(column)
-    return kernel(tape, X, Y, Z)
-
-
 def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     """Record one double-and-add run of k*P on a fresh tape.
 
@@ -478,30 +469,26 @@ def run_binary_method(curve: CurveParams, k: int, P: AffinePoint) -> _Tape:
     tape = _Tape(curve.field, _run_table(curve, P))
     if k == 0 or P.is_infinity:
         return tape
-    double, madd, to_aff, _ = _KERNELS[curve.field.kind]
+    kernels = _KERNELS[curve.field.kind]
     X, Y, Z = _embed_kernel(tape)
     if k > 1:
-        # every step's inputs, asked for once, the doubling's first in the
-        # order its kernel would ask for them; the embedding and that
-        # doubling ask for every one a mixed addition asks for, so each
-        # XFER keeps the id the kernels alone give it
-        (fast_double, double_ins), (fast_both, both_ins) = [
-            (step, tuple(map(tape.input, labels)))
-            for step, labels in _COMPILED[curve.field.kind]]
-    # the bits of k after its leading one: each doubles, a set one then
-    # adds, both in one compiled step unless it declines
-    for bit in bin(k)[3:]:
-        if bit == "1":
-            out = fast_both(tape, X, Y, Z, both_ins)
-            if out is not None:
-                X, Y, Z = out
-                continue
-        X, Y, Z = (fast_double(tape, X, Y, Z, double_ins)
-                   or _kernel_step(tape, "point_double", double, X, Y, Z))
-        if bit == "1":
-            X, Y, Z = _kernel_step(tape, "point_add", madd, X, Y, Z)
+        # every step's inputs, asked for once in `_STEPS`' order, the
+        # doubling's first in the order its kernel would ask for them;
+        # the embedding and that doubling ask for every one another step
+        # asks for, so each XFER keeps the id the kernels alone give it
+        steps = {name: (step, tuple(map(tape.input, labels)), _STEPS[name])
+                 for name, (step, labels)
+                 in _COMPILED[curve.field.kind].items()}
+        # the bits of k after its leading one: a clear one doubles, a set
+        # one doubles then adds, each in one compiled step; a step that
+        # declines has recorded nothing, and its columns' kernels record
+        # it instead
+        by_bit = {"0": steps["double"], "1": steps["double_madd"]}
+        for step, ins, columns in map(by_bit.__getitem__, bin(k)[3:]):
+            X, Y, Z = (step(tape, X, Y, Z, ins)
+                       or _interpret(tape, kernels, columns, (X, Y, Z)))
     tape.begin_step("convert")
-    tape.result = to_aff(tape, X, Y, Z)
+    tape.result = kernels["convert"](tape, X, Y, Z)
     return tape
 
 

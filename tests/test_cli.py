@@ -40,8 +40,13 @@ def run_cli(capsys, *argv):
 def test_mul_text(capsys, p17):
     code, out, err = run_cli(capsys, "mul", "--curve", "p17", "--k", "d")
     assert code == 0 and not err
+    assert out.startswith("curve: p17 (GF(17), jacobian)\n")
     assert "result: x=10 y=4" in out
     assert "point doublings: 3" in out
+    # each field kind's line names its coordinate system
+    code, out, err = run_cli(capsys, "mul", "--curve", "b4", "--k", "d")
+    assert code == 0 and not err
+    assert out.startswith("curve: b4 (GF(2^4), lopez-dahab)\n")
 
 
 def test_mul_json_round_trip(capsys, p17):

@@ -82,13 +82,15 @@ def test_membership_errors(p17):
     assert not is_on_curve(p17.curve, off)
     with pytest.raises(NotOnCurve):
         point_add_affine(p17.curve, off, p17.base)
-    with pytest.raises(NotOnCurve):
+    with pytest.raises(NotOnCurve, match=r"^Point\(GF\(17\):5, GF\(17\):2\) "
+                       r"does not satisfy the curve equation$"):
         point_neg(p17.curve, off)
     foreign = FieldSpec.prime(19)
     with pytest.raises(FieldMismatch):
         is_on_curve(p17.curve, AffinePoint(foreign.element(5),
                                            foreign.element(1)))
     # infinity is on the curve, but has no affine coordinates to add
+    assert repr(INFINITY) == "Point(infinity)"
     with pytest.raises(NotOnCurve, match="finite affine addend"):
         point_add_projective(p17.curve, to_projective(p17.curve, p17.base),
                              INFINITY)

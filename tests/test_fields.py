@@ -335,7 +335,8 @@ def _naive_irreducible(f):
 
 
 def test_irreducibility_against_trial_division():
-    for m in range(2, 13):
+    # degree 1 (z and z + 1) is irreducible before any test runs
+    for m in range(1, 13):
         for f in range(1 << m, 1 << (m + 1)):
             assert is_irreducible(f) == _naive_irreducible(f), bin(f)
 
@@ -626,6 +627,9 @@ def test_is_prime_on_either_side_of_the_exact_bound():
     assert all(_strong_prp(n, a) for a in fields._MR_BASES)
     assert not fields._is_prime(n)
     assert fields._is_prime(2 ** 2048 - 1557)
+    # nothing below 2 is prime; no base divides 1, whose n - 1 = 0 the
+    # test would halve forever
+    assert not any(map(fields._is_prime, (-7, 0, 1)))
 
 
 def test_strong_lucas_against_sieve():

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eccnoc.errors import (BadValue, EccNocError, MissingCoreRole, OutOfMesh,
-                           TooManyCores)
+from eccnoc.errors import (BadValue, EccNocError, MalformedGraph,
+                           MissingCoreRole, OutOfMesh, TooManyCores)
 from eccnoc.fields import OpKind
 from eccnoc.nocsim import (CoreRole, DEFAULT_ROLE_COUNTS, MAX_FLITS_PER_VALUE,
                            MAX_TILES, MeshConfig, Placement, centrality,
@@ -625,18 +625,21 @@ def test_default_flit_count_follows_field_width(p17):
                    pl64)
     assert rep.flits_per_value == 5
     # the width is an exact int: rounded up to 32-bit flits, to the limit
+    # of the widest field, past which the text reads as no graph
     text = G.to_text()
 
-    def flits(field_bits):
-        Gw = TaskGraph.from_text(text.replace(
+    def graph(field_bits):
+        return TaskGraph.from_text(text.replace(
             "fieldbits 5", f"fieldbits {field_bits}", 1))
-        return simulate(Gw, cm, MESH, pl).flits_per_value
+
+    def flits(field_bits):
+        return simulate(graph(field_bits), cm, MESH, pl).flits_per_value
 
     assert flits(32 * 3) == 3 and flits(32 * 3 + 1) == 4
     assert flits(32 * MAX_FLITS_PER_VALUE) == MAX_FLITS_PER_VALUE
     for field_bits in (32 * MAX_FLITS_PER_VALUE + 1, 10**400):
-        with pytest.raises(BadValue, match="flits"):
-            flits(field_bits)
+        with pytest.raises(MalformedGraph, match="wider than the widest"):
+            graph(field_bits)
 
 
 @st.composite

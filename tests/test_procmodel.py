@@ -158,6 +158,8 @@ def _malformed_graph_messages():
     for text, reason in (
             (_TINY_TEXT.replace("fieldbits 5", "fieldbits 0"),
              "field width must be positive"),
+            (_TINY_TEXT.replace("fieldbits 5", "fieldbits 2049"),
+             "field width 2049 is wider than the widest field, 2048 bits"),
             ("nonsense\n" + _TINY_TEXT, "unrecognised header"),
             (_TINY_TEXT.replace("result 4 4", "result 4"),
              "must name the result pair"),
@@ -317,7 +319,10 @@ def test_column_entry_types_are_checked(p17):
              f"task {arith} references '{'7' * 12}...{'7' * 13}', which is "
              f"not an earlier task"),
             ({"result": (G.result[0], huge)},
-             "result id a 16610-bit int does not exist")):
+             "result id a 16610-bit int does not exist"),
+            ({"field_bits": huge},
+             "field width a 16610-bit int is wider than the widest field, "
+             "2048 bits")):
         with pytest.raises(MalformedGraph) as exc:
             dataclasses.replace(G, **bad)
         assert str(exc.value) == message

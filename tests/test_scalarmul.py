@@ -8,12 +8,12 @@ from collections import Counter
 import pytest
 
 from eccnoc import procmodel, scalarmul
-from eccnoc.curves import (_KERNELS, AffinePoint, CurveParams, INFINITY,
-                           ProjectivePoint, point_add_affine, point_neg,
-                           to_affine)
+from eccnoc.curves import (_COORDINATES, _KERNELS, AffinePoint, CurveParams,
+                           INFINITY, ProjectivePoint, _run_table,
+                           point_add_affine, point_neg, to_affine)
 from eccnoc.errors import (BadValue, EmptyTrace, NotOnCurve,
                            OracleBoundExceeded)
-from eccnoc.fields import FieldKind, OpKind
+from eccnoc.fields import FieldKind, OpKind, _define
 from eccnoc.presets import PRESETS, get_preset
 from eccnoc.scalarmul import (AUDIT_BASELINE, OpTrace, Phase, count_report,
                               run_binary_method, scalar_mul,
@@ -91,7 +91,7 @@ def _interpreted(monkeypatch):
     def declined(*args):
         return None
     monkeypatch.setattr(scalarmul, "_COMPILED", dict.fromkeys(
-        scalarmul._COMPILED, ((declined, ()),) * len(scalarmul._STEPS)))
+        scalarmul._COMPILED, dict.fromkeys(scalarmul._STEPS, (declined, ()))))
 
 
 def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
@@ -132,17 +132,17 @@ def test_column_counts_equal_a_per_op_recount(p17, b4, monkeypatch):
 
 
 def _tape_columns(tape):
-    """The tape's columns, its first segment opened past any inputs at
-    its start: a run asks for its steps' inputs before its first step,
-    while the interpreted kernels ask for them inside it."""
+    """A copy of the tape's columns, its first segment opened past any
+    inputs at its start: a run asks for its steps' inputs before its
+    first step, while the interpreted kernels ask for them inside it."""
     starts = list(tape.starts)
     if starts:
         column, a = starts[0]
         while a < len(tape.kinds) and tape.kinds[a] == scalarmul._XFER:
             a += 1
         starts[0] = (column, a)
-    return (tape.values, bytes(tape.kinds), tape.operands, tape.inputs,
-            starts, tape.result)
+    return (list(tape.values), bytes(tape.kinds), tape.operands,
+            dict(tape.inputs), starts, tape.result)
 
 
 def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
@@ -164,8 +164,8 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
                    for k in [1, 1 << 63, *((1 << 63) | rng.getrandbits(63)
                                            for _ in range(8))]]
     declined = Counter()
-    for kind, (double, madd, *rest) in list(_KERNELS.items()):
-        def counted(ops, X1, Y1, Z1, madd=madd):
+    for kind, kernels in list(_KERNELS.items()):
+        def counted(ops, X1, Y1, Z1, madd=kernels["point_add"]):
             # the curve and the addend, read from the run's table
             e, table = ops.spec.element, ops.table
             curve = CurveParams(ops.spec, e(table["a"]), e(table["b"]))
@@ -177,7 +177,7 @@ def test_compiled_steps_record_the_interpreted_tape(monkeypatch):
                      else "inverse" if acc == point_neg(curve, Q)
                      else "general"] += 1
             return madd(ops, X1, Y1, Z1)
-        monkeypatch.setitem(_KERNELS, kind, (double, counted, *rest))
+        monkeypatch.setitem(_KERNELS, kind, {**kernels, "point_add": counted})
     compiled = [_tape_columns(run_binary_method(*args)) for args in inputs]
     assert set(declined) == {(kind, case) for kind in FieldKind
                              for case in ("at infinity", "equal", "inverse")}
@@ -197,7 +197,7 @@ def test_a_fused_step_that_declines_records_nothing(p17, monkeypatch):
     the last two, where the fused step declines having recorded nothing,
     and the tape is the one the interpreted kernels record."""
     curve, P = p17.curve, p17.base
-    double, (both, labels) = scalarmul._COMPILED[curve.field.kind]
+    both, labels = scalarmul._COMPILED[curve.field.kind]["double_madd"]
     calls = []
 
     def watched(tape, X1, Y1, Z1, ins):
@@ -209,14 +209,49 @@ def test_a_fused_step_that_declines_records_nothing(p17, monkeypatch):
         out = both(tape, X1, Y1, Z1, ins)
         calls.append((tape.values[Z1] == 0, out is None, lengths() == before))
         return out
-    monkeypatch.setitem(scalarmul._COMPILED, curve.field.kind,
-                        (double, (watched, labels)))
+    monkeypatch.setitem(scalarmul._COMPILED[curve.field.kind], "double_madd",
+                        (watched, labels))
     compiled = _tape_columns(run_binary_method(curve, 39, P))
     assert calls == [(False, False, False), (False, True, True),
                      (True, True, True)]
     _interpreted(monkeypatch)
     assert _tape_columns(run_binary_method(curve, 39, P)) == compiled
     assert scalar_mul(curve, 39, P) == P
+
+
+def test_a_step_tests_an_input_before_any_op(p17, b4, monkeypatch):
+    """A step of the mixed addition alone, compiled as a loop step is,
+    tests its input Z1 before any op.  At Z1 = 0 (the accumulator at
+    infinity) it declines having recorded nothing, as it does at equal
+    and inverse points; from any other accumulator it records the tape
+    its interpreted kernel records; on both field kinds."""
+    monkeypatch.setitem(scalarmul._STEPS, "madd", ("point_add",))
+    for preset in (p17, b4):
+        curve, P, kind = preset.curve, preset.base, preset.curve.field.kind
+        source, labels = scalarmul._step_source("madd", kind)
+        # Z1 is the third input, v2; the ops begin after `n` is read
+        lines = source.splitlines()
+        assert lines.index("    if v2 == 0: return None") < \
+            lines.index("    n = len(values)")
+        step = _define(source, f"<{kind.value} madd>")["madd"]
+        for R in enumerate_points(curve):
+            xyz = (1, 1, 0) if R.is_infinity else (R.x.value, R.y.value, 1)
+
+            def fresh():
+                tape = scalarmul._Tape(curve.field, {
+                    **_run_table(curve, P), **dict(zip("XYZ", xyz))})
+                return (tape, tuple(map(tape.input, "XYZ")),
+                        tuple(map(tape.input, labels)))
+            tape, inputs, ins = fresh()
+            before = _tape_columns(tape)
+            out = step(tape, *inputs, ins)
+            if R.is_infinity or R.x == P.x:
+                assert out is None and _tape_columns(tape) == before, R
+                continue
+            ref, inputs, _ = fresh()
+            ref.begin_step("point_add")
+            assert out == _KERNELS[kind]["point_add"](ref, *inputs), R
+            assert _tape_columns(tape) == _tape_columns(ref), R
 
 
 def test_a_run_asks_for_its_inputs_before_its_first_step():
@@ -240,8 +275,8 @@ def test_a_run_asks_for_its_inputs_before_its_first_step():
     for curve, k, P in inputs:
         tape = run_binary_method(curve, k, P)
         steps = scalarmul._COMPILED[curve.field.kind]
-        first = ["Px", "Py", "one", *steps[0][1]]
-        assert all(set(labels) <= set(first) for _, labels in steps)
+        first = ["Px", "Py", "one", *steps["double"][1]]
+        assert all(set(labels) <= set(first) for _, labels in steps.values())
         assert tape.starts[0] == ("point_double", len(first))
         assert list(tape.inputs)[:len(first)] == first
         assert sorted(tape.inputs.values()) == [
@@ -261,7 +296,7 @@ def test_operands_are_built_only_when_read(monkeypatch):
     operand writer as a default, where the calls are counted."""
     calls = Counter()
     for kind, steps in scalarmul._COMPILED.items():
-        for step, _ in steps:
+        for step, _ in steps.values():
             name = f"{step.__name__}_operands"
             def counted(frame, write=step.__defaults__[0], key=(kind, name)):
                 calls[key] += 1
@@ -290,9 +325,10 @@ def test_compiled_steps_show_their_source():
     """Each compiled step's source is in `linecache` under its file name,
     so `inspect.getsource` returns the straight-line code."""
     for kind, steps in scalarmul._COMPILED.items():
-        assert [step.__name__ for step, _ in steps] == list(scalarmul._STEPS)
-        for step, labels in steps:
-            assert step.__code__.co_filename == f"<{_KERNELS[kind][3]} steps>"
+        assert list(steps) == list(scalarmul._STEPS)
+        for name, (step, labels) in steps.items():
+            assert step.__name__ == name
+            assert step.__code__.co_filename == f"<{_COORDINATES[kind]} steps>"
             writer = step.__defaults__[0]
             assert (inspect.getsource(writer) + inspect.getsource(step),
                     labels) == scalarmul._step_source(step.__name__, kind)
@@ -313,7 +349,8 @@ def test_a_tape_without_segments_is_all_init(p17):
     # its ops counts as a conversion
     tape = scalarmul._Tape(p17.curve.field, {"x": p17.base.x.value})
     tape.sqr(tape.input("x"))
-    assert list(tape.segments()) == [("init", 0, 2)]
+    _, _, phases, pidxs, _, _ = tape.columns()
+    assert (phases, pidxs) == ((Phase.INIT,) * 2, (-1, -1))
     t = OpTrace()
     t._count(tape)
     want = {kind: 0 for kind in OpKind if kind is not OpKind.XFER}

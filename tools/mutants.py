@@ -93,6 +93,38 @@ MUTANTS = (
            "pidxs, steps = [], count()",
            "pidxs, steps = [], count(1)",
            "the tape numbers its loop steps from 1"),
+    Mutant("src/eccnoc/scalarmul.py",
+           "or _interpret(tape, kernels, columns, (X, Y, Z))",
+           "or _interpret(tape, kernels, columns[:1], (X, Y, Z))",
+           "a declined step records only its first column"),
+    Mutant("src/eccnoc/procmodel.py",
+           "if self.field_bits > MAX_FIELD_BITS:",
+           "if self.field_bits > MAX_FIELD_BITS + 1:",
+           "a graph one bit wider than the widest field is built"),
+    Mutant("src/eccnoc/scalarmul.py",
+           'values[{refs[i]}]")\n        if i in guards:',
+           'values[{refs[i]}]")\n        if False:',
+           "a compiled step never tests an input"),
+    Mutant("src/eccnoc/procmodel.py",
+           "if not label:",
+           "if label is None:",
+           "the validator lets an XFER go without a label"),
+    Mutant("src/eccnoc/procmodel.py",
+           '"_" in text or "+" in text',
+           '"_" in text',
+           "graph text may hold a '+'"),
+    Mutant("src/eccnoc/nocsim.py",
+           "a, b = pair = sorted(G.result)",
+           "a, b = pair = [G.result[0]] * 2",
+           "simulate delivers the result's x alone"),
+    Mutant("src/eccnoc/config.py",
+           '_DEC = re.compile(r"[0-9]+")',
+           '_DEC = re.compile(r"[0-9_]+")',
+           "a decimal may hold a '_'"),
+    Mutant("src/eccnoc/fields.py",
+           "        if b & 8:\n            r ^= a << 3",
+           "        if b & 16:\n            r ^= a << 3",
+           "a carry-less product by a short operand drops its bit 3"),
 )
 
 
